@@ -42,7 +42,8 @@ _AXES = ("sensors", "snr-g2u-db")
 _SWEEP_HEADER = "axis_value,seed,algo,completion_s,lower_bound_s,flight_s,hover_s\n"
 
 _INFEASIBLE = (InfeasibleConfigError, InfeasibleTopologyError,
-               InfeasiblePlanError, CoverageError)
+               InfeasiblePlanError, pointmatch.InfeasibleWaypointError,
+               CoverageError)
 
 
 def _read_config(path) -> dict:
@@ -55,11 +56,17 @@ def _read_config(path) -> dict:
     return data
 
 
-def run_pipeline(scenario, algo: str):
-    """Clustering through evaluation; returns every intermediate artifact."""
+def prepare(scenario):
+    """Everything a planner needs: coverage radii, CP clusters, ring topology."""
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
     topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m, radii)
+    return radii, cluster_set, topology
+
+
+def run_pipeline(scenario, algo: str):
+    """Clustering through evaluation; returns every intermediate artifact."""
+    radii, cluster_set, topology = prepare(scenario)
     plan = _PLANNERS[algo](scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
     return radii, cluster_set, topology, plan, report
@@ -140,9 +147,7 @@ def _sweep_cell(cell):
     else:
         n_sensors = int(value)
     scenario = generate_scenario(size, size, n_sensors, params=params, seed=seed)
-    radii = coverage_radii(scenario.params, scenario.bs_height_m)
-    cluster_set = cluster_sensors(scenario, radii)
-    topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m, radii)
+    radii, cluster_set, topology = prepare(scenario)
     rows, all_ok = [], True
     for algo in _ALGO_ORDER:
         plan = _PLANNERS[algo](scenario, cluster_set, topology, radii)

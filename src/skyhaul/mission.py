@@ -19,12 +19,10 @@ from .channel import CoverageRadii
 from .clustering import ClusterSet
 from .model import Scenario
 from .partition import Topology
-from .tsp import solve_tsp
 
 DIST_TOL_M = 1e-6
 TIME_TOL_S = 1e-6
 HOVER_TOL_S = 1e-9
-_SEGMENT_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -95,21 +93,21 @@ def completion_time(plan: MissionPlan) -> Timing:
     return Timing(flight + hover, flight, hover)
 
 
+def ring_serial_s(cluster_set: ClusterSet, topology: Topology,
+                  v_max_mps: float) -> list[float]:
+    """Per ring: its UAV's serial workload, the ring tour at full speed plus
+    every hover of the ring's CPs."""
+    hovers = cluster_set.hover_array()
+    return [tour.length_m / v_max_mps
+            + float(hovers[topology.cps_of_ring(r)].sum())
+            for r, tour in enumerate(topology.tours)]
+
+
 def lower_bound(cluster_set: ClusterSet, topology: Topology,
                 v_max_mps: float) -> float:
     """Best case per UAV: its own ring tour at full speed plus its own hovers,
     everything else perfectly overlapped."""
-    cps = cluster_set.cp_array()
-    hovers = cluster_set.hover_array()
-    bound = 0.0
-    for ring_idx in range(topology.m_uavs):
-        ids = topology.cps_of_ring(ring_idx)
-        if not ids:
-            continue
-        tour = solve_tsp(cps[ids])
-        t = tour.length_m / v_max_mps + float(hovers[ids].sum())
-        bound = max(bound, t)
-    return bound
+    return max(ring_serial_s(cluster_set, topology, v_max_mps))
 
 
 def _plan_shape_or_raise(plan: MissionPlan, topology: Topology):
@@ -131,49 +129,42 @@ def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> 
     if bad.size:
         problems.append(f"UAV 0 beyond BS range at step {bad[0]} "
                         f"({d_bs[bad[0]]:.1f} m)")
-    for i in range(1, m):
-        gap = np.hypot(*np.moveaxis(w[:, i, :] - w[:, i - 1, :], 1, 0))
-        bad = np.flatnonzero(gap > radii.r_u2u_m + DIST_TOL_M)
-        if bad.size:
-            problems.append(f"UAVs {i - 1}/{i} out of range at step {bad[0]} "
-                            f"({gap[bad[0]]:.1f} m)")
-    # per-segment relay condition between adjacent UAVs (endpoints decide)
+    # per-segment relay condition between adjacent UAVs: the gap is convex
+    # in time, so the endpoints decide, and every waypoint ends some leg
     prev = np.roll(w, 1, axis=0)
     for i in range(1, m):
         s = np.hypot(*np.moveaxis(prev[:, i, :] - prev[:, i - 1, :], 1, 0))
         e = np.hypot(*np.moveaxis(w[:, i, :] - w[:, i - 1, :], 1, 0))
         bad = np.flatnonzero(np.maximum(s, e) > radii.r_u2u_m + DIST_TOL_M)
         if bad.size:
-            problems.append(f"segment into step {bad[0]}: UAVs {i - 1}/{i} "
-                            "disconnect mid-flight")
+            problems.append(f"UAVs {i - 1}/{i} out of range on the leg into "
+                            f"step {bad[0]} ({max(s[bad[0]], e[bad[0]]):.1f} m)")
     ok = not problems
     return CheckResult("connectivity", ok, "; ".join(problems) or
                        "chain intact at every waypoint and along every leg")
 
 
 def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
-    s_count, m, _ = w.shape
+    """Exact pairwise separation along every leg. The relative offset moves
+    linearly from a to b, so its closest approach is at
+    t* = clamp(-a.d / |d|^2, 0, 1) with d = b - a."""
+    m = w.shape[1]
     if m == 1:
         return CheckResult("collision", True, "single UAV")
     prev = np.roll(w, 1, axis=0)
-    ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES + 2)[1:-1]
     problems = []
     for i in range(m):
         for j in range(i + 1, m):
-            gap = np.hypot(*np.moveaxis(w[:, i, :] - w[:, j, :], 1, 0))
-            bad = np.flatnonzero(gap < d_safe - DIST_TOL_M)
-            if bad.size:
-                problems.append(f"UAVs {i}/{j} only {gap[bad[0]]:.1f} m apart "
-                                f"at step {bad[0]}")
-            # 100 interior samples per leg
             a = prev[:, i, :] - prev[:, j, :]
-            b = w[:, i, :] - w[:, j, :]
-            span = a[:, None, :] * (1 - ts)[None, :, None] + b[:, None, :] * ts[None, :, None]
-            mind = np.hypot(span[..., 0], span[..., 1]).min(axis=1)
-            bad = np.flatnonzero(mind < d_safe - DIST_TOL_M)
+            d = w[:, i, :] - w[:, j, :] - a
+            dd = (d * d).sum(axis=1)
+            t = np.clip(-(a * d).sum(axis=1) / np.where(dd > 0, dd, 1.0),
+                        0.0, 1.0)
+            closest = np.hypot(*(a + t[:, None] * d).T)
+            bad = np.flatnonzero(closest < d_safe - DIST_TOL_M)
             if bad.size:
-                problems.append(f"UAVs {i}/{j} close to {mind[bad[0]]:.1f} m "
-                                f"mid-leg into step {bad[0]}")
+                problems.append(f"UAVs {i}/{j} close to {closest[bad[0]]:.1f} m "
+                                f"on the leg into step {bad[0]}")
     ok = not problems
     return CheckResult("collision", ok, "; ".join(problems) or
                        f"all pairs keep {d_safe:.0f} m separation")

@@ -2,7 +2,8 @@
 
 Ring 0 is the disk the BS backhaul can reach directly; every further ring is
 an annulus one relay hop (r_u2u) wide. One UAV serves each ring and the chain
-BS - UAV0 - ... - UAV(M-1) stays connected by construction.
+BS - UAV0 - ... - UAV(M-1) stays connected by construction. Each ring's
+visit tour is solved here, once, for every planner and bound that needs it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CoverageRadii
+from .tsp import Tour, solve_tsp
 
 
 class InfeasibleTopologyError(ValueError):
@@ -30,6 +32,7 @@ class Topology:
     m_uavs: int
     rings: tuple[Ring, ...]
     association: tuple[int, ...]    # ring index per CP
+    tours: tuple[Tour, ...]         # per ring, order over global CP ids
 
     def cps_of_ring(self, ring_idx: int) -> list[int]:
         return [k for k, r in enumerate(self.association) if r == ring_idx]
@@ -75,9 +78,18 @@ def associate(cps, bs, m: int, radii: CoverageRadii) -> tuple[int, ...]:
 
 
 def build_topology(cps, bs, radii: CoverageRadii) -> Topology:
+    """Fleet size, rings, CP association, and each ring's CP tour."""
+    cps = np.asarray(cps, dtype=float).reshape(-1, 2)
     m = required_uav_count(cps, bs, radii)
+    association = associate(cps, bs, m, radii)
+    tours = []
+    for ring_idx in range(m):
+        ids = [k for k, r in enumerate(association) if r == ring_idx]
+        tour = solve_tsp(cps[ids])
+        tours.append(Tour(tuple(ids[j] for j in tour.order), tour.length_m))
     return Topology(
         m_uavs=m,
         rings=build_rings(m, radii),
-        association=associate(cps, bs, m, radii),
+        association=association,
+        tours=tuple(tours),
     )

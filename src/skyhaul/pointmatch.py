@@ -10,7 +10,6 @@ keeps the relay chain connected without slowing the pace.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -18,12 +17,9 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, MissionStep
+from .mission import MissionPlan, MissionStep, ring_serial_s
 from .model import Scenario
 from .partition import Ring, Topology
-from .tsp import solve_tsp
-
-log = logging.getLogger(__name__)
 
 _GRID_ANGLES = 360          # 1 degree
 _GRID_RADII = 200           # r_u2u / 200
@@ -124,20 +120,6 @@ class P3Result:
     point: tuple[float, float]
     edge_index: int
     detour_m: float
-    literal_form_agrees: bool
-    midpoint_form_agrees: bool
-
-
-def _closed_form_candidates(p_k: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                            r_u2u: float):
-    """Both readings of the closed-form insertion point on the range circle."""
-    out = {}
-    v_lit = e1 + e2
-    v_mid = e1 + e2 - 2.0 * p_k
-    for name, v in (("literal", v_lit), ("midpoint", v_mid)):
-        n = float(np.hypot(*v))
-        out[name] = p_k + r_u2u * v / n if n > 0 else None
-    return out
 
 
 def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
@@ -210,9 +192,7 @@ def p3_waypoint(p_k, path_points, r_u2u: float, d_safe: float,
     Searches every edge of `path_points` (an open chain) jointly with a polar
     grid over the feasible annulus around p_k (1 degree by r_u2u/200), plus
     the exact on-edge crossing point whenever an edge passes through the
-    feasible set (detour zero, which no grid node quite reaches). The grid
-    remains the referee for the closed-form variants, which are flagged when
-    they disagree by more than 1% detour.
+    feasible set (detour zero, which no grid node quite reaches).
     """
     p_k = np.asarray(p_k, dtype=float)
     path = np.asarray(path_points, dtype=float).reshape(-1, 2)
@@ -241,59 +221,11 @@ def p3_waypoint(p_k, path_points, r_u2u: float, d_safe: float,
         if best is None or e_det < best[0] - 1e-12:
             best = (e_det, e, e_pt)
     detour, edge, point = best
-    e1, e2 = path[edge], path[edge + 1]
-    direct = float(np.hypot(*(e2 - e1)))
-    agree = {}
-    tol = max(0.01 * detour, 1e-6)
-    for name, q in _closed_form_candidates(p_k, e1, e2, r_u2u).items():
-        ok = False
-        if q is not None and bool(_in_ring(q[None, :], ring, bs)[0]) \
-                and d_safe - 1e-9 <= float(np.hypot(*(q - p_k))) <= r_u2u + 1e-9:
-            cf_det = float(np.hypot(*(q - e1)) + np.hypot(*(q - e2))) - direct
-            ok = cf_det <= detour + tol
-        agree[name] = ok
-    if not agree["literal"] or not agree["midpoint"]:
-        log.debug("closed form differs from grid minimum at p_k=%s "
-                  "(literal_ok=%s midpoint_ok=%s detour=%.3f m)",
-                  p_k, agree["literal"], agree["midpoint"], detour)
     return P3Result(
         point=(float(point[0]), float(point[1])),
         edge_index=edge,
         detour_m=detour,
-        literal_form_agrees=agree["literal"],
-        midpoint_form_agrees=agree["midpoint"],
     )
-
-
-def escort_waypoint(cp, prev_wp, next_wp, r_u2u: float, d_safe: float,
-                    ring: Ring | None, bs=(0.0, 0.0),
-                    leg_in_limit: float | None = None,
-                    leg_out_limit: float | None = None) -> np.ndarray:
-    """Holding point next to a CP collected by the neighbouring ring's UAV.
-
-    Feasible set: d_safe..r_u2u from the CP, inside `ring`, legs from prev_wp
-    and to next_wp optionally capped (so the collecting UAV is not slowed).
-    Minimizes the prev->q->next detour. Raises InfeasibleWaypointError when
-    the constraint set is empty.
-    """
-    cp = np.asarray(cp, dtype=float)
-    prev_wp = np.asarray(prev_wp, dtype=float)
-    next_wp = np.asarray(next_wp, dtype=float)
-    cand = _annulus_grid(cp, d_safe, r_u2u)
-    cand = cand[_in_ring(cand, ring, bs)]
-    if len(cand) == 0:
-        raise InfeasibleWaypointError("escort annulus does not meet the ring")
-    d_in = np.hypot(*(cand - prev_wp).T)
-    d_out = np.hypot(*(cand - next_wp).T)
-    mask = np.ones(len(cand), dtype=bool)
-    if leg_in_limit is not None:
-        mask &= d_in <= leg_in_limit + _RING_TOL_M
-    if leg_out_limit is not None:
-        mask &= d_out <= leg_out_limit + _RING_TOL_M
-    if not mask.any():
-        raise InfeasibleWaypointError("escort leg caps leave no feasible point")
-    cost = np.where(mask, d_in + d_out, np.inf)
-    return cand[int(np.argmin(cost))].copy()
 
 
 def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
@@ -377,21 +309,6 @@ class _Step:
     def __init__(self, pos=None, collect=None):
         self.pos: dict[int, np.ndarray] = pos or {}
         self.collect: dict[int, int] = collect or {}
-
-
-def _ring_tours(cps, hovers, topology: Topology, v_max: float):
-    """Per-ring visit orders (global CP ids) and serial tour-plus-hover times."""
-    orders, times = [], []
-    for ring_idx in range(topology.m_uavs):
-        ids = topology.cps_of_ring(ring_idx)
-        if ids:
-            tour = solve_tsp(cps[ids])
-            orders.append([ids[j] for j in tour.order])
-            times.append(tour.length_m / v_max + float(hovers[ids].sum()))
-        else:
-            orders.append([])
-            times.append(0.0)
-    return orders, times
 
 
 def _ref_path(steps: list[_Step], ref: int) -> np.ndarray:
@@ -557,8 +474,6 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
                     f"no feasible detour for CP {cp_id} on the fixed path")
             _, s, res = best
             meta["p3_calls"] += 1
-            meta["p3_literal_agree"] += int(res.literal_form_agrees)
-            meta["p3_midpoint_agree"] += int(res.midpoint_form_agrees)
             meta["detour_m"] += res.detour_m
             q = np.asarray(res.point)
             at = s + 1
@@ -703,7 +618,8 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     r_u2u = radii.r_u2u_m
     rings = topology.rings
 
-    orders, times = _ring_tours(cps, hovers, topology, v)
+    orders = [list(tour.order) for tour in topology.tours]
+    times = ring_serial_s(cluster_set, topology, v)
     pacing = int(np.argmax(times))
     if not orders[pacing]:
         raise ValueError("cluster set has no collection points")
@@ -718,8 +634,6 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         "generated_waypoints": 0,
         "pair_processings": 0,
         "p3_calls": 0,
-        "p3_literal_agree": 0,
-        "p3_midpoint_agree": 0,
         "detour_m": 0.0,
         "escorts": 0,
     }

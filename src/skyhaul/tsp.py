@@ -64,12 +64,9 @@ def _two_opt(order: list[int], dist: np.ndarray) -> list[int]:
     return order
 
 
-def solve_tsp(points, seed=0) -> Tour:
-    """Best 2-opt-polished nearest-neighbour tour over all starts.
-
-    Fully deterministic for given points; `seed` is accepted for interface
-    stability but the search never draws random numbers.
-    """
+def solve_tsp(points) -> Tour:
+    """Best 2-opt-polished nearest-neighbour tour over all starts; fully
+    deterministic for given points."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     if n == 0:
@@ -84,21 +81,3 @@ def solve_tsp(points, seed=0) -> Tour:
         if length < best_len - 1e-12:
             best_order, best_len = order, length
     return Tour(order=tuple(best_order), length_m=best_len)
-
-
-def path_distance_between(points, order, from_point: int, to_point: int) -> float:
-    """Length of the tour walk from one point to another, forward only."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    order = list(order)
-    if from_point not in order or to_point not in order:
-        raise ValueError("both endpoints must lie on the tour")
-    if from_point == to_point:
-        return 0.0
-    i = order.index(from_point)
-    total = 0.0
-    while True:
-        j = (i + 1) % len(order)
-        total += float(np.hypot(*(points[order[j]] - points[order[i]])))
-        if order[j] == to_point:
-            return total
-        i = j

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from skyhaul.channel import coverage_radii
-from skyhaul.clustering import cluster_sensors
+from skyhaul.cli import prepare
 from skyhaul.model import ChannelParams, generate_scenario
-from skyhaul.partition import build_topology
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -31,11 +30,7 @@ def build_instance(n_sensors: int, size_m: float, seed: int, params=None):
     """Scenario plus the full preprocessing chain up to the UAV topology."""
     scenario = generate_scenario(size_m, size_m, n_sensors,
                                  params=params, seed=seed)
-    radii = coverage_radii(scenario.params, scenario.bs_height_m)
-    cluster_set = cluster_sensors(scenario, radii)
-    topology = build_topology(cluster_set.cp_array(),
-                              scenario.bs_position_m, radii)
-    return scenario, radii, cluster_set, topology
+    return (scenario, *prepare(scenario))
 
 
 @pytest.fixture(scope="session")

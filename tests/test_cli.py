@@ -84,6 +84,15 @@ def test_hopeless_radio_config_is_infeasible(tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_pmtp_waypoint_infeasibility_is_typed(tmp_path, capsys):
+    scn = str(tmp_path / "scn.json")
+    cfg = _write_config(tmp_path, {"snr_th_u2u_db": 23})
+    assert main(["generate", "--sensors", "400", "--size", "8000",
+                 "--seed", "0", "--config", cfg, "-o", scn]) == EXIT_OK
+    assert main(["plan", scn, "--algo", "pmtp"]) == EXIT_INFEASIBLE
+    assert "infeasible: no feasible detour for CP" in capsys.readouterr().err
+
+
 def test_config_override_reaches_the_radio_model(tmp_path):
     scn = str(tmp_path / "scn.json")
     main(["generate", "--sensors", "60", "--size", "2500", "-o", scn])

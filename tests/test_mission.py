@@ -164,6 +164,20 @@ def test_validate_flags_collision(relay_run):
     assert not check.passed
 
 
+def test_collision_check_finds_near_miss_between_samples(relay_run):
+    # A sweeps 10 km past B, passing 10 m away at mid-leg; the closest
+    # waypoint-to-waypoint gap and any 100 evenly spaced samples stay ~50 m
+    assert relay_run[0].d_safe_m == 30.0
+    steps = (
+        MissionStep(((5000.0, 10.0), (0.0, 0.0)), (0, None), 0.0, 1000.0),
+        MissionStep(((-5000.0, 10.0), (0.0, 0.0)), (1, None), 0.0, 1000.0),
+    )
+    check = _failed(MissionPlan(steps=steps, v_max_mps=10.0), relay_run,
+                    "collision")
+    assert not check.passed
+    assert "close to 10.0 m" in check.detail
+
+
 def test_validate_flags_broken_closure(relay_run):
     plan = relay_run[-1]
     bad = _tamper(plan, 0, flight_s=plan.steps[0].flight_s + 5.0)

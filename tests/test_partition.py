@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import build_instance
 
+from skyhaul import pointmatch, tsp
+from skyhaul.baselines import plan_cstp, plan_ttp
+from skyhaul.mission import evaluate
 from skyhaul.partition import (InfeasibleTopologyError, build_rings,
                                build_topology, required_uav_count, ring_index)
 
@@ -67,3 +71,24 @@ def test_cp_beyond_last_ring_raises(default_radii):
     far = [[default_radii.r_u2b_m + 3 * default_radii.r_u2u_m, 0.0]]
     with pytest.raises(InfeasibleTopologyError):
         associate(far, BS, 3, default_radii)
+
+
+def test_ring_tours_are_solved_once(monkeypatch):
+    # every TSP solve over two or more points builds one distance matrix
+    solved = []
+    pairwise = tsp._pairwise
+
+    def counted(points):
+        solved.append(len(points))
+        return pairwise(points)
+    monkeypatch.setattr(tsp, "_pairwise", counted)
+    scenario, radii, cluster_set, topology = build_instance(300, 8000.0, 1)
+    assert topology.m_uavs == 3
+    assert solved == [len(topology.cps_of_ring(r)) for r in range(3)
+                      if len(topology.cps_of_ring(r)) > 1]
+    for planner, expect in ((pointmatch.plan, []), (plan_ttp, [cluster_set.k]),
+                            (plan_cstp, [])):
+        solved.clear()
+        plan = planner(scenario, cluster_set, topology, radii)
+        evaluate(plan, scenario, topology, radii, cluster_set)
+        assert solved == expect, planner.__name__

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from skyhaul.tsp import path_distance_between, solve_tsp, tour_length
+from skyhaul.tsp import solve_tsp, tour_length
 
 
 def brute_force_length(points) -> float:
@@ -49,12 +49,3 @@ def test_tour_length_is_cyclic():
     assert tour_length(pts, order) == pytest.approx(tour_length(pts, rotated))
     assert tour_length(pts, order) == pytest.approx(12.0)
 
-
-def test_path_distance_between_walks_the_tour():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    order = (0, 1, 2, 3)
-    assert path_distance_between(square, order, 0, 0) == 0.0
-    assert path_distance_between(square, order, 0, 1) == pytest.approx(1.0)
-    assert path_distance_between(square, order, 0, 2) == pytest.approx(2.0)
-    # forward walk wraps around the cycle
-    assert path_distance_between(square, order, 3, 1) == pytest.approx(2.0)
