@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, MissionStep
+from .mission import MissionPlan, assemble_plan
 from .model import Scenario
 from .partition import Topology
 from .tsp import solve_tsp
@@ -22,23 +22,6 @@ _OFFSET_GAIN = 1.05
 
 class InfeasiblePlanError(RuntimeError):
     """The baseline geometry cannot keep the relay chain connected."""
-
-
-def _finish(positions: np.ndarray, duties, hovers_per_step, v: float,
-            meta: dict) -> MissionPlan:
-    """Wrap per-step geometry into a plan with consistent cyclic timing."""
-    legs = np.hypot(*np.moveaxis(positions - np.roll(positions, 1, axis=0),
-                                 2, 0))
-    worst = legs.max(axis=1)
-    steps = []
-    for i in range(positions.shape[0]):
-        steps.append(MissionStep(
-            waypoints=tuple((float(x), float(y)) for x, y in positions[i]),
-            duties=tuple(duties[i]),
-            hover_s=float(hovers_per_step[i]),
-            flight_s=float(worst[i]) / v,
-        ))
-    return MissionPlan(steps=tuple(steps), v_max_mps=v, meta=meta)
 
 
 def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
@@ -88,7 +71,7 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         hovers_per_step[i] = hovers[cp]
 
     meta = {"algo": "ttp", "tour_length_m": tour.length_m}
-    return _finish(positions, duties, hovers_per_step, v, meta)
+    return assemble_plan(positions, duties, hovers_per_step, v, meta)
 
 
 def scan_order(cps: np.ndarray, bs: np.ndarray) -> list[int]:
@@ -147,4 +130,4 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         hovers_per_step[i] = hovers[cp]
 
     meta = {"algo": "cstp"}
-    return _finish(positions, duties, hovers_per_step, v, meta)
+    return assemble_plan(positions, duties, hovers_per_step, v, meta)

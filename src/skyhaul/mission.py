@@ -84,10 +84,28 @@ class Timing(NamedTuple):
     hover_s: float
 
 
+def _leg_lengths(w: np.ndarray) -> np.ndarray:
+    prev = np.roll(w, 1, axis=0)
+    return np.hypot(*np.moveaxis(w - prev, 2, 0))    # (S, M)
+
+
+def assemble_plan(positions: np.ndarray, duties, hovers_per_step, v: float,
+                  meta: dict) -> MissionPlan:
+    """Wrap per-step geometry (S, M, 2) into a plan with consistent cyclic
+    timing: each step's flight is its longest leg at v."""
+    worst = _leg_lengths(positions).max(axis=1)
+    steps = tuple(MissionStep(
+        waypoints=tuple((float(x), float(y)) for x, y in positions[i]),
+        duties=tuple(duties[i]),
+        hover_s=float(hovers_per_step[i]),
+        flight_s=float(worst[i]) / v,
+    ) for i in range(positions.shape[0]))
+    return MissionPlan(steps=steps, v_max_mps=v, meta=meta)
+
+
 def completion_time(plan: MissionPlan) -> Timing:
     """Mission duration: synchronized flight legs plus shared hovers."""
-    w = plan.waypoint_array()                    # (S, M, 2)
-    legs = np.hypot(*np.moveaxis(w - np.roll(w, 1, axis=0), 2, 0))
+    legs = _leg_lengths(plan.waypoint_array())
     flight = float(legs.max(axis=1).sum()) / plan.v_max_mps
     hover = float(sum(s.hover_s for s in plan.steps))
     return Timing(flight + hover, flight, hover)
@@ -168,11 +186,6 @@ def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
     ok = not problems
     return CheckResult("collision", ok, "; ".join(problems) or
                        f"all pairs keep {d_safe:.0f} m separation")
-
-
-def _leg_lengths(w: np.ndarray) -> np.ndarray:
-    prev = np.roll(w, 1, axis=0)
-    return np.hypot(*np.moveaxis(w - prev, 2, 0))    # (S, M)
 
 
 def _check_speed(plan: MissionPlan, w: np.ndarray) -> CheckResult:

@@ -10,6 +10,7 @@ keeps the relay chain connected without slowing the pace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,13 +18,14 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, MissionStep, ring_serial_s
+from .mission import MissionPlan, assemble_plan, ring_serial_s
 from .model import Scenario
 from .partition import Ring, Topology
 
-_GRID_ANGLES = 360          # 1 degree
-_GRID_RADII = 200           # r_u2u / 200
-_RING_TOL_M = 1e-6
+_ARC_SAMPLES = 360          # cost samples per boundary circle (1 degree)
+_REFINE_ROUNDS = 40         # golden-section rounds per sampled local minimum
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TOL_M = 1e-6
 _HOVER_CMP_TOL = 1e-12
 _HOP_TOL_M = 1e-9
 
@@ -96,30 +98,96 @@ def match_pairs(cps_outer, cps_inner, tour_outer, tour_inner,
     )
 
 
-def _annulus_grid(center: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
-    if r_hi < r_lo:
-        return np.zeros((0, 2))
-    ang = np.linspace(0.0, 2.0 * np.pi, _GRID_ANGLES, endpoint=False)
-    rad = np.linspace(r_lo, r_hi, _GRID_RADII)
-    pts = center + np.stack([
-        np.outer(rad, np.cos(ang)).ravel(),
-        np.outer(rad, np.sin(ang)).ravel(),
-    ], axis=1)
-    return pts
-
-
-def _in_ring(pts: np.ndarray, ring: Ring | None, bs) -> np.ndarray:
-    if ring is None:
-        return np.ones(len(pts), dtype=bool)
-    d = np.hypot(*(pts - np.asarray(bs, dtype=float)).T)
-    return (d >= ring.inner_m - _RING_TOL_M) & (d <= ring.outer_m + _RING_TOL_M)
-
-
 @dataclass(frozen=True)
 class P3Result:
     point: tuple[float, float]
     edge_index: int
     detour_m: float
+
+
+def _annuli(anchor, d_safe: float, r_link: float, ring: Ring | None,
+            bs) -> list[tuple]:
+    """The chain annulus around `anchor`, plus the ring band when given."""
+    band = [] if ring is None else [(bs, ring.inner_m, ring.outer_m)]
+    return [(anchor, d_safe, r_link)] + band
+
+
+def _cost(pts: np.ndarray, foci: np.ndarray) -> np.ndarray:
+    """Summed distance from each point (..., 2) to every focus."""
+    return np.hypot(*np.moveaxis(pts[..., None, :] - foci, -1, 0)).sum(axis=-1)
+
+
+def _on_circle(cen: np.ndarray, rad: np.ndarray, theta) -> np.ndarray:
+    return cen + rad[..., None] * np.stack([np.cos(theta), np.sin(theta)],
+                                           axis=-1)
+
+
+def _crossings(c1: np.ndarray, r1: float, c2: np.ndarray,
+               r2: float) -> np.ndarray:
+    """Where two circles cross. Circles that touch up to rounding yield their
+    touching point, so a feasible set shrunk to one tangent point survives;
+    circles that miss yield a point the feasibility filter rejects."""
+    v = c2 - c1
+    d = float(np.hypot(*v))
+    if d == 0.0:
+        return np.zeros((0, 2))
+    u = v / d
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    return c1 + a * u + np.outer([h, -h], [-u[1], u[0]])
+
+
+def _arc_minima(foci: np.ndarray, cen: np.ndarray,
+                rad: np.ndarray) -> np.ndarray:
+    """Local minima of the summed distance to `foci` along each circle.
+
+    One focus: its radial projection, in closed form. Several: every sampled
+    local minimum is bracketed by its neighbouring samples, then all brackets
+    shrink together by golden section.
+    """
+    if len(foci) == 1:
+        v = foci[0] - cen
+        return _on_circle(cen, rad, np.arctan2(v[:, 1], v[:, 0]))
+    step = 2.0 * np.pi / _ARC_SAMPLES
+    theta = np.arange(_ARC_SAMPLES) * step
+    f = _cost(_on_circle(cen[:, None], rad[:, None], theta), foci)
+    ci, ti = np.nonzero((f <= np.roll(f, 1, axis=1))
+                        & (f <= np.roll(f, -1, axis=1)))
+    cen, rad = cen[ci], rad[ci]
+    lo, hi = theta[ti] - step, theta[ti] + step
+    for _ in range(_REFINE_ROUNDS):
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        left = (_cost(_on_circle(cen, rad, x1), foci)
+                < _cost(_on_circle(cen, rad, x2), foci))
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+    return _on_circle(cen, rad, 0.5 * (lo + hi))
+
+
+def _minimise(foci, seeds, annuli) -> np.ndarray | None:
+    """Point of the intersection of `annuli` ((center, lo, hi): lo <= |q -
+    center| <= hi) with the least summed distance to `foci`, or None when the
+    intersection is empty.
+
+    The cost is convex, so the optimum is a feasible unconstrained minimiser
+    from `seeds`, a point where two boundary circles cross or touch, or a
+    local minimum of the cost along one boundary circle. All are scored, then
+    one feasibility filter keeps the admissible ones.
+    """
+    foci = np.asarray(foci, dtype=float).reshape(-1, 2)
+    circles = [(np.asarray(c, dtype=float), r) for c, lo, hi in annuli
+               for r in ((lo, hi) if lo > 0.0 else (hi,))]
+    cen, rad = (np.array(x, dtype=float) for x in zip(*circles))
+    pts = np.vstack(
+        [np.asarray(seeds, dtype=float).reshape(-1, 2),
+         _arc_minima(foci, cen, rad)]
+        + [_crossings(*a, *b) for a, b in itertools.combinations(circles, 2)])
+    ok = np.ones(len(pts), dtype=bool)
+    for c, lo, hi in annuli:
+        d = np.hypot(*(pts - c).T)
+        ok &= (d >= lo - _TOL_M) & (d <= hi + _TOL_M)
+    best = int(np.argmin(np.where(ok, _cost(pts, foci), np.inf)))
+    return pts[best].copy() if ok[best] else None
 
 
 def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
@@ -159,26 +227,16 @@ def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
     return spans
 
 
-def _intersect_spans(a: list[tuple[float, float]],
-                     b: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out = []
-    for a0, a1 in a:
-        for b0, b1 in b:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if lo <= hi:
-                out.append((lo, hi))
-    return out
-
-
-def _edge_through_point(p_k: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                        r_u2u: float, d_safe: float, ring: Ring | None,
-                        bs) -> np.ndarray | None:
-    """Exact zero-detour candidate: a point of the edge itself inside the
-    feasible set, when the edge crosses it. Midpoint of the widest crossing."""
-    spans = _band_spans(e1, e2, p_k, d_safe, r_u2u)
-    if ring is not None and spans:
-        spans = _intersect_spans(
-            spans, _band_spans(e1, e2, bs, ring.inner_m, ring.outer_m))
+def _edge_through_point(e1: np.ndarray, e2: np.ndarray,
+                        annuli) -> np.ndarray | None:
+    """Exact zero-detour candidate: a point of the edge itself inside every
+    annulus, when the edge crosses their intersection. Midpoint of the widest
+    crossing."""
+    spans = [(0.0, 1.0)]
+    for c, lo, hi in annuli:
+        spans = [(max(a0, b0), min(a1, b1)) for a0, a1 in spans
+                 for b0, b1 in _band_spans(e1, e2, c, lo, hi)
+                 if max(a0, b0) <= min(a1, b1)]
     if not spans:
         return None
     t0, t1 = max(spans, key=lambda s: s[1] - s[0])
@@ -189,37 +247,28 @@ def p3_waypoint(p_k, path_points, r_u2u: float, d_safe: float,
                 ring: Ring | None, bs=(0.0, 0.0)) -> P3Result:
     """Cheapest-detour waypoint connecting `p_k` from inside `ring`.
 
-    Searches every edge of `path_points` (an open chain) jointly with a polar
-    grid over the feasible annulus around p_k (1 degree by r_u2u/200), plus
-    the exact on-edge crossing point whenever an edge passes through the
-    feasible set (detour zero, which no grid node quite reaches).
+    Tries every edge of `path_points` (an open chain): the on-edge point when
+    the edge passes through the feasible set (detour zero), otherwise the
+    exact minimiser of |q - e1| + |q - e2| over that set.
     """
     p_k = np.asarray(p_k, dtype=float)
     path = np.asarray(path_points, dtype=float).reshape(-1, 2)
     if len(path) < 2:
         raise ValueError("path_points needs at least one edge")
-    cand = _annulus_grid(p_k, d_safe, r_u2u)
-    cand = cand[_in_ring(cand, ring, bs)]
-    if len(cand) == 0:
-        raise InfeasibleWaypointError(
-            f"no point of the ring lies {d_safe:.0f}..{r_u2u:.0f} m from "
-            f"({p_k[0]:.0f}, {p_k[1]:.0f})")
+    annuli = _annuli(p_k, d_safe, r_u2u, ring, bs)
     best = None                       # (detour, edge, point)
     for e in range(len(path) - 1):
         e1, e2 = path[e], path[e + 1]
-        direct = float(np.hypot(*(e2 - e1)))
-        det = (np.hypot(*(cand - e1).T) + np.hypot(*(cand - e2).T)) - direct
-        i = int(np.argmin(det))
-        e_det, e_pt = float(det[i]), cand[i]
-        on_edge = _edge_through_point(p_k, e1, e2, r_u2u, d_safe, ring,
-                                      np.asarray(bs, dtype=float))
-        if on_edge is not None:
-            d0 = float(np.hypot(*(on_edge - e1)) + np.hypot(*(on_edge - e2))) \
-                - direct
-            if d0 < e_det:
-                e_det, e_pt = max(d0, 0.0), on_edge
-        if best is None or e_det < best[0] - 1e-12:
-            best = (e_det, e, e_pt)
+        q = _edge_through_point(e1, e2, annuli)
+        if q is None:
+            q = _minimise([e1, e2], [], annuli)
+        if q is None:
+            raise InfeasibleWaypointError(
+                f"no point of the ring lies {d_safe:.0f}..{r_u2u:.0f} m from "
+                f"({p_k[0]:.0f}, {p_k[1]:.0f})")
+        detour = max(float(_cost(q, path[e:e + 2]) - np.hypot(*(e2 - e1))), 0.0)
+        if best is None or detour < best[0] - 1e-12:
+            best = (detour, e, q)
     detour, edge, point = best
     return P3Result(
         point=(float(point[0]), float(point[1])),
@@ -231,38 +280,11 @@ def p3_waypoint(p_k, path_points, r_u2u: float, d_safe: float,
 def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
                         ring: Ring | None, bs=(0.0, 0.0)) -> np.ndarray:
     """Least-displacement point within `r_link` of anchor, outside the safety
-    bubble, inside the ring. Closed-form projections first, grid as fallback."""
-    prev = np.asarray(prev, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    bs = np.asarray(bs, dtype=float)
-
-    def feasible(q):
-        d = float(np.hypot(*(q - anchor)))
-        return d_safe - _RING_TOL_M <= d <= r_link + _RING_TOL_M \
-            and bool(_in_ring(q[None, :], ring, bs)[0])
-
-    if feasible(prev):
-        return prev.copy()
-    # clip the radius toward the anchor, then toward the ring band
-    v = prev - anchor
-    n = float(np.hypot(*v))
-    u = v / n if n > 0 else np.array([1.0, 0.0])
-    q = anchor + u * min(max(n, d_safe), r_link)
-    if feasible(q):
-        return q
-    if ring is not None:
-        w = q - bs
-        wn = float(np.hypot(*w))
-        if wn > 0:
-            q2 = bs + w * (min(max(wn, ring.inner_m), ring.outer_m) / wn)
-            if feasible(q2):
-                return q2
-    cand = _annulus_grid(anchor, d_safe, r_link)
-    cand = cand[_in_ring(cand, ring, bs)]
-    if len(cand) == 0:
+    bubble, inside the ring."""
+    q = _minimise([prev], [prev], _annuli(anchor, d_safe, r_link, ring, bs))
+    if q is None:
         raise InfeasibleWaypointError("chain annulus does not meet the ring")
-    disp = np.hypot(*(cand - prev).T)
-    return cand[int(np.argmin(disp))].copy()
+    return q
 
 
 def advance_point(prev, anchor, target, budget_m: float, r_link: float,
@@ -273,32 +295,11 @@ def advance_point(prev, anchor, target, budget_m: float, r_link: float,
     and inside the ring. Spending idle legs on the approach keeps the later
     duty leg from outrunning the fleet's pace. If no chained point fits the
     budget, the smallest chain-restoring move wins instead."""
-    prev = np.asarray(prev, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    target = np.asarray(target, dtype=float)
-    bs = np.asarray(bs, dtype=float)
-    cands = [target, prev]
-    v = target - prev
-    dv = float(np.hypot(*v))
-    if dv > budget_m > 0:
-        cands.append(prev + v * (budget_m / dv))
-    pts = np.vstack([np.array(cands), _annulus_grid(anchor, d_safe, r_link)])
-    d_anchor = np.hypot(*(pts - anchor).T)
-    ok = (d_anchor <= r_link + _RING_TOL_M) \
-        & (d_anchor >= d_safe - _RING_TOL_M) \
-        & _in_ring(pts, ring, bs)
-    if not ok.any():
-        raise InfeasibleWaypointError("chain annulus does not meet the ring")
-    leg = np.hypot(*(pts - prev).T)
-    prog = np.hypot(*(pts - target).T)
-    in_budget = ok & (leg <= budget_m + _RING_TOL_M)
-    if in_budget.any():
-        idx = np.flatnonzero(in_budget)
-        best = idx[int(np.argmin(prog[idx] + 1e-4 * leg[idx]))]
-    else:
-        idx = np.flatnonzero(ok)
-        best = idx[int(np.argmin(leg[idx] + 1e-4 * prog[idx]))]
-    return pts[best].copy()
+    q = _minimise([target], [target], _annuli(anchor, d_safe, r_link, ring, bs)
+                  + [(prev, 0.0, budget_m)])
+    if q is None:
+        return nearest_chain_point(prev, anchor, r_link, d_safe, ring, bs)
+    return q
 
 
 class _Step:
@@ -419,7 +420,9 @@ def _relaxed_pairs(order, pairs, events, path_cum, outer_pos, inner_pos,
 def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
                       ring_ref, bs, r_u2u, d_safe, meta):
     """Give every unmatched attach-ring CP its own step, placed on the fixed
-    ring's path between the surrounding match anchors with minimal detour."""
+    ring's path between the surrounding match anchors with minimal detour.
+    The fixed UAV collects nothing there, so it only keeps radial order with
+    the CP (`_radial_band`), not its own annulus."""
     n = len(order)
     next_anchor: list[_Step | None] = [None] * n
     cur = None
@@ -434,6 +437,7 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
             continue
         cp_id = int(adj_ids[a_local])
         cp = cps[cp_id]
+        band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
         lo = steps.index(last_obj) if last_obj is not None else -1
         hi = steps.index(next_anchor[t]) if next_anchor[t] is not None \
             else len(steps) - 1
@@ -443,7 +447,7 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
         if s_hi < s_lo:
             # single-step path: park the fixed UAV next to the CP
             q = nearest_chain_point(steps[0].pos[ref], cp, r_u2u, d_safe,
-                                    ring_ref, bs)
+                                    band, bs)
             at = max(lo, 0) + 1
         else:
             # cost each window edge: fixed-ring detour plus however much of
@@ -457,7 +461,7 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
             for s in range(s_lo, s_hi + 1):
                 try:
                     res = p3_waypoint(cp, refpath[s:s + 2], r_u2u, d_safe,
-                                      ring_ref, bs)
+                                      band, bs)
                 except InfeasibleWaypointError:
                     continue
                 cost = res.detour_m
@@ -483,6 +487,24 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
         meta["generated_waypoints"] += 1
 
 
+def _radial_band(g: int, anchor_ring: int, anchor_pos: np.ndarray,
+                 ring_geom: Ring, bs: np.ndarray, d_safe: float) -> Ring:
+    """Where ring g's UAV may wait while it collects nothing.
+
+    It keeps radial order with the anchor instead of its own annulus: an
+    outward ring holds at least d_safe farther from the BS than its anchor,
+    an inward ring at least d_safe nearer (capped by its own outer edge,
+    which for ring 0 is the BS link range). Radial order keeps every UAV
+    pair separated while freeing the UAV from annulus slivers when the
+    anchor dives inward.
+    """
+    bsd = float(np.hypot(*(anchor_pos - bs)))
+    if g > anchor_ring:
+        lo = bsd + d_safe
+        return Ring(lo, max(ring_geom.outer_m, lo))
+    return Ring(0.0, max(min(ring_geom.outer_m, bsd - d_safe), 0.0))
+
+
 def _fill_ring(steps, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
                done_rings, meta):
     """Assign ring `g` a position at every step that still lacks one.
@@ -494,23 +516,10 @@ def _fill_ring(steps, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
     annulus is exactly the escort constraint around the served CP).
 
     Idle positions need not sit inside the ring's own annulus, only duty
-    waypoints do. They keep radial order instead: an outward ring holds at
-    least d_safe farther from the BS than its anchor, an inward ring at
-    least d_safe nearer (capped by its own outer edge, which for ring 0 is
-    the BS link range). Radial order keeps every UAV pair separated while
-    freeing the escort from annulus slivers when the anchor dives inward.
+    waypoints do; they keep the `_radial_band` order instead.
     """
     s_count = len(steps)
     hard = [i for i, st in enumerate(steps) if g in st.pos]
-
-    def band(anchor_pos: np.ndarray) -> Ring:
-        bsd = float(np.hypot(*(anchor_pos - bs)))
-        if g > anchor_ring:
-            lo = bsd + d_safe
-            return Ring(lo, max(ring_geom.outer_m, lo))
-        hi = max(min(ring_geom.outer_m, bsd - d_safe), 0.0)
-        return Ring(0.0, hi)
-
     start = hard[0] if hard else 0
     seq = list(range(start, s_count)) + list(range(start))
     # next duty waypoint strictly after each step, cyclically
@@ -529,7 +538,8 @@ def _fill_ring(steps, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
         u = v / nv if nv > 0 else np.array([1.0, 0.0])
         mid = 0.5 * (ring_geom.inner_m + ring_geom.outer_m)
         prev = nearest_chain_point(bs + u * mid, anc0, r_u2u, d_safe,
-                                   band(anc0), bs)
+                                   _radial_band(g, anchor_ring, anc0,
+                                                ring_geom, bs, d_safe), bs)
         steps[seq[0]].pos[g] = prev
         seq = seq[1:]
     for i in seq:
@@ -542,8 +552,9 @@ def _fill_ring(steps, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
                       for r in done_rings), default=0.0)
         target = nxt[i] if nxt[i] is not None else st.pos[anchor_ring]
         anchor_pos = st.pos[anchor_ring]
+        band = _radial_band(g, anchor_ring, anchor_pos, ring_geom, bs, d_safe)
         q = advance_point(prev, anchor_pos, target, budget,
-                          r_u2u, d_safe, band(anchor_pos), bs)
+                          r_u2u, d_safe, band, bs)
         st.pos[g] = q
         prev = q
         meta["escorts"] += 1
@@ -656,16 +667,7 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
                       r_u2u, d_safe, meta)
 
     w = np.array([[st.pos[r] for r in range(m)] for st in steps])
-    legs = np.hypot(*np.moveaxis(w - np.roll(w, 1, axis=0), 2, 0))
-    worst = legs.max(axis=1)
-    mission_steps = []
-    for i, st in enumerate(steps):
-        hover = max((float(hovers[c]) for c in st.collect.values()),
-                    default=0.0)
-        mission_steps.append(MissionStep(
-            waypoints=tuple((float(x), float(y)) for x, y in w[i]),
-            duties=tuple(st.collect.get(r) for r in range(m)),
-            hover_s=hover,
-            flight_s=float(worst[i]) / v,
-        ))
-    return MissionPlan(steps=tuple(mission_steps), v_max_mps=v, meta=meta)
+    duties = [[st.collect.get(r) for r in range(m)] for st in steps]
+    hover = [max((float(hovers[c]) for c in st.collect.values()), default=0.0)
+             for st in steps]
+    return assemble_plan(w, duties, hover, v, meta)

@@ -15,16 +15,17 @@ import pytest
 from conftest import build_instance, record_acceptance
 
 from skyhaul import pointmatch
-from skyhaul.baselines import plan_cstp, plan_ttp
+from skyhaul.baselines import InfeasiblePlanError, plan_cstp, plan_ttp
 from skyhaul.channel import (coverage_radii, min_hover_time,
                              optimal_bandwidth_shares, upload_rate_g2u)
 from skyhaul.cli import _sweep_cell
 from skyhaul.clustering import check_cluster_set, cluster_sensors
 from skyhaul.mission import (evaluate, lower_bound, segment_connectivity_ok,
                              validate)
-from skyhaul.model import generate_scenario
+from skyhaul.model import (ChannelParams, apply_config_overrides,
+                           generate_scenario)
 from skyhaul.partition import Ring
-from skyhaul.pointmatch import p3_waypoint
+from skyhaul.pointmatch import InfeasibleWaypointError, p3_waypoint
 from skyhaul.tsp import Tour, solve_tsp, tour_length
 
 _PLANNERS = (("pmtp", pointmatch.plan), ("ttp", plan_ttp), ("cstp", plan_cstp))
@@ -378,3 +379,45 @@ def test_lower_bound_floor(validity_runs, benchmark_runs):
         f"{len(pairs)} plans, {len(below)} below the bound"
         + (f": {below[:3]}" if below else ""))
     assert ok
+
+
+# N = 400 over wide areas and with short U2U links (higher U2U SNR
+# thresholds): the regimes where the relay chain's geometry is tightest
+_STRESS_REGIMES = (("12 km", 12000.0, {}), ("20 km", 20000.0, {}),
+                   ("8 km at 23 dB U2U", 8000.0, {"snr_th_u2u_db": 23.0}),
+                   ("8 km at 26 dB U2U", 8000.0, {"snr_th_u2u_db": 26.0}))
+
+
+def test_pmtp_plans_wherever_cstp_does():
+    cells = cstp_valid = 0
+    failures = []
+    for (label, size, radio), seed in itertools.product(_STRESS_REGIMES,
+                                                         range(6)):
+        params = apply_config_overrides(ChannelParams(), radio)
+        scenario, radii, cluster_set, topology = build_instance(
+            400, size, seed, params)
+        cells += 1
+        try:
+            cstp = plan_cstp(scenario, cluster_set, topology, radii)
+        except InfeasiblePlanError:
+            continue
+        if not evaluate(cstp, scenario, topology, radii,
+                        cluster_set).all_passed:
+            continue
+        cstp_valid += 1
+        try:
+            plan = pointmatch.plan(scenario, cluster_set, topology, radii)
+        except InfeasibleWaypointError as err:
+            failures.append((label, seed, str(err)))
+            continue
+        report = evaluate(plan, scenario, topology, radii, cluster_set)
+        if not report.all_passed:
+            failures.append((label, seed, [c.name for c in report.checks
+                                           if not c.passed]))
+    ok = not failures
+    record_acceptance(
+        "pmtp plans wherever cstp does",
+        ok,
+        f"{cells} stress cells, cstp valid on {cstp_valid}, pmtp failed on "
+        f"{len(failures)} of those" + (f": {failures[:3]}" if failures else ""))
+    assert ok, failures

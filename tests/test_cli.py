@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from skyhaul import cli
 from skyhaul.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from skyhaul.pointmatch import InfeasibleWaypointError
 
 
 def _write_config(tmp_path, data, name="config.json"):
@@ -84,13 +86,33 @@ def test_hopeless_radio_config_is_infeasible(tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
-def test_pmtp_waypoint_infeasibility_is_typed(tmp_path, capsys):
+def _tight_link_scenario(tmp_path):
+    # short U2U links: the innermost ring reaches past one relay hop
     scn = str(tmp_path / "scn.json")
     cfg = _write_config(tmp_path, {"snr_th_u2u_db": 23})
     assert main(["generate", "--sensors", "400", "--size", "8000",
                  "--seed", "0", "--config", cfg, "-o", scn]) == EXIT_OK
+    return scn
+
+
+def test_pmtp_waypoint_infeasibility_is_typed(tmp_path, capsys, monkeypatch):
+    scn = _tight_link_scenario(tmp_path)
+
+    def infeasible(*args):
+        raise InfeasibleWaypointError("no feasible detour for CP 6")
+
+    monkeypatch.setitem(cli._PLANNERS, "pmtp", infeasible)
     assert main(["plan", scn, "--algo", "pmtp"]) == EXIT_INFEASIBLE
     assert "infeasible: no feasible detour for CP" in capsys.readouterr().err
+
+
+def test_pmtp_plans_the_tight_link_scenario(tmp_path, capsys):
+    scn = _tight_link_scenario(tmp_path)
+    prefix = str(tmp_path / "run")
+    assert main(["plan", scn, "--algo", "pmtp", "-o", prefix]) == EXIT_OK
+    assert "checks passed" in capsys.readouterr().out
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    assert report["all_passed"] is True
 
 
 def test_config_override_reaches_the_radio_model(tmp_path):

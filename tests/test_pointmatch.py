@@ -217,6 +217,14 @@ def test_nearest_chain_point_respects_ring_band():
     assert 30.0 - 1e-6 <= float(np.hypot(*(q - np.array(anchor)))) <= 600.0 + 1e-6
 
 
+def test_nearest_chain_point_finds_tangent_point():
+    # the chain disk around the anchor touches the ring disk at one point
+    u = np.array([np.cos(0.3), np.sin(0.3)])
+    q = nearest_chain_point((5000.0, 5000.0), 12000.0 * u, r_link=4000.0,
+                            d_safe=30.0, ring=Ring(0.0, 8000.0))
+    assert np.allclose(q, 8000.0 * u, rtol=0.0, atol=1e-6)
+
+
 def test_advance_point_moves_toward_target_within_budget():
     prev = np.array([0.0, 100.0])
     target = np.array([1000.0, 100.0])
@@ -278,3 +286,78 @@ def test_plan_three_rings_valid():
     assert report.all_passed, [c for c in report.checks if not c.passed]
     assert plan.meta["pair_processings"] == 2
     assert not report.bound_violated
+
+
+def _annulus_grid(center, r_lo, r_hi):
+    """Oracle: a 1 degree by (r_hi - r_lo) / 199 polar grid over an annulus."""
+    ang = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    rad = np.linspace(r_lo, r_hi, 200)
+    return np.asarray(center, dtype=float) + np.stack([
+        np.outer(rad, np.cos(ang)).ravel(),
+        np.outer(rad, np.sin(ang)).ravel(),
+    ], axis=1)
+
+
+def _dist(pts, p):
+    return np.hypot(*(np.asarray(pts, dtype=float) - np.asarray(p)).T)
+
+
+def _oracle_instances(count):
+    """Ring band plus a chain annulus whose anchor sits near the band, with
+    a random previous position, target, leg budget and path edge."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        inner = float(rng.choice([0.0, rng.uniform(500.0, 6000.0)]))
+        ring = Ring(inner, inner + float(rng.uniform(200.0, 4000.0)))
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        rad = rng.uniform(max(ring.inner_m - 1500.0, 0.0), ring.outer_m + 1500.0)
+        anchor = rad * np.array([np.cos(ang), np.sin(ang)])
+        r_link = float(rng.uniform(300.0, 3000.0))
+        prev, target, e1, e2 = anchor + rng.uniform(-4000.0, 4000.0, (4, 2))
+        yield (ring, anchor, r_link, prev, target, float(rng.uniform(0.0, 2000.0)),
+               e1, e2)
+
+
+def test_waypoint_solvers_never_lose_to_the_grid():
+    d_safe = 30.0
+    tol = 1e-6
+    solved = 0
+    for ring, anchor, r_link, prev, target, budget, e1, e2 in _oracle_instances(150):
+        grid = _annulus_grid(anchor, d_safe, r_link)
+        bsd = _dist(grid, (0.0, 0.0))
+        grid = grid[(bsd >= ring.inner_m) & (bsd <= ring.outer_m)]
+
+        def feasible(q):
+            return (d_safe - tol <= float(_dist(q, anchor)) <= r_link + tol
+                    and ring.inner_m - tol <= float(np.hypot(*q))
+                    <= ring.outer_m + tol)
+
+        try:
+            q_chain = nearest_chain_point(prev, anchor, r_link, d_safe, ring)
+        except InfeasibleWaypointError:
+            assert len(grid) == 0
+            continue
+        solved += 1
+        assert feasible(q_chain)
+        if len(grid):
+            assert float(_dist(q_chain, prev)) <= _dist(grid, prev).min() + tol
+
+        res = p3_waypoint(anchor, [e1, e2], r_link, d_safe, ring)
+        q = np.array(res.point)
+        assert feasible(q)
+        if len(grid):
+            detour = _dist(grid, e1) + _dist(grid, e2) - float(_dist(e2, e1))
+            assert res.detour_m <= detour.min() + tol
+
+        q = advance_point(prev, anchor, target, budget, r_link, d_safe, ring)
+        assert feasible(q)
+        in_budget = grid[_dist(grid, prev) <= budget]
+        if float(_dist(q, prev)) <= budget + tol:
+            if len(in_budget):
+                assert (float(_dist(q, target))
+                        <= _dist(in_budget, target).min() + tol)
+        else:
+            # no chained point fits the budget: the least move restores it
+            assert len(in_budget) == 0
+            assert np.allclose(q, q_chain, rtol=0.0, atol=tol)
+    assert solved >= 100
