@@ -124,12 +124,6 @@ def upload_rate_g2u(r, params: ChannelParams):
     return rate if rate.ndim else float(rate)
 
 
-def _member_distances(positions, cp) -> np.ndarray:
-    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    cp = np.asarray(cp, dtype=float)
-    return np.hypot(*(positions - cp).T)
-
-
 def _check_coverage(dists: np.ndarray, params: ChannelParams):
     r_max = _g2u_radius(params)
     worst = int(np.argmax(dists))
@@ -145,26 +139,27 @@ def _g2u_radius(params: ChannelParams) -> float:
                             params.snr_th_g2u, "sensor uplink")
 
 
+def _upload_times(positions, data_bits, cp, params: ChannelParams) -> np.ndarray:
+    """Each member's full-band upload time to a UAV hovering over `cp`."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    dists = np.hypot(*(positions - np.asarray(cp, dtype=float)).T)
+    data = np.asarray(data_bits, dtype=float).reshape(-1)
+    if data.shape != dists.shape:
+        raise ValueError("data_bits and positions lengths differ")
+    _check_coverage(dists, params)
+    return data / upload_rate_g2u(dists, params)
+
+
 def optimal_bandwidth_shares(positions, data_bits, cp, params: ChannelParams) -> np.ndarray:
     """FDMA bandwidth split that makes every member finish its upload together.
 
     Shares are proportional to each member's full-band upload time; the common
     finish time then equals the minimal hover time of the group.
     """
-    dists = _member_distances(positions, cp)
-    data = np.asarray(data_bits, dtype=float).reshape(-1)
-    if data.shape != dists.shape:
-        raise ValueError("data_bits and positions lengths differ")
-    _check_coverage(dists, params)
-    rho = data / upload_rate_g2u(dists, params)
-    return rho / rho.sum()
+    t = _upload_times(positions, data_bits, cp, params)
+    return t / t.sum()
 
 
 def min_hover_time(positions, data_bits, cp, params: ChannelParams) -> float:
     """Minimal hover time to drain all members under the optimal split."""
-    dists = _member_distances(positions, cp)
-    data = np.asarray(data_bits, dtype=float).reshape(-1)
-    if data.shape != dists.shape:
-        raise ValueError("data_bits and positions lengths differ")
-    _check_coverage(dists, params)
-    return float(np.sum(data / upload_rate_g2u(dists, params)))
+    return float(_upload_times(positions, data_bits, cp, params).sum())

@@ -139,6 +139,11 @@ def _plan_shape_or_raise(plan: MissionPlan, topology: Topology):
             raise ValueError(f"step {i} has {len(s.duties)} duties, expected {m}")
 
 
+def _result(name: str, problems: list[str], ok_detail: str) -> CheckResult:
+    """A check passes when it found no problem; its detail lists them."""
+    return CheckResult(name, not problems, "; ".join(problems) or ok_detail)
+
+
 def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> CheckResult:
     problems = []
     m = w.shape[1]
@@ -157,9 +162,8 @@ def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> 
         if bad.size:
             problems.append(f"UAVs {i - 1}/{i} out of range on the leg into "
                             f"step {bad[0]} ({max(s[bad[0]], e[bad[0]]):.1f} m)")
-    ok = not problems
-    return CheckResult("connectivity", ok, "; ".join(problems) or
-                       "chain intact at every waypoint and along every leg")
+    return _result("connectivity", problems,
+                   "chain intact at every waypoint and along every leg")
 
 
 def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
@@ -183,9 +187,8 @@ def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
             if bad.size:
                 problems.append(f"UAVs {i}/{j} close to {closest[bad[0]]:.1f} m "
                                 f"on the leg into step {bad[0]}")
-    ok = not problems
-    return CheckResult("collision", ok, "; ".join(problems) or
-                       f"all pairs keep {d_safe:.0f} m separation")
+    return _result("collision", problems,
+                   f"all pairs keep {d_safe:.0f} m separation")
 
 
 def _check_speed(plan: MissionPlan, w: np.ndarray) -> CheckResult:
@@ -198,9 +201,8 @@ def _check_speed(plan: MissionPlan, w: np.ndarray) -> CheckResult:
         i = short[0]
         problems.append(f"step {i} schedules {flight[i]:.3f} s but the longest "
                         f"leg needs {need[i].max():.3f} s at v_max")
-    ok = not problems
-    return CheckResult("speed", ok, "; ".join(problems) or
-                       "every leg fits its scheduled duration at v_max")
+    return _result("speed", problems,
+                   "every leg fits its scheduled duration at v_max")
 
 
 def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
@@ -221,9 +223,8 @@ def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
     if missing:
         problems.append(f"CP {missing[0]} never collected"
                         + (f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""))
-    ok = not problems
-    return CheckResult("coverage", ok, "; ".join(problems) or
-                       f"all {cluster_set.k} CPs collected exactly once")
+    return _result("coverage", problems,
+                   f"all {cluster_set.k} CPs collected exactly once")
 
 
 def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
@@ -237,9 +238,8 @@ def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
         if s.hover_s < need - HOVER_TOL_S:
             problems.append(f"step {i} hovers {s.hover_s:.3f} s but CP "
                             f"{ids[int(np.argmax(hovers[ids]))]} needs {need:.3f} s")
-    ok = not problems
-    return CheckResult("hover-sufficiency", ok, "; ".join(problems) or
-                       "every step hovers at least its demand")
+    return _result("hover-sufficiency", problems,
+                   "every step hovers at least its demand")
 
 
 def _check_closure(plan: MissionPlan, w: np.ndarray) -> CheckResult:
@@ -253,9 +253,8 @@ def _check_closure(plan: MissionPlan, w: np.ndarray) -> CheckResult:
         which = "closing leg" if i == 0 else f"leg into step {i}"
         problems.append(f"{which} takes {expect[i]:.3f} s but the plan "
                         f"records {flight[i]:.3f} s")
-    ok = not problems
-    return CheckResult("return-to-start", ok, "; ".join(problems) or
-                       "cyclic schedule consistent, tours close on step 0")
+    return _result("return-to-start", problems,
+                   "cyclic schedule consistent, tours close on step 0")
 
 
 def validate(plan: MissionPlan, scenario: Scenario, topology: Topology,

@@ -187,15 +187,30 @@ def _params_to_dict(p: ChannelParams) -> dict:
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ScenarioParseError(f"{context} must be a JSON object")
     if key not in mapping:
         raise ScenarioParseError(f"missing field '{key}' in {context}")
     return mapping[key]
 
 
+def _number(value, key: str, context: str, kind=float):
+    """`kind(value)`, or a ScenarioParseError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioParseError(f"field '{key}' in {context} must be a number, "
+                                 f"got {value!r}") from None
+
+
+def _field(mapping: dict, key: str, context: str, kind=float):
+    return _number(_require(mapping, key, context), key, context, kind)
+
+
 def _params_from_dict(d: dict, context: str = "channel") -> ChannelParams:
-    kwargs = {name: float(_require(d, name, context)) for name in _PARAM_PLAIN_FIELDS}
+    kwargs = {name: _field(d, name, context) for name in _PARAM_PLAIN_FIELDS}
     for attr, key in _PARAM_DB_FIELDS.items():
-        kwargs[attr] = db_to_linear(float(_require(d, key, context)))
+        kwargs[attr] = db_to_linear(_field(d, key, context))
     return ChannelParams(**kwargs)
 
 
@@ -217,34 +232,37 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _xy(mapping: dict, key: str, context: str) -> tuple[float, float]:
+    pos = _require(mapping, key, context)
+    if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
+        raise ScenarioParseError(f"field '{key}' in {context} must be [x, y]")
+    return _number(pos[0], key, context), _number(pos[1], key, context)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    params = _params_from_dict(dict(_require(d, "channel", "scenario")))
+    params = _params_from_dict(_require(d, "channel", "scenario"))
     raw_sensors = _require(d, "sensors", "scenario")
+    if not isinstance(raw_sensors, list):
+        raise ScenarioParseError("field 'sensors' in scenario must be a list")
     sensors = []
     for i, entry in enumerate(raw_sensors):
         ctx = f"sensors[{i}]"
-        pos = _require(entry, "position_m", ctx)
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-            raise ScenarioParseError(f"field 'position_m' in {ctx} must be [x, y]")
         sensors.append(SensorNode(
-            id=int(_require(entry, "id", ctx)),
-            position_m=(float(pos[0]), float(pos[1])),
-            data_bits=float(_require(entry, "data_bits", ctx)),
+            id=_field(entry, "id", ctx, int),
+            position_m=_xy(entry, "position_m", ctx),
+            data_bits=_field(entry, "data_bits", ctx),
         ))
-    bs = _require(d, "bs_position_m", "scenario")
-    if not (isinstance(bs, (list, tuple)) and len(bs) == 2):
-        raise ScenarioParseError("field 'bs_position_m' in scenario must be [x, y]")
     return Scenario(
-        region_width_m=float(_require(d, "region_width_m", "scenario")),
-        region_height_m=float(_require(d, "region_height_m", "scenario")),
-        bs_position_m=(float(bs[0]), float(bs[1])),
-        bs_height_m=float(_require(d, "bs_height_m", "scenario")),
+        region_width_m=_field(d, "region_width_m", "scenario"),
+        region_height_m=_field(d, "region_height_m", "scenario"),
+        bs_position_m=_xy(d, "bs_position_m", "scenario"),
+        bs_height_m=_field(d, "bs_height_m", "scenario"),
         sensors=tuple(sensors),
         params=params,
-        n_th=int(_require(d, "n_th", "scenario")),
-        v_max_mps=float(_require(d, "v_max_mps", "scenario")),
-        d_safe_m=float(_require(d, "d_safe_m", "scenario")),
-        rng_seed=int(_require(d, "rng_seed", "scenario")),
+        n_th=_field(d, "n_th", "scenario", int),
+        v_max_mps=_field(d, "v_max_mps", "scenario"),
+        d_safe_m=_field(d, "d_safe_m", "scenario"),
+        rng_seed=_field(d, "rng_seed", "scenario", int),
     )
 
 
@@ -272,5 +290,5 @@ def apply_config_overrides(params: ChannelParams, overrides: dict) -> ChannelPar
     for key, value in overrides.items():
         if key not in current:
             raise ScenarioParseError(f"unknown field '{key}' in config")
-        current[key] = float(value)
+        current[key] = _number(value, key, "config")
     return _params_from_dict(current, context="config")

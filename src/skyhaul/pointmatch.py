@@ -34,74 +34,80 @@ class InfeasibleWaypointError(RuntimeError):
     """The waypoint constraint set is empty."""
 
 
-def connectable_sets(cps_outer, cps_inner, r_u2u: float) -> list[set[int]]:
-    """Per outer CP, the inner CPs an inter-UAV link can span while both hover."""
-    outer = np.asarray(cps_outer, dtype=float).reshape(-1, 2)
-    inner = np.asarray(cps_inner, dtype=float).reshape(-1, 2)
-    if len(inner) == 0:
-        return [set() for _ in range(len(outer))]
-    d = np.hypot(*(outer[:, None, :] - inner[None, :, :]).T).T
-    return [set(np.flatnonzero(row <= r_u2u).tolist()) for row in d]
+def _pairwise(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len(p), len(q)) matrix of distances between two point sets."""
+    return np.hypot(*np.moveaxis(p[:, None, :] - q[None, :, :], -1, 0))
 
 
-@dataclass(frozen=True)
-class Matching:
-    pairs: tuple[tuple[int, int], ...]      # (outer idx, inner idx)
-    unmatched_outer: tuple[int, ...]
-    unmatched_inner: tuple[int, ...]
+class RingPair:
+    """An attach ring against the fixed ring's collect events, in local
+    indices: attach CP a is the a-th CP of the attach tour, event e the e-th
+    collect step of the fixed ring. `path_m[e]` is the fixed UAV's path
+    distance at event e, so path_m[e2] - path_m[e1] bounds the straight hop
+    the attach UAV may fly between two shared steps."""
+
+    def __init__(self, cps_out, cps_in, hover_out, hover_in, path_m,
+                 r_u2u: float, d_safe: float = 0.0):
+        cps_out = np.asarray(cps_out, dtype=float).reshape(-1, 2)
+        cps_in = np.asarray(cps_in, dtype=float).reshape(-1, 2)
+        self.gap = _pairwise(cps_out, cps_in)
+        self.hop = _pairwise(cps_out, cps_out)
+        self.link = self.gap <= r_u2u
+        self.hover_out = np.asarray(hover_out, dtype=float)
+        self.hover_in = np.asarray(hover_in, dtype=float)
+        self.path_m = np.asarray(path_m, dtype=float)
+        self.d_safe = d_safe
+
+    def excess(self, a: int, e: int) -> float:
+        """Seconds a step shared by a and e waits beyond e's own hover."""
+        return max(0.0, float(self.hover_out[a] - self.hover_in[e]))
+
+    def _outruns(self, a1: int, e1: int, a2: int, e2: int) -> bool:
+        """The hop a1 -> a2 is longer than the fixed path from e1 to e2."""
+        return self.hop[a1, a2] > self.path_m[e2] - self.path_m[e1] + _HOP_TOL_M
+
+    def fits(self, a: int, e: int, last=None, nxt=None) -> bool:
+        """Can attach CP a share event e? The link spans the two CPs, they
+        keep d_safe apart, and the hop from the previous matched (a, e) pair
+        `last` and to the next one `nxt` never outruns the fixed path."""
+        return bool(self.link[a, e] and self.gap[a, e] >= self.d_safe
+                    and (last is None or not self._outruns(*last, a, e))
+                    and (nxt is None or not self._outruns(a, e, *nxt)))
 
 
-def match_pairs(cps_outer, cps_inner, tour_outer, tour_inner,
-                hover_outer, hover_inner, connectable, inner_path_dist,
-                d_safe: float = 0.0) -> Matching:
-    """Greedy monotone pairing of outer-tour CPs onto the inner tour.
+def match_pairs(pair: RingPair, order) -> dict[int, int]:
+    """Greedy monotone pairing {attach CP: event} of the attach tour `order`.
 
-    Walks `tour_outer` in order with a forward-only cursor into `tour_inner`.
-    A candidate must be connectable, must hover at least as long as the outer
-    CP (the fixed ring is never slowed), must sit at least d_safe away, and
-    consecutive matches must not require the outer UAV to outrun the inner
-    path (`inner_path_dist(prev, cand)` bounds the straight hop).
+    Walks `order` with a forward-only cursor over the events. A candidate
+    must fit (`RingPair.fits` against the previous match) and hover at least
+    as long as the attach CP, so the fixed ring is never slowed.
     """
-    outer = np.asarray(cps_outer, dtype=float).reshape(-1, 2)
-    inner = np.asarray(cps_inner, dtype=float).reshape(-1, 2)
-    pairs: list[tuple[int, int]] = []
-    unmatched: list[int] = []
-    cursor = 0
-    prev: tuple[int, int] | None = None
-    for a in tour_outer:
-        found = None
-        for jpos in range(cursor, len(tour_inner)):
-            c = tour_inner[jpos]
-            if c not in connectable[a]:
+    pairs: dict[int, int] = {}
+    cursor, last = 0, None
+    for a in order:
+        for e in range(cursor, len(pair.hover_in)):
+            if pair.hover_out[a] > pair.hover_in[e] + _HOVER_CMP_TOL:
                 continue
-            if hover_outer[a] > hover_inner[c] + _HOVER_CMP_TOL:
-                continue
-            if float(np.hypot(*(outer[a] - inner[c]))) < d_safe:
-                continue
-            if prev is not None:
-                hop = float(np.hypot(*(outer[prev[0]] - outer[a])))
-                if hop > inner_path_dist(prev[1], c) + _HOP_TOL_M:
-                    continue
-            found = (c, jpos)
-            break
-        if found is None:
-            unmatched.append(a)
-        else:
-            pairs.append((a, found[0]))
-            cursor = found[1] + 1
-            prev = (a, found[0])
-    matched_inner = {c for _, c in pairs}
-    return Matching(
-        pairs=tuple(pairs),
-        unmatched_outer=tuple(unmatched),
-        unmatched_inner=tuple(c for c in tour_inner if c not in matched_inner),
-    )
+            if pair.fits(a, e, last):
+                pairs[a] = e
+                cursor, last = e + 1, (a, e)
+                break
+    return pairs
+
+
+def _next_matched(order, matched) -> list:
+    """Per position t of `order`, the next attach CP after t in `matched`."""
+    nxt, cur = [None] * len(order), None
+    for t in range(len(order) - 1, -1, -1):
+        nxt[t] = cur
+        if order[t] in matched:
+            cur = order[t]
+    return nxt
 
 
 @dataclass(frozen=True)
 class P3Result:
     point: tuple[float, float]
-    edge_index: int
     detour_m: float
 
 
@@ -243,38 +249,21 @@ def _edge_through_point(e1: np.ndarray, e2: np.ndarray,
     return e1 + (0.5 * (t0 + t1)) * (e2 - e1)
 
 
-def p3_waypoint(p_k, path_points, r_u2u: float, d_safe: float,
-                ring: Ring | None, bs=(0.0, 0.0)) -> P3Result:
-    """Cheapest-detour waypoint connecting `p_k` from inside `ring`.
-
-    Tries every edge of `path_points` (an open chain): the on-edge point when
-    the edge passes through the feasible set (detour zero), otherwise the
-    exact minimiser of |q - e1| + |q - e2| over that set.
-    """
-    p_k = np.asarray(p_k, dtype=float)
-    path = np.asarray(path_points, dtype=float).reshape(-1, 2)
-    if len(path) < 2:
-        raise ValueError("path_points needs at least one edge")
-    annuli = _annuli(p_k, d_safe, r_u2u, ring, bs)
-    best = None                       # (detour, edge, point)
-    for e in range(len(path) - 1):
-        e1, e2 = path[e], path[e + 1]
-        q = _edge_through_point(e1, e2, annuli)
-        if q is None:
-            q = _minimise([e1, e2], [], annuli)
-        if q is None:
-            raise InfeasibleWaypointError(
-                f"no point of the ring lies {d_safe:.0f}..{r_u2u:.0f} m from "
-                f"({p_k[0]:.0f}, {p_k[1]:.0f})")
-        detour = max(float(_cost(q, path[e:e + 2]) - np.hypot(*(e2 - e1))), 0.0)
-        if best is None or detour < best[0] - 1e-12:
-            best = (detour, e, q)
-    detour, edge, point = best
-    return P3Result(
-        point=(float(point[0]), float(point[1])),
-        edge_index=edge,
-        detour_m=detour,
-    )
+def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
+                ring: Ring | None, bs=(0.0, 0.0)) -> P3Result | None:
+    """Cheapest-detour waypoint on the edge e1 -> e2 connecting `p_k` from
+    inside `ring`: the on-edge point when the edge passes through the
+    feasible set (detour zero), otherwise the exact minimiser of
+    |q - e1| + |q - e2| over that set. None when the set is empty."""
+    edge = np.array([e1, e2], dtype=float)
+    annuli = _annuli(np.asarray(p_k, dtype=float), d_safe, r_u2u, ring, bs)
+    q = _edge_through_point(edge[0], edge[1], annuli)
+    if q is None:
+        q = _minimise(edge, [], annuli)
+    if q is None:
+        return None
+    detour = float(_cost(q, edge) - np.hypot(*(edge[1] - edge[0])))
+    return P3Result(point=(float(q[0]), float(q[1])), detour_m=max(detour, 0.0))
 
 
 def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
@@ -316,104 +305,57 @@ def _ref_path(steps: list[_Step], ref: int) -> np.ndarray:
     return np.array([s.pos[ref] for s in steps], dtype=float)
 
 
-def _event_list(steps: list[_Step], ref: int) -> list[tuple[int, int]]:
-    """(step index, collected CP) for every collect step of `ref`, in order."""
-    return [(i, s.collect[ref]) for i, s in enumerate(steps) if ref in s.collect]
-
-
 def _rotations(seq: list):
-    for rev in (False, True):
-        base = list(reversed(seq)) if rev else list(seq)
+    for base in (seq, seq[::-1]):
         for r in range(len(base)):
             yield base[r:] + base[:r]
 
 
-def _best_matching(outer_pos, inner_pos, hover_out, hover_in, conn,
-                   events, path_cum, d_safe):
+def _best_matching(pair: RingPair):
     """Match the attach ring onto the fixed ring's collect events.
 
     Tries every rotation and direction of the attach tour (the monotone cursor
-    is rotation-sensitive); keeps the matching with the most pairs, then the
-    least unmatched hover. Local indices: outer i = i-th attach-tour CP,
-    inner j = events[j].
+    is rotation-sensitive). Leftover CPs become inserted steps and pay their
+    full hover, relaxed slots only their excess, so the least leftover hover
+    plus relaxed excess wins, then the most assigned CPs. Returns the order,
+    the greedy pairs and the relaxed pairs.
     """
-    inner_seq = list(range(len(inner_pos)))
-
-    def path_dist(i, j):
-        return float(path_cum[events[j][0]] - path_cum[events[i][0]])
-
+    n = len(pair.hover_out)
     best = None
-    for order in _rotations(list(range(len(outer_pos)))):
-        m = match_pairs(outer_pos, inner_pos, order, inner_seq,
-                        hover_out, hover_in, conn, path_dist, d_safe=d_safe)
-        extra = _relaxed_pairs(order, list(m.pairs), events, path_cum,
-                               outer_pos, inner_pos, hover_out, hover_in,
-                               conn, d_safe)
-        assigned = {a for a, _ in m.pairs} | {a for a, _ in extra}
-        excess = sum(max(0.0, float(hover_out[a] - hover_in[e]))
-                     for a, e in extra)
-        leftover = sum(float(hover_out[a]) for a in range(len(outer_pos))
-                       if a not in assigned)
-        # leftovers become inserted steps and pay their full hover; relaxed
-        # slots pay only the hover difference
-        score = (-(leftover + excess), len(assigned))
+    for order in _rotations(list(range(n))):
+        pairs = match_pairs(pair, order)
+        extra = _relaxed_pairs(pair, order, pairs)
+        excess = sum(pair.excess(a, e) for a, e in extra.items())
+        leftover = sum(float(pair.hover_out[a]) for a in range(n)
+                       if a not in pairs and a not in extra)
+        score = (-(leftover + excess), len(pairs) + len(extra))
         if best is None or score > best[0]:
-            best = (score, order, m, extra)
-    return best[1], best[2], best[3]
+            best = (score, order, pairs, extra)
+    return best[1:]
 
 
-def _relaxed_pairs(order, pairs, events, path_cum, outer_pos, inner_pos,
-                   hover_out, hover_in, conn, d_safe):
+def _relaxed_pairs(pair: RingPair, order, pairs: dict[int, int]) -> dict[int, int]:
     """Second matching pass: slot leftover attach CPs into free fixed-ring
     events even when the fixed CP hovers less, the step then waits out the
     difference. That penalty never exceeds what a dedicated inserted step
-    would cost, so any admissible slot beats insertion. Monotone order and
-    the hop-vs-path guard stay enforced."""
-    taken = {e for _, e in pairs}
-    e_of = dict(pairs)
-    n_ev = len(events)
-
-    def pdist(i, j):
-        return float(path_cum[events[j][0]] - path_cum[events[i][0]])
-
-    nxt_anchor: list[tuple[int, int] | None] = [None] * len(order)
-    cur = None
-    for t in range(len(order) - 1, -1, -1):
-        nxt_anchor[t] = cur
-        if order[t] in e_of:
-            cur = (order[t], e_of[order[t]])
-    extra: list[tuple[int, int]] = []
-    last: tuple[int, int] | None = None
+    would cost, so any admissible slot beats insertion. A leftover CP only
+    takes an event strictly between its matched neighbours' events, the one
+    with the least (hover excess, gap) that fits both neighbours."""
+    nxt = _next_matched(order, pairs)
+    extra: dict[int, int] = {}
+    last = None
     for t, a in enumerate(order):
-        if a in e_of:
-            last = (a, e_of[a])
+        if a in pairs:
+            last = (a, pairs[a])
             continue
+        after = (nxt[t], pairs[nxt[t]]) if nxt[t] is not None else None
         lo = last[1] + 1 if last is not None else 0
-        hi = nxt_anchor[t][1] if nxt_anchor[t] is not None else n_ev
-        best = None
-        for e in range(lo, hi):
-            if e in taken or e not in conn[a]:
-                continue
-            gap = float(np.hypot(*(outer_pos[a] - inner_pos[e])))
-            if gap < d_safe:
-                continue
-            if last is not None:
-                hop = float(np.hypot(*(outer_pos[last[0]] - outer_pos[a])))
-                if hop > pdist(last[1], e) + _HOP_TOL_M:
-                    continue
-            if nxt_anchor[t] is not None:
-                a2, e2 = nxt_anchor[t]
-                hop = float(np.hypot(*(outer_pos[a] - outer_pos[a2])))
-                if hop > pdist(e, e2) + _HOP_TOL_M:
-                    continue
-            excess = max(0.0, float(hover_out[a] - hover_in[e]))
-            key = (excess, gap)
-            if best is None or key < best[0]:
-                best = (key, e)
-        if best is not None:
-            extra.append((a, best[1]))
-            taken.add(best[1])
-            last = (a, best[1])
+        hi = after[1] if after is not None else len(pair.hover_in)
+        fit = [e for e in range(lo, hi) if pair.fits(a, e, last, after)]
+        if fit:
+            e = min(fit, key=lambda e: (pair.excess(a, e), float(pair.gap[a, e])))
+            extra[a] = e
+            last = (a, e)
     return extra
 
 
@@ -423,24 +365,18 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
     ring's path between the surrounding match anchors with minimal detour.
     The fixed UAV collects nothing there, so it only keeps radial order with
     the CP (`_radial_band`), not its own annulus."""
-    n = len(order)
-    next_anchor: list[_Step | None] = [None] * n
-    cur = None
-    for t in range(n - 1, -1, -1):
-        next_anchor[t] = cur
-        if order[t] in pair_step:
-            cur = pair_step[order[t]]
+    nxt = _next_matched(order, pair_step)
     last_obj: _Step | None = None
     for t, a_local in enumerate(order):
         if a_local in pair_step:
             last_obj = pair_step[a_local]
             continue
+        next_obj = pair_step[nxt[t]] if nxt[t] is not None else None
         cp_id = int(adj_ids[a_local])
         cp = cps[cp_id]
         band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
         lo = steps.index(last_obj) if last_obj is not None else -1
-        hi = steps.index(next_anchor[t]) if next_anchor[t] is not None \
-            else len(steps) - 1
+        hi = steps.index(next_obj) if next_obj is not None else len(steps) - 1
         s_lo, s_hi = max(lo, 0), hi - 1
         if s_hi < s_lo:
             s_lo, s_hi = max(lo, 0), len(steps) - 2
@@ -454,23 +390,21 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
             # the attach UAV's in/out jumps the intervening legs cannot absorb
             refpath = _ref_path(steps, ref)
             ref_legs = np.hypot(*(refpath - np.roll(refpath, 1, axis=0)).T)
-            prev_adj = last_obj.pos[adj] if last_obj is not None else None
-            next_adj = next_anchor[t].pos[adj] if next_anchor[t] is not None \
-                else None
             best = None
             for s in range(s_lo, s_hi + 1):
-                try:
-                    res = p3_waypoint(cp, refpath[s:s + 2], r_u2u, d_safe,
-                                      band, bs)
-                except InfeasibleWaypointError:
+                res = p3_waypoint(cp, refpath[s], refpath[s + 1], r_u2u,
+                                  d_safe, band, bs)
+                if res is None:
                     continue
                 cost = res.detour_m
-                if prev_adj is not None:
+                if last_obj is not None:
                     slack = float(ref_legs[lo + 1:s + 1].sum())
-                    cost += max(0.0, float(np.hypot(*(prev_adj - cp))) - slack)
-                if next_adj is not None:
+                    cost += max(0.0, float(np.hypot(*(last_obj.pos[adj] - cp)))
+                                - slack)
+                if next_obj is not None:
                     slack = float(ref_legs[s + 1:hi + 1].sum())
-                    cost += max(0.0, float(np.hypot(*(cp - next_adj))) - slack)
+                    cost += max(0.0, float(np.hypot(*(cp - next_obj.pos[adj])))
+                                - slack)
                 if best is None or cost < best[0] - 1e-9:
                     best = (cost, s, res)
             if best is None:
@@ -577,36 +511,40 @@ def _attach_ring(steps, ref, adj, cps, hovers, orders, rings, bs,
                  r_u2u, d_safe, meta):
     """Process one adjacent ring pair: match shared steps, then insert new
     steps for the attach-ring CPs that could not share one."""
-    events = _event_list(steps, ref)
-    refpath = _ref_path(steps, ref)
-    path_cum = np.concatenate([[0.0], np.cumsum(
-        np.hypot(*np.diff(refpath, axis=0).T))]) if len(refpath) > 1 \
-        else np.zeros(max(len(refpath), 1))
     adj_ids = orders[adj]
+    meta["pair_processings"] += 1
     if not adj_ids:
-        meta["pair_processings"] += 1
         return
-    ev_cp = [cp for _, cp in events]
-    outer_pos = cps[adj_ids]
-    inner_pos = cps[ev_cp] if ev_cp else np.zeros((0, 2))
-    hover_out = hovers[adj_ids]
-    hover_in = hovers[ev_cp] if ev_cp else np.zeros(0)
-    conn = connectable_sets(outer_pos, inner_pos, r_u2u)
-    order, matching, extra = _best_matching(outer_pos, inner_pos, hover_out,
-                                            hover_in, conn, events, path_cum,
-                                            d_safe)
+    ev_steps = [i for i, st in enumerate(steps) if ref in st.collect]
+    ev_cps = [steps[i].collect[ref] for i in ev_steps]
+    path_cum = np.concatenate([[0.0], np.cumsum(
+        np.hypot(*np.diff(_ref_path(steps, ref), axis=0).T))])
+    pair = RingPair(cps[adj_ids], cps[ev_cps], hovers[adj_ids], hovers[ev_cps],
+                    path_cum[ev_steps], r_u2u, d_safe)
+    order, pairs, extra = _best_matching(pair)
     pair_step: dict[int, _Step] = {}
-    for a_local, e_local in list(matching.pairs) + extra:
-        si, _ = events[e_local]
-        st = steps[si]
+    for a_local, e_local in (pairs | extra).items():
+        st = steps[ev_steps[e_local]]
         st.pos[adj] = cps[adj_ids[a_local]].copy()
         st.collect[adj] = int(adj_ids[a_local])
         pair_step[a_local] = st
-    meta["pairs_matched"] += len(matching.pairs)
+    meta["pairs_matched"] += len(pairs)
     meta["pairs_relaxed"] += len(extra)
     _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
                       rings[ref], bs, r_u2u, d_safe, meta)
-    meta["pair_processings"] += 1
+
+
+def _attach_schedule(pacing: int, m: int):
+    """(fixed ring, attach ring, rings placed so far) for every ring pair,
+    alternately one ring inward and one outward from the pacing ring."""
+    down = up = pacing
+    while down > 0 or up < m - 1:
+        if down > 0:
+            down -= 1
+            yield down + 1, down, range(down, up + 1)
+        if up < m - 1:
+            up += 1
+            yield up - 1, up, range(down, up + 1)
 
 
 def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
@@ -649,22 +587,10 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         "escorts": 0,
     }
 
-    down = up = pacing
-    while down > 0 or up < m - 1:
-        if down > 0:
-            ref = down
-            _attach_ring(steps, ref, down - 1, cps, hovers, orders, rings,
-                         bs, r_u2u, d_safe, meta)
-            down -= 1
-            _fill_all(steps, ref, range(down, up + 1), rings, bs,
-                      r_u2u, d_safe, meta)
-        if up < m - 1:
-            ref = up
-            _attach_ring(steps, ref, up + 1, cps, hovers, orders, rings,
-                         bs, r_u2u, d_safe, meta)
-            up += 1
-            _fill_all(steps, ref, range(down, up + 1), rings, bs,
-                      r_u2u, d_safe, meta)
+    for ref, adj, placed in _attach_schedule(pacing, m):
+        _attach_ring(steps, ref, adj, cps, hovers, orders, rings, bs,
+                     r_u2u, d_safe, meta)
+        _fill_all(steps, ref, placed, rings, bs, r_u2u, d_safe, meta)
 
     w = np.array([[st.pos[r] for r in range(m)] for st in steps])
     duties = [[st.collect.get(r) for r in range(m)] for st in steps]

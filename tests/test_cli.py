@@ -177,3 +177,28 @@ def test_bad_worker_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
                "--seeds", "1", "--size", "2000", "-o", str(tmp_path / "x.csv")])
     assert rc == EXIT_USAGE
     assert "SKYHAUL_WORKERS" in capsys.readouterr().err
+
+
+def test_non_numeric_config_value_is_a_usage_error(tmp_path, capsys):
+    scn = str(tmp_path / "scn.json")
+    main(["generate", "--sensors", "30", "--size", "2000", "-o", scn])
+    cfg = _write_config(tmp_path, {"snr_th_g2u_db": "loud"})
+    assert main(["plan", scn, "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: field 'snr_th_g2u_db' in config must be a number" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(n_th="sixty"),
+    lambda d: d["channel"].update(alpha=None),
+    lambda d: d["sensors"][0].update(position_m=["east", 1.0]),
+], ids=["n_th", "alpha", "position_m"])
+def test_non_numeric_scenario_field_is_a_usage_error(tmp_path, capsys, edit):
+    scn = tmp_path / "scn.json"
+    main(["generate", "--sensors", "30", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    edit(data)
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: field '" in err and "must be a number" in err

@@ -103,6 +103,18 @@ def test_missing_field_is_named(tmp_path):
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("channel", 5, "channel must be a JSON object"),
+    ("sensors", 3, "'sensors' in scenario must be a list"),
+    ("n_th", "sixty", "'n_th' in scenario must be a number"),
+])
+def test_malformed_sections_are_named(key, value, match):
+    d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
+    d[key] = value
+    with pytest.raises(ScenarioParseError, match=match):
+        scenario_from_dict(d)
+
+
 def test_apply_config_overrides_thresholds_in_db():
     p = apply_config_overrides(ChannelParams(), {"snr_th_g2u_db": 17.0,
                                                  "beta0": 2e-4})

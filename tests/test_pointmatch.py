@@ -8,95 +8,134 @@ from conftest import build_instance
 from skyhaul import pointmatch
 from skyhaul.mission import evaluate, lower_bound
 from skyhaul.partition import Ring
-from skyhaul.pointmatch import (InfeasibleWaypointError, advance_point,
-                                connectable_sets, match_pairs,
+from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
+                                _relaxed_pairs, advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
 from skyhaul.tsp import solve_tsp
 
 
-def test_connectable_sets_by_distance():
-    outer = [(0.0, 0.0), (10.0, 0.0)]
-    inner = [(0.0, 5.0), (8.0, 0.0)]
-    sets = connectable_sets(outer, inner, 5.0)
-    assert sets == [{0}, {1}]           # 5.0 m boundary is inclusive
+def _pair(outer, inner, hover_out, hover_in, r_u2u, d_safe=0.0, path_m=None):
+    """RingPair whose events are `inner` in index order; by default the fixed
+    UAV flies straight from one event to the next."""
+    inner = np.asarray(inner, dtype=float).reshape(-1, 2)
+    if path_m is None:
+        legs = np.hypot(*np.diff(inner, axis=0).T)
+        path_m = np.concatenate([[0.0], np.cumsum(legs)])[:len(inner)]
+    return RingPair(outer, inner, hover_out, hover_in, path_m, r_u2u, d_safe)
 
 
-def test_connectable_sets_empty_inner():
-    assert connectable_sets([(0.0, 0.0)], np.zeros((0, 2)), 100.0) == [set()]
+def test_link_boundary_is_inclusive():
+    pair = _pair([(0.0, 0.0), (10.0, 0.0)], [(0.0, 5.0), (8.0, 0.0)],
+                 [1.0, 1.0], [1.0, 1.0], r_u2u=5.0)
+    assert pair.link.tolist() == [[True, False], [False, True]]
 
 
-def _path_dist(points, order):
-    """Forward distance along the tour `order` from one point to another."""
-    p = np.asarray(points, dtype=float)[list(order)]
-    legs = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
-    cum = np.concatenate([[0.0], np.cumsum(legs)])
-    pos = {c: i for i, c in enumerate(order)}
+def test_empty_inner_ring_matches_nothing():
+    pair = _pair([(0.0, 0.0)], np.zeros((0, 2)), [1.0], [], r_u2u=100.0)
+    assert pair.link.shape == (1, 0)
+    assert match_pairs(pair, [0]) == {}
+    assert _relaxed_pairs(pair, [0], {}) == {}
 
-    def dist(a, b):
-        i, j = pos[a], pos[b]
-        return float(cum[j] - cum[i] if j >= i else cum[-1] - cum[i] + cum[j])
-    return dist
+
+def test_fits_checks_link_separation_and_both_hops():
+    def pair(r_u2u):
+        # attach CPs 0 and 2 at the ends, 1 in between; the fixed path is
+        # twice as long as the straight line through the events
+        return _pair([(100.0, 50.0), (340.0, 50.0), (600.0, 50.0)],
+                     [(100.0 * e, 0.0) for e in range(8)], [1.0] * 3,
+                     [1.0] * 8, r_u2u, d_safe=30.0,
+                     path_m=[200.0 * e for e in range(8)])
+
+    tight = pair(75.0)
+    assert tight.fits(1, 3) and not tight.fits(1, 4)      # gaps 64 m, 78 m
+    assert not _pair([(0.0, 10.0)], [(0.0, 0.0)], [1.0], [1.0],
+                     r_u2u=75.0, d_safe=30.0).fits(0, 0)  # 10 m apart
+    wide = pair(1000.0)
+    # hop 240 m from CP 0 at event 1: 200 m of path to event 2, 400 m to 3
+    assert wide.fits(1, 2) and not wide.fits(1, 2, last=(0, 1))
+    assert wide.fits(1, 3, last=(0, 1))
+    # hop 260 m to CP 2 at event 6: 200 m of path from event 5, 400 m from 4
+    assert wide.fits(1, 5) and not wide.fits(1, 5, nxt=(2, 6))
+    assert wide.fits(1, 4, last=(0, 1), nxt=(2, 6))
 
 
 def test_match_pairs_simple_walk():
-    outer = np.array([[0.0, 100.0], [50.0, 100.0]])
-    inner = np.array([[0.0, 0.0], [50.0, 0.0]])
-    conn = connectable_sets(outer, inner, 150.0)
-    m = match_pairs(outer, inner, [0, 1], [0, 1],
-                    hover_outer=[1.0, 1.0], hover_inner=[5.0, 5.0],
-                    connectable=conn, inner_path_dist=_path_dist(inner, [0, 1]))
-    assert m.pairs == ((0, 0), (1, 1))
-    assert m.unmatched_outer == () and m.unmatched_inner == ()
+    pair = _pair([[0.0, 100.0], [50.0, 100.0]], [[0.0, 0.0], [50.0, 0.0]],
+                 [1.0, 1.0], [5.0, 5.0], r_u2u=150.0)
+    assert match_pairs(pair, [0, 1]) == {0: 0, 1: 1}
 
 
 def test_match_pairs_respects_hover_order():
     # the inner CP finishes before the outer one; sharing would slow the ring
-    outer = np.array([[0.0, 100.0]])
-    inner = np.array([[0.0, 0.0]])
-    conn = connectable_sets(outer, inner, 150.0)
-    m = match_pairs(outer, inner, [0], [0], hover_outer=[5.0],
-                    hover_inner=[1.0], connectable=conn,
-                    inner_path_dist=_path_dist(inner, [0]))
-    assert m.pairs == ()
-    assert m.unmatched_outer == (0,) and m.unmatched_inner == (0,)
+    pair = _pair([[0.0, 100.0]], [[0.0, 0.0]], [5.0], [1.0], r_u2u=150.0)
+    assert match_pairs(pair, [0]) == {}
 
 
 def test_match_pairs_respects_safety_gap():
-    outer = np.array([[0.0, 3.0]])
-    inner = np.array([[0.0, 0.0]])
-    conn = connectable_sets(outer, inner, 150.0)
-    m = match_pairs(outer, inner, [0], [0], hover_outer=[1.0],
-                    hover_inner=[5.0], connectable=conn,
-                    inner_path_dist=_path_dist(inner, [0]), d_safe=4.0)
-    assert m.pairs == ()
+    pair = _pair([[0.0, 3.0]], [[0.0, 0.0]], [1.0], [5.0], r_u2u=150.0,
+                 d_safe=4.0)
+    assert match_pairs(pair, [0]) == {}
 
 
 def test_match_pairs_hop_cannot_outrun_inner_path():
     # outer CPs 1000 m apart, inner CPs 10 m apart: the second share would
     # force the outer UAV to fly 1000 m while the inner one flies 10 m
-    outer = np.array([[0.0, 100.0], [1000.0, 100.0]])
-    inner = np.array([[0.0, 0.0], [10.0, 0.0]])
-    conn = [{0, 1}, {0, 1}]
-    m = match_pairs(outer, inner, [0, 1], [0, 1], hover_outer=[1.0, 1.0],
-                    hover_inner=[5.0, 5.0], connectable=conn,
-                    inner_path_dist=_path_dist(inner, [0, 1]))
-    assert m.pairs == ((0, 0),)
-    assert m.unmatched_outer == (1,)
+    pair = _pair([[0.0, 100.0], [1000.0, 100.0]], [[0.0, 0.0], [10.0, 0.0]],
+                 [1.0, 1.0], [5.0, 5.0], r_u2u=2000.0)
+    assert pair.link.all()
+    assert match_pairs(pair, [0, 1]) == {0: 0}
 
 
 def test_match_pairs_cursor_never_revisits():
     # both outer CPs can only reach inner 0; after the first match the
     # cursor has moved past it
-    outer = np.array([[0.0, 50.0], [5.0, 50.0]])
-    inner = np.array([[0.0, 0.0], [500.0, 0.0]])
-    conn = connectable_sets(outer, inner, 100.0)
-    assert conn == [{0}, {0}]
-    m = match_pairs(outer, inner, [0, 1], [0, 1], hover_outer=[1.0, 1.0],
-                    hover_inner=[9.0, 9.0], connectable=conn,
-                    inner_path_dist=_path_dist(inner, [0, 1]))
-    assert m.pairs == ((0, 0),)
-    assert m.unmatched_outer == (1,)
-    assert m.unmatched_inner == (1,)
+    pair = _pair([[0.0, 50.0], [5.0, 50.0]], [[0.0, 0.0], [500.0, 0.0]],
+                 [1.0, 1.0], [9.0, 9.0], r_u2u=100.0)
+    assert pair.link.tolist() == [[True, False], [True, False]]
+    assert match_pairs(pair, [0, 1]) == {0: 0}
+
+
+def _relaxed_instance(hover_out_1=5.0, hover_in=(1.0,) * 8):
+    """Attach CPs 0 and 3 are matched to events 1 and 6; CPs 1 and 2 sit at
+    the same spot between them. The fixed path is twice the straight line."""
+    pair = _pair([(100.0, 50.0), (340.0, 50.0), (340.0, 50.0), (600.0, 50.0)],
+                 [(100.0 * e, 0.0) for e in range(8)],
+                 [1.0, hover_out_1, hover_out_1, 1.0], hover_in,
+                 r_u2u=1000.0, d_safe=30.0,
+                 path_m=[200.0 * e for e in range(8)])
+    return pair, {0: 1, 3: 6}
+
+
+def test_relaxed_pass_slots_leftovers_inside_their_window():
+    pair, pairs = _relaxed_instance()
+    extra = _relaxed_pairs(pair, [0, 1, 2, 3], pairs)
+    # CP 1 takes event 3, the nearest that fits; CP 2's window then starts
+    # after it, although event 3 would fit CP 2 with a smaller gap
+    assert extra == {1: 3, 2: 4}
+    assert pair.fits(2, 3, last=(1, 3), nxt=(3, 6))
+    assert pair.gap[2, 3] < pair.gap[2, 4]
+
+
+def test_relaxed_pass_picks_least_excess_then_gap():
+    pair, pairs = _relaxed_instance()
+    assert _relaxed_pairs(pair, [0, 1, 3], pairs) == {1: 3}   # equal excess
+    hover_in = (1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0)
+    pair, pairs = _relaxed_instance(hover_in=hover_in)
+    # event 4 leaves 2 s of excess against event 3's 4 s
+    assert _relaxed_pairs(pair, [0, 1, 3], pairs) == {1: 4}
+
+
+def test_relaxed_pass_refuses_hops_that_outrun_the_path():
+    # events 2 and 5 would cost no excess, but the hop from CP 0 (240 m) or
+    # to CP 3 (260 m) outruns the 200 m of fixed path to them
+    hover_in = (1.0, 1.0, 9.0, 1.0, 1.0, 9.0, 1.0, 1.0)
+    pair, pairs = _relaxed_instance(hover_in=hover_in)
+    assert _relaxed_pairs(pair, [0, 1, 3], pairs) == {1: 3}
+    assert not pair.fits(1, 2, last=(0, 1)) and pair.fits(1, 2, nxt=(3, 6))
+    assert not pair.fits(1, 5, nxt=(3, 6)) and pair.fits(1, 5, last=(0, 1))
+    # with every slot outrun, CP 1 stays unassigned
+    pair, _ = _relaxed_instance()
+    assert _relaxed_pairs(pair, [0, 1, 3], {0: 1, 3: 4}) == {}
 
 
 def test_match_pairs_contract_on_random_instances():
@@ -110,38 +149,39 @@ def test_match_pairs_contract_on_random_instances():
         r_u2u = float(rng.uniform(300, 2500))
         hover_out = rng.uniform(1, 10, size=n_out)
         hover_in = rng.uniform(1, 10, size=n_in)
-        tour_out = list(solve_tsp(outer).order)
+        order = list(solve_tsp(outer).order)
         tour_in = list(solve_tsp(inner).order)
-        conn = connectable_sets(outer, inner, r_u2u)
-        dist = _path_dist(inner, tour_in)
-        m = match_pairs(outer, inner, tour_out, tour_in, hover_out, hover_in,
-                        conn, dist, d_safe=d_safe)
-        # disjoint, and unmatched lists complete the partition
-        outs = [a for a, _ in m.pairs]
-        ins = [c for _, c in m.pairs]
-        assert len(set(outs)) == len(outs) and len(set(ins)) == len(ins)
-        assert sorted(outs + list(m.unmatched_outer)) == sorted(range(n_out))
-        assert sorted(ins + list(m.unmatched_inner)) == sorted(range(n_in))
-        # both sides follow their tours monotonically
-        assert [tour_out.index(a) for a in outs] == sorted(
-            tour_out.index(a) for a in outs)
-        in_pos = [tour_in.index(c) for c in ins]
-        assert in_pos == sorted(in_pos) and len(set(in_pos)) == len(in_pos)
-        # every pair satisfies all four matching conditions
+        pair = _pair(outer, inner[tour_in], hover_out, hover_in[tour_in],
+                     r_u2u, d_safe)
+        pairs = match_pairs(pair, order)
+        extra = _relaxed_pairs(pair, order, pairs)
+        both = pairs | extra
+        assert len(both) == len(pairs) + len(extra)
+        for matched in (pairs, both):
+            # disjoint events that follow both tours monotonically
+            events = [matched[a] for a in order if a in matched]
+            assert events == sorted(set(events))
         prev = None
-        for a, c in m.pairs:
-            gap = float(np.hypot(*(outer[a] - inner[c])))
-            assert c in conn[a] and gap <= r_u2u
-            assert gap >= d_safe
-            assert hover_out[a] <= hover_in[c] + 1e-12
+        for a in (a for a in order if a in pairs):
+            e = pairs[a]
+            gap = float(np.hypot(*(outer[a] - inner[tour_in[e]])))
+            assert d_safe <= gap <= r_u2u
+            assert hover_out[a] <= hover_in[tour_in[e]] + 1e-12
             if prev is not None:
                 hop = float(np.hypot(*(outer[prev[0]] - outer[a])))
-                assert hop <= dist(prev[1], c) + 1e-9
-            prev = (a, c)
+                assert hop <= pair.path_m[e] - pair.path_m[prev[1]] + 1e-9
+            assert pair.fits(a, e, prev)
+            prev = (a, e)
+        # relaxed slots fit both neighbours of the combined matching
+        seq = [(a, both[a]) for a in order if a in both]
+        for i, (a, e) in enumerate(seq):
+            if a in extra:
+                nxt = next(((b, f) for b, f in seq[i + 1:] if b in pairs), None)
+                assert pair.fits(a, e, seq[i - 1] if i else None, nxt)
 
 
 def test_p3_zero_detour_when_edge_crosses_annulus():
-    res = p3_waypoint((0.0, 0.0), [(-1000.0, 50.0), (1000.0, 50.0)],
+    res = p3_waypoint((0.0, 0.0), (-1000.0, 50.0), (1000.0, 50.0),
                       r_u2u=500.0, d_safe=30.0, ring=None)
     assert res.detour_m == 0.0
     x, y = res.point
@@ -151,7 +191,7 @@ def test_p3_zero_detour_when_edge_crosses_annulus():
 
 
 def test_p3_far_point_sits_on_range_circle():
-    res = p3_waypoint((0.0, 5000.0), [(-100.0, 0.0), (100.0, 0.0)],
+    res = p3_waypoint((0.0, 5000.0), (-100.0, 0.0), (100.0, 0.0),
                       r_u2u=500.0, d_safe=0.0, ring=None)
     d = float(np.hypot(res.point[0], res.point[1] - 5000.0))
     assert d == pytest.approx(500.0, rel=1e-6)
@@ -171,28 +211,22 @@ def test_p3_random_postconditions():
         # keep the chain inside the ring so some candidates survive
         rad = np.hypot(*path.T)
         path = path * (np.clip(rad, 2100.0, 5900.0) / rad)[:, None]
-        res = p3_waypoint(p_k, path, r_u2u=3000.0, d_safe=30.0, ring=ring)
-        q = np.array(res.point)
-        assert res.detour_m >= 0.0
-        assert 0 <= res.edge_index < len(path) - 1
-        assert 30.0 - 1e-6 <= float(np.hypot(*(q - p_k))) <= 3000.0 + 1e-6
-        assert ring.inner_m - 1e-6 <= float(np.hypot(*q)) <= ring.outer_m + 1e-6
-        e1, e2 = path[res.edge_index], path[res.edge_index + 1]
-        direct = float(np.hypot(*(e2 - e1)))
-        det = float(np.hypot(*(q - e1)) + np.hypot(*(q - e2))) - direct
-        assert det == pytest.approx(res.detour_m, abs=1e-9)
-
-
-def test_p3_needs_an_edge():
-    with pytest.raises(ValueError, match="edge"):
-        p3_waypoint((0.0, 0.0), [(1.0, 1.0)], 100.0, 0.0, None)
+        for e1, e2 in zip(path[:-1], path[1:]):
+            res = p3_waypoint(p_k, e1, e2, r_u2u=3000.0, d_safe=30.0, ring=ring)
+            q = np.array(res.point)
+            assert res.detour_m >= 0.0
+            assert 30.0 - 1e-6 <= float(np.hypot(*(q - p_k))) <= 3000.0 + 1e-6
+            assert (ring.inner_m - 1e-6 <= float(np.hypot(*q))
+                    <= ring.outer_m + 1e-6)
+            direct = float(np.hypot(*(e2 - e1)))
+            det = float(np.hypot(*(q - e1)) + np.hypot(*(q - e2))) - direct
+            assert det == pytest.approx(res.detour_m, abs=1e-9)
 
 
 def test_p3_infeasible_when_ring_out_of_reach():
     ring = Ring(inner_m=10000.0, outer_m=10100.0)
-    with pytest.raises(InfeasibleWaypointError, match="no point of the ring"):
-        p3_waypoint((0.0, 0.0), [(9999.0, 0.0), (10050.0, 100.0)],
-                    r_u2u=500.0, d_safe=30.0, ring=ring)
+    assert p3_waypoint((0.0, 0.0), (9999.0, 0.0), (10050.0, 100.0),
+                       r_u2u=500.0, d_safe=30.0, ring=ring) is None
 
 
 def test_nearest_chain_point_keeps_feasible_prev():
@@ -342,7 +376,7 @@ def test_waypoint_solvers_never_lose_to_the_grid():
         if len(grid):
             assert float(_dist(q_chain, prev)) <= _dist(grid, prev).min() + tol
 
-        res = p3_waypoint(anchor, [e1, e2], r_link, d_safe, ring)
+        res = p3_waypoint(anchor, e1, e2, r_link, d_safe, ring)
         q = np.array(res.point)
         assert feasible(q)
         if len(grid):
