@@ -6,8 +6,9 @@ Commands:
   sweep      completion-time curves over sensor count or G2U threshold
 
 Exit codes: 0 success, 1 a mission validity check failed, 2 usage error,
-3 infeasible configuration. Outputs are deterministic given the flags; the
-SKYHAUL_WORKERS environment variable caps the sweep worker pool.
+3 infeasible configuration (radio ranges, clustering or chain geometry).
+Outputs are deterministic given the flags; the SKYHAUL_WORKERS environment
+variable caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from pathlib import Path
 from . import pointmatch
 from .baselines import InfeasiblePlanError, plan_cstp, plan_ttp
 from .channel import CoverageError, InfeasibleConfigError, coverage_radii
-from .clustering import cluster_sensors, write_clusters_csv
+from .clustering import (InfeasibleClusteringError, cluster_sensors,
+                         write_clusters_csv)
 from .mission import evaluate, write_plan_csv, write_report_json
 from .model import (ChannelParams, ScenarioError, ScenarioParseError,
                     apply_config_overrides, generate_scenario, load_scenario,
                     save_scenario)
-from .partition import InfeasibleTopologyError, build_topology
+from .partition import build_topology
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,7 +43,7 @@ _ALGO_ORDER = ("pmtp", "ttp", "cstp")
 _AXES = ("sensors", "snr-g2u-db")
 _SWEEP_HEADER = "axis_value,seed,algo,completion_s,lower_bound_s,flight_s,hover_s\n"
 
-_INFEASIBLE = (InfeasibleConfigError, InfeasibleTopologyError,
+_INFEASIBLE = (InfeasibleConfigError, InfeasibleClusteringError,
                InfeasiblePlanError, pointmatch.InfeasibleWaypointError,
                CoverageError)
 
@@ -158,6 +160,14 @@ def _sweep_cell(cell):
     return rows, all_ok
 
 
+def _sensor_count(text: str) -> int:
+    """argparse type of --sensors; argparse reports int()'s ValueError itself."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"sensor count must be at least 1, got {n}")
+    return n
+
+
 def _worker_count() -> int:
     raw = os.environ.get(_WORKERS_ENV, "")
     if raw:
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random scenario JSON file")
-    gen.add_argument("--sensors", type=int, required=True,
+    gen.add_argument("--sensors", type=_sensor_count, required=True,
                      help="number of sensor nodes")
     gen.add_argument("--size", type=float, default=8000.0,
                      help="square region side in meters (default 8000)")
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="axis values (space or comma separated)")
     swp.add_argument("--seeds", type=int, default=10,
                      help="scenario seeds 0..N-1 per value (default 10)")
-    swp.add_argument("--sensors", type=int, default=1000,
+    swp.add_argument("--sensors", type=_sensor_count, default=1000,
                      help="sensor count for non-sensor axes (default 1000)")
     swp.add_argument("--size", type=float, default=8000.0,
                      help="square region side in meters (default 8000)")

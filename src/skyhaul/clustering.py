@@ -20,6 +20,10 @@ _LLOYD_MAX_ITER = 300
 _SEED_ATTEMPTS = 3
 
 
+class InfeasibleClusteringError(RuntimeError):
+    """No cluster count meets both the coverage radius and the member cap."""
+
+
 def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centroids = np.empty((k, 2))
@@ -36,13 +40,18 @@ def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid of each point; argmin gives ties to the lowest index."""
+    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
+
+
 def kmeans_cluster(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding plus Lloyd iterations.
 
     Stops when no centroid moves more than 1e-6 m or after 300 rounds. Ties in
     the assignment go to the lowest centroid index; a centroid that loses all
-    members is reseeded at the point farthest from its assigned centroid.
-    Returns (labels, centroids).
+    members keeps its position for that round. Returns (labels, centroids).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
@@ -50,28 +59,17 @@ def kmeans_cluster(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(points, k, rng)
-    labels = np.zeros(n, dtype=int)
     for _ in range(_LLOYD_MAX_ITER):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)          # argmin takes the lowest index on ties
-        assigned_d2 = d2[np.arange(n), labels].copy()
-        moved = 0.0
-        for j in range(k):
-            members = points[labels == j]
-            if len(members) == 0:
-                far = int(np.argmax(assigned_d2))
-                labels[far] = j
-                assigned_d2[far] = -1.0
-                new_c = points[far]
-            else:
-                new_c = members.mean(axis=0)
-            moved = max(moved, float(np.hypot(*(new_c - centroids[j]))))
-            centroids[j] = new_c
+        labels = _assign(points, centroids)
+        counts = np.bincount(labels, minlength=k)[:, None]
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k)
+                         for col in points.T], axis=1)
+        new = np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
+        moved = np.hypot(*(new - centroids).T).max()
+        centroids = new
         if moved < _LLOYD_TOL_M:
             break
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, centroids
+    return _assign(points, centroids), centroids
 
 
 @dataclass(frozen=True)
@@ -96,39 +94,33 @@ class ClusterSet:
         return np.array([c.min_hover_s for c in self.clusters], dtype=float)
 
 
+def _cluster(scenario: Scenario, ids: np.ndarray, cp: np.ndarray) -> Cluster:
+    points = scenario.sensor_positions
+    hover = min_hover_time(points[ids], scenario.sensor_data_bits[ids], cp,
+                           scenario.params)
+    return Cluster(member_ids=tuple(int(i) for i in ids),
+                   cp_m=(float(cp[0]), float(cp[1])), min_hover_s=hover)
+
+
 def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
     """Partition the sensor field into coverage- and capacity-feasible clusters."""
     points = scenario.sensor_positions
     n = len(points)
-    k = math.ceil(n / scenario.n_th)
-    while True:
+    for k in range(math.ceil(n / scenario.n_th), n + 1):
         # a few fresh seedings per k before growing k; keeps the final count low
         for attempt in range(_SEED_ATTEMPTS):
             labels, centroids = kmeans_cluster(points, k,
                                                seed=[scenario.rng_seed, k, attempt])
             sizes = np.bincount(labels, minlength=k)
             dists = np.hypot(*(points - centroids[labels]).T)
-            worst = np.zeros(k)
-            np.maximum.at(worst, labels, dists)
-            if sizes.max() <= scenario.n_th and worst.max() <= radii.r_g2u_m:
-                break
-        else:
-            if k >= n:
-                raise RuntimeError("clustering failed to converge at k == n")
-            k += 1
-            continue
-        break
-    clusters = []
-    for j in range(k):
-        ids = np.flatnonzero(labels == j)
-        hover = min_hover_time(points[ids], scenario.sensor_data_bits[ids],
-                               centroids[j], scenario.params)
-        clusters.append(Cluster(
-            member_ids=tuple(int(i) for i in ids),
-            cp_m=(float(centroids[j][0]), float(centroids[j][1])),
-            min_hover_s=hover,
-        ))
-    return ClusterSet(clusters=tuple(clusters))
+            if (sizes.min() >= 1 and sizes.max() <= scenario.n_th
+                    and dists.max() <= radii.r_g2u_m):
+                return ClusterSet(tuple(
+                    _cluster(scenario, np.flatnonzero(labels == j), centroids[j])
+                    for j in range(k)))
+    raise InfeasibleClusteringError(
+        f"no cluster count up to {n} keeps every cluster within "
+        f"{radii.r_g2u_m:.1f} m of its CP and at most n_th={scenario.n_th} sensors")
 
 
 def check_cluster_set(scenario: Scenario, cluster_set: ClusterSet,

@@ -111,12 +111,14 @@ class Scenario:
             raise ScenarioError("region dimensions must be positive")
         if not self.v_max_mps > 0:
             raise ScenarioError("v_max_mps must be positive")
-        if self.d_safe_m < 0:
+        if not self.d_safe_m >= 0:
             raise ScenarioError("d_safe_m must be non-negative")
         if self.n_th < 1:
             raise ScenarioError("n_th must be at least 1")
-        if self.bs_height_m < 0:
+        if not self.bs_height_m >= 0:
             raise ScenarioError("bs_height_m must be non-negative")
+        if not self.sensors:
+            raise ScenarioError("a scenario needs at least one sensor")
         if self.params.uav_height_m <= self.bs_height_m:
             raise ScenarioError("UAV altitude must exceed BS height")
         seen = set()
@@ -135,8 +137,6 @@ class Scenario:
     @cached_property
     def sensor_positions(self) -> np.ndarray:
         """(N, 2) array of sensor coordinates, row order = sensors order."""
-        if not self.sensors:
-            return np.zeros((0, 2))
         return np.array([s.position_m for s in self.sensors], dtype=float)
 
     @cached_property
@@ -155,8 +155,6 @@ def generate_scenario(width_m: float, height_m: float, n_sensors: int,
                       n_th: int = 60, v_max_mps: float = 30.0,
                       d_safe_m: float = 30.0, bs_height_m: float = 20.0) -> Scenario:
     """Uniform sensor field over [0,w]x[0,h] with the BS at the origin corner."""
-    if n_sensors < 1:
-        raise ScenarioError("n_sensors must be at least 1")
     params = params or ChannelParams()
     rng = np.random.default_rng(seed)
     xy = rng.uniform(0.0, 1.0, size=(n_sensors, 2)) * [width_m, height_m]
@@ -195,10 +193,16 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(value, key: str, context: str, kind=float):
-    """`kind(value)`, or a ScenarioParseError naming the field."""
+    """`kind(value)`, or a ScenarioParseError naming the field.
+
+    An int field rejects a fractional value instead of truncating it.
+    """
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScenarioParseError(f"field '{key}' in {context} must be an integer, "
+                                 f"got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioParseError(f"field '{key}' in {context} must be a number, "
                                  f"got {value!r}") from None
 

@@ -17,10 +17,6 @@ from .channel import CoverageRadii
 from .tsp import Tour, solve_tsp
 
 
-class InfeasibleTopologyError(ValueError):
-    """A collection point falls outside every ring of the topology."""
-
-
 @dataclass(frozen=True)
 class Ring:
     inner_m: float
@@ -38,17 +34,6 @@ class Topology:
         return [k for k, r in enumerate(self.association) if r == ring_idx]
 
 
-def required_uav_count(cps, bs, radii: CoverageRadii) -> int:
-    """Fewest chained UAVs that can reach the farthest collection point."""
-    cps = np.asarray(cps, dtype=float).reshape(-1, 2)
-    if len(cps) == 0:
-        raise ValueError("need at least one collection point")
-    d_max = float(np.hypot(*(cps - np.asarray(bs, dtype=float)).T).max())
-    if d_max <= radii.r_u2b_m:
-        return 1
-    return math.ceil((d_max - radii.r_u2b_m) / radii.r_u2u_m) + 1
-
-
 def build_rings(m: int, radii: CoverageRadii) -> tuple[Ring, ...]:
     rings = [Ring(0.0, radii.r_u2b_m)]
     for i in range(1, m):
@@ -64,24 +49,15 @@ def ring_index(dist: float, radii: CoverageRadii) -> int:
     return math.ceil((dist - radii.r_u2b_m) / radii.r_u2u_m)
 
 
-def associate(cps, bs, m: int, radii: CoverageRadii) -> tuple[int, ...]:
-    cps = np.asarray(cps, dtype=float).reshape(-1, 2)
-    dists = np.hypot(*(cps - np.asarray(bs, dtype=float)).T)
-    assoc = []
-    for k, d in enumerate(dists):
-        idx = ring_index(float(d), radii)
-        if idx >= m:
-            raise InfeasibleTopologyError(
-                f"CP {k} at {d:.1f} m lies beyond ring {m - 1}")
-        assoc.append(idx)
-    return tuple(assoc)
-
-
 def build_topology(cps, bs, radii: CoverageRadii) -> Topology:
     """Fleet size, rings, CP association, and each ring's CP tour."""
     cps = np.asarray(cps, dtype=float).reshape(-1, 2)
-    m = required_uav_count(cps, bs, radii)
-    association = associate(cps, bs, m, radii)
+    if len(cps) == 0:
+        raise ValueError("need at least one collection point")
+    dists = np.hypot(*(cps - np.asarray(bs, dtype=float)).T)
+    association = tuple(ring_index(float(d), radii) for d in dists)
+    # the farthest CP's ring is the outermost, so the chain reaches every CP
+    m = max(association) + 1
     tours = []
     for ring_idx in range(m):
         ids = [k for k, r in enumerate(association) if r == ring_idx]

@@ -86,6 +86,26 @@ def test_hopeless_radio_config_is_infeasible(tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_colocated_sensors_over_the_member_cap_are_infeasible(tmp_path, capsys):
+    # 70 sensors on one spot fill one cluster past n_th=60 at every k
+    scn = tmp_path / "scn.json"
+    main(["generate", "--sensors", "70", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    for sensor in data["sensors"]:
+        sensor["position_m"] = [100.0, 100.0]
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_INFEASIBLE
+    assert "infeasible: no cluster count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_sensor_count_is_a_usage_error(tmp_path, capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--sensors", count, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == EXIT_USAGE
+    assert "sensor count must be at least 1" in capsys.readouterr().err
+
+
 def _tight_link_scenario(tmp_path):
     # short U2U links: the innermost ring reaches past one relay hop
     scn = str(tmp_path / "scn.json")

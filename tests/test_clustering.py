@@ -53,6 +53,17 @@ def test_kmeans_deterministic_per_seed():
     assert np.array_equal(l1, l2) and np.array_equal(c1, c2)
 
 
+def test_kmeans_duplicate_points_leave_a_centroid_empty():
+    # three distinct locations for four centroids: some cluster is always empty
+    pts = np.array([[0.0, 0.0]] * 3 + [[10.0, 0.0], [20.0, 0.0]])
+    for seed in range(8):
+        labels, centroids = kmeans_cluster(pts, 4, seed=seed)
+        assert np.isfinite(centroids).all()
+        for p, label in zip(pts, labels):
+            d2 = np.sum((p - centroids) ** 2, axis=1).tolist()
+            assert label == d2.index(min(d2))   # nearest, lowest index on ties
+
+
 def test_kmeans_rejects_bad_k():
     pts = np.zeros((4, 2))
     with pytest.raises(ValueError):

@@ -107,11 +107,30 @@ def test_missing_field_is_named(tmp_path):
     ("channel", 5, "channel must be a JSON object"),
     ("sensors", 3, "'sensors' in scenario must be a list"),
     ("n_th", "sixty", "'n_th' in scenario must be a number"),
+    ("n_th", 60.9, "'n_th' in scenario must be an integer"),
+    ("rng_seed", 1.5, "'rng_seed' in scenario must be an integer"),
+    pytest.param("sensors",
+                 [{"id": 0.5, "position_m": [1.0, 1.0], "data_bits": 1e7}],
+                 r"'id' in sensors\[0\] must be an integer", id="sensor-id-0.5"),
+    pytest.param("v_max_mps", 10 ** 400, "'v_max_mps' in scenario must be a number",
+                 id="v_max_mps-1e400"),
 ])
 def test_malformed_sections_are_named(key, value, match):
     d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
     d[key] = value
     with pytest.raises(ScenarioParseError, match=match):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("d_safe_m", float("nan"), "d_safe_m must be non-negative"),
+    ("bs_height_m", float("nan"), "bs_height_m must be non-negative"),
+    ("sensors", [], "at least one sensor"),
+])
+def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
+    d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
+    d[key] = value
+    with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(d)
 
 

@@ -7,35 +7,38 @@ from conftest import build_instance
 from skyhaul import pointmatch, tsp
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.mission import evaluate
-from skyhaul.partition import (InfeasibleTopologyError, build_rings,
-                               build_topology, required_uav_count, ring_index)
+from skyhaul.partition import build_rings, build_topology, ring_index
 
 BS = (0.0, 0.0)
 
 
+def _uav_count(cps, radii) -> int:
+    return build_topology(cps, BS, radii).m_uavs
+
+
 def test_single_uav_inside_backhaul_disk(default_radii):
     cps = [[1000.0, 500.0], [0.0, default_radii.r_u2b_m]]
-    assert required_uav_count(cps, BS, default_radii) == 1
+    assert _uav_count(cps, default_radii) == 1
 
 
 def test_uav_count_steps_at_hop_boundaries(default_radii):
     r_b, r_u = default_radii.r_u2b_m, default_radii.r_u2u_m
-    assert required_uav_count([[r_b - 1.0, 0.0]], BS, default_radii) == 1
-    assert required_uav_count([[r_b + 1.0, 0.0]], BS, default_radii) == 2
-    assert required_uav_count([[r_b + r_u, 0.0]], BS, default_radii) == 2
-    assert required_uav_count([[r_b + r_u + 1.0, 0.0]], BS, default_radii) == 3
-    assert required_uav_count([[r_b + 2 * r_u, 0.0]], BS, default_radii) == 3
-    assert required_uav_count([[r_b + 2 * r_u + 1.0, 0.0]], BS, default_radii) == 4
+    assert _uav_count([[r_b - 1.0, 0.0]], default_radii) == 1
+    assert _uav_count([[r_b + 1.0, 0.0]], default_radii) == 2
+    assert _uav_count([[r_b + r_u, 0.0]], default_radii) == 2
+    assert _uav_count([[r_b + r_u + 1.0, 0.0]], default_radii) == 3
+    assert _uav_count([[r_b + 2 * r_u, 0.0]], default_radii) == 3
+    assert _uav_count([[r_b + 2 * r_u + 1.0, 0.0]], default_radii) == 4
 
 
 def test_count_uses_farthest_cp(default_radii):
     cps = [[100.0, 0.0], [0.0, default_radii.r_u2b_m + 10.0]]
-    assert required_uav_count(cps, BS, default_radii) == 2
+    assert _uav_count(cps, default_radii) == 2
 
 
 def test_count_requires_a_cp(default_radii):
     with pytest.raises(ValueError):
-        required_uav_count(np.zeros((0, 2)), BS, default_radii)
+        build_topology(np.zeros((0, 2)), BS, default_radii)
 
 
 def test_ring_bounds(default_radii):
@@ -64,13 +67,6 @@ def test_association_and_lookup(default_radii):
     assert topo.association == (0, 1, 2)
     assert topo.cps_of_ring(1) == [1]
     assert topo.cps_of_ring(2) == [2]
-
-
-def test_cp_beyond_last_ring_raises(default_radii):
-    from skyhaul.partition import associate
-    far = [[default_radii.r_u2b_m + 3 * default_radii.r_u2u_m, 0.0]]
-    with pytest.raises(InfeasibleTopologyError):
-        associate(far, BS, 3, default_radii)
 
 
 def test_ring_tours_are_solved_once(monkeypatch):
