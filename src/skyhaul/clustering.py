@@ -1,8 +1,9 @@
 """Sensor clustering and collection-point placement.
 
-Cluster count starts at the load bound ceil(N / N_th) and grows until every
-cluster fits inside the serving UAV's coverage disk and under the FDMA member
-cap. Collection points are cluster centroids at the flight altitude.
+Cluster count starts at the larger of the load bound ceil(N / N_th) and a
+packing floor, and grows until every cluster fits inside the serving UAV's
+coverage disk and under the FDMA member cap. Collection points are cluster
+centroids at the flight altitude.
 """
 
 from __future__ import annotations
@@ -18,17 +19,31 @@ from .model import Scenario
 _LLOYD_TOL_M = 1e-6
 _LLOYD_MAX_ITER = 300
 _SEED_ATTEMPTS = 3
+# Two sensors count as apart only beyond 2·r·(1 + 1e-9). Each computed distance
+# (the pair's here, each member's in the `dists.max() <= r` test) is off by a
+# few ulps of the coordinates and of r, under 1e-11 m at 20 km. Without a
+# margin, a pair at 2·r up to rounding could count as apart while a centroid
+# midway still passes the test; with it, a pair counted apart is truly farther
+# than two accepted radii can span, so the floor never exceeds an accepted k.
+_APART_MARGIN = 1e-9
 
 
 class InfeasibleClusteringError(RuntimeError):
     """No cluster count meets both the coverage radius and the member cap."""
 
 
+def _sq_dist(px: np.ndarray, py: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to `c`, rounded as dx*dx + dy*dy."""
+    dx, dy = px - c[0], py - c[1]
+    return dx * dx + dy * dy
+
+
 def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
+    px, py = points.T
     centroids = np.empty((k, 2))
     centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    d2 = _sq_dist(px, py, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -36,14 +51,23 @@ def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             centroids[j] = points[rng.integers(n)]
             continue
         centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dist(px, py, centroids[j]))
     return centroids
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid of each point; argmin gives ties to the lowest index."""
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+    """Nearest centroid of each point; argmin gives ties to the lowest index.
+
+    One (n, k) plane per coordinate, squared and summed in place. dx*dx + dy*dy
+    is the same IEEE sequence as summing squared (n, k, 2) differences over
+    their length-2 axis, so labels equal that form's bit for bit.
+    """
+    dx = np.subtract.outer(points[:, 0], centroids[:, 0])
+    dy = np.subtract.outer(points[:, 1], centroids[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.argmin(dx, axis=1)
 
 
 def kmeans_cluster(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
@@ -102,11 +126,32 @@ def _cluster(scenario: Scenario, ids: np.ndarray, cp: np.ndarray) -> Cluster:
                    cp_m=(float(cp[0]), float(cp[1])), min_hover_s=hover)
 
 
+def _packing_set(points: np.ndarray, r_m: float) -> np.ndarray:
+    """Indices of a greedy set of points pairwise more than 2·r_m apart.
+
+    A cluster whose members all lie within r_m of its CP spans at most 2·r_m,
+    so it holds at most one point of the set: no cluster count below its size
+    is feasible. The set takes points in index order, skipping any within
+    2·r_m·(1 + _APART_MARGIN) of one already taken.
+    """
+    px, py = points.T
+    reach = 2.0 * r_m * (1.0 + _APART_MARGIN)
+    near = np.zeros(len(points), dtype=bool)
+    taken = []
+    while not near.all():
+        i = int(np.argmin(near))            # lowest index not yet near the set
+        near |= np.hypot(px - px[i], py - py[i]) <= reach
+        taken.append(i)
+    return np.array(taken, dtype=int)
+
+
 def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
     """Partition the sensor field into coverage- and capacity-feasible clusters."""
     points = scenario.sensor_positions
     n = len(points)
-    for k in range(math.ceil(n / scenario.n_th), n + 1):
+    k_min = max(math.ceil(n / scenario.n_th),
+                len(_packing_set(points, radii.r_g2u_m)))
+    for k in range(k_min, n + 1):
         # a few fresh seedings per k before growing k; keeps the final count low
         for attempt in range(_SEED_ATTEMPTS):
             labels, centroids = kmeans_cluster(points, k,

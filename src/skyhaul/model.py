@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -155,6 +156,8 @@ def generate_scenario(width_m: float, height_m: float, n_sensors: int,
                       n_th: int = 60, v_max_mps: float = 30.0,
                       d_safe_m: float = 30.0, bs_height_m: float = 20.0) -> Scenario:
     """Uniform sensor field over [0,w]x[0,h] with the BS at the origin corner."""
+    if not (isinstance(n_sensors, numbers.Integral) and n_sensors >= 1):
+        raise ScenarioError(f"n_sensors must be a positive integer, got {n_sensors!r}")
     params = params or ChannelParams()
     rng = np.random.default_rng(seed)
     xy = rng.uniform(0.0, 1.0, size=(n_sensors, 2)) * [width_m, height_m]

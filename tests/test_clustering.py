@@ -1,13 +1,38 @@
 """Capacity- and radius-constrained clustering."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import build_instance
+from skyhaul import clustering
 from skyhaul.channel import coverage_radii
 from skyhaul.clustering import (check_cluster_set, cluster_sensors,
                                 kmeans_cluster, write_clusters_csv)
-from skyhaul.model import generate_scenario
+from skyhaul.model import Scenario, SensorNode, generate_scenario
+
+
+def _assign_broadcast(points, centroids):
+    """The (n, k, 2) broadcast distance step the split-coordinate form replaced."""
+    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def _seed_broadcast(points, k, rng):
+    """k-means++ seeding with the distance written as a summed (n, 2) square."""
+    n = len(points)
+    centroids = np.empty((k, 2))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        centroids[j] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
 
 
 def test_kmeans_each_point_own_cluster():
@@ -62,6 +87,110 @@ def test_kmeans_duplicate_points_leave_a_centroid_empty():
         for p, label in zip(pts, labels):
             d2 = np.sum((p - centroids) ** 2, axis=1).tolist()
             assert label == d2.index(min(d2))   # nearest, lowest index on ties
+
+
+def test_assign_matches_broadcast_on_random_instances():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        n, k = rng.integers(1, 300), rng.integers(1, 40)
+        scale = 10.0 ** rng.uniform(0, 4.5)
+        pts = rng.uniform(0, scale, size=(n, 2))
+        cents = rng.uniform(0, scale, size=(k, 2))
+        assert np.array_equal(clustering._assign(pts, cents),
+                              _assign_broadcast(pts, cents))
+
+
+def test_assign_ties_go_to_lowest_index():
+    # every centroid 5 m from the origin; duplicates tie exactly as well
+    cents = np.array([[3.0, 4.0], [-3.0, 4.0], [5.0, 0.0], [0.0, -5.0],
+                      [3.0, 4.0]])
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 4.0], [0.0, 4.0]])
+    assert clustering._assign(pts, cents).tolist() == [0, 0, 0, 0]
+    assert clustering._assign(pts, cents[[2, 3, 1, 0, 4]]).tolist() == [0, 3, 3, 2]
+    # points on a lattice midway between lattice centroids
+    g = np.arange(0.0, 50.0, 10.0)
+    cents = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    pts = cents + 5.0
+    for c, p in ((cents, pts), (cents[::-1], pts)):
+        got = clustering._assign(p, c)
+        assert np.array_equal(got, _assign_broadcast(p, c))
+        d2 = np.sum((p[:, None, :] - c[None, :, :]) ** 2, axis=2)
+        assert (got == [row.tolist().index(row.min()) for row in d2]).all()
+
+
+def test_assign_matches_broadcast_far_from_the_origin():
+    # 1e6 m offsets: squared distances near 1e12 with ulps near 1e-4 m²
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        offset = rng.uniform(-1e6, 1e6, size=2)
+        cents = offset + rng.uniform(-50, 50, size=(rng.integers(2, 30), 2))
+        pts = offset + rng.uniform(-60, 60, size=(rng.integers(1, 200), 2))
+        # plus points exactly midway between two centroids
+        pts = np.vstack([pts, (cents[:-1] + cents[1:]) / 2])
+        assert np.array_equal(clustering._assign(pts, cents),
+                              _assign_broadcast(pts, cents))
+
+
+def test_kmeans_matches_broadcast_reference(monkeypatch):
+    rng = np.random.default_rng(22)
+    cases = []
+    for offset in (0.0, 1e6):
+        for n, k in ((1, 1), (5, 4), (120, 7), (400, 30), (1000, 22)):
+            cases.append((offset + rng.uniform(0, 8000, size=(n, 2)), k,
+                          [int(rng.integers(1000)), k, 0]))
+    cases.append((np.array([[0.0, 0.0]] * 3 + [[10.0, 0.0], [20.0, 0.0]]), 4, 3))
+    got = [kmeans_cluster(pts, k, seed=seed) for pts, k, seed in cases]
+    monkeypatch.setattr(clustering, "_assign", _assign_broadcast)
+    monkeypatch.setattr(clustering, "_kmeanspp_seed", _seed_broadcast)
+    for (pts, k, seed), (labels, cents) in zip(cases, got):
+        ref_labels, ref_cents = kmeans_cluster(pts, k, seed=seed)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(cents, ref_cents)
+
+
+def test_packing_set_is_pairwise_apart_and_maximal():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        pts = rng.uniform(0, 16000, size=(rng.integers(1, 300), 2))
+        r = rng.uniform(200, 2000)
+        taken = clustering._packing_set(pts, r)
+        d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+        sub = d[np.ix_(taken, taken)]
+        assert (sub[~np.eye(len(taken), dtype=bool)] > 2 * r).all()
+        # greedy in index order: every point left out is near an earlier pick
+        for i in set(range(len(pts))) - set(taken.tolist()):
+            assert (d[i, taken[taken < i]] <= 2 * r * (1 + 1e-9)).any()
+
+
+def _two_sensor_scenario(gap_m):
+    sc = generate_scenario(100.0, 100.0, 2, seed=0)
+    sensors = (SensorNode(id=0, position_m=(0.0, 0.0), data_bits=1e7),
+               SensorNode(id=1, position_m=(gap_m, 0.0), data_bits=1e7))
+    return Scenario(region_width_m=gap_m, region_height_m=100.0,
+                    bs_position_m=(0.0, 0.0), bs_height_m=sc.bs_height_m,
+                    sensors=sensors, params=sc.params, n_th=sc.n_th,
+                    v_max_mps=sc.v_max_mps, d_safe_m=sc.d_safe_m, rng_seed=0)
+
+
+def test_sensors_two_radii_apart_share_one_cluster():
+    sc = generate_scenario(100.0, 100.0, 2, seed=0)
+    radii = coverage_radii(sc.params, sc.bs_height_m)
+    r = radii.r_g2u_m
+    # the midpoint sits exactly r from both, so k=1 must stay in the search
+    assert cluster_sensors(_two_sensor_scenario(2 * r), radii).k == 1
+    assert cluster_sensors(_two_sensor_scenario(2 * r * (1 + 1e-6)), radii).k == 2
+
+
+def test_packing_floor_skips_only_infeasible_k(monkeypatch):
+    for seed in range(3):
+        sc = generate_scenario(16000.0, 16000.0, 100, seed=seed)
+        radii = coverage_radii(sc.params, sc.bs_height_m)
+        floor = len(clustering._packing_set(sc.sensor_positions, radii.r_g2u_m))
+        assert floor > math.ceil(sc.n_sensors / sc.n_th)
+        with_floor = cluster_sensors(sc, radii)
+        with monkeypatch.context() as m:
+            m.setattr(clustering, "_packing_set", lambda points, r: [])
+            assert cluster_sensors(sc, radii) == with_floor
 
 
 def test_kmeans_rejects_bad_k():

@@ -40,6 +40,12 @@ def test_generate_scenario_field_bounds():
     assert (sc.sensor_data_bits == 1e7).all()
 
 
+@pytest.mark.parametrize("n_sensors", [-2, 0, 2.5])
+def test_generate_scenario_rejects_bad_sensor_count(n_sensors):
+    with pytest.raises(ScenarioError, match="n_sensors"):
+        generate_scenario(100.0, 100.0, n_sensors)
+
+
 def test_scenario_rejects_sensor_outside_region():
     sc = generate_scenario(500.0, 500.0, 3, seed=0)
     d = scenario_to_dict(sc)
