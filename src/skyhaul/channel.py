@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ChannelParams
+from .model import ChannelParams, db_to_linear
 
 _BISECT_REL_TOL = 1e-9
 _BISECT_MAX_ITER = 200
@@ -49,14 +49,9 @@ def path_loss(r, height_m: float, params: ChannelParams):
     return g if g.ndim else float(g)
 
 
-def expected_path_loss_g2u(r, params: ChannelParams):
-    """Sensor-to-UAV expected channel gain at the UAV's operating altitude."""
-    return path_loss(r, params.uav_height_m, params)
-
-
 def snr_g2u(r, params: ChannelParams):
     """Uplink SNR from a ground sensor to a hovering UAV."""
-    g = np.asarray(expected_path_loss_g2u(r, params))
+    g = np.asarray(path_loss(r, params.uav_height_m, params))
     s = params.p_sensor_w * g / params.noise_w
     return s if s.ndim else float(s)
 
@@ -111,9 +106,9 @@ def _invert_monotone(fn, threshold: float, what: str) -> float:
 def coverage_radii(params: ChannelParams, bs_height_m: float) -> CoverageRadii:
     """Link ranges implied by the three SNR thresholds."""
     r_u2u = math.sqrt(params.p_uav_w * params.beta0 /
-                      (params.noise_w * params.snr_th_u2u))
+                      (params.noise_w * db_to_linear(params.snr_th_u2u_db)))
     r_u2b = _invert_monotone(lambda r: snr_u2b(r, params, bs_height_m),
-                             params.snr_th_u2b, "BS backhaul")
+                             db_to_linear(params.snr_th_u2b_db), "BS backhaul")
     return CoverageRadii(r_g2u_m=_g2u_radius(params), r_u2u_m=r_u2u, r_u2b_m=r_u2b)
 
 
@@ -136,7 +131,8 @@ def _check_coverage(dists: np.ndarray, params: ChannelParams):
 @lru_cache(maxsize=64)
 def _g2u_radius(params: ChannelParams) -> float:
     return _invert_monotone(lambda r: snr_g2u(r, params),
-                            params.snr_th_g2u, "sensor uplink")
+                            db_to_linear(params.snr_th_g2u_db),
+                            "sensor uplink")
 
 
 def _upload_times(positions, data_bits, cp, params: ChannelParams) -> np.ndarray:

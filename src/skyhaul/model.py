@@ -1,16 +1,15 @@
 """Problem instances: sensor fields, radio parameters, scenario JSON I/O.
 
 All lengths are meters, powers watts, data sizes bits. SNR thresholds are
-linear in memory; scenario files store them in dB and the loader converts
-once at parse time.
+dB everywhere, under the same names in memory, scenario files and config
+overrides; `channel` converts them to linear where it uses them.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -21,30 +20,6 @@ DEFAULT_DATA_BITS = 1e7
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
-def _db_exact(linear: float) -> float:
-    """dB value whose round trip through db_to_linear reproduces `linear`.
-
-    linear_to_db followed by db_to_linear can be off by an ulp; nudge the dB
-    value so saved files reload bit-identically whenever such a value exists.
-    """
-    d = linear_to_db(linear)
-    if db_to_linear(d) == linear:
-        return d
-    up = down = d
-    for _ in range(8):
-        up = math.nextafter(up, math.inf)
-        if db_to_linear(up) == linear:
-            return up
-        down = math.nextafter(down, -math.inf)
-        if db_to_linear(down) == linear:
-            return down
-    return d
 
 
 class ScenarioError(ValueError):
@@ -69,15 +44,24 @@ class ChannelParams:
     p_sensor_w: float = 0.05
     p_uav_w: float = 0.1
     noise_w: float = 1e-14          # -110 dBm
-    snr_th_g2u: float = db_to_linear(20.0)
-    snr_th_u2u: float = db_to_linear(19.5)
-    snr_th_u2b: float = db_to_linear(13.0)
+    snr_th_g2u_db: float = 20.0     # SNR thresholds in dB
+    snr_th_u2u_db: float = 19.5
+    snr_th_u2b_db: float = 13.0
 
     def __post_init__(self):
-        for name in ("a", "b", "alpha", "beta0", "uav_height_m", "bandwidth_hz",
-                     "p_sensor_w", "p_uav_w", "noise_w",
-                     "snr_th_g2u", "snr_th_u2u", "snr_th_u2b"):
-            if not getattr(self, name) > 0:
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name.endswith("_db"):
+                # NaN, -inf and underflow give no positive linear SNR, a large
+                # finite value overflows; +inf is left to coverage_radii
+                try:
+                    ok = db_to_linear(value) > 0
+                except OverflowError:
+                    ok = False
+                if not ok:
+                    raise ScenarioError(
+                        f"channel parameter {name} = {value!r} dB is out of range")
+            elif name != "kappa" and not value > 0:
                 raise ScenarioError(f"channel parameter {name} must be positive")
         if not 0 <= self.kappa <= 1:
             raise ScenarioError("channel parameter kappa must be in [0, 1]")
@@ -173,20 +157,6 @@ def generate_scenario(width_m: float, height_m: float, n_sensors: int,
     )
 
 
-_PARAM_DB_FIELDS = {"snr_th_g2u": "snr_th_g2u_db",
-                    "snr_th_u2u": "snr_th_u2u_db",
-                    "snr_th_u2b": "snr_th_u2b_db"}
-_PARAM_PLAIN_FIELDS = ("a", "b", "kappa", "alpha", "beta0", "uav_height_m",
-                       "bandwidth_hz", "p_sensor_w", "p_uav_w", "noise_w")
-
-
-def _params_to_dict(p: ChannelParams) -> dict:
-    out = {name: getattr(p, name) for name in _PARAM_PLAIN_FIELDS}
-    for attr, key in _PARAM_DB_FIELDS.items():
-        out[key] = _db_exact(getattr(p, attr))
-    return out
-
-
 def _require(mapping: dict, key: str, context: str):
     if not isinstance(mapping, dict):
         raise ScenarioParseError(f"{context} must be a JSON object")
@@ -214,11 +184,9 @@ def _field(mapping: dict, key: str, context: str, kind=float):
     return _number(_require(mapping, key, context), key, context, kind)
 
 
-def _params_from_dict(d: dict, context: str = "channel") -> ChannelParams:
-    kwargs = {name: _field(d, name, context) for name in _PARAM_PLAIN_FIELDS}
-    for attr, key in _PARAM_DB_FIELDS.items():
-        kwargs[attr] = db_to_linear(_field(d, key, context))
-    return ChannelParams(**kwargs)
+def _params_from_dict(d: dict) -> ChannelParams:
+    return ChannelParams(**{f.name: _field(d, f.name, "channel")
+                            for f in fields(ChannelParams)})
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -231,7 +199,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "v_max_mps": s.v_max_mps,
         "d_safe_m": s.d_safe_m,
         "rng_seed": s.rng_seed,
-        "channel": _params_to_dict(s.params),
+        "channel": asdict(s.params),
         "sensors": [
             {"id": n.id, "position_m": list(n.position_m), "data_bits": n.data_bits}
             for n in s.sensors
@@ -293,9 +261,10 @@ def apply_config_overrides(params: ChannelParams, overrides: dict) -> ChannelPar
     Accepts the same keys as the scenario 'channel' section (thresholds in dB);
     unknown keys are rejected by name.
     """
-    current = _params_to_dict(params)
+    names = {f.name for f in fields(params)}
+    changes = {}
     for key, value in overrides.items():
-        if key not in current:
+        if key not in names:
             raise ScenarioParseError(f"unknown field '{key}' in config")
-        current[key] = _number(value, key, "config")
-    return _params_from_dict(current, context="config")
+        changes[key] = _number(value, key, "config")
+    return replace(params, **changes)

@@ -21,6 +21,7 @@ from .clustering import ClusterSet
 from .mission import MissionPlan, assemble_plan, ring_serial_s
 from .model import Scenario
 from .partition import Ring, Topology
+from .tsp import _pairwise
 
 _ARC_SAMPLES = 360          # cost samples per boundary circle (1 degree)
 _REFINE_ROUNDS = 40         # golden-section rounds per sampled local minimum
@@ -32,11 +33,6 @@ _HOP_TOL_M = 1e-9
 
 class InfeasibleWaypointError(RuntimeError):
     """The waypoint constraint set is empty."""
-
-
-def _pairwise(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(len(p), len(q)) matrix of distances between two point sets."""
-    return np.hypot(*np.moveaxis(p[:, None, :] - q[None, :, :], -1, 0))
 
 
 class RingPair:
@@ -381,7 +377,9 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
         if s_hi < s_lo:
             s_lo, s_hi = max(lo, 0), len(steps) - 2
         if s_hi < s_lo:
-            # single-step path: park the fixed UAV next to the CP
+            # empty window: no matched anchor follows and the last anchor is
+            # the final step (or the path is one step long), so park the
+            # fixed UAV next to the CP; p3_calls and detour_m skip this step
             q = nearest_chain_point(steps[0].pos[ref], cp, r_u2u, d_safe,
                                     band, bs)
             at = max(lo, 0) + 1

@@ -17,9 +17,9 @@ class Tour:
     length_m: float
 
 
-def _pairwise(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+def _pairwise(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len(p), len(q)) matrix of distances between two point sets."""
+    return np.hypot(*np.moveaxis(p[:, None, :] - q[None, :, :], -1, 0))
 
 
 def tour_length(points, order) -> float:
@@ -73,7 +73,7 @@ def solve_tsp(points) -> Tour:
         return Tour(order=(), length_m=0.0)
     if n == 1:
         return Tour(order=(0,), length_m=0.0)
-    dist = _pairwise(points)
+    dist = _pairwise(points, points)
     best_order, best_len = None, np.inf
     for start in range(n):
         order = _two_opt(_nearest_neighbour(dist, start), dist)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skyhaul.channel import (CoverageError, InfeasibleConfigError,
-                             coverage_radii, expected_path_loss_g2u,
+                             coverage_radii,
                              los_probability, min_hover_time,
                              optimal_bandwidth_shares, path_loss, snr_g2u,
                              snr_u2b, snr_u2u, upload_rate_g2u)
@@ -49,7 +49,8 @@ def test_los_probability_limits_and_monotonicity(params):
 def test_path_loss_overhead_is_near_free_space(params):
     # directly underneath, P_LoS ~ 1 so the kappa blend vanishes
     expected = params.beta0 / params.uav_height_m ** 2
-    assert expected_path_loss_g2u(0.0, params) == pytest.approx(expected, rel=1e-9)
+    assert path_loss(0.0, params.uav_height_m, params) == \
+        pytest.approx(expected, rel=1e-9)
 
 
 def test_path_loss_blends_toward_kappa(params):
@@ -99,32 +100,33 @@ def test_coverage_radii_frozen(params):
 def test_radii_sit_on_their_thresholds(params):
     radii = coverage_radii(params, 20.0)
     assert snr_g2u(radii.r_g2u_m, params) == \
-        pytest.approx(params.snr_th_g2u, rel=1e-6)
+        pytest.approx(db_to_linear(params.snr_th_g2u_db), rel=1e-6)
     assert snr_u2u(radii.r_u2u_m, params) == \
-        pytest.approx(params.snr_th_u2u, rel=1e-12)
+        pytest.approx(db_to_linear(params.snr_th_u2u_db), rel=1e-12)
     assert snr_u2b(radii.r_u2b_m, params, 20.0) == \
-        pytest.approx(params.snr_th_u2b, rel=1e-6)
+        pytest.approx(db_to_linear(params.snr_th_u2b_db), rel=1e-6)
 
 
 def test_radii_match_scipy_brentq(params):
     brentq = pytest.importorskip("scipy.optimize").brentq
     radii = coverage_radii(params, 20.0)
-    r_g2u = brentq(lambda r: snr_g2u(r, params) - params.snr_th_g2u,
-                   1.0, 1e5, xtol=1e-9)
-    r_u2b = brentq(lambda r: snr_u2b(r, params, 20.0) - params.snr_th_u2b,
+    th_g2u = db_to_linear(params.snr_th_g2u_db)
+    th_u2b = db_to_linear(params.snr_th_u2b_db)
+    r_g2u = brentq(lambda r: snr_g2u(r, params) - th_g2u, 1.0, 1e5, xtol=1e-9)
+    r_u2b = brentq(lambda r: snr_u2b(r, params, 20.0) - th_u2b,
                    1.0, 1e5, xtol=1e-9)
     assert radii.r_g2u_m == pytest.approx(r_g2u, rel=1e-8)
     assert radii.r_u2b_m == pytest.approx(r_u2b, rel=1e-8)
 
 
 def test_unattainable_threshold_raises():
-    p = ChannelParams(snr_th_g2u=1e12)
+    p = ChannelParams(snr_th_g2u_db=120.0)
     with pytest.raises(InfeasibleConfigError, match="zero range"):
         coverage_radii(p, 20.0)
 
 
 def test_unbounded_threshold_raises():
-    p = ChannelParams(snr_th_u2b=1e-30)
+    p = ChannelParams(snr_th_u2b_db=-300.0)
     with pytest.raises(InfeasibleConfigError, match="unbounded"):
         coverage_radii(p, 20.0)
 
@@ -177,5 +179,5 @@ def test_member_beyond_coverage_raises(params):
 
 def test_custom_threshold_shifts_radius(params):
     # a 17 dB uplink threshold reaches farther than the 20 dB default
-    loose = ChannelParams(snr_th_g2u=db_to_linear(17.0))
+    loose = ChannelParams(snr_th_g2u_db=17.0)
     assert coverage_radii(loose, 20.0).r_g2u_m > coverage_radii(params, 20.0).r_g2u_m

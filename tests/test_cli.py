@@ -199,6 +199,30 @@ def test_bad_worker_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "SKYHAUL_WORKERS" in capsys.readouterr().err
 
 
+def test_generate_writes_config_thresholds_as_given(tmp_path):
+    scn = tmp_path / "scn.json"
+    cfg = _write_config(tmp_path, {"snr_th_g2u_db": 1.0})
+    assert main(["generate", "--sensors", "5", "--size", "2000",
+                 "--config", cfg, "-o", str(scn)]) == EXIT_OK
+    assert json.loads(scn.read_text())["channel"]["snr_th_g2u_db"] == 1.0
+
+
+@pytest.mark.parametrize("db, code, message", [
+    (float("nan"), EXIT_USAGE, "error: channel parameter snr_th_g2u_db"),
+    (float("-inf"), EXIT_USAGE, "error: channel parameter snr_th_g2u_db"),
+    (4000.0, EXIT_USAGE, "error: channel parameter snr_th_g2u_db"),
+    (float("inf"), EXIT_INFEASIBLE, "infeasible: sensor uplink threshold"),
+], ids=["nan", "-inf", "4000", "inf"])
+def test_threshold_without_a_finite_linear_value(tmp_path, capsys, db, code,
+                                                 message):
+    # 4000 dB overflows the linear conversion; +inf is an unattainable link
+    scn = str(tmp_path / "scn.json")
+    main(["generate", "--sensors", "30", "--size", "2000", "-o", scn])
+    cfg = _write_config(tmp_path, {"snr_th_g2u_db": db})
+    assert main(["plan", scn, "--config", cfg]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_non_numeric_config_value_is_a_usage_error(tmp_path, capsys):
     scn = str(tmp_path / "scn.json")
     main(["generate", "--sensors", "30", "--size", "2000", "-o", scn])

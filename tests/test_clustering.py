@@ -1,5 +1,6 @@
 """Capacity- and radius-constrained clustering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import build_instance
 from skyhaul import clustering
 from skyhaul.channel import coverage_radii
+from skyhaul.cli import prepare
 from skyhaul.clustering import (check_cluster_set, cluster_sensors,
                                 kmeans_cluster, write_clusters_csv)
 from skyhaul.model import Scenario, SensorNode, generate_scenario
@@ -260,3 +262,20 @@ def test_cluster_csv_export(tmp_path):
     # CP coordinates survive the text round trip exactly
     first = cps[1].split(",")
     assert float(first[1]) == cluster_set.clusters[0].cp_m[0]
+
+
+def test_cluster_csv_writes_sensor_ids(tmp_path):
+    # ids 1000, 1007, 1014, ...: rows carry the id, not the row index
+    scenario = generate_scenario(2000.0, 2000.0, 80, seed=8)
+    scenario = dataclasses.replace(scenario, sensors=tuple(
+        dataclasses.replace(s, id=1000 + 7 * i)
+        for i, s in enumerate(scenario.sensors)))
+    radii, cluster_set, _ = prepare(scenario)
+    a_path = tmp_path / "assignments.csv"
+    write_clusters_csv(scenario, cluster_set, a_path, tmp_path / "cps.csv")
+    rows = [tuple(map(int, r.split(",")))
+            for r in a_path.read_text().strip().splitlines()[1:]]
+    owner = {i: k for k, c in enumerate(cluster_set.clusters)
+             for i in c.member_ids}
+    assert rows == [(s.id, owner[i]) for i, s in enumerate(scenario.sensors)]
+    assert rows[:3] == [(1000, owner[0]), (1007, owner[1]), (1014, owner[2])]

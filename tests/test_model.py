@@ -5,20 +5,25 @@ import pytest
 
 from skyhaul.model import (ChannelParams, ScenarioError, ScenarioParseError,
                            SensorNode, apply_config_overrides, db_to_linear,
-                           generate_scenario, linear_to_db, load_scenario,
-                           save_scenario, scenario_from_dict, scenario_to_dict)
+                           generate_scenario, load_scenario, save_scenario,
+                           scenario_from_dict, scenario_to_dict)
 
 
 def test_db_conversion_round_trip():
-    for db in (-7.5, 0.0, 13.0, 19.5, 20.0, 23.0):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+    # thresholds stay in dB, so a saved file holds the values given
+    for db in (-7.5, 0.0, 1.0, 13.0, 19.5, 20.0, 23.0):
+        params = apply_config_overrides(ChannelParams(), {"snr_th_g2u_db": db})
+        d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, params=params))
+        assert d["channel"]["snr_th_g2u_db"] == db
+        assert scenario_from_dict(d).params == params
 
 
-def test_default_thresholds_are_linear():
+def test_default_thresholds_in_db():
     p = ChannelParams()
-    assert p.snr_th_g2u == pytest.approx(100.0, rel=1e-12)
-    assert p.snr_th_u2u == pytest.approx(10.0 ** 1.95, rel=1e-12)
-    assert p.snr_th_u2b == pytest.approx(10.0 ** 1.3, rel=1e-12)
+    dbs = (p.snr_th_g2u_db, p.snr_th_u2u_db, p.snr_th_u2b_db)
+    assert dbs == (20.0, 19.5, 13.0)
+    assert [db_to_linear(db) for db in dbs] == \
+        pytest.approx([100.0, 10.0 ** 1.95, 10.0 ** 1.3], rel=1e-12)
 
 
 def test_generate_scenario_is_deterministic():
@@ -82,6 +87,14 @@ def test_channel_params_reject_nonpositive():
         ChannelParams(kappa=1.5)
 
 
+@pytest.mark.parametrize("db", [float("nan"), float("-inf"), -4000.0, 4000.0])
+def test_channel_params_reject_thresholds_without_a_linear_value(db):
+    # NaN, -inf and an underflow give no positive linear SNR; 4000 dB
+    # overflows the conversion
+    with pytest.raises(ScenarioError, match="snr_th_u2b_db"):
+        ChannelParams(snr_th_u2b_db=db)
+
+
 def test_json_round_trip_identical_bytes(tmp_path):
     sc = generate_scenario(3000.0, 2000.0, 40, seed=9)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -143,9 +156,9 @@ def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
 def test_apply_config_overrides_thresholds_in_db():
     p = apply_config_overrides(ChannelParams(), {"snr_th_g2u_db": 17.0,
                                                  "beta0": 2e-4})
-    assert p.snr_th_g2u == pytest.approx(db_to_linear(17.0), rel=1e-12)
+    assert p.snr_th_g2u_db == 17.0
     assert p.beta0 == 2e-4
-    assert p.snr_th_u2u == pytest.approx(10.0 ** 1.95, rel=1e-12)
+    assert p.snr_th_u2u_db == 19.5
 
 
 def test_apply_config_rejects_unknown_key():

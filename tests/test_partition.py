@@ -74,9 +74,9 @@ def test_ring_tours_are_solved_once(monkeypatch):
     solved = []
     pairwise = tsp._pairwise
 
-    def counted(points):
-        solved.append(len(points))
-        return pairwise(points)
+    def counted(p, q):
+        solved.append(len(p))
+        return pairwise(p, q)
     monkeypatch.setattr(tsp, "_pairwise", counted)
     scenario, radii, cluster_set, topology = build_instance(300, 8000.0, 1)
     assert topology.m_uavs == 3
