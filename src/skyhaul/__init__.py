@@ -9,9 +9,10 @@ from .channel import (
     optimal_bandwidth_shares,
 )
 from .clustering import Cluster, ClusterSet, cluster_sensors
-from .mission import EvalReport, MissionPlan, MissionStep, evaluate, validate
+from .mission import EvalReport, MissionPlan, evaluate, validate
 from .model import (
     ChannelParams,
+    InfeasibleError,
     Scenario,
     ScenarioError,
     SensorNode,
@@ -30,8 +31,8 @@ __all__ = [
     "CoverageRadii",
     "EvalReport",
     "InfeasibleConfigError",
+    "InfeasibleError",
     "MissionPlan",
-    "MissionStep",
     "Scenario",
     "ScenarioError",
     "SensorNode",

@@ -12,7 +12,7 @@ import numpy as np
 from .channel import CoverageRadii
 from .clustering import ClusterSet
 from .mission import MissionPlan, assemble_plan
-from .model import Scenario
+from .model import InfeasibleError, Scenario
 from .partition import Topology
 from .tsp import solve_tsp
 
@@ -20,7 +20,7 @@ _CHAIN_PAD = 1.5        # collision margin factor on d_safe for chained UAVs
 _OFFSET_GAIN = 1.05
 
 
-class InfeasiblePlanError(RuntimeError):
+class InfeasiblePlanError(InfeasibleError):
     """The baseline geometry cannot keep the relay chain connected."""
 
 
@@ -51,7 +51,6 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     s_count = len(tour.order)
     positions = np.empty((s_count, m, 2))
     duties = []
-    hovers_per_step = np.empty(s_count)
     for i, cp in enumerate(tour.order):
         c = cps[cp]
         vec = c - bs
@@ -68,10 +67,9 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
             positions[i, j] = p
         positions[i, m - 1] = c
         duties.append([None] * (m - 1) + [int(cp)])
-        hovers_per_step[i] = hovers[cp]
 
     meta = {"algo": "ttp", "tour_length_m": tour.length_m}
-    return assemble_plan(positions, duties, hovers_per_step, v, meta)
+    return assemble_plan(positions, duties, hovers, v, meta)
 
 
 def scan_order(cps: np.ndarray, bs: np.ndarray) -> list[int]:
@@ -104,7 +102,6 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     s_count = len(order)
     positions = np.empty((s_count, m, 2))
     duties = []
-    hovers_per_step = np.empty(s_count)
     pad = _CHAIN_PAD * d_safe
     for i, cp in enumerate(order):
         c = cps[cp]
@@ -127,7 +124,6 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         duty = [None] * m
         duty[g] = int(cp)
         duties.append(duty)
-        hovers_per_step[i] = hovers[cp]
 
     meta = {"algo": "cstp"}
-    return assemble_plan(positions, duties, hovers_per_step, v, meta)
+    return assemble_plan(positions, duties, hovers, v, meta)

@@ -12,18 +12,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ChannelParams, db_to_linear
+from .model import ChannelParams, InfeasibleError, db_to_linear
 
 _BISECT_REL_TOL = 1e-9
 _BISECT_MAX_ITER = 200
 COVERAGE_TOL_M = 1e-6
 
 
-class InfeasibleConfigError(RuntimeError):
+class InfeasibleConfigError(InfeasibleError):
     """No geometry can satisfy the requested link threshold."""
 
 
-class CoverageError(ValueError):
+class CoverageError(InfeasibleError, ValueError):
     """A sensor lies outside the serving UAV's coverage disk."""
 
 

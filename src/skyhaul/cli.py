@@ -6,7 +6,8 @@ Commands:
   sweep      completion-time curves over sensor count or G2U threshold
 
 Exit codes: 0 success, 1 a mission validity check failed, 2 usage error,
-3 infeasible configuration (radio ranges, clustering or chain geometry).
+3 infeasible input (any model.InfeasibleError: radio ranges, clustering or
+chain geometry).
 Outputs are deterministic given the flags; the SKYHAUL_WORKERS environment
 variable caps the sweep worker pool.
 """
@@ -22,14 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import pointmatch
-from .baselines import InfeasiblePlanError, plan_cstp, plan_ttp
-from .channel import CoverageError, InfeasibleConfigError, coverage_radii
-from .clustering import (InfeasibleClusteringError, cluster_sensors,
-                         write_clusters_csv)
+from .baselines import plan_cstp, plan_ttp
+from .channel import coverage_radii
+from .clustering import cluster_sensors, write_clusters_csv
 from .mission import evaluate, write_plan_csv, write_report_json
-from .model import (ChannelParams, ScenarioError, ScenarioParseError,
-                    apply_config_overrides, generate_scenario, load_scenario,
-                    save_scenario)
+from .model import (ChannelParams, InfeasibleError, ScenarioError,
+                    ScenarioParseError, apply_config_overrides,
+                    generate_scenario, load_scenario, save_scenario)
 from .partition import build_topology
 
 EXIT_OK = 0
@@ -42,10 +42,6 @@ _PLANNERS = {"pmtp": pointmatch.plan, "ttp": plan_ttp, "cstp": plan_cstp}
 _ALGO_ORDER = ("pmtp", "ttp", "cstp")
 _AXES = ("sensors", "snr-g2u-db")
 _SWEEP_HEADER = "axis_value,seed,algo,completion_s,lower_bound_s,flight_s,hover_s\n"
-
-_INFEASIBLE = (InfeasibleConfigError, InfeasibleClusteringError,
-               InfeasiblePlanError, pointmatch.InfeasibleWaypointError,
-               CoverageError)
 
 
 def _read_config(path) -> dict:
@@ -64,14 +60,6 @@ def prepare(scenario):
     cluster_set = cluster_sensors(scenario, radii)
     topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m, radii)
     return radii, cluster_set, topology
-
-
-def run_pipeline(scenario, algo: str):
-    """Clustering through evaluation; returns every intermediate artifact."""
-    radii, cluster_set, topology = prepare(scenario)
-    plan = _PLANNERS[algo](scenario, cluster_set, topology, radii)
-    report = evaluate(plan, scenario, topology, radii, cluster_set)
-    return radii, cluster_set, topology, plan, report
 
 
 def cmd_generate(args) -> int:
@@ -93,16 +81,18 @@ def cmd_plan(args) -> int:
             scenario,
             params=apply_config_overrides(scenario.params,
                                           _read_config(args.config)))
-    radii, cluster_set, topology, plan, report = run_pipeline(scenario, args.algo)
+    radii, cluster_set, topology = prepare(scenario)
+    plan = _PLANNERS[args.algo](scenario, cluster_set, topology, radii)
+    report = evaluate(plan, scenario, topology, radii, cluster_set)
     if args.output:
         write_plan_csv(plan, f"{args.output}.plan.csv")
         write_report_json(report, f"{args.output}.report.json",
-                          topology=topology, radii=radii, cluster_set=cluster_set)
+                          topology, radii, cluster_set)
         write_clusters_csv(scenario, cluster_set,
                            f"{args.output}.assignments.csv",
                            f"{args.output}.cps.csv")
     print(f"algo={args.algo} sensors={scenario.n_sensors} "
-          f"k={cluster_set.k} m={topology.m_uavs} steps={len(plan.steps)}")
+          f"k={cluster_set.k} m={topology.m_uavs} steps={len(plan.hover_s)}")
     print(f"completion_s={report.completion_s:.3f} "
           f"lower_bound_s={report.lower_bound_s:.3f} "
           f"gap={report.gap_ratio:.2%} flight_s={report.flight_s:.3f} "
@@ -132,7 +122,7 @@ def _parse_values(tokens, axis: str) -> list[float]:
         raise ScenarioParseError("--values is empty")
     if axis == "sensors":
         for v in values:
-            if v != int(v) or v < 1:
+            if not (v.is_integer() and v >= 1):
                 raise ScenarioParseError(
                     f"sensor counts must be positive integers, got {v!r}")
     return values
@@ -264,7 +254,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INFEASIBLE as e:
+    except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ScenarioError as e:

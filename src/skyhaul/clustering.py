@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CoverageRadii, min_hover_time
-from .model import Scenario
+from .model import InfeasibleError, Scenario
 
 _LLOYD_TOL_M = 1e-6
 _LLOYD_MAX_ITER = 300
@@ -28,7 +28,7 @@ _SEED_ATTEMPTS = 3
 _APART_MARGIN = 1e-9
 
 
-class InfeasibleClusteringError(RuntimeError):
+class InfeasibleClusteringError(InfeasibleError):
     """No cluster count meets both the coverage radius and the member cap."""
 
 

@@ -3,7 +3,7 @@
 A plan is a cyclic sequence of steps. Every UAV owns one waypoint per step;
 all UAVs fly leg i-1 -> i together (the slowest sets the pace), then hold for
 the step's shared hover. Step 0 doubles as the start/finish configuration, so
-steps[0].flight_s is the closing leg flown from the last step back home.
+flight_s[0] is the closing leg flown from the last step back home.
 """
 
 from __future__ import annotations
@@ -25,27 +25,18 @@ TIME_TOL_S = 1e-6
 HOVER_TOL_S = 1e-9
 
 
-@dataclass(frozen=True)
-class MissionStep:
-    waypoints: tuple[tuple[float, float], ...]   # one per UAV
-    duties: tuple[int | None, ...]               # cluster id collected, or None
-    hover_s: float
-    flight_s: float                              # travel time into this step
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MissionPlan:
-    steps: tuple[MissionStep, ...]
+    waypoints: np.ndarray                        # (S, M, 2)
+    duties: tuple[tuple[int | None, ...], ...]   # (S, M) CP collected, or None
+    hover_s: np.ndarray                          # (S,) shared hover per step
+    flight_s: np.ndarray                         # (S,) travel time into step
     v_max_mps: float
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
 
     @property
     def m_uavs(self) -> int:
-        return len(self.steps[0].waypoints)
-
-    def waypoint_array(self) -> np.ndarray:
-        """(S, M, 2) waypoint tensor."""
-        return np.array([s.waypoints for s in self.steps], dtype=float)
+        return self.waypoints.shape[1]
 
 
 class CheckResult(NamedTuple):
@@ -69,15 +60,6 @@ class EvalReport:
         return all(c.passed for c in self.checks)
 
 
-def segment_connectivity_ok(segment_i, segment_j, r_u2u: float) -> bool:
-    """Two synchronized straight flights stay within range the whole way
-    iff they are within range at both ends (inter-UAV gap is convex in time)."""
-    (s_i, e_i), (s_j, e_j) = segment_i, segment_j
-    d_start = float(np.hypot(*(np.asarray(s_i, float) - np.asarray(s_j, float))))
-    d_end = float(np.hypot(*(np.asarray(e_i, float) - np.asarray(e_j, float))))
-    return max(d_start, d_end) <= r_u2u
-
-
 class Timing(NamedTuple):
     completion_s: float
     flight_s: float
@@ -89,25 +71,24 @@ def _leg_lengths(w: np.ndarray) -> np.ndarray:
     return np.hypot(*np.moveaxis(w - prev, 2, 0))    # (S, M)
 
 
-def assemble_plan(positions: np.ndarray, duties, hovers_per_step, v: float,
-                  meta: dict) -> MissionPlan:
-    """Wrap per-step geometry (S, M, 2) into a plan with consistent cyclic
-    timing: each step's flight is its longest leg at v."""
-    worst = _leg_lengths(positions).max(axis=1)
-    steps = tuple(MissionStep(
-        waypoints=tuple((float(x), float(y)) for x, y in positions[i]),
-        duties=tuple(duties[i]),
-        hover_s=float(hovers_per_step[i]),
-        flight_s=float(worst[i]) / v,
-    ) for i in range(positions.shape[0]))
-    return MissionPlan(steps=steps, v_max_mps=v, meta=meta)
+def assemble_plan(positions: np.ndarray, duties, cp_hovers: np.ndarray,
+                  v: float, meta: dict) -> MissionPlan:
+    """Time per-step geometry (S, M, 2) and duties cyclically: each step
+    hovers the largest demand among the CPs it collects (0.0 if none) and
+    flies its longest leg at v."""
+    duties = tuple(tuple(d) for d in duties)
+    hover = np.array([max((cp_hovers[c] for c in d if c is not None),
+                          default=0.0) for d in duties], dtype=float)
+    flight = _leg_lengths(positions).max(axis=1) / v
+    return MissionPlan(positions, duties, hover, flight, v, meta)
 
 
 def completion_time(plan: MissionPlan) -> Timing:
     """Mission duration: synchronized flight legs plus shared hovers."""
-    legs = _leg_lengths(plan.waypoint_array())
+    legs = _leg_lengths(plan.waypoints)
     flight = float(legs.max(axis=1).sum()) / plan.v_max_mps
-    hover = float(sum(s.hover_s for s in plan.steps))
+    # a sequential sum: numpy's pairwise sum rounds differently past 8 steps
+    hover = float(sum(plan.hover_s.tolist()))
     return Timing(flight + hover, flight, hover)
 
 
@@ -129,14 +110,14 @@ def lower_bound(cluster_set: ClusterSet, topology: Topology,
 
 
 def _plan_shape_or_raise(plan: MissionPlan, topology: Topology):
-    if not plan.steps:
+    w, m = plan.waypoints, topology.m_uavs
+    if not len(w):
         raise ValueError("plan has no steps")
-    m = topology.m_uavs
-    for i, s in enumerate(plan.steps):
-        if len(s.waypoints) != m:
-            raise ValueError(f"step {i} has {len(s.waypoints)} waypoints, expected {m}")
-        if len(s.duties) != m:
-            raise ValueError(f"step {i} has {len(s.duties)} duties, expected {m}")
+    if w.shape[1:] != (m, 2) or any(len(d) != m for d in plan.duties):
+        raise ValueError(f"plan waypoints {w.shape} or duties do not fit "
+                         f"{m} UAVs, expected (S, {m}, 2)")
+    if not len(plan.duties) == len(plan.hover_s) == len(plan.flight_s) == len(w):
+        raise ValueError("plan arrays disagree on the step count")
 
 
 def _result(name: str, problems: list[str], ok_detail: str) -> CheckResult:
@@ -191,11 +172,10 @@ def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
                    f"all pairs keep {d_safe:.0f} m separation")
 
 
-def _check_speed(plan: MissionPlan, w: np.ndarray) -> CheckResult:
-    legs = _leg_lengths(w)
-    flight = np.array([s.flight_s for s in plan.steps])
+def _check_speed(plan: MissionPlan) -> CheckResult:
+    need = _leg_lengths(plan.waypoints) / plan.v_max_mps
+    flight = plan.flight_s
     problems = []
-    need = legs / plan.v_max_mps
     short = np.flatnonzero(need.max(axis=1) > flight + TIME_TOL_S)
     if short.size:
         i = short[0]
@@ -208,8 +188,8 @@ def _check_speed(plan: MissionPlan, w: np.ndarray) -> CheckResult:
 def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
     problems = []
     seen: dict[int, int] = {}
-    for i, s in enumerate(plan.steps):
-        collected = [d for d in s.duties if d is not None]
+    for i, duties in enumerate(plan.duties):
+        collected = [d for d in duties if d is not None]
         if not collected:
             problems.append(f"step {i} collects nothing")
         for cp in collected:
@@ -230,22 +210,21 @@ def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
 def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
     hovers = cluster_set.hover_array()
     problems = []
-    for i, s in enumerate(plan.steps):
-        ids = [d for d in s.duties if d is not None and 0 <= d < cluster_set.k]
+    for i, (duties, hover) in enumerate(zip(plan.duties, plan.hover_s)):
+        ids = [d for d in duties if d is not None and 0 <= d < cluster_set.k]
         if not ids:
             continue
         need = float(hovers[ids].max())
-        if s.hover_s < need - HOVER_TOL_S:
-            problems.append(f"step {i} hovers {s.hover_s:.3f} s but CP "
+        if hover < need - HOVER_TOL_S:
+            problems.append(f"step {i} hovers {hover:.3f} s but CP "
                             f"{ids[int(np.argmax(hovers[ids]))]} needs {need:.3f} s")
     return _result("hover-sufficiency", problems,
                    "every step hovers at least its demand")
 
 
-def _check_closure(plan: MissionPlan, w: np.ndarray) -> CheckResult:
-    legs = _leg_lengths(w)
-    flight = np.array([s.flight_s for s in plan.steps])
-    expect = legs.max(axis=1) / plan.v_max_mps
+def _check_closure(plan: MissionPlan) -> CheckResult:
+    expect = _leg_lengths(plan.waypoints).max(axis=1) / plan.v_max_mps
+    flight = plan.flight_s
     problems = []
     bad = np.flatnonzero(np.abs(flight - expect) > TIME_TOL_S)
     if bad.size:
@@ -261,14 +240,13 @@ def validate(plan: MissionPlan, scenario: Scenario, topology: Topology,
              radii: CoverageRadii, cluster_set: ClusterSet) -> list[CheckResult]:
     """Run every mission validity check; failures are reported, never raised."""
     _plan_shape_or_raise(plan, topology)
-    w = plan.waypoint_array()
     return [
-        _check_connectivity(w, scenario.bs_xy, radii),
-        _check_collision(w, scenario.d_safe_m),
-        _check_speed(plan, w),
+        _check_connectivity(plan.waypoints, scenario.bs_xy, radii),
+        _check_collision(plan.waypoints, scenario.d_safe_m),
+        _check_speed(plan),
         _check_coverage(plan, cluster_set),
         _check_hover(plan, cluster_set),
-        _check_closure(plan, w),
+        _check_closure(plan),
     ]
 
 
@@ -289,18 +267,20 @@ def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,
 
 
 def write_plan_csv(plan: MissionPlan, path):
+    # Python floats: numpy 2 writes a float64's repr as np.float64(...)
+    rows = zip(plan.waypoints.tolist(), plan.duties, plan.hover_s.tolist(),
+               plan.flight_s.tolist())
     with open(path, "w") as f:
         f.write("step,uav,x_m,y_m,duty,hover_s,flight_s\n")
-        for i, s in enumerate(plan.steps):
-            for m, (x, y) in enumerate(s.waypoints):
-                duty = "escort" if s.duties[m] is None else f"collect:{s.duties[m]}"
-                f.write(f"{i},{m},{x!r},{y!r},{duty},{s.hover_s!r},{s.flight_s!r}\n")
+        for i, (waypoints, duties, hover, flight) in enumerate(rows):
+            for m, ((x, y), d) in enumerate(zip(waypoints, duties)):
+                duty = "escort" if d is None else f"collect:{d}"
+                f.write(f"{i},{m},{x!r},{y!r},{duty},{hover!r},{flight!r}\n")
 
 
-def report_to_dict(report: EvalReport, topology: Topology | None = None,
-                   radii: CoverageRadii | None = None,
-                   cluster_set: ClusterSet | None = None) -> dict:
-    out = {
+def report_to_dict(report: EvalReport, topology: Topology,
+                   radii: CoverageRadii, cluster_set: ClusterSet) -> dict:
+    return {
         "completion_s": report.completion_s,
         "flight_s": report.flight_s,
         "hover_s": report.hover_s,
@@ -310,18 +290,16 @@ def report_to_dict(report: EvalReport, topology: Topology | None = None,
         "all_passed": report.all_passed,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in report.checks],
+        "m_uavs": topology.m_uavs,
+        "rings_m": [[r.inner_m, r.outer_m] for r in topology.rings],
+        "association": list(topology.association),
+        "radii_m": {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
+                    "r_u2b": radii.r_u2b_m},
+        "k_clusters": cluster_set.k,
     }
-    if topology is not None:
-        out["m_uavs"] = topology.m_uavs
-        out["rings_m"] = [[r.inner_m, r.outer_m] for r in topology.rings]
-        out["association"] = list(topology.association)
-    if radii is not None:
-        out["radii_m"] = {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
-                          "r_u2b": radii.r_u2b_m}
-    if cluster_set is not None:
-        out["k_clusters"] = cluster_set.k
-    return out
 
 
-def write_report_json(report: EvalReport, path, **context):
-    Path(path).write_text(json.dumps(report_to_dict(report, **context), indent=1) + "\n")
+def write_report_json(report: EvalReport, path, topology: Topology,
+                      radii: CoverageRadii, cluster_set: ClusterSet):
+    out = report_to_dict(report, topology, radii, cluster_set)
+    Path(path).write_text(json.dumps(out, indent=1) + "\n")

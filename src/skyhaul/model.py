@@ -8,6 +8,7 @@ overrides; `channel` converts them to linear where it uses them.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
@@ -28,6 +29,10 @@ class ScenarioError(ValueError):
 
 class ScenarioParseError(ScenarioError):
     """Malformed scenario/config data; the message names the offending field."""
+
+
+class InfeasibleError(RuntimeError):
+    """A well-formed input admits no radio ranges, clusters or mission."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,11 @@ class Scenario:
             raise ScenarioError("n_th must be at least 1")
         if not self.bs_height_m >= 0:
             raise ScenarioError("bs_height_m must be non-negative")
+        for name in ("region_width_m", "region_height_m", "v_max_mps",
+                     "d_safe_m", "bs_height_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite, "
+                                    f"got {getattr(self, name)!r}")
         if not self.sensors:
             raise ScenarioError("a scenario needs at least one sensor")
         if self.params.uav_height_m <= self.bs_height_m:

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import CoverageRadii
 from .clustering import ClusterSet
 from .mission import MissionPlan, assemble_plan, ring_serial_s
-from .model import Scenario
+from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
 
@@ -31,7 +31,7 @@ _HOVER_CMP_TOL = 1e-12
 _HOP_TOL_M = 1e-9
 
 
-class InfeasibleWaypointError(RuntimeError):
+class InfeasibleWaypointError(InfeasibleError):
     """The waypoint constraint set is empty."""
 
 
@@ -592,6 +592,4 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
 
     w = np.array([[st.pos[r] for r in range(m)] for st in steps])
     duties = [[st.collect.get(r) for r in range(m)] for st in steps]
-    hover = [max((float(hovers[c]) for c in st.collect.values()), default=0.0)
-             for st in steps]
-    return assemble_plan(w, duties, hover, v, meta)
+    return assemble_plan(w, duties, hovers, v, meta)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import build_instance, record_acceptance
+from conftest import build_instance, legs_connected, record_acceptance
 
 from skyhaul import pointmatch
 from skyhaul.baselines import InfeasiblePlanError, plan_cstp, plan_ttp
@@ -20,8 +20,7 @@ from skyhaul.channel import (coverage_radii, min_hover_time,
                              optimal_bandwidth_shares, upload_rate_g2u)
 from skyhaul.cli import _sweep_cell
 from skyhaul.clustering import check_cluster_set, cluster_sensors
-from skyhaul.mission import (evaluate, lower_bound, segment_connectivity_ok,
-                             validate)
+from skyhaul.mission import evaluate, lower_bound, validate
 from skyhaul.model import (ChannelParams, apply_config_overrides,
                            generate_scenario)
 from skyhaul.partition import Ring
@@ -170,7 +169,7 @@ def test_segment_connectivity_oracle(default_radii):
     b1 = b0 + _disk(rng, n, 2000.0)
     endpoint_ok = np.maximum(np.hypot(*(a0 - b0).T),
                              np.hypot(*(a1 - b1).T)) <= r
-    got = np.array([segment_connectivity_ok((a0[i], a1[i]), (b0[i], b1[i]), r)
+    got = np.array([legs_connected(a0[i], a1[i], b0[i], b1[i], r)
                     for i in range(n)])
     agree = bool((got == endpoint_ok).all())
     # oracle: when both endpoints connect, 1000 interior samples never exceed

@@ -30,24 +30,22 @@ def test_ttp_collector_walks_the_global_tour(two_ring_instance):
     cps = cluster_set.cp_array()
     hovers = cluster_set.hover_array()
     tour = solve_tsp(cps)
-    assert len(plan.steps) == cluster_set.k
+    assert len(plan.duties) == cluster_set.k
     for i, cp in enumerate(tour.order):
-        step = plan.steps[i]
-        assert step.duties == (None, int(cp))
-        assert step.waypoints[1] == pytest.approx(tuple(cps[cp]), abs=1e-9)
-        assert step.hover_s == pytest.approx(float(hovers[cp]), abs=1e-12)
+        assert plan.duties[i] == (None, int(cp))
+        assert tuple(plan.waypoints[i, 1]) == pytest.approx(tuple(cps[cp]), abs=1e-9)
+        assert plan.hover_s[i] == pytest.approx(float(hovers[cp]), abs=1e-12)
 
 
 def test_ttp_relays_hold_the_chain_midpoints(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_ttp(scenario, cluster_set, topology, radii)
     bs = scenario.bs_xy
-    for step in plan.steps:
-        c = np.array(step.waypoints[1])
+    for relay, c in plan.waypoints:
         d = float(np.hypot(*(c - bs)))
         if d / topology.m_uavs >= 1.5 * scenario.d_safe_m:
             # far CPs: the relay sits exactly halfway up the BS line
-            assert step.waypoints[0] == pytest.approx(
+            assert tuple(relay) == pytest.approx(
                 tuple(bs + (c - bs) * 0.5), abs=1e-9)
 
 
@@ -125,19 +123,18 @@ def test_cstp_serving_uav_sits_on_the_cp(two_ring_instance):
     plan = plan_cstp(scenario, cluster_set, topology, radii)
     cps = cluster_set.cp_array()
     hovers = cluster_set.hover_array()
-    assert len(plan.steps) == cluster_set.k
+    assert len(plan.duties) == cluster_set.k
     seen = []
-    for step in plan.steps:
-        served = [d for d in step.duties if d is not None]
+    for w, duties, hover in zip(plan.waypoints, plan.duties, plan.hover_s):
+        served = [d for d in duties if d is not None]
         assert len(served) == 1
         cp = served[0]
         seen.append(cp)
         g = topology.association[cp]
-        assert step.duties[g] == cp
-        assert step.waypoints[g] == pytest.approx(tuple(cps[cp]), abs=1e-9)
-        assert step.hover_s == pytest.approx(float(hovers[cp]), abs=1e-12)
+        assert duties[g] == cp
+        assert tuple(w[g]) == pytest.approx(tuple(cps[cp]), abs=1e-9)
+        assert hover == pytest.approx(float(hovers[cp]), abs=1e-12)
         # chain geometry: adjacent UAVs within link range, never colliding
-        w = np.array(step.waypoints)
         gaps = np.hypot(*(w[1:] - w[:-1]).T)
         assert (gaps <= radii.r_u2u_m + 1e-6).all()
         assert (gaps >= scenario.d_safe_m - 1e-6).all()
@@ -148,7 +145,7 @@ def test_cstp_steps_follow_the_angular_sweep(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_cstp(scenario, cluster_set, topology, radii)
     order = scan_order(cluster_set.cp_array(), scenario.bs_xy)
-    served = [next(d for d in s.duties if d is not None) for s in plan.steps]
+    served = [next(d for d in duties if d is not None) for duties in plan.duties]
     assert served == order
 
 

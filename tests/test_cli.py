@@ -6,7 +6,10 @@ import json
 import pytest
 
 from skyhaul import cli
+from skyhaul.baselines import InfeasiblePlanError
+from skyhaul.channel import CoverageError, InfeasibleConfigError
 from skyhaul.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from skyhaul.clustering import InfeasibleClusteringError
 from skyhaul.pointmatch import InfeasibleWaypointError
 
 
@@ -66,6 +69,20 @@ def test_missing_required_flag_is_a_usage_error(capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_infinite_region_is_a_usage_error(tmp_path, capsys):
+    scn = tmp_path / "scn.json"
+    assert main(["generate", "--sensors", "20", "--size", "inf",
+                 "-o", str(scn)]) == EXIT_USAGE
+    assert "error: region_width_m must be finite" in capsys.readouterr().err
+    # a hand-edited file is refused before clustering could loop on it
+    main(["generate", "--sensors", "20", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    data["region_width_m"] = data["region_height_m"] = float("inf")
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_USAGE
+    assert "error: region_width_m must be finite" in capsys.readouterr().err
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["plan", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -115,11 +132,15 @@ def _tight_link_scenario(tmp_path):
     return scn
 
 
-def test_pmtp_waypoint_infeasibility_is_typed(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [
+    InfeasibleConfigError, InfeasibleClusteringError, InfeasiblePlanError,
+    InfeasibleWaypointError, CoverageError], ids=lambda e: e.__name__)
+def test_pmtp_waypoint_infeasibility_is_typed(tmp_path, capsys, monkeypatch,
+                                              error):
     scn = _tight_link_scenario(tmp_path)
 
     def infeasible(*args):
-        raise InfeasibleWaypointError("no feasible detour for CP 6")
+        raise error("no feasible detour for CP 6")
 
     monkeypatch.setitem(cli._PLANNERS, "pmtp", infeasible)
     assert main(["plan", scn, "--algo", "pmtp"]) == EXIT_INFEASIBLE
@@ -182,6 +203,8 @@ def test_sweep_pool_matches_serial(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flags", [
     ["--values", "abc"],
     ["--values", "10.5"],
+    ["--values", "inf"],
+    ["--values", "nan"],
     ["--values", "40", "--seeds", "0"],
 ])
 def test_sweep_rejects_bad_inputs(tmp_path, capsys, flags):

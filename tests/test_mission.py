@@ -6,26 +6,27 @@ import json
 
 import numpy as np
 import pytest
-from conftest import build_instance
+from conftest import build_instance, legs_connected
 
 from skyhaul.baselines import plan_ttp
 from skyhaul.clustering import Cluster, ClusterSet
-from skyhaul.mission import (MissionPlan, MissionStep, completion_time,
-                             evaluate, lower_bound, report_to_dict,
-                             segment_connectivity_ok, validate, write_plan_csv,
-                             write_report_json)
+from skyhaul.mission import (MissionPlan, completion_time, evaluate,
+                             lower_bound, report_to_dict, validate,
+                             write_plan_csv, write_report_json)
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
 
 
+def hand_plan(waypoints, duties, hover_s, flight_s, v_max_mps=10.0):
+    return MissionPlan(np.array(waypoints, dtype=float), duties,
+                       np.array(hover_s, dtype=float),
+                       np.array(flight_s, dtype=float), v_max_mps)
+
+
 def simple_plan():
     """One UAV on a 30-40-50 triangle at v_max 10 with known hovers."""
-    steps = (
-        MissionStep(waypoints=((0.0, 0.0),), duties=(0,), hover_s=1.0, flight_s=5.0),
-        MissionStep(waypoints=((30.0, 0.0),), duties=(1,), hover_s=2.0, flight_s=3.0),
-        MissionStep(waypoints=((30.0, 40.0),), duties=(2,), hover_s=3.0, flight_s=4.0),
-    )
-    return MissionPlan(steps=steps, v_max_mps=10.0)
+    return hand_plan([[(0.0, 0.0)], [(30.0, 0.0)], [(30.0, 40.0)]],
+                     ((0,), (1,), (2,)), [1.0, 2.0, 3.0], [5.0, 3.0, 4.0])
 
 
 def test_completion_time_triangle_by_hand():
@@ -37,11 +38,8 @@ def test_completion_time_triangle_by_hand():
 
 def test_completion_time_slowest_uav_sets_leg_pace():
     # UAV 0 flies 30 m legs, UAV 1 flies 40 m legs; each leg costs 4 s at v=10
-    steps = (
-        MissionStep(((0.0, 0.0), (100.0, 0.0)), (0, None), 0.0, 4.0),
-        MissionStep(((30.0, 0.0), (100.0, 40.0)), (1, None), 0.0, 4.0),
-    )
-    plan = MissionPlan(steps=steps, v_max_mps=10.0)
+    plan = hand_plan([[(0.0, 0.0), (100.0, 0.0)], [(30.0, 0.0), (100.0, 40.0)]],
+                     ((0, None), (1, None)), [0.0, 0.0], [4.0, 4.0])
     timing = completion_time(plan)
     assert timing.flight_s == pytest.approx(8.0, abs=1e-12)
 
@@ -100,9 +98,14 @@ def test_validate_passes_on_planner_output(relay_run):
 
 
 def _tamper(plan, idx, **changes):
-    steps = list(plan.steps)
-    steps[idx] = dataclasses.replace(steps[idx], **changes)
-    return dataclasses.replace(plan, steps=tuple(steps))
+    """A copy of plan with step idx's waypoints, duties, hover_s or flight_s
+    replaced."""
+    fields = {}
+    for name, value in changes.items():
+        column = list(plan.duties) if name == "duties" else getattr(plan, name).copy()
+        column[idx] = value
+        fields[name] = tuple(column) if name == "duties" else column
+    return dataclasses.replace(plan, **fields)
 
 
 def _failed(plan, run, name):
@@ -113,8 +116,8 @@ def _failed(plan, run, name):
 
 def test_validate_flags_underscheduled_leg(relay_run):
     plan = relay_run[-1]
-    idx = next(i for i, s in enumerate(plan.steps) if s.flight_s > 0.1)
-    bad = _tamper(plan, idx, flight_s=plan.steps[idx].flight_s * 0.5)
+    idx = next(i for i, f in enumerate(plan.flight_s) if f > 0.1)
+    bad = _tamper(plan, idx, flight_s=plan.flight_s[idx] * 0.5)
     check = _failed(bad, relay_run, "speed")
     assert not check.passed
     assert "at v_max" in check.detail
@@ -122,17 +125,16 @@ def test_validate_flags_underscheduled_leg(relay_run):
 
 def test_validate_flags_insufficient_hover(relay_run):
     plan = relay_run[-1]
-    idx = next(i for i, s in enumerate(plan.steps)
-               if any(d is not None for d in s.duties) and s.hover_s > 0.0)
-    bad = _tamper(plan, idx, hover_s=plan.steps[idx].hover_s * 0.5)
+    idx = next(i for i, (duties, hover) in enumerate(zip(plan.duties, plan.hover_s))
+               if any(d is not None for d in duties) and hover > 0.0)
+    bad = _tamper(plan, idx, hover_s=plan.hover_s[idx] * 0.5)
     check = _failed(bad, relay_run, "hover-sufficiency")
     assert not check.passed
 
 
 def test_validate_flags_duplicate_collection(relay_run):
     plan = relay_run[-1]
-    dup = plan.steps[0].duties
-    bad = _tamper(plan, 1, duties=dup)
+    bad = _tamper(plan, 1, duties=plan.duties[0])
     check = _failed(bad, relay_run, "coverage")
     assert not check.passed
     assert "steps 0 and 1" in check.detail
@@ -140,8 +142,7 @@ def test_validate_flags_duplicate_collection(relay_run):
 
 def test_validate_flags_missing_collection(relay_run):
     plan = relay_run[-1]
-    none_duties = tuple(None for _ in plan.steps[0].duties)
-    bad = _tamper(plan, 0, duties=none_duties)
+    bad = _tamper(plan, 0, duties=(None,) * plan.m_uavs)
     check = _failed(bad, relay_run, "coverage")
     assert not check.passed
     assert "never collected" in check.detail
@@ -149,8 +150,8 @@ def test_validate_flags_missing_collection(relay_run):
 
 def test_validate_flags_broken_relay_chain(relay_run):
     plan = relay_run[-1]
-    far = tuple((1e6, 1e6) if m == 1 else wp
-                for m, wp in enumerate(plan.steps[1].waypoints))
+    far = plan.waypoints[1].copy()
+    far[1] = (1e6, 1e6)
     bad = _tamper(plan, 1, waypoints=far)
     check = _failed(bad, relay_run, "connectivity")
     assert not check.passed
@@ -158,7 +159,7 @@ def test_validate_flags_broken_relay_chain(relay_run):
 
 def test_validate_flags_collision(relay_run):
     plan = relay_run[-1]
-    same = plan.steps[1].waypoints
+    same = plan.waypoints[1]
     bad = _tamper(plan, 1, waypoints=(same[1], same[1]))
     check = _failed(bad, relay_run, "collision")
     assert not check.passed
@@ -168,19 +169,16 @@ def test_collision_check_finds_near_miss_between_samples(relay_run):
     # A sweeps 10 km past B, passing 10 m away at mid-leg; the closest
     # waypoint-to-waypoint gap and any 100 evenly spaced samples stay ~50 m
     assert relay_run[0].d_safe_m == 30.0
-    steps = (
-        MissionStep(((5000.0, 10.0), (0.0, 0.0)), (0, None), 0.0, 1000.0),
-        MissionStep(((-5000.0, 10.0), (0.0, 0.0)), (1, None), 0.0, 1000.0),
-    )
-    check = _failed(MissionPlan(steps=steps, v_max_mps=10.0), relay_run,
-                    "collision")
+    plan = hand_plan([[(5000.0, 10.0), (0.0, 0.0)], [(-5000.0, 10.0), (0.0, 0.0)]],
+                     ((0, None), (1, None)), [0.0, 0.0], [1000.0, 1000.0])
+    check = _failed(plan, relay_run, "collision")
     assert not check.passed
     assert "close to 10.0 m" in check.detail
 
 
 def test_validate_flags_broken_closure(relay_run):
     plan = relay_run[-1]
-    bad = _tamper(plan, 0, flight_s=plan.steps[0].flight_s + 5.0)
+    bad = _tamper(plan, 0, flight_s=plan.flight_s[0] + 5.0)
     check = _failed(bad, relay_run, "return-to-start")
     assert not check.passed
     assert "closing leg" in check.detail
@@ -195,12 +193,18 @@ def test_validate_rejects_wrong_uav_count(relay_run):
         validate(plan, scenario, topology, radii, cluster_set)
 
 
+def test_validate_rejects_ragged_step_count(relay_run):
+    scenario, radii, cluster_set, topology, plan = relay_run
+    short = dataclasses.replace(plan, hover_s=plan.hover_s[:-1])
+    with pytest.raises(ValueError, match="step count"):
+        validate(short, scenario, topology, radii, cluster_set)
+
+
 def test_segment_connectivity_endpoint_rule():
-    seg_i = ((0.0, 0.0), (100.0, 0.0))
-    seg_j = ((50.0, 10.0), (50.0, -10.0))
     worst = float(np.hypot(50.0, 10.0))
-    assert segment_connectivity_ok(seg_i, seg_j, worst + 1e-9)
-    assert not segment_connectivity_ok(seg_i, seg_j, worst - 1e-9)
+    legs = ((0.0, 0.0), (100.0, 0.0), (50.0, 10.0), (50.0, -10.0))
+    assert legs_connected(*legs, worst + 1e-9)
+    assert not legs_connected(*legs, worst - 1e-9)
 
 
 def test_evaluate_report_consistency(relay_run):
@@ -222,10 +226,10 @@ def test_plan_csv_round_trip(relay_run, tmp_path):
     write_plan_csv(plan, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,uav,x_m,y_m,duty,hover_s,flight_s"
-    assert len(lines) == 1 + len(plan.steps) * plan.m_uavs
+    assert len(lines) == 1 + len(plan.hover_s) * plan.m_uavs
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[1]) == 0
-    assert float(first[2]) == plan.steps[0].waypoints[0][0]
+    assert float(first[2]) == plan.waypoints[0, 0, 0]
     duties = {row.split(",")[4] for row in lines[1:]}
     assert any(d.startswith("collect:") for d in duties)
     assert "escort" in duties

@@ -145,6 +145,11 @@ def test_malformed_sections_are_named(key, value, match):
     ("d_safe_m", float("nan"), "d_safe_m must be non-negative"),
     ("bs_height_m", float("nan"), "bs_height_m must be non-negative"),
     ("sensors", [], "at least one sensor"),
+    ("region_width_m", float("inf"), "region_width_m must be finite"),
+    ("region_height_m", float("inf"), "region_height_m must be finite"),
+    ("v_max_mps", float("inf"), "v_max_mps must be finite"),
+    ("d_safe_m", float("inf"), "d_safe_m must be finite"),
+    ("bs_height_m", float("inf"), "bs_height_m must be finite"),
 ])
 def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
     d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))

@@ -289,7 +289,7 @@ def test_plan_single_ring_hits_lower_bound():
     bound = lower_bound(cluster_set, topology, scenario.v_max_mps)
     assert report.all_passed
     assert report.completion_s == pytest.approx(bound, rel=1e-12)
-    duties = [d for s in plan.steps for d in s.duties if d is not None]
+    duties = [d for step in plan.duties for d in step if d is not None]
     assert sorted(duties) == list(range(cluster_set.k))
     assert plan.meta["pair_processings"] == 0
 
@@ -303,7 +303,7 @@ def test_plan_two_rings_pacing_invariant():
     assert plan.meta["pair_processings"] == 1
     # the pacing ring flies exactly its tour plus the recorded detours
     pacing = plan.meta["pacing_ring"]
-    w = plan.waypoint_array()
+    w = plan.waypoints
     legs = np.hypot(*np.moveaxis(w - np.roll(w, 1, axis=0), 2, 0))
     flown = float(legs[:, pacing].sum())
     ids = topology.cps_of_ring(pacing)
