@@ -81,6 +81,8 @@ class SensorNode:
     def __post_init__(self):
         if not self.data_bits > 0:
             raise ScenarioError(f"sensor {self.id}: data_bits must be positive")
+        if not math.isfinite(self.data_bits):
+            raise ScenarioError(f"sensor {self.id}: data_bits must be finite")
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,9 @@ class Scenario:
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite, "
                                     f"got {getattr(self, name)!r}")
+        if not all(map(math.isfinite, self.bs_position_m)):
+            raise ScenarioError(f"bs_position_m must be finite, "
+                                f"got {self.bs_position_m!r}")
         if not self.sensors:
             raise ScenarioError("a scenario needs at least one sensor")
         if self.params.uav_height_m <= self.bs_height_m:

@@ -83,6 +83,24 @@ def test_infinite_region_is_a_usage_error(tmp_path, capsys):
     assert "error: region_width_m must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(bs_position_m=[float("inf"), 0.0]),
+     "error: bs_position_m must be finite"),
+    (lambda d: d["sensors"][3].update(data_bits=float("inf")),
+     "error: sensor 3: data_bits must be finite"),
+], ids=["bs_position_m", "data_bits"])
+def test_non_finite_scenario_values_are_usage_errors(tmp_path, capsys, edit,
+                                                     message):
+    # planning either used to end in a traceback or in an infinite plan
+    scn = tmp_path / "scn.json"
+    main(["generate", "--sensors", "20", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    edit(data)
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["plan", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

@@ -78,6 +78,15 @@ def test_sensor_requires_positive_data():
         SensorNode(id=0, position_m=(1.0, 1.0), data_bits=0.0)
 
 
+@pytest.mark.parametrize("bits, match", [
+    (float("nan"), "sensor 0: data_bits must be positive"),
+    (float("inf"), "sensor 0: data_bits must be finite"),
+], ids=["nan", "inf"])
+def test_sensor_requires_finite_data(bits, match):
+    with pytest.raises(ScenarioError, match=match):
+        SensorNode(id=0, position_m=(1.0, 1.0), data_bits=bits)
+
+
 def test_channel_params_reject_nonpositive():
     with pytest.raises(ScenarioError):
         ChannelParams(beta0=0.0)
@@ -150,6 +159,8 @@ def test_malformed_sections_are_named(key, value, match):
     ("v_max_mps", float("inf"), "v_max_mps must be finite"),
     ("d_safe_m", float("inf"), "d_safe_m must be finite"),
     ("bs_height_m", float("inf"), "bs_height_m must be finite"),
+    ("bs_position_m", [float("inf"), 0.0], "bs_position_m must be finite"),
+    ("bs_position_m", [0.0, float("nan")], "bs_position_m must be finite"),
 ])
 def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
     d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
