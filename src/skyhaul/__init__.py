@@ -15,7 +15,6 @@ from .model import (
     InfeasibleError,
     Scenario,
     ScenarioError,
-    SensorNode,
     generate_scenario,
     load_scenario,
     save_scenario,
@@ -35,7 +34,6 @@ __all__ = [
     "MissionPlan",
     "Scenario",
     "ScenarioError",
-    "SensorNode",
     "Topology",
     "baselines",
     "build_topology",

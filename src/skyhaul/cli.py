@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from . import pointmatch
 from .baselines import plan_cstp, plan_ttp
@@ -29,7 +27,8 @@ from .clustering import cluster_sensors, write_clusters_csv
 from .mission import evaluate, write_plan_csv, write_report_json
 from .model import (ChannelParams, InfeasibleError, ScenarioError,
                     ScenarioParseError, apply_config_overrides,
-                    generate_scenario, load_scenario, save_scenario)
+                    generate_scenario, load_json_object, load_scenario,
+                    save_scenario)
 from .partition import build_topology
 
 EXIT_OK = 0
@@ -44,16 +43,6 @@ _AXES = ("sensors", "snr-g2u-db")
 _SWEEP_HEADER = "axis_value,seed,algo,completion_s,lower_bound_s,flight_s,hover_s\n"
 
 
-def _read_config(path) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"config file is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ScenarioParseError("config file must contain a JSON object")
-    return data
-
-
 def prepare(scenario):
     """Everything a planner needs: coverage radii, CP clusters, ring topology."""
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
@@ -65,7 +54,8 @@ def prepare(scenario):
 def cmd_generate(args) -> int:
     params = ChannelParams()
     if args.config:
-        params = apply_config_overrides(params, _read_config(args.config))
+        params = apply_config_overrides(params,
+                                        load_json_object(args.config, "config"))
     scenario = generate_scenario(args.size, args.size, args.sensors,
                                  params=params, seed=args.seed)
     save_scenario(scenario, args.output)
@@ -80,7 +70,7 @@ def cmd_plan(args) -> int:
         scenario = dataclasses.replace(
             scenario,
             params=apply_config_overrides(scenario.params,
-                                          _read_config(args.config)))
+                                          load_json_object(args.config, "config")))
     radii, cluster_set, topology = prepare(scenario)
     plan = _PLANNERS[args.algo](scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
@@ -177,7 +167,7 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ScenarioParseError("--seeds must be at least 1")
     values = _parse_values(args.values, args.axis)
-    overrides = _read_config(args.config) if args.config else None
+    overrides = load_json_object(args.config, "config") if args.config else None
     cells = [(args.axis, value, seed, args.sensors, args.size, overrides)
              for value in values for seed in range(args.seeds)]
     workers = min(_worker_count(), len(cells))

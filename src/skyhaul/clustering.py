@@ -205,8 +205,8 @@ def write_clusters_csv(scenario: Scenario, cluster_set: ClusterSet,
         for k, c in enumerate(cluster_set.clusters):
             for i in c.member_ids:
                 owner[i] = k
-        for i, sensor in enumerate(scenario.sensors):
-            f.write(f"{sensor.id},{owner[i]}\n")
+        for i, sensor_id in enumerate(scenario.sensor_ids.tolist()):
+            f.write(f"{sensor_id},{owner[i]}\n")
     with open(cps_path, "w") as f:
         f.write("cluster_id,cp_x_m,cp_y_m,n_members,min_hover_s\n")
         for k, c in enumerate(cluster_set.clusters):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_DATA_BITS = 1e7
+_INT64 = np.iinfo(np.int64)
 
 
 def db_to_linear(db: float) -> float:
@@ -72,26 +73,17 @@ class ChannelParams:
             raise ScenarioError("channel parameter kappa must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SensorNode:
-    id: int
-    position_m: tuple[float, float]
-    data_bits: float
-
-    def __post_init__(self):
-        if not self.data_bits > 0:
-            raise ScenarioError(f"sensor {self.id}: data_bits must be positive")
-        if not math.isfinite(self.data_bits):
-            raise ScenarioError(f"sensor {self.id}: data_bits must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A sensor field: row i of each sensor array describes one sensor."""
+
     region_width_m: float
     region_height_m: float
     bs_position_m: tuple[float, float]
     bs_height_m: float
-    sensors: tuple[SensorNode, ...]
+    sensor_ids: np.ndarray          # (N,) int64
+    sensor_positions: np.ndarray    # (N, 2)
+    sensor_data_bits: np.ndarray    # (N,)
     params: ChannelParams
     n_th: int
     v_max_mps: float
@@ -117,31 +109,32 @@ class Scenario:
         if not all(map(math.isfinite, self.bs_position_m)):
             raise ScenarioError(f"bs_position_m must be finite, "
                                 f"got {self.bs_position_m!r}")
-        if not self.sensors:
+        if self.rng_seed < 0:
+            raise ScenarioError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        ids, xy, bits = self.sensor_ids, self.sensor_positions, self.sensor_data_bits
+        n = len(ids)
+        if ids.shape != (n,) or xy.shape != (n, 2) or bits.shape != (n,):
+            raise ScenarioError("sensor_ids, sensor_positions and sensor_data_bits "
+                                "must have matching lengths")
+        if not n:
             raise ScenarioError("a scenario needs at least one sensor")
         if self.params.uav_height_m <= self.bs_height_m:
             raise ScenarioError("UAV altitude must exceed BS height")
-        seen = set()
-        for s in self.sensors:
-            if s.id in seen:
-                raise ScenarioError(f"duplicate sensor id {s.id}")
-            seen.add(s.id)
-            x, y = s.position_m
-            if not (0 <= x <= self.region_width_m and 0 <= y <= self.region_height_m):
-                raise ScenarioError(f"sensor {s.id} lies outside the region")
+        # each mask marks faulty rows; the first one is reported by id
+        first_seen = np.zeros(n, dtype=bool)
+        first_seen[np.unique(ids, return_index=True)[1]] = True
+        inside = (xy >= 0) & (xy <= (self.region_width_m, self.region_height_m))
+        for bad, message in (
+                (~(bits > 0), "sensor {}: data_bits must be positive"),
+                (~np.isfinite(bits), "sensor {}: data_bits must be finite"),
+                (~first_seen, "duplicate sensor id {}"),
+                (~inside.all(axis=1), "sensor {} lies outside the region")):
+            if bad.any():
+                raise ScenarioError(message.format(ids[bad.argmax()]))
 
     @property
     def n_sensors(self) -> int:
-        return len(self.sensors)
-
-    @cached_property
-    def sensor_positions(self) -> np.ndarray:
-        """(N, 2) array of sensor coordinates, row order = sensors order."""
-        return np.array([s.position_m for s in self.sensors], dtype=float)
-
-    @cached_property
-    def sensor_data_bits(self) -> np.ndarray:
-        return np.array([s.data_bits for s in self.sensors], dtype=float)
+        return len(self.sensor_ids)
 
     @cached_property
     def bs_xy(self) -> np.ndarray:
@@ -157,17 +150,18 @@ def generate_scenario(width_m: float, height_m: float, n_sensors: int,
     """Uniform sensor field over [0,w]x[0,h] with the BS at the origin corner."""
     if not (isinstance(n_sensors, numbers.Integral) and n_sensors >= 1):
         raise ScenarioError(f"n_sensors must be a positive integer, got {n_sensors!r}")
+    if seed < 0:
+        raise ScenarioError(f"seed must be non-negative, got {seed!r}")
     params = params or ChannelParams()
     rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, 1.0, size=(n_sensors, 2)) * [width_m, height_m]
-    sensors = tuple(
-        SensorNode(id=i, position_m=(float(x), float(y)), data_bits=float(data_bits))
-        for i, (x, y) in enumerate(xy)
-    )
     return Scenario(
         region_width_m=float(width_m), region_height_m=float(height_m),
         bs_position_m=(0.0, 0.0), bs_height_m=float(bs_height_m),
-        sensors=sensors, params=params, n_th=int(n_th),
+        sensor_ids=np.arange(n_sensors, dtype=np.int64),
+        sensor_positions=(rng.uniform(0.0, 1.0, size=(n_sensors, 2))
+                          * [width_m, height_m]),
+        sensor_data_bits=np.full(n_sensors, float(data_bits)),
+        params=params, n_th=int(n_th),
         v_max_mps=float(v_max_mps), d_safe_m=float(d_safe_m), rng_seed=int(seed),
     )
 
@@ -183,16 +177,19 @@ def _require(mapping: dict, key: str, context: str):
 def _number(value, key: str, context: str, kind=float):
     """`kind(value)`, or a ScenarioParseError naming the field.
 
-    An int field rejects a fractional value instead of truncating it.
+    An int field rejects a fractional value instead of truncating it, and
+    no field takes a JSON boolean for 0 or 1.
     """
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScenarioParseError(f"field '{key}' in {context} must be an integer, "
                                  f"got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioParseError(f"field '{key}' in {context} must be a number, "
-                                 f"got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ScenarioParseError(f"field '{key}' in {context} must be a number, "
+                             f"got {value!r}")
 
 
 def _field(mapping: dict, key: str, context: str, kind=float):
@@ -216,8 +213,10 @@ def scenario_to_dict(s: Scenario) -> dict:
         "rng_seed": s.rng_seed,
         "channel": asdict(s.params),
         "sensors": [
-            {"id": n.id, "position_m": list(n.position_m), "data_bits": n.data_bits}
-            for n in s.sensors
+            {"id": i, "position_m": xy, "data_bits": bits}
+            for i, xy, bits in zip(s.sensor_ids.tolist(),
+                                   s.sensor_positions.tolist(),
+                                   s.sensor_data_bits.tolist())
         ],
     }
 
@@ -234,20 +233,23 @@ def scenario_from_dict(d: dict) -> Scenario:
     raw_sensors = _require(d, "sensors", "scenario")
     if not isinstance(raw_sensors, list):
         raise ScenarioParseError("field 'sensors' in scenario must be a list")
-    sensors = []
+    ids, xy, bits = [], [], []
     for i, entry in enumerate(raw_sensors):
         ctx = f"sensors[{i}]"
-        sensors.append(SensorNode(
-            id=_field(entry, "id", ctx, int),
-            position_m=_xy(entry, "position_m", ctx),
-            data_bits=_field(entry, "data_bits", ctx),
-        ))
+        ids.append(_field(entry, "id", ctx, int))
+        if not _INT64.min <= ids[-1] <= _INT64.max:
+            raise ScenarioParseError(f"field 'id' in {ctx} must fit in int64, "
+                                     f"got {ids[-1]!r}")
+        xy.append(_xy(entry, "position_m", ctx))
+        bits.append(_field(entry, "data_bits", ctx))
     return Scenario(
         region_width_m=_field(d, "region_width_m", "scenario"),
         region_height_m=_field(d, "region_height_m", "scenario"),
         bs_position_m=_xy(d, "bs_position_m", "scenario"),
         bs_height_m=_field(d, "bs_height_m", "scenario"),
-        sensors=tuple(sensors),
+        sensor_ids=np.array(ids, dtype=np.int64),
+        sensor_positions=np.array(xy, dtype=float).reshape(-1, 2),
+        sensor_data_bits=np.array(bits, dtype=float),
         params=params,
         n_th=_field(d, "n_th", "scenario", int),
         v_max_mps=_field(d, "v_max_mps", "scenario"),
@@ -260,14 +262,21 @@ def save_scenario(s: Scenario, path: str | Path):
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=1) + "\n")
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in a UTF-8 file; `what` names the file in errors."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ScenarioParseError(f"{what} file is not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"scenario file is not valid JSON: {e}") from e
+        raise ScenarioParseError(f"{what} file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
-        raise ScenarioParseError("scenario file must contain a JSON object")
-    return scenario_from_dict(data)
+        raise ScenarioParseError(f"{what} file must contain a JSON object")
+    return data
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(load_json_object(path, "scenario"))
 
 
 def apply_config_overrides(params: ChannelParams, overrides: dict) -> ChannelParams:

@@ -12,7 +12,7 @@ from skyhaul.baselines import (InfeasiblePlanError, plan_cstp, plan_ttp,
 from skyhaul.channel import coverage_radii
 from skyhaul.clustering import cluster_sensors
 from skyhaul.mission import evaluate, validate
-from skyhaul.model import SensorNode, generate_scenario
+from skyhaul.model import generate_scenario
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
 
@@ -63,9 +63,7 @@ def test_ttp_pays_the_full_serial_bill(two_ring_instance):
 def concentrated_far_corner():
     """Thirty sensors stacked on one point whose chain hop just misses."""
     base = generate_scenario(6000.0, 6000.0, 30, seed=5)
-    sensors = tuple(SensorNode(id=i, position_m=(5650.0, 5650.0), data_bits=1e7)
-                    for i in range(30))
-    scenario = dataclasses.replace(base, sensors=sensors)
+    scenario = dataclasses.replace(base, sensor_positions=np.full((30, 2), 5650.0))
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
     topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m,
@@ -86,9 +84,7 @@ def test_ttp_single_uav_only_needs_the_backhaul_link():
     # CP between the U2U and U2B ranges: one UAV reaches it alone, and a
     # lone collector has no inter-UAV hop to respect
     base = generate_scenario(4500.0, 4500.0, 30, seed=5)
-    sensors = tuple(SensorNode(id=i, position_m=(2843.0, 2843.0), data_bits=1e7)
-                    for i in range(30))
-    scenario = dataclasses.replace(base, sensors=sensors)
+    scenario = dataclasses.replace(base, sensor_positions=np.full((30, 2), 2843.0))
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
     topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m,

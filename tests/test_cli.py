@@ -264,20 +264,25 @@ def test_threshold_without_a_finite_linear_value(tmp_path, capsys, db, code,
     assert message in capsys.readouterr().err
 
 
-def test_non_numeric_config_value_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("snr_th_g2u_db", "loud"),
+    ("beta0", True),
+], ids=["loud", "true"])
+def test_non_numeric_config_value_is_a_usage_error(tmp_path, capsys, key, value):
     scn = str(tmp_path / "scn.json")
     main(["generate", "--sensors", "30", "--size", "2000", "-o", scn])
-    cfg = _write_config(tmp_path, {"snr_th_g2u_db": "loud"})
+    cfg = _write_config(tmp_path, {key: value})
     assert main(["plan", scn, "--config", cfg]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "error: field 'snr_th_g2u_db' in config must be a number" in err
+    assert f"error: field '{key}' in config must be a number" in err
 
 
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(n_th="sixty"),
     lambda d: d["channel"].update(alpha=None),
     lambda d: d["sensors"][0].update(position_m=["east", 1.0]),
-], ids=["n_th", "alpha", "position_m"])
+    lambda d: d.update(n_th=True),
+], ids=["n_th", "alpha", "position_m", "n_th-true"])
 def test_non_numeric_scenario_field_is_a_usage_error(tmp_path, capsys, edit):
     scn = tmp_path / "scn.json"
     main(["generate", "--sensors", "30", "--size", "2000", "-o", str(scn)])
@@ -287,3 +292,32 @@ def test_non_numeric_scenario_field_is_a_usage_error(tmp_path, capsys, edit):
     assert main(["plan", str(scn)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error: field '" in err and "must be a number" in err
+
+
+@pytest.mark.parametrize("command", [
+    lambda scn, bad, out: ["plan", bad],
+    lambda scn, bad, out: ["plan", scn, "--config", bad],
+    lambda scn, bad, out: ["sweep", "--axis", "sensors", "--values", "20",
+                           "--seeds", "1", "--config", bad, "-o", out],
+], ids=["scenario", "plan-config", "sweep-config"])
+def test_file_not_in_utf8_is_a_usage_error(tmp_path, capsys, command):
+    scn = str(tmp_path / "scn.json")
+    main(["generate", "--sensors", "20", "--size", "2000", "-o", scn])
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"note": "caf\u00e9"}'.encode("latin-1"))
+    out = str(tmp_path / "sweep.csv")
+    assert main(command(scn, str(bad), out)) == EXIT_USAGE
+    assert "file is not valid UTF-8" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    scn = tmp_path / "scn.json"
+    assert main(["generate", "--sensors", "20", "--seed", "-1",
+                 "-o", str(scn)]) == EXIT_USAGE
+    assert "error: seed must be non-negative" in capsys.readouterr().err
+    main(["generate", "--sensors", "20", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    data["rng_seed"] = -3
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_USAGE
+    assert "error: rng_seed must be non-negative" in capsys.readouterr().err

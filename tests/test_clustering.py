@@ -12,7 +12,7 @@ from skyhaul.channel import coverage_radii
 from skyhaul.cli import prepare
 from skyhaul.clustering import (check_cluster_set, cluster_sensors,
                                 kmeans_cluster, write_clusters_csv)
-from skyhaul.model import Scenario, SensorNode, generate_scenario
+from skyhaul.model import Scenario, generate_scenario
 
 
 def _assign_broadcast(points, centroids):
@@ -166,11 +166,12 @@ def test_packing_set_is_pairwise_apart_and_maximal():
 
 def _two_sensor_scenario(gap_m):
     sc = generate_scenario(100.0, 100.0, 2, seed=0)
-    sensors = (SensorNode(id=0, position_m=(0.0, 0.0), data_bits=1e7),
-               SensorNode(id=1, position_m=(gap_m, 0.0), data_bits=1e7))
     return Scenario(region_width_m=gap_m, region_height_m=100.0,
                     bs_position_m=(0.0, 0.0), bs_height_m=sc.bs_height_m,
-                    sensors=sensors, params=sc.params, n_th=sc.n_th,
+                    sensor_ids=np.arange(2),
+                    sensor_positions=np.array([[0.0, 0.0], [gap_m, 0.0]]),
+                    sensor_data_bits=np.full(2, 1e7),
+                    params=sc.params, n_th=sc.n_th,
                     v_max_mps=sc.v_max_mps, d_safe_m=sc.d_safe_m, rng_seed=0)
 
 
@@ -267,9 +268,8 @@ def test_cluster_csv_export(tmp_path):
 def test_cluster_csv_writes_sensor_ids(tmp_path):
     # ids 1000, 1007, 1014, ...: rows carry the id, not the row index
     scenario = generate_scenario(2000.0, 2000.0, 80, seed=8)
-    scenario = dataclasses.replace(scenario, sensors=tuple(
-        dataclasses.replace(s, id=1000 + 7 * i)
-        for i, s in enumerate(scenario.sensors)))
+    scenario = dataclasses.replace(scenario,
+                                   sensor_ids=1000 + 7 * np.arange(80))
     radii, cluster_set, _ = prepare(scenario)
     a_path = tmp_path / "assignments.csv"
     write_clusters_csv(scenario, cluster_set, a_path, tmp_path / "cps.csv")
@@ -277,5 +277,6 @@ def test_cluster_csv_writes_sensor_ids(tmp_path):
             for r in a_path.read_text().strip().splitlines()[1:]]
     owner = {i: k for k, c in enumerate(cluster_set.clusters)
              for i in c.member_ids}
-    assert rows == [(s.id, owner[i]) for i, s in enumerate(scenario.sensors)]
+    assert rows == [(sid, owner[i])
+                    for i, sid in enumerate(scenario.sensor_ids.tolist())]
     assert rows[:3] == [(1000, owner[0]), (1007, owner[1]), (1014, owner[2])]

@@ -1,10 +1,13 @@
 """Scenario construction, validation errors, and JSON round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import skyhaul
 from skyhaul.model import (ChannelParams, ScenarioError, ScenarioParseError,
-                           SensorNode, apply_config_overrides, db_to_linear,
+                           apply_config_overrides, db_to_linear,
                            generate_scenario, load_scenario, save_scenario,
                            scenario_from_dict, scenario_to_dict)
 
@@ -73,9 +76,14 @@ def test_scenario_rejects_uav_below_bs():
                           params=ChannelParams(uav_height_m=10.0))
 
 
+def _with_first_data_bits(bits):
+    sc = generate_scenario(500.0, 500.0, 2, seed=0)
+    return dataclasses.replace(sc, sensor_data_bits=np.array([bits, 1e7]))
+
+
 def test_sensor_requires_positive_data():
     with pytest.raises(ScenarioError):
-        SensorNode(id=0, position_m=(1.0, 1.0), data_bits=0.0)
+        _with_first_data_bits(0.0)
 
 
 @pytest.mark.parametrize("bits, match", [
@@ -84,7 +92,16 @@ def test_sensor_requires_positive_data():
 ], ids=["nan", "inf"])
 def test_sensor_requires_finite_data(bits, match):
     with pytest.raises(ScenarioError, match=match):
-        SensorNode(id=0, position_m=(1.0, 1.0), data_bits=bits)
+        _with_first_data_bits(bits)
+
+
+def test_negative_seed_is_named():
+    with pytest.raises(ScenarioError, match="seed must be non-negative"):
+        generate_scenario(500.0, 500.0, 2, seed=-1)
+    d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
+    d["rng_seed"] = -3
+    with pytest.raises(ScenarioError, match="rng_seed must be non-negative"):
+        scenario_from_dict(d)
 
 
 def test_channel_params_reject_nonpositive():
@@ -116,6 +133,76 @@ def test_json_round_trip_identical_bytes(tmp_path):
     assert np.array_equal(back.sensor_positions, sc.sensor_positions)
 
 
+SAVED_500x400_SEED4 = """\
+{
+ "region_width_m": 500.0,
+ "region_height_m": 400.0,
+ "bs_position_m": [
+  0.0,
+  0.0
+ ],
+ "bs_height_m": 20.0,
+ "n_th": 60,
+ "v_max_mps": 30.0,
+ "d_safe_m": 30.0,
+ "rng_seed": 4,
+ "channel": {
+  "a": 4.88,
+  "b": 0.43,
+  "kappa": 0.2,
+  "alpha": 2.0,
+  "beta0": 0.000142,
+  "uav_height_m": 100.0,
+  "bandwidth_hz": 2000000.0,
+  "p_sensor_w": 0.05,
+  "p_uav_w": 0.1,
+  "noise_w": 1e-14,
+  "snr_th_g2u_db": 20.0,
+  "snr_th_u2u_db": 19.5,
+  "snr_th_u2b_db": 13.0
+ },
+ "sensors": [
+  {
+   "id": 0,
+   "position_m": [
+    471.5280527861838,
+    204.53102112574464
+   ],
+   "data_bits": 10000000.0
+  },
+  {
+   "id": 1,
+   "position_m": [
+    488.1218528538521,
+    32.33440955824087
+   ],
+   "data_bits": 10000000.0
+  },
+  {
+   "id": 2,
+   "position_m": [
+    303.6779159975148,
+    150.59463375090903
+   ],
+   "data_bits": 10000000.0
+  }
+ ]
+}
+"""
+
+
+def test_saved_scenario_bytes_are_pinned(tmp_path):
+    # key order, integer ids and float reprs of a saved file
+    path = tmp_path / "s.json"
+    save_scenario(generate_scenario(500.0, 400.0, 3, seed=4), path)
+    assert path.read_text() == SAVED_500x400_SEED4
+
+
+def test_every_exported_name_resolves():
+    for name in skyhaul.__all__:
+        assert hasattr(skyhaul, name), name
+
+
 def test_load_rejects_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -135,11 +222,16 @@ def test_missing_field_is_named(tmp_path):
     ("channel", 5, "channel must be a JSON object"),
     ("sensors", 3, "'sensors' in scenario must be a list"),
     ("n_th", "sixty", "'n_th' in scenario must be a number"),
+    pytest.param("n_th", True, "'n_th' in scenario must be a number, got True",
+                 id="n_th-true"),
     ("n_th", 60.9, "'n_th' in scenario must be an integer"),
     ("rng_seed", 1.5, "'rng_seed' in scenario must be an integer"),
     pytest.param("sensors",
                  [{"id": 0.5, "position_m": [1.0, 1.0], "data_bits": 1e7}],
                  r"'id' in sensors\[0\] must be an integer", id="sensor-id-0.5"),
+    pytest.param("sensors",
+                 [{"id": 2 ** 63, "position_m": [1.0, 1.0], "data_bits": 1e7}],
+                 r"'id' in sensors\[0\] must fit in int64", id="sensor-id-2**63"),
     pytest.param("v_max_mps", 10 ** 400, "'v_max_mps' in scenario must be a number",
                  id="v_max_mps-1e400"),
 ])
