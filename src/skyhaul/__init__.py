@@ -8,7 +8,7 @@ from .channel import (
     min_hover_time,
     optimal_bandwidth_shares,
 )
-from .clustering import Cluster, ClusterSet, cluster_sensors
+from .clustering import ClusterSet, cluster_sensors
 from .mission import EvalReport, MissionPlan, evaluate, validate
 from .model import (
     ChannelParams,
@@ -24,7 +24,6 @@ from . import baselines, pointmatch
 
 __all__ = [
     "ChannelParams",
-    "Cluster",
     "ClusterSet",
     "CoverageError",
     "CoverageRadii",

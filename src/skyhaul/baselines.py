@@ -32,8 +32,7 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     each; UAVs 0..m-2 hold evenly spaced points on the BS-to-collector line.
     Works only while the farthest CP divided by m fits both link budgets.
     """
-    cps = cluster_set.cp_array()
-    hovers = cluster_set.hover_array()
+    cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
     bs = scenario.bs_xy
     v = scenario.v_max_mps
@@ -89,8 +88,7 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     the same bearing near its ring midline, radially clamped so adjacent
     UAVs stay within link range yet comfortably separated.
     """
-    cps = cluster_set.cp_array()
-    hovers = cluster_set.hover_array()
+    cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
     bs = scenario.bs_xy
     v = scenario.v_max_mps

@@ -56,15 +56,6 @@ def snr_g2u(r, params: ChannelParams):
     return s if s.ndim else float(s)
 
 
-def snr_u2u(d, params: ChannelParams):
-    """UAV-to-UAV SNR at inter-UAV distance d (same altitude, free space)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("inter-UAV distance must be positive")
-    s = params.p_uav_w * params.beta0 / (params.noise_w * d * d)
-    return s if s.ndim else float(s)
-
-
 def snr_u2b(r, params: ChannelParams, bs_height_m: float):
     """UAV-to-base-station SNR; the height gap is UAV altitude minus BS height."""
     h = params.uav_height_m - bs_height_m

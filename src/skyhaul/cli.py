@@ -47,7 +47,7 @@ def prepare(scenario):
     """Everything a planner needs: coverage radii, CP clusters, ring topology."""
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
-    topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m, radii)
+    topology = build_topology(cluster_set.cps, scenario.bs_position_m, radii)
     return radii, cluster_set, topology
 
 

@@ -96,34 +96,20 @@ def kmeans_cluster(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
     return _assign(points, centroids), centroids
 
 
-@dataclass(frozen=True)
-class Cluster:
-    member_ids: tuple[int, ...]
-    cp_m: tuple[float, float]       # collection point (ground projection)
-    min_hover_s: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSet:
-    clusters: tuple[Cluster, ...]
+    labels: np.ndarray      # (N,) cluster of each sensor
+    cps: np.ndarray         # (k, 2) collection points (ground projection)
+    hover_s: np.ndarray     # (k,) minimum hover at each CP
 
     @property
     def k(self) -> int:
-        return len(self.clusters)
+        return len(self.cps)
 
     def cp_array(self) -> np.ndarray:
-        return np.array([c.cp_m for c in self.clusters], dtype=float)
-
-    def hover_array(self) -> np.ndarray:
-        return np.array([c.min_hover_s for c in self.clusters], dtype=float)
-
-
-def _cluster(scenario: Scenario, ids: np.ndarray, cp: np.ndarray) -> Cluster:
-    points = scenario.sensor_positions
-    hover = min_hover_time(points[ids], scenario.sensor_data_bits[ids], cp,
-                           scenario.params)
-    return Cluster(member_ids=tuple(int(i) for i in ids),
-                   cp_m=(float(cp[0]), float(cp[1])), min_hover_s=hover)
+        # bench/run.py calls this; it goes with the next benchmark change
+        # (ROADMAP item 1)
+        return self.cps
 
 
 def _packing_set(points: np.ndarray, r_m: float) -> np.ndarray:
@@ -160,9 +146,11 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
             dists = np.hypot(*(points - centroids[labels]).T)
             if (sizes.min() >= 1 and sizes.max() <= scenario.n_th
                     and dists.max() <= radii.r_g2u_m):
-                return ClusterSet(tuple(
-                    _cluster(scenario, np.flatnonzero(labels == j), centroids[j])
-                    for j in range(k)))
+                bits = scenario.sensor_data_bits
+                hover = [min_hover_time(points[labels == j], bits[labels == j],
+                                        centroids[j], scenario.params)
+                         for j in range(k)]
+                return ClusterSet(labels, centroids, np.array(hover))
     raise InfeasibleClusteringError(
         f"no cluster count up to {n} keeps every cluster within "
         f"{radii.r_g2u_m:.1f} m of its CP and at most n_th={scenario.n_th} sensors")
@@ -171,28 +159,28 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
 def check_cluster_set(scenario: Scenario, cluster_set: ClusterSet,
                       radii: CoverageRadii) -> list[str]:
     """Independent feasibility audit; returns a list of violation messages."""
+    labels, k = cluster_set.labels, cluster_set.k
+    if labels.shape != (scenario.n_sensors,):
+        return [f"labels have shape {labels.shape}, "
+                f"expected ({scenario.n_sensors},)"]
     problems = []
-    seen = {}
-    for k, c in enumerate(cluster_set.clusters):
-        if not c.member_ids:
-            problems.append(f"cluster {k} is empty")
+    bad = np.flatnonzero((labels < 0) | (labels >= k))
+    if bad.size:
+        problems.append(f"sensor {bad[0]} has label {labels[bad[0]]} "
+                        f"outside [0, {k})")
+    for j, cp in enumerate(cluster_set.cps):
+        pts = scenario.sensor_positions[labels == j]
+        if not len(pts):
+            problems.append(f"cluster {j} is empty")
             continue
-        if len(c.member_ids) > scenario.n_th:
-            problems.append(f"cluster {k} holds {len(c.member_ids)} > n_th members")
-        pts = scenario.sensor_positions[list(c.member_ids)]
-        d = np.hypot(*(pts - np.asarray(c.cp_m)).T)
+        if len(pts) > scenario.n_th:
+            problems.append(f"cluster {j} holds {len(pts)} > n_th members")
+        d = np.hypot(*(pts - cp).T)
         if d.max() > radii.r_g2u_m + 1e-6:
-            problems.append(f"cluster {k} member beyond coverage radius")
+            problems.append(f"cluster {j} member beyond coverage radius")
         centroid = pts.mean(axis=0)
-        if np.hypot(*(centroid - np.asarray(c.cp_m))) > 1e-6:
-            problems.append(f"cluster {k} CP is not the member centroid")
-        for i in c.member_ids:
-            if i in seen:
-                problems.append(f"sensor {i} assigned to clusters {seen[i]} and {k}")
-            seen[i] = k
-    missing = set(range(scenario.n_sensors)) - set(seen)
-    if missing:
-        problems.append(f"sensors never assigned: {sorted(missing)[:5]}...")
+        if np.hypot(*(centroid - cp)) > 1e-6:
+            problems.append(f"cluster {j} CP is not the member centroid")
     return problems
 
 
@@ -201,14 +189,14 @@ def write_clusters_csv(scenario: Scenario, cluster_set: ClusterSet,
     """Dump (sensor_id, cluster_id) rows and the collection-point table."""
     with open(assignments_path, "w") as f:
         f.write("sensor_id,cluster_id\n")
-        owner = {}
-        for k, c in enumerate(cluster_set.clusters):
-            for i in c.member_ids:
-                owner[i] = k
-        for i, sensor_id in enumerate(scenario.sensor_ids.tolist()):
-            f.write(f"{sensor_id},{owner[i]}\n")
+        for sensor_id, k in zip(scenario.sensor_ids.tolist(),
+                                cluster_set.labels.tolist()):
+            f.write(f"{sensor_id},{k}\n")
+    sizes = np.bincount(cluster_set.labels, minlength=cluster_set.k)
+    # Python floats: numpy 2 writes a float64's repr as np.float64(...)
+    rows = zip(cluster_set.cps.tolist(), sizes.tolist(),
+               cluster_set.hover_s.tolist())
     with open(cps_path, "w") as f:
         f.write("cluster_id,cp_x_m,cp_y_m,n_members,min_hover_s\n")
-        for k, c in enumerate(cluster_set.clusters):
-            f.write(f"{k},{c.cp_m[0]!r},{c.cp_m[1]!r},"
-                    f"{len(c.member_ids)},{c.min_hover_s!r}\n")
+        for k, ((x, y), n, hover) in enumerate(rows):
+            f.write(f"{k},{x!r},{y!r},{n},{hover!r}\n")

@@ -96,9 +96,10 @@ def ring_serial_s(cluster_set: ClusterSet, topology: Topology,
                   v_max_mps: float) -> list[float]:
     """Per ring: its UAV's serial workload, the ring tour at full speed plus
     every hover of the ring's CPs."""
-    hovers = cluster_set.hover_array()
+    # numpy's pairwise sum per ring: np.bincount(weights=) sums sequentially
+    # and rounds differently past 8 CPs
     return [tour.length_m / v_max_mps
-            + float(hovers[topology.cps_of_ring(r)].sum())
+            + float(cluster_set.hover_s[topology.association == r].sum())
             for r, tour in enumerate(topology.tours)]
 
 
@@ -208,7 +209,7 @@ def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
 
 
 def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
-    hovers = cluster_set.hover_array()
+    hovers = cluster_set.hover_s
     problems = []
     for i, (duties, hover) in enumerate(zip(plan.duties, plan.hover_s)):
         ids = [d for d in duties if d is not None and 0 <= d < cluster_set.k]
@@ -292,7 +293,7 @@ def report_to_dict(report: EvalReport, topology: Topology,
                    for c in report.checks],
         "m_uavs": topology.m_uavs,
         "rings_m": [[r.inner_m, r.outer_m] for r in topology.rings],
-        "association": list(topology.association),
+        "association": topology.association.tolist(),
         "radii_m": {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
                     "r_u2b": radii.r_u2b_m},
         "k_clusters": cluster_set.k,

@@ -196,9 +196,24 @@ def _field(mapping: dict, key: str, context: str, kind=float):
     return _number(_require(mapping, key, context), key, context, kind)
 
 
+_SCENARIO_KEYS = ("region_width_m", "region_height_m", "bs_position_m",
+                  "bs_height_m", "n_th", "v_max_mps", "d_safe_m", "rng_seed",
+                  "channel", "sensors")
+_SENSOR_KEYS = ("id", "position_m", "data_bits")
+_CHANNEL_KEYS = tuple(f.name for f in fields(ChannelParams))
+
+
+def _reject_unknown(mapping: dict, known, context: str):
+    """A ScenarioParseError naming the first key of `mapping` not in `known`."""
+    for key in mapping:
+        if key not in known:
+            raise ScenarioParseError(f"unknown field '{key}' in {context}")
+
+
 def _params_from_dict(d: dict) -> ChannelParams:
-    return ChannelParams(**{f.name: _field(d, f.name, "channel")
-                            for f in fields(ChannelParams)})
+    values = {key: _field(d, key, "channel") for key in _CHANNEL_KEYS}
+    _reject_unknown(d, _CHANNEL_KEYS, "channel")
+    return ChannelParams(**values)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -230,6 +245,7 @@ def _xy(mapping: dict, key: str, context: str) -> tuple[float, float]:
 
 def scenario_from_dict(d: dict) -> Scenario:
     params = _params_from_dict(_require(d, "channel", "scenario"))
+    _reject_unknown(d, _SCENARIO_KEYS, "scenario")
     raw_sensors = _require(d, "sensors", "scenario")
     if not isinstance(raw_sensors, list):
         raise ScenarioParseError("field 'sensors' in scenario must be a list")
@@ -242,6 +258,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                                      f"got {ids[-1]!r}")
         xy.append(_xy(entry, "position_m", ctx))
         bits.append(_field(entry, "data_bits", ctx))
+        _reject_unknown(entry, _SENSOR_KEYS, ctx)
     return Scenario(
         region_width_m=_field(d, "region_width_m", "scenario"),
         region_height_m=_field(d, "region_height_m", "scenario"),
@@ -285,10 +302,6 @@ def apply_config_overrides(params: ChannelParams, overrides: dict) -> ChannelPar
     Accepts the same keys as the scenario 'channel' section (thresholds in dB);
     unknown keys are rejected by name.
     """
-    names = {f.name for f in fields(params)}
-    changes = {}
-    for key, value in overrides.items():
-        if key not in names:
-            raise ScenarioParseError(f"unknown field '{key}' in config")
-        changes[key] = _number(value, key, "config")
-    return replace(params, **changes)
+    _reject_unknown(overrides, _CHANNEL_KEYS, "config")
+    return replace(params, **{key: _number(value, key, "config")
+                              for key, value in overrides.items()})

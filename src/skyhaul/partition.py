@@ -23,15 +23,12 @@ class Ring:
     outer_m: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     m_uavs: int
     rings: tuple[Ring, ...]
-    association: tuple[int, ...]    # ring index per CP
+    association: np.ndarray         # (k,) ring index per CP
     tours: tuple[Tour, ...]         # per ring, order over global CP ids
-
-    def cps_of_ring(self, ring_idx: int) -> list[int]:
-        return [k for k, r in enumerate(self.association) if r == ring_idx]
 
 
 def build_rings(m: int, radii: CoverageRadii) -> tuple[Ring, ...]:
@@ -55,14 +52,14 @@ def build_topology(cps, bs, radii: CoverageRadii) -> Topology:
     if len(cps) == 0:
         raise ValueError("need at least one collection point")
     dists = np.hypot(*(cps - np.asarray(bs, dtype=float)).T)
-    association = tuple(ring_index(float(d), radii) for d in dists)
+    association = np.array([ring_index(float(d), radii) for d in dists])
     # the farthest CP's ring is the outermost, so the chain reaches every CP
-    m = max(association) + 1
+    m = int(association.max()) + 1
     tours = []
     for ring_idx in range(m):
-        ids = [k for k, r in enumerate(association) if r == ring_idx]
+        ids = np.flatnonzero(association == ring_idx)
         tour = solve_tsp(cps[ids])
-        tours.append(Tour(tuple(ids[j] for j in tour.order), tour.length_m))
+        tours.append(Tour(tuple(ids[list(tour.order)].tolist()), tour.length_m))
     return Topology(
         m_uavs=m,
         rings=build_rings(m, radii),

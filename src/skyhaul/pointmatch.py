@@ -556,8 +556,7 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     feasible, gets minimal-detour inserted steps for the rest, and every
     other ring closes its holes with chained low-displacement waypoints.
     """
-    cps = cluster_set.cp_array()
-    hovers = cluster_set.hover_array()
+    cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
     bs = scenario.bs_xy
     v = scenario.v_max_mps

@@ -26,15 +26,6 @@ def _pairwise(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.hypot(*np.moveaxis(p[:, None, :] - q[None, :, :], -1, 0))
 
 
-def tour_length(points, order) -> float:
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    order = list(order)
-    if len(order) < 2:
-        return 0.0
-    p = points[order]
-    return float(np.hypot(*(p - np.roll(p, -1, axis=0)).T).sum())
-
-
 def _nearest_neighbours(dist: np.ndarray) -> np.ndarray:
     """(n, n) array whose row s is the nearest-neighbour tour from point s.
 

@@ -35,6 +35,16 @@ def build_instance(n_sensors: int, size_m: float, seed: int, params=None):
     return (scenario, *prepare(scenario))
 
 
+def tour_length(points, order) -> float:
+    """Length of the closed tour visiting `points` in `order`."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = list(order)
+    if len(order) < 2:
+        return 0.0
+    p = points[order]
+    return float(np.hypot(*(p - np.roll(p, -1, axis=0)).T).sum())
+
+
 def legs_connected(a0, a1, b0, b1, r_u2u: float) -> bool:
     """mission's connectivity check on two UAVs flying a0 -> a1 and b0 -> b1
     in step, posed as a two-step plan with an unbounded BS range. The check

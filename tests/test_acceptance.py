@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import build_instance, legs_connected, record_acceptance
+from conftest import (build_instance, legs_connected, record_acceptance,
+                      tour_length)
 
 from skyhaul import pointmatch
 from skyhaul.baselines import InfeasiblePlanError, plan_cstp, plan_ttp
@@ -25,7 +26,7 @@ from skyhaul.model import (ChannelParams, apply_config_overrides,
                            generate_scenario)
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import InfeasibleWaypointError, p3_waypoint
-from skyhaul.tsp import Tour, solve_tsp, tour_length
+from skyhaul.tsp import Tour, solve_tsp
 
 _PLANNERS = (("pmtp", pointmatch.plan), ("ttp", plan_ttp), ("cstp", plan_cstp))
 _BENCH_SEEDS = range(10)
@@ -74,10 +75,9 @@ def test_benchmark_ring_tours_come_from_the_topology(benchmark_runs):
     runs, _ = benchmark_runs
     for r in runs:
         scenario, cluster_set, topology = r["instance"]
-        cps = cluster_set.cp_array()
         for ring in range(topology.m_uavs):
-            ids = topology.cps_of_ring(ring)
-            tour = solve_tsp(cps[ids])
+            ids = np.flatnonzero(topology.association == ring).tolist()
+            tour = solve_tsp(cluster_set.cps[ids])
             assert topology.tours[ring] == Tour(
                 tuple(ids[j] for j in tour.order), tour.length_m)
         bound = lower_bound(cluster_set, topology, scenario.v_max_mps)
@@ -231,15 +231,15 @@ def test_clustering_feasibility_suite():
         radii = coverage_radii(scenario.params, scenario.bs_height_m)
         cluster_set = cluster_sensors(scenario, radii)
         problems = check_cluster_set(scenario, cluster_set, radii)
-        members = sorted(i for c in cluster_set.clusters for i in c.member_ids)
+        labels, cps = cluster_set.labels, cluster_set.cps
+        # one label per sensor, so each sensor sits in exactly one cluster
         direct_ok = (
-            members == list(range(n))
-            and all(len(c.member_ids) <= scenario.n_th
-                    for c in cluster_set.clusters)
-            and all(np.hypot(*(scenario.sensor_positions[list(c.member_ids)]
-                               - np.asarray(c.cp_m)).T).max()
-                    <= radii.r_g2u_m + 1e-6 for c in cluster_set.clusters)
-            and all(c.min_hover_s > 0 for c in cluster_set.clusters))
+            labels.shape == (n,)
+            and set(labels.tolist()) == set(range(cluster_set.k))
+            and np.bincount(labels).max() <= scenario.n_th
+            and np.hypot(*(scenario.sensor_positions - cps[labels]).T).max()
+            <= radii.r_g2u_m + 1e-6
+            and (cluster_set.hover_s > 0).all())
         if problems or not direct_ok:
             failures += 1
     ok = failures == 0

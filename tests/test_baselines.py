@@ -27,8 +27,7 @@ def two_ring_instance():
 def test_ttp_collector_walks_the_global_tour(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_ttp(scenario, cluster_set, topology, radii)
-    cps = cluster_set.cp_array()
-    hovers = cluster_set.hover_array()
+    cps, hovers = cluster_set.cps, cluster_set.hover_s
     tour = solve_tsp(cps)
     assert len(plan.duties) == cluster_set.k
     for i, cp in enumerate(tour.order):
@@ -53,8 +52,8 @@ def test_ttp_pays_the_full_serial_bill(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_ttp(scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
-    tour = solve_tsp(cluster_set.cp_array())
-    expect = tour.length_m / scenario.v_max_mps + cluster_set.hover_array().sum()
+    tour = solve_tsp(cluster_set.cps)
+    expect = tour.length_m / scenario.v_max_mps + cluster_set.hover_s.sum()
     assert report.completion_s == pytest.approx(expect, rel=1e-12)
     assert report.all_passed
 
@@ -117,8 +116,7 @@ def test_scan_order_breaks_angle_ties_by_distance():
 def test_cstp_serving_uav_sits_on_the_cp(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_cstp(scenario, cluster_set, topology, radii)
-    cps = cluster_set.cp_array()
-    hovers = cluster_set.hover_array()
+    cps, hovers = cluster_set.cps, cluster_set.hover_s
     assert len(plan.duties) == cluster_set.k
     seen = []
     for w, duties, hover in zip(plan.waypoints, plan.duties, plan.hover_s):

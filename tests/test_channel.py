@@ -14,7 +14,7 @@ from skyhaul.channel import (CoverageError, InfeasibleConfigError,
                              coverage_radii,
                              los_probability, min_hover_time,
                              optimal_bandwidth_shares, path_loss, snr_g2u,
-                             snr_u2b, snr_u2u, upload_rate_g2u)
+                             snr_u2b, upload_rate_g2u)
 from skyhaul.model import ChannelParams, db_to_linear
 
 R_G2U_ORACLE = 1447.8607072889391
@@ -73,12 +73,17 @@ def test_snr_g2u_monotone_decreasing(params):
     assert (np.diff(s) < 0).all()
 
 
+def _snr_u2u(d, params):
+    """Free-space UAV-to-UAV SNR at distance d, both UAVs at one altitude."""
+    return params.p_uav_w * params.beta0 / (params.noise_w * d * d)
+
+
 def test_snr_u2u_closed_form(params):
-    d = 1234.5
-    expected = params.p_uav_w * params.beta0 / (params.noise_w * d * d)
-    assert snr_u2u(d, params) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        snr_u2u(0.0, params)
+    # r_u2u is where the free-space U2U SNR falls to its threshold
+    r = coverage_radii(params, 20.0).r_u2u_m
+    threshold = db_to_linear(params.snr_th_u2u_db)
+    assert _snr_u2u(r, params) == pytest.approx(threshold, rel=1e-12)
+    assert _snr_u2u(0.99 * r, params) > threshold > _snr_u2u(1.01 * r, params)
 
 
 def test_snr_u2b_uses_height_gap(params):
@@ -101,7 +106,7 @@ def test_radii_sit_on_their_thresholds(params):
     radii = coverage_radii(params, 20.0)
     assert snr_g2u(radii.r_g2u_m, params) == \
         pytest.approx(db_to_linear(params.snr_th_g2u_db), rel=1e-6)
-    assert snr_u2u(radii.r_u2u_m, params) == \
+    assert _snr_u2u(radii.r_u2u_m, params) == \
         pytest.approx(db_to_linear(params.snr_th_u2u_db), rel=1e-12)
     assert snr_u2b(radii.r_u2b_m, params, 20.0) == \
         pytest.approx(db_to_linear(params.snr_th_u2b_db), rel=1e-6)

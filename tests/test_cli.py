@@ -294,6 +294,17 @@ def test_non_numeric_scenario_field_is_a_usage_error(tmp_path, capsys, edit):
     assert "error: field '" in err and "must be a number" in err
 
 
+def test_unknown_scenario_key_is_a_usage_error(tmp_path, capsys):
+    # a stale linear threshold next to its dB replacement used to load silently
+    scn = tmp_path / "scn.json"
+    main(["generate", "--sensors", "20", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    data["channel"]["snr_th_g2u"] = 100.0
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_USAGE
+    assert "error: unknown field 'snr_th_g2u' in channel" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     lambda scn, bad, out: ["plan", bad],
     lambda scn, bad, out: ["plan", scn, "--config", bad],

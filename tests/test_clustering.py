@@ -193,7 +193,10 @@ def test_packing_floor_skips_only_infeasible_k(monkeypatch):
         with_floor = cluster_sensors(sc, radii)
         with monkeypatch.context() as m:
             m.setattr(clustering, "_packing_set", lambda points, r: [])
-            assert cluster_sensors(sc, radii) == with_floor
+            without = cluster_sensors(sc, radii)
+            assert np.array_equal(without.labels, with_floor.labels)
+            assert np.array_equal(without.cps, with_floor.cps)
+            assert np.array_equal(without.hover_s, with_floor.hover_s)
 
 
 def test_kmeans_rejects_bad_k():
@@ -206,17 +209,17 @@ def test_kmeans_rejects_bad_k():
 
 def test_cluster_sensors_postconditions():
     scenario, radii, cluster_set, _ = build_instance(250, 3500.0, seed=2)
-    seen = set()
-    for c in cluster_set.clusters:
-        assert 1 <= len(c.member_ids) <= scenario.n_th
-        pts = scenario.sensor_positions[list(c.member_ids)]
-        d = np.hypot(*(pts - np.asarray(c.cp_m)).T)
+    labels = cluster_set.labels
+    # one label per sensor: every sensor is in exactly one cluster
+    assert labels.shape == (scenario.n_sensors,)
+    assert set(labels.tolist()) == set(range(cluster_set.k))
+    for j, cp in enumerate(cluster_set.cps):
+        pts = scenario.sensor_positions[labels == j]
+        assert 1 <= len(pts) <= scenario.n_th
+        d = np.hypot(*(pts - cp).T)
         assert d.max() <= radii.r_g2u_m + 1e-6
-        assert np.asarray(c.cp_m) == pytest.approx(pts.mean(axis=0), abs=1e-6)
-        assert c.min_hover_s > 0
-        assert seen.isdisjoint(c.member_ids)
-        seen.update(c.member_ids)
-    assert seen == set(range(scenario.n_sensors))
+        assert cp == pytest.approx(pts.mean(axis=0), abs=1e-6)
+        assert cluster_set.hover_s[j] > 0
     assert check_cluster_set(scenario, cluster_set, radii) == []
 
 
@@ -225,7 +228,7 @@ def test_cluster_sensors_deterministic():
     radii = coverage_radii(sc.params, sc.bs_height_m)
     a = cluster_sensors(sc, radii)
     b = cluster_sensors(sc, radii)
-    assert [c.member_ids for c in a.clusters] == [c.member_ids for c in b.clusters]
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_close_sensors_form_single_cluster():
@@ -233,20 +236,47 @@ def test_close_sensors_form_single_cluster():
     radii = coverage_radii(sc.params, sc.bs_height_m)
     cs = cluster_sensors(sc, radii)
     assert cs.k == 1
-    assert np.asarray(cs.clusters[0].cp_m) == \
+    assert cs.cps[0] == \
         pytest.approx(sc.sensor_positions.mean(axis=0), abs=1e-6)
 
 
-def test_check_cluster_set_flags_tampering():
+def _tampered(kind, scenario, radii, cluster_set):
+    """A copy of `cluster_set` with one kind of defect."""
+    labels, cps = cluster_set.labels.copy(), cluster_set.cps.copy()
+    if kind == "empty-cluster":
+        labels[labels == 0] = 1
+    elif kind == "over-n_th":
+        labels[:scenario.n_th + 1] = 0
+    elif kind == "cp-beyond-r_g2u":
+        cps[0] = (radii.r_g2u_m * 10, 0.0)
+    elif kind == "cp-off-centroid":
+        cps[0, 0] += 1e-3
+    elif kind == "label-k":
+        labels[0] = cluster_set.k
+    elif kind == "labels-too-short":
+        labels = labels[:-1]
+    return dataclasses.replace(cluster_set, labels=labels, cps=cps)
+
+
+_FINDINGS = {
+    "empty-cluster": ["cluster 0 is empty"],
+    "over-n_th": ["cluster 0 holds"],
+    "cp-beyond-r_g2u": ["cluster 0 member beyond coverage radius",
+                        "cluster 0 CP is not the member centroid"],
+    "cp-off-centroid": ["cluster 0 CP is not the member centroid"],
+    "label-k": ["has label"],
+    "labels-too-short": ["labels have shape (119,), expected (120,)"],
+}
+
+
+@pytest.mark.parametrize("kind", _FINDINGS)
+def test_check_cluster_set_flags_tampering(kind):
     scenario, radii, cluster_set, _ = build_instance(120, 2500.0, seed=6)
-    import dataclasses
-    bad_cp = dataclasses.replace(cluster_set.clusters[0],
-                                 cp_m=(radii.r_g2u_m * 10, 0.0))
-    tampered = dataclasses.replace(
-        cluster_set, clusters=(bad_cp,) + cluster_set.clusters[1:])
+    assert check_cluster_set(scenario, cluster_set, radii) == []
+    tampered = _tampered(kind, scenario, radii, cluster_set)
     problems = check_cluster_set(scenario, tampered, radii)
-    assert any("coverage radius" in p for p in problems)
-    assert any("centroid" in p for p in problems)
+    for finding in _FINDINGS[kind]:
+        assert any(finding in p for p in problems), (finding, problems)
 
 
 def test_cluster_csv_export(tmp_path):
@@ -262,7 +292,7 @@ def test_cluster_csv_export(tmp_path):
     assert len(cps) == cluster_set.k + 1
     # CP coordinates survive the text round trip exactly
     first = cps[1].split(",")
-    assert float(first[1]) == cluster_set.clusters[0].cp_m[0]
+    assert float(first[1]) == cluster_set.cps[0, 0]
 
 
 def test_cluster_csv_writes_sensor_ids(tmp_path):
@@ -275,8 +305,7 @@ def test_cluster_csv_writes_sensor_ids(tmp_path):
     write_clusters_csv(scenario, cluster_set, a_path, tmp_path / "cps.csv")
     rows = [tuple(map(int, r.split(",")))
             for r in a_path.read_text().strip().splitlines()[1:]]
-    owner = {i: k for k, c in enumerate(cluster_set.clusters)
-             for i in c.member_ids}
+    owner = cluster_set.labels.tolist()
     assert rows == [(sid, owner[i])
                     for i, sid in enumerate(scenario.sensor_ids.tolist())]
     assert rows[:3] == [(1000, owner[0]), (1007, owner[1]), (1014, owner[2])]

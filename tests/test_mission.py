@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from conftest import build_instance, legs_connected
 
-from skyhaul.baselines import plan_ttp
-from skyhaul.clustering import Cluster, ClusterSet
+from skyhaul import pointmatch
+from skyhaul.baselines import plan_cstp, plan_ttp
+from skyhaul.clustering import ClusterSet
 from skyhaul.mission import (MissionPlan, completion_time, evaluate,
                              lower_bound, report_to_dict, validate,
                              write_plan_csv, write_report_json)
@@ -45,9 +46,9 @@ def test_completion_time_slowest_uav_sets_leg_pace():
 
 
 def _cluster_set(cps, hovers):
-    return ClusterSet(tuple(
-        Cluster(member_ids=(i,), cp_m=(float(x), float(y)), min_hover_s=float(h))
-        for i, ((x, y), h) in enumerate(zip(cps, hovers))))
+    """One sensor per CP."""
+    return ClusterSet(np.arange(len(cps)), np.array(cps, dtype=float),
+                      np.array(hovers, dtype=float))
 
 
 def test_lower_bound_single_ring_formula(default_radii):
@@ -251,3 +252,16 @@ def test_report_json_contents(relay_run, tmp_path):
     assert data["radii_m"]["r_u2u"] == radii.r_u2u_m
     assert len(data["rings_m"]) == 2
     assert len(data["association"]) == cluster_set.k
+
+
+def test_planners_leave_the_shared_instance_untouched():
+    # a bench or sweep cell runs every planner on one prepared instance
+    scenario, radii, cluster_set, topology = build_instance(300, 8000.0, 1)
+    arrays = (cluster_set.labels, cluster_set.cps, cluster_set.hover_s,
+              topology.association)
+    before = [a.copy() for a in arrays]
+    for planner in (pointmatch.plan, plan_ttp, plan_cstp):
+        plan = planner(scenario, cluster_set, topology, radii)
+        evaluate(plan, scenario, topology, radii, cluster_set)
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)

@@ -261,6 +261,21 @@ def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
         scenario_from_dict(d)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(n_sensors=2), "unknown field 'n_sensors' in scenario"),
+    (lambda d: d["channel"].update(snr_th_g2u=100.0),
+     "unknown field 'snr_th_g2u' in channel"),
+    (lambda d: d["sensors"][1].update(data_bit=1e7),
+     r"unknown field 'data_bit' in sensors\[1\]"),
+], ids=["scenario", "channel", "sensor"])
+def test_unknown_scenario_key_is_named(edit, match):
+    d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
+    scenario_from_dict(d)
+    edit(d)
+    with pytest.raises(ScenarioParseError, match=match):
+        scenario_from_dict(d)
+
+
 def test_apply_config_overrides_thresholds_in_db():
     p = apply_config_overrides(ChannelParams(), {"snr_th_g2u_db": 17.0,
                                                  "beta0": 2e-4})

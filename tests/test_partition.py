@@ -64,9 +64,8 @@ def test_association_and_lookup(default_radii):
     cps = [[500.0, 0.0], [0.0, r_b + 0.3 * r_u], [r_b + 1.2 * r_u, 0.0]]
     topo = build_topology(cps, BS, default_radii)
     assert topo.m_uavs == 3
-    assert topo.association == (0, 1, 2)
-    assert topo.cps_of_ring(1) == [1]
-    assert topo.cps_of_ring(2) == [2]
+    assert topo.association.tolist() == [0, 1, 2]
+    assert [t.order for t in topo.tours] == [(0,), (1,), (2,)]
 
 
 def test_ring_tours_are_solved_once(monkeypatch):
@@ -80,8 +79,8 @@ def test_ring_tours_are_solved_once(monkeypatch):
     monkeypatch.setattr(tsp, "_pairwise", counted)
     scenario, radii, cluster_set, topology = build_instance(300, 8000.0, 1)
     assert topology.m_uavs == 3
-    assert solved == [len(topology.cps_of_ring(r)) for r in range(3)
-                      if len(topology.cps_of_ring(r)) > 1]
+    sizes = np.bincount(topology.association).tolist()
+    assert solved == [n for n in sizes if n > 1]
     for planner, expect in ((pointmatch.plan, []), (plan_ttp, [cluster_set.k]),
                             (plan_cstp, [])):
         solved.clear()

@@ -306,8 +306,7 @@ def test_plan_two_rings_pacing_invariant():
     w = plan.waypoints
     legs = np.hypot(*np.moveaxis(w - np.roll(w, 1, axis=0), 2, 0))
     flown = float(legs[:, pacing].sum())
-    ids = topology.cps_of_ring(pacing)
-    tour = solve_tsp(cluster_set.cp_array()[ids])
+    tour = solve_tsp(cluster_set.cps[topology.association == pacing])
     assert flown == pytest.approx(tour.length_m + plan.meta["detour_m"],
                                   rel=1e-9)
 

@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import build_instance
-from skyhaul.tsp import _pairwise, _two_opt, solve_tsp, tour_length
+from conftest import build_instance, tour_length
+from skyhaul.tsp import _pairwise, _two_opt, solve_tsp
 
 
 def brute_force_length(points) -> float:
@@ -42,14 +42,6 @@ def test_matches_brute_force():
         assert sorted(tour.order) == list(range(n))
         assert tour.length_m == pytest.approx(brute_force_length(pts), rel=1e-9)
         assert tour.length_m == pytest.approx(tour_length(pts, tour.order), rel=1e-12)
-
-
-def test_tour_length_is_cyclic():
-    pts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0]])
-    order = (0, 1, 2)
-    rotated = (1, 2, 0)
-    assert tour_length(pts, order) == pytest.approx(tour_length(pts, rotated))
-    assert tour_length(pts, order) == pytest.approx(12.0)
 
 
 # The scalar solver that `solve_tsp` must reproduce move for move: the
