@@ -22,9 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import pointmatch
 from .baselines import plan_cstp, plan_ttp
-from .channel import coverage_radii
+from .channel import InfeasibleConfigError, coverage_radii
 from .clustering import cluster_sensors, write_clusters_csv
-from .mission import evaluate, write_plan_csv, write_report_json
+from .mission import DIST_TOL_M, evaluate, write_plan_csv, write_report_json
 from .model import (ChannelParams, InfeasibleError, ScenarioError,
                     ScenarioParseError, apply_config_overrides,
                     generate_scenario, load_json_object, load_scenario,
@@ -44,10 +44,18 @@ _SWEEP_HEADER = "axis_value,seed,algo,completion_s,lower_bound_s,flight_s,hover_
 
 
 def prepare(scenario):
-    """Everything a planner needs: coverage radii, CP clusters, ring topology."""
+    """Everything a planner needs: coverage radii, CP clusters, ring topology.
+
+    Raises InfeasibleConfigError when a fleet of two or more UAVs must keep
+    adjacent UAVs both within r_u2u and d_safe apart, which no plan can."""
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
     topology = build_topology(cluster_set.cps, scenario.bs_position_m, radii)
+    if (topology.m_uavs >= 2
+            and scenario.d_safe_m - DIST_TOL_M > radii.r_u2u_m + DIST_TOL_M):
+        raise InfeasibleConfigError(
+            f"d_safe_m {scenario.d_safe_m:g} exceeds the U2U link range "
+            f"r_u2u_m {radii.r_u2u_m:g}: adjacent UAVs cannot stay linked")
     return radii, cluster_set, topology
 
 

@@ -23,9 +23,6 @@ from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
 
-_ARC_SAMPLES = 360          # cost samples per boundary circle (1 degree)
-_REFINE_ROUNDS = 40         # golden-section rounds per sampled local minimum
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL_M = 1e-6
 _HOVER_CMP_TOL = 1e-12
 _HOP_TOL_M = 1e-9
@@ -141,29 +138,36 @@ def _crossings(c1: np.ndarray, r1: float, c2: np.ndarray,
 
 def _arc_minima(foci: np.ndarray, cen: np.ndarray,
                 rad: np.ndarray) -> np.ndarray:
-    """Local minima of the summed distance to `foci` along each circle.
-
-    One focus: its radial projection, in closed form. Several: every sampled
-    local minimum is bracketed by its neighbouring samples, then all brackets
-    shrink together by golden section.
-    """
+    """Every point of each circle where the summed distance to `foci` may be
+    locally least, in closed form: the radial projection of each focus (for
+    one focus, the minimum) and, for foci A, B (complex, centre-relative):
+    - the reflection points, where (A - z)(B - z) / z^2 is real: roots of
+      conj(AB) z^4 - r^2 conj(A+B) z^3 + r^4 (A+B) z - r^4 AB (Neumann 1998),
+      one batched eigenvalue call over the companion matrices, each root put
+      on its circle by angle. A focus on the centre or a zero radius leaves
+      the radial projections exact, so those circles skip it;
+    - where the segment AB crosses the circle: both gradients cancel there,
+      so the quartic has no root."""
+    rel = foci[:, None] - cen
+    pts = [_on_circle(cen, rad, np.arctan2(v[:, 1], v[:, 0])) for v in rel]
     if len(foci) == 1:
-        v = foci[0] - cen
-        return _on_circle(cen, rad, np.arctan2(v[:, 1], v[:, 0]))
-    step = 2.0 * np.pi / _ARC_SAMPLES
-    theta = np.arange(_ARC_SAMPLES) * step
-    f = _cost(_on_circle(cen[:, None], rad[:, None], theta), foci)
-    ci, ti = np.nonzero((f <= np.roll(f, 1, axis=1))
-                        & (f <= np.roll(f, -1, axis=1)))
-    cen, rad = cen[ci], rad[ci]
-    lo, hi = theta[ti] - step, theta[ti] + step
-    for _ in range(_REFINE_ROUNDS):
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        left = (_cost(_on_circle(cen, rad, x1), foci)
-                < _cost(_on_circle(cen, rad, x2), foci))
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-    return _on_circle(cen, rad, 0.5 * (lo + hi))
+        return pts[0]
+    a, b = (rel[..., 0] + 1j * rel[..., 1]) / np.where(rad > 0.0, rad, 1.0)
+    k = np.flatnonzero((rad > 0.0) & (a * b != 0.0))
+    s, p = a[k] + b[k], a[k] * b[k]
+    comp = np.zeros((len(k), 4, 4), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(3)
+    comp[:, 0] = (np.stack([s.conj(), np.zeros_like(s), -s, p], axis=1)
+                  / p.conj()[:, None])
+    theta = np.angle(np.linalg.eigvals(comp))
+    pts.append(_on_circle(cen[k, None], rad[k, None], theta).reshape(-1, 2))
+    edge = foci[1] - foci[0]
+    if (bb := float(edge @ edge)) > 0.0:
+        disc, t0, t1 = _chord(rel[0] @ edge, bb, (rel[0] ** 2).sum(1), rad)
+        t = np.concatenate([t0, t1])
+        t = t[np.tile(disc >= 0.0, 2) & (t >= 0.0) & (t <= 1.0)]
+        pts.append(foci[0] + t[:, None] * edge)
+    return np.vstack(pts)
 
 
 def _minimise(foci, seeds, annuli) -> np.ndarray | None:
@@ -173,8 +177,9 @@ def _minimise(foci, seeds, annuli) -> np.ndarray | None:
 
     The cost is convex, so the optimum is a feasible unconstrained minimiser
     from `seeds`, a point where two boundary circles cross or touch, or a
-    local minimum of the cost along one boundary circle. All are scored, then
-    one feasibility filter keeps the admissible ones.
+    local minimum of the cost along one boundary circle, all in closed form
+    (`_arc_minima`). All are scored and one feasibility filter keeps the
+    admissible ones, so a candidate that is no minimum costs nothing.
     """
     foci = np.asarray(foci, dtype=float).reshape(-1, 2)
     circles = [(np.asarray(c, dtype=float), r) for c, lo, hi in annuli
@@ -192,6 +197,14 @@ def _minimise(foci, seeds, annuli) -> np.ndarray | None:
     return pts[best].copy() if ok[best] else None
 
 
+def _chord(db, bb, dd, r):
+    """Where the line d + t b meets the circle |x| = r (db = d.b, bb = b.b > 0,
+    dd = d.d): the discriminant, negative if it misses, and roots t0 <= t1."""
+    disc = db * db - bb * (dd - r * r)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    return disc, (-db - s) / bb, (-db + s) / bb
+
+
 def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
                 r_hi: float) -> list[tuple[float, float]]:
     """Sub-intervals of t in [0, 1] where e1 + t(e2-e1) is r_lo..r_hi from center."""
@@ -203,30 +216,15 @@ def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
         return [(0.0, 1.0)] if r_lo <= dist <= r_hi else []
     db = float(d @ b)
     dd = float(d @ d)
-
-    def inside(r):
-        # t range with squared distance <= r^2, or None when the line misses
-        disc = db * db - bb * (dd - r * r)
-        if disc < 0.0:
-            return None
-        s = math.sqrt(disc)
-        return ((-db - s) / bb, (-db + s) / bb)
-
-    outer = inside(r_hi)
-    if outer is None:
+    disc, t0, t1 = _chord(db, bb, dd, r_hi)
+    lo, hi = max(t0, 0.0), min(t1, 1.0)
+    if disc < 0.0 or lo > hi:
         return []
-    lo, hi = max(outer[0], 0.0), min(outer[1], 1.0)
-    if lo > hi:
-        return []
-    hole = inside(r_lo) if r_lo > 0.0 else None
-    if hole is None:
+    disc, h0, h1 = _chord(db, bb, dd, r_lo)
+    if r_lo <= 0.0 or disc < 0.0:       # no hole on the line
         return [(lo, hi)]
-    spans = []
-    if lo < hole[0]:
-        spans.append((lo, min(hi, hole[0])))
-    if hole[1] < hi:
-        spans.append((max(lo, hole[1]), hi))
-    return spans
+    return ([(lo, min(hi, h0))] if lo < h0 else []) + (
+        [(max(lo, h1), hi)] if h1 < hi else [])
 
 
 def _edge_through_point(e1: np.ndarray, e2: np.ndarray,

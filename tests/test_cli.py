@@ -7,9 +7,11 @@ import pytest
 
 from skyhaul import cli
 from skyhaul.baselines import InfeasiblePlanError
-from skyhaul.channel import CoverageError, InfeasibleConfigError
+from skyhaul.channel import (CoverageError, InfeasibleConfigError,
+                             coverage_radii)
 from skyhaul.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from skyhaul.clustering import InfeasibleClusteringError
+from skyhaul.model import load_scenario
 from skyhaul.pointmatch import InfeasibleWaypointError
 
 
@@ -131,6 +133,34 @@ def test_colocated_sensors_over_the_member_cap_are_infeasible(tmp_path, capsys):
     scn.write_text(json.dumps(data))
     assert main(["plan", str(scn)]) == EXIT_INFEASIBLE
     assert "infeasible: no cluster count" in capsys.readouterr().err
+
+
+def _with_d_safe_over_r_u2u(tmp_path, sensors, size):
+    """A generated scenario whose d_safe_m is 1.05 times its U2U link range."""
+    scn = tmp_path / "scn.json"
+    assert main(["generate", "--sensors", sensors, "--size", size,
+                 "--seed", "1", "-o", str(scn)]) == EXIT_OK
+    scenario = load_scenario(str(scn))
+    r_u2u = coverage_radii(scenario.params, scenario.bs_height_m).r_u2u_m
+    data = json.loads(scn.read_text())
+    data["d_safe_m"] = 1.05 * r_u2u
+    scn.write_text(json.dumps(data))
+    return str(scn)
+
+
+@pytest.mark.parametrize("algo", ["pmtp", "ttp", "cstp"])
+def test_d_safe_beyond_the_link_range_is_infeasible(tmp_path, capsys, algo):
+    # three rings: adjacent UAVs cannot be both linked and d_safe apart
+    scn = _with_d_safe_over_r_u2u(tmp_path, "300", "8000")
+    assert main(["plan", scn, "--algo", algo]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "infeasible: d_safe_m" in err and "r_u2u_m" in err
+
+
+def test_d_safe_beyond_the_link_range_still_plans_one_uav(tmp_path, capsys):
+    scn = _with_d_safe_over_r_u2u(tmp_path, "60", "2500")
+    assert main(["plan", scn, "--algo", "pmtp"]) == EXIT_OK
+    assert " m=1 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -1,6 +1,8 @@
 """Point-matching planner: pairing rules, waypoint solvers, full plans."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from conftest import build_instance
@@ -8,8 +10,9 @@ from conftest import build_instance
 from skyhaul import pointmatch
 from skyhaul.mission import evaluate, lower_bound
 from skyhaul.partition import Ring
-from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
-                                _relaxed_pairs, advance_point, match_pairs,
+from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair, _cost,
+                                _minimise, _on_circle, _relaxed_pairs,
+                                advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
 from skyhaul.tsp import solve_tsp
 
@@ -394,3 +397,129 @@ def test_waypoint_solvers_never_lose_to_the_grid():
             assert len(in_budget) == 0
             assert np.allclose(q, q_chain, rtol=0.0, atol=tol)
     assert solved >= 100
+
+
+# The sampled arc solver that the closed form replaced, kept as an oracle:
+# 360 samples per circle, each sampled local minimum refined by golden section.
+_ARC_SAMPLES = 360          # cost samples per boundary circle (1 degree)
+_REFINE_ROUNDS = 40         # golden-section rounds per sampled local minimum
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _sampled_arc_minima(foci: np.ndarray, cen: np.ndarray,
+                        rad: np.ndarray) -> np.ndarray:
+    """Local minima of the summed distance to `foci` along each circle.
+
+    One focus: its radial projection, in closed form. Several: every sampled
+    local minimum is bracketed by its neighbouring samples, then all brackets
+    shrink together by golden section.
+    """
+    if len(foci) == 1:
+        v = foci[0] - cen
+        return _on_circle(cen, rad, np.arctan2(v[:, 1], v[:, 0]))
+    step = 2.0 * np.pi / _ARC_SAMPLES
+    theta = np.arange(_ARC_SAMPLES) * step
+    f = _cost(_on_circle(cen[:, None], rad[:, None], theta), foci)
+    ci, ti = np.nonzero((f <= np.roll(f, 1, axis=1))
+                        & (f <= np.roll(f, -1, axis=1)))
+    cen, rad = cen[ci], rad[ci]
+    lo, hi = theta[ti] - step, theta[ti] + step
+    for _ in range(_REFINE_ROUNDS):
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        left = (_cost(_on_circle(cen, rad, x1), foci)
+                < _cost(_on_circle(cen, rad, x2), foci))
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+    return _on_circle(cen, rad, 0.5 * (lo + hi))
+
+
+def _feasible(pts, annuli, tol):
+    """Which of the points (..., 2) lie in every annulus, give or take tol."""
+    ok = True
+    for c, lo, hi in annuli:
+        d = np.hypot(*np.moveaxis(pts - c, -1, 0))
+        ok = ok & (d >= lo - tol) & (d <= hi + tol)
+    return ok
+
+
+def _two_focus_instances(count):
+    """A disk or annulus, half the time crossed with a second one, and two
+    foci drawn near, inside, outside or astride its outer circle."""
+    rng = np.random.default_rng(31)
+    spans = {"near": [(0.95, 1.05)] * 2, "inside": [(0.0, 1.0)] * 2,
+             "outside": [(1.0, 3.0)] * 2, "astride": [(0.0, 1.0), (1.0, 3.0)]}
+    for i in range(count):
+        kind = list(spans)[i % 4]
+        c = rng.uniform(-2000.0, 2000.0, 2)
+        r = float(rng.uniform(100.0, 5000.0))
+        annuli = [(c, float(rng.choice([0.0, rng.uniform(0.0, r)])), r)]
+        if rng.random() < 0.5:
+            annuli.append((c + rng.uniform(-4000.0, 4000.0, 2),
+                           float(rng.uniform(0.0, 1000.0)),
+                           float(rng.uniform(1000.0, 6000.0))))
+        ang = rng.uniform(0.0, 2.0 * np.pi, 2)
+        dist = r * np.array([rng.uniform(*s) for s in spans[kind]])
+        foci = c + dist[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        yield kind, foci, annuli
+
+
+def test_two_focus_minimum_never_loses_to_sampling_or_a_grid(monkeypatch):
+    tol = 1e-6
+    angles = np.linspace(0.0, 2.0 * np.pi, 7200, endpoint=False)
+    kinds = set()
+    for kind, foci, annuli in _two_focus_instances(300):
+        q = _minimise(foci, [], annuli)
+        with monkeypatch.context() as patched:
+            patched.setattr(pointmatch, "_arc_minima", _sampled_arc_minima)
+            q_sampled = _minimise(foci, [], annuli)
+        circles = [(c, r) for c, lo, hi in annuli
+                   for r in ((lo, hi) if lo > 0.0 else (hi,))]
+        grid = np.vstack([_on_circle(c, np.array(r), angles)
+                          for c, r in circles])
+        grid = grid[_feasible(grid, annuli, 1e-9)]
+        if q is None:
+            assert q_sampled is None and len(grid) == 0
+            continue
+        kinds.add(kind)
+        assert _feasible(q, annuli, tol)
+        cost = float(_cost(q, foci))
+        if q_sampled is not None:
+            assert cost <= float(_cost(q_sampled, foci)) + tol
+        if len(grid):
+            assert cost <= _cost(grid, foci).min() + tol
+    assert kinds == {"near", "inside", "outside", "astride"}
+
+
+_DEGENERATE = {
+    # the band of a UAV whose anchor sits on the BS, reachable and not
+    "zero-radius band": ((0.0, 300.0), (-100.0, 600.0), (100.0, 600.0),
+                         Ring(0.0, 0.0)),
+    "zero-radius band out of reach": ((0.0, 20.0), (-100.0, 600.0),
+                                      (100.0, 600.0), Ring(0.0, 0.0)),
+    # the edge ends on the CP, the chain circles' centre, short of the band
+    "endpoint on the CP": ((0.0, 1000.0), (0.0, 1000.0), (200.0, 1000.0),
+                           Ring(1030.0, 2000.0)),
+    "coincident endpoints": ((0.0, 1000.0), (0.0, 1010.0), (0.0, 1010.0),
+                             Ring(1030.0, 2000.0)),
+    "both endpoints on the CP": ((0.0, 1000.0), (0.0, 1000.0), (0.0, 1000.0),
+                                 Ring(1030.0, 2000.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(_DEGENERATE))
+def test_p3_degenerate_geometry_matches_the_sampled_solver(case, monkeypatch):
+    p_k, e1, e2, ring = _DEGENERATE[case]
+    args = (p_k, e1, e2, 500.0, 30.0, ring)
+    with np.errstate(all="raise"):
+        res = p3_waypoint(*args)
+    monkeypatch.setattr(pointmatch, "_arc_minima", _sampled_arc_minima)
+    oracle = p3_waypoint(*args)
+    if oracle is None:
+        assert res is None
+        return
+    q = np.array(res.point)
+    annuli = [(np.array(p_k), 30.0, 500.0), (np.zeros(2), ring.inner_m,
+                                              ring.outer_m)]
+    assert _feasible(q, annuli, 1e-6)
+    assert res.detour_m == pytest.approx(oracle.detour_m, abs=1e-6)
