@@ -4,6 +4,9 @@ A plan is a cyclic sequence of steps. Every UAV owns one waypoint per step;
 all UAVs fly leg i-1 -> i together (the slowest sets the pace), then hold for
 the step's shared hover. Step 0 doubles as the start/finish configuration, so
 flight_s[0] is the closing leg flown from the last step back home.
+
+Each check tests that a value is within its bound, never that it is beyond
+it, so a NaN fails every check that reads it; infinite times fail too.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> 
     problems = []
     m = w.shape[1]
     d_bs = np.hypot(*np.moveaxis(w[:, 0, :] - bs, 1, 0))
-    bad = np.flatnonzero(d_bs > radii.r_u2b_m + DIST_TOL_M)
+    bad = np.flatnonzero(~(d_bs <= radii.r_u2b_m + DIST_TOL_M))
     if bad.size:
         problems.append(f"UAV 0 beyond BS range at step {bad[0]} "
                         f"({d_bs[bad[0]]:.1f} m)")
@@ -140,7 +143,7 @@ def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> 
     for i in range(1, m):
         s = np.hypot(*np.moveaxis(prev[:, i, :] - prev[:, i - 1, :], 1, 0))
         e = np.hypot(*np.moveaxis(w[:, i, :] - w[:, i - 1, :], 1, 0))
-        bad = np.flatnonzero(np.maximum(s, e) > radii.r_u2u_m + DIST_TOL_M)
+        bad = np.flatnonzero(~(np.maximum(s, e) <= radii.r_u2u_m + DIST_TOL_M))
         if bad.size:
             problems.append(f"UAVs {i - 1}/{i} out of range on the leg into "
                             f"step {bad[0]} ({max(s[bad[0]], e[bad[0]]):.1f} m)")
@@ -165,7 +168,7 @@ def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
             t = np.clip(-(a * d).sum(axis=1) / np.where(dd > 0, dd, 1.0),
                         0.0, 1.0)
             closest = np.hypot(*(a + t[:, None] * d).T)
-            bad = np.flatnonzero(closest < d_safe - DIST_TOL_M)
+            bad = np.flatnonzero(~(closest >= d_safe - DIST_TOL_M))
             if bad.size:
                 problems.append(f"UAVs {i}/{j} close to {closest[bad[0]]:.1f} m "
                                 f"on the leg into step {bad[0]}")
@@ -177,7 +180,8 @@ def _check_speed(plan: MissionPlan) -> CheckResult:
     need = _leg_lengths(plan.waypoints) / plan.v_max_mps
     flight = plan.flight_s
     problems = []
-    short = np.flatnonzero(need.max(axis=1) > flight + TIME_TOL_S)
+    short = np.flatnonzero(~(np.isfinite(flight)
+                             & (need.max(axis=1) <= flight + TIME_TOL_S)))
     if short.size:
         i = short[0]
         problems.append(f"step {i} schedules {flight[i]:.3f} s but the longest "
@@ -216,7 +220,7 @@ def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
         if not ids:
             continue
         need = float(hovers[ids].max())
-        if hover < need - HOVER_TOL_S:
+        if not (np.isfinite(hover) and hover >= need - HOVER_TOL_S):
             problems.append(f"step {i} hovers {hover:.3f} s but CP "
                             f"{ids[int(np.argmax(hovers[ids]))]} needs {need:.3f} s")
     return _result("hover-sufficiency", problems,
@@ -227,7 +231,7 @@ def _check_closure(plan: MissionPlan) -> CheckResult:
     expect = _leg_lengths(plan.waypoints).max(axis=1) / plan.v_max_mps
     flight = plan.flight_s
     problems = []
-    bad = np.flatnonzero(np.abs(flight - expect) > TIME_TOL_S)
+    bad = np.flatnonzero(~(np.abs(flight - expect) <= TIME_TOL_S))
     if bad.size:
         i = bad[0]
         which = "closing leg" if i == 0 else f"leg into step {i}"
@@ -241,14 +245,16 @@ def validate(plan: MissionPlan, scenario: Scenario, topology: Topology,
              radii: CoverageRadii, cluster_set: ClusterSet) -> list[CheckResult]:
     """Run every mission validity check; failures are reported, never raised."""
     _plan_shape_or_raise(plan, topology)
-    return [
-        _check_connectivity(plan.waypoints, scenario.bs_xy, radii),
-        _check_collision(plan.waypoints, scenario.d_safe_m),
-        _check_speed(plan),
-        _check_coverage(plan, cluster_set),
-        _check_hover(plan, cluster_set),
-        _check_closure(plan),
-    ]
+    # an infinite waypoint turns distances into NaN, which fails its checks
+    with np.errstate(invalid="ignore"):
+        return [
+            _check_connectivity(plan.waypoints, scenario.bs_xy, radii),
+            _check_collision(plan.waypoints, scenario.d_safe_m),
+            _check_speed(plan),
+            _check_coverage(plan, cluster_set),
+            _check_hover(plan, cluster_set),
+            _check_closure(plan),
+        ]
 
 
 def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,

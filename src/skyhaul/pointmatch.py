@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, assemble_plan, ring_serial_s
+from .mission import MissionPlan, _leg_lengths, assemble_plan, ring_serial_s
 from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
@@ -285,20 +285,6 @@ def advance_point(prev, anchor, target, budget_m: float, r_link: float,
     return q
 
 
-class _Step:
-    """Mutable step under assembly: ring -> position, ring -> collected CP."""
-
-    __slots__ = ("pos", "collect")
-
-    def __init__(self, pos=None, collect=None):
-        self.pos: dict[int, np.ndarray] = pos or {}
-        self.collect: dict[int, int] = collect or {}
-
-
-def _ref_path(steps: list[_Step], ref: int) -> np.ndarray:
-    return np.array([s.pos[ref] for s in steps], dtype=float)
-
-
 def _rotations(seq: list):
     for base in (seq, seq[::-1]):
         for r in range(len(base)):
@@ -353,38 +339,41 @@ def _relaxed_pairs(pair: RingPair, order, pairs: dict[int, int]) -> dict[int, in
     return extra
 
 
-def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
+def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
                       ring_ref, bs, r_u2u, d_safe, meta):
     """Give every unmatched attach-ring CP its own step, placed on the fixed
     ring's path between the surrounding match anchors with minimal detour.
     The fixed UAV collects nothing there, so it only keeps radial order with
-    the CP (`_radial_band`), not its own annulus."""
-    nxt = _next_matched(order, pair_step)
-    last_obj: _Step | None = None
+    the CP (`_radial_band`), not its own annulus. An anchor's step is the row
+    collecting its CP, which stays right as steps are inserted. Returns the
+    grown `pos` and `duty`."""
+    nxt = _next_matched(order, matched)
+    last = None
     for t, a_local in enumerate(order):
-        if a_local in pair_step:
-            last_obj = pair_step[a_local]
-            continue
-        next_obj = pair_step[nxt[t]] if nxt[t] is not None else None
         cp_id = int(adj_ids[a_local])
+        if a_local in matched:
+            last = cp_id
+            continue
+        after = int(adj_ids[nxt[t]]) if nxt[t] is not None else None
         cp = cps[cp_id]
         band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
-        lo = steps.index(last_obj) if last_obj is not None else -1
-        hi = steps.index(next_obj) if next_obj is not None else len(steps) - 1
+        col = duty[:, adj]
+        lo = int(np.flatnonzero(col == last)[0]) if last is not None else -1
+        hi = (int(np.flatnonzero(col == after)[0]) if after is not None
+              else len(pos) - 1)
         s_lo, s_hi = max(lo, 0), hi - 1
         if s_hi < s_lo:
-            s_lo, s_hi = max(lo, 0), len(steps) - 2
+            s_lo, s_hi = max(lo, 0), len(pos) - 2
         if s_hi < s_lo:
             # empty window: no matched anchor follows and the last anchor is
             # the final step (or the path is one step long), so park the
             # fixed UAV next to the CP; p3_calls and detour_m skip this step
-            q = nearest_chain_point(steps[0].pos[ref], cp, r_u2u, d_safe,
-                                    band, bs)
+            q = nearest_chain_point(pos[0, ref], cp, r_u2u, d_safe, band, bs)
             at = max(lo, 0) + 1
         else:
             # cost each window edge: fixed-ring detour plus however much of
             # the attach UAV's in/out jumps the intervening legs cannot absorb
-            refpath = _ref_path(steps, ref)
+            refpath = pos[:, ref]
             ref_legs = np.hypot(*(refpath - np.roll(refpath, 1, axis=0)).T)
             best = None
             for s in range(s_lo, s_hi + 1):
@@ -393,13 +382,13 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
                 if res is None:
                     continue
                 cost = res.detour_m
-                if last_obj is not None:
+                if last is not None:
                     slack = float(ref_legs[lo + 1:s + 1].sum())
-                    cost += max(0.0, float(np.hypot(*(last_obj.pos[adj] - cp)))
+                    cost += max(0.0, float(np.hypot(*(cps[last] - cp)))
                                 - slack)
-                if next_obj is not None:
+                if after is not None:
                     slack = float(ref_legs[s + 1:hi + 1].sum())
-                    cost += max(0.0, float(np.hypot(*(cp - next_obj.pos[adj])))
+                    cost += max(0.0, float(np.hypot(*(cp - cps[after])))
                                 - slack)
                 if best is None or cost < best[0] - 1e-9:
                     best = (cost, s, res)
@@ -409,12 +398,14 @@ def _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
             _, s, res = best
             meta["p3_calls"] += 1
             meta["detour_m"] += res.detour_m
-            q = np.asarray(res.point)
+            q = res.point
             at = s + 1
-        new = _Step(pos={ref: q, adj: cp.copy()}, collect={adj: cp_id})
-        steps.insert(at, new)
-        last_obj = new
+        pos = np.insert(pos, at, np.nan, axis=0)
+        duty = np.insert(duty, at, -1, axis=0)
+        pos[at, ref], pos[at, adj], duty[at, adj] = q, cp, cp_id
+        last = cp_id
         meta["generated_waypoints"] += 1
+    return pos, duty
 
 
 def _radial_band(g: int, anchor_ring: int, anchor_pos: np.ndarray,
@@ -435,7 +426,7 @@ def _radial_band(g: int, anchor_ring: int, anchor_pos: np.ndarray,
     return Ring(0.0, max(min(ring_geom.outer_m, bsd - d_safe), 0.0))
 
 
-def _fill_ring(steps, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
+def _fill_ring(pos, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
                done_rings, meta):
     """Assign ring `g` a position at every step that still lacks one.
 
@@ -448,86 +439,71 @@ def _fill_ring(steps, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
     Idle positions need not sit inside the ring's own annulus, only duty
     waypoints do; they keep the `_radial_band` order instead.
     """
-    s_count = len(steps)
-    hard = [i for i, st in enumerate(steps) if g in st.pos]
-    start = hard[0] if hard else 0
-    seq = list(range(start, s_count)) + list(range(start))
-    # next duty waypoint strictly after each step, cyclically
-    nxt: list[np.ndarray | None] = [None] * s_count
-    if hard:
-        cur = steps[hard[0]].pos[g]
-        for i in reversed(seq):
-            nxt[i] = cur
-            if g in steps[i].pos:
-                cur = steps[i].pos[g]
-        prev = steps[hard[0]].pos[g]
+    s_count = len(pos)
+    hard = np.flatnonzero(~np.isnan(pos[:, g, 0]))
+    if hard.size:
+        # next duty step strictly after each step, cyclically
+        nxt = hard[np.searchsorted(hard, np.arange(s_count), side="right")
+                   % len(hard)]
+        start = int(hard[0])
     else:
-        anc0 = steps[seq[0]].pos[anchor_ring]
+        anc0 = pos[0, anchor_ring]
         v = anc0 - bs
         nv = float(np.hypot(*v))
         u = v / nv if nv > 0 else np.array([1.0, 0.0])
         mid = 0.5 * (ring_geom.inner_m + ring_geom.outer_m)
-        prev = nearest_chain_point(bs + u * mid, anc0, r_u2u, d_safe,
-                                   _radial_band(g, anchor_ring, anc0,
-                                                ring_geom, bs, d_safe), bs)
-        steps[seq[0]].pos[g] = prev
-        seq = seq[1:]
-    for i in seq:
-        st = steps[i]
-        if g in st.pos:
-            prev = st.pos[g]
-            continue
-        before = steps[i - 1].pos
-        budget = max((float(np.hypot(*(st.pos[r] - before[r])))
-                      for r in done_rings), default=0.0)
-        target = nxt[i] if nxt[i] is not None else st.pos[anchor_ring]
-        anchor_pos = st.pos[anchor_ring]
+        pos[0, g] = nearest_chain_point(bs + u * mid, anc0, r_u2u, d_safe,
+                                        _radial_band(g, anchor_ring, anc0,
+                                                     ring_geom, bs, d_safe), bs)
+        start = 0
+    budget = _leg_lengths(pos[:, done_rings]).max(axis=1)
+    seq = np.roll(np.arange(s_count), -start)
+    for i in seq[np.isnan(pos[seq, g, 0])]:
+        anchor_pos = pos[i, anchor_ring]
+        target = pos[nxt[i], g] if hard.size else anchor_pos
         band = _radial_band(g, anchor_ring, anchor_pos, ring_geom, bs, d_safe)
-        q = advance_point(prev, anchor_pos, target, budget,
-                          r_u2u, d_safe, band, bs)
-        st.pos[g] = q
-        prev = q
+        pos[i, g] = advance_point(pos[i - 1, g], anchor_pos, target,
+                                  float(budget[i]), r_u2u, d_safe, band, bs)
         meta["escorts"] += 1
 
 
-def _fill_all(steps, ref, ring_range, rings, bs, r_u2u, d_safe, meta):
+def _fill_all(pos, ref, ring_range, rings, bs, r_u2u, d_safe, meta):
     """After a pair processing, close every hole: rings fill in chain order
     outward from the fixed ring, each anchored to its neighbor toward it."""
-    done = {ref}
+    done = [ref]
     for g in sorted(ring_range, key=lambda r: abs(r - ref)):
         if g == ref:
             continue
         anchor_ring = g - 1 if g > ref else g + 1
-        _fill_ring(steps, g, anchor_ring, rings[g], bs, r_u2u, d_safe,
+        _fill_ring(pos, g, anchor_ring, rings[g], bs, r_u2u, d_safe,
                    done, meta)
-        done.add(g)
+        done.append(g)
 
 
-def _attach_ring(steps, ref, adj, cps, hovers, orders, rings, bs,
+def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, rings, bs,
                  r_u2u, d_safe, meta):
     """Process one adjacent ring pair: match shared steps, then insert new
-    steps for the attach-ring CPs that could not share one."""
+    steps for the attach-ring CPs that could not share one. Returns the
+    grown `pos` and `duty`."""
     adj_ids = orders[adj]
     meta["pair_processings"] += 1
     if not adj_ids:
-        return
-    ev_steps = [i for i, st in enumerate(steps) if ref in st.collect]
-    ev_cps = [steps[i].collect[ref] for i in ev_steps]
+        return pos, duty
+    ev_steps = np.flatnonzero(duty[:, ref] >= 0)
+    ev_cps = duty[ev_steps, ref]
     path_cum = np.concatenate([[0.0], np.cumsum(
-        np.hypot(*np.diff(_ref_path(steps, ref), axis=0).T))])
+        np.hypot(*np.diff(pos[:, ref], axis=0).T))])
     pair = RingPair(cps[adj_ids], cps[ev_cps], hovers[adj_ids], hovers[ev_cps],
                     path_cum[ev_steps], r_u2u, d_safe)
     order, pairs, extra = _best_matching(pair)
-    pair_step: dict[int, _Step] = {}
-    for a_local, e_local in (pairs | extra).items():
-        st = steps[ev_steps[e_local]]
-        st.pos[adj] = cps[adj_ids[a_local]].copy()
-        st.collect[adj] = int(adj_ids[a_local])
-        pair_step[a_local] = st
+    matched = pairs | extra
+    for a_local, e_local in matched.items():
+        pos[ev_steps[e_local], adj] = cps[adj_ids[a_local]]
+        duty[ev_steps[e_local], adj] = adj_ids[a_local]
     meta["pairs_matched"] += len(pairs)
     meta["pairs_relaxed"] += len(extra)
-    _insert_unmatched(steps, ref, adj, order, pair_step, adj_ids, cps,
-                      rings[ref], bs, r_u2u, d_safe, meta)
+    return _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids,
+                             cps, rings[ref], bs, r_u2u, d_safe, meta)
 
 
 def _attach_schedule(pacing: int, m: int):
@@ -553,6 +529,9 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     ring reuses the fixed ring's collect steps where a shared step is
     feasible, gets minimal-detour inserted steps for the rest, and every
     other ring closes its holes with chained low-displacement waypoints.
+
+    The plan under construction is `pos` (S, M, 2), NaN where a ring has no
+    position yet, and `duty` (S, M), the CP collected or -1.
     """
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
@@ -567,8 +546,9 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     pacing = int(np.argmax(times))
     if not orders[pacing]:
         raise ValueError("cluster set has no collection points")
-    steps = [_Step(pos={pacing: cps[c].copy()}, collect={pacing: int(c)})
-             for c in orders[pacing]]
+    pos = np.full((len(orders[pacing]), m, 2), np.nan)
+    duty = np.full((len(orders[pacing]), m), -1)
+    pos[:, pacing], duty[:, pacing] = cps[orders[pacing]], orders[pacing]
     meta = {
         "algo": "pmtp",
         "pacing_ring": pacing,
@@ -583,10 +563,9 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     }
 
     for ref, adj, placed in _attach_schedule(pacing, m):
-        _attach_ring(steps, ref, adj, cps, hovers, orders, rings, bs,
-                     r_u2u, d_safe, meta)
-        _fill_all(steps, ref, placed, rings, bs, r_u2u, d_safe, meta)
+        pos, duty = _attach_ring(pos, duty, ref, adj, cps, hovers, orders,
+                                 rings, bs, r_u2u, d_safe, meta)
+        _fill_all(pos, ref, placed, rings, bs, r_u2u, d_safe, meta)
 
-    w = np.array([[st.pos[r] for r in range(m)] for st in steps])
-    duties = [[st.collect.get(r) for r in range(m)] for st in steps]
-    return assemble_plan(w, duties, hovers, v, meta)
+    duties = [[None if c < 0 else c for c in row] for row in duty.tolist()]
+    return assemble_plan(pos, duties, hovers, v, meta)

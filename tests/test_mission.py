@@ -187,6 +187,23 @@ def test_validate_flags_broken_closure(relay_run):
     assert _failed(bad, relay_run, "speed").passed
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, failing", [
+    ("waypoints", {"connectivity", "collision"}),
+    ("flight_s", {"speed", "return-to-start"}),
+    ("hover_s", {"hover-sufficiency"}),
+], ids=["waypoints", "flight_s", "hover_s"])
+def test_validate_flags_non_finite_values(relay_run, name, failing, value):
+    # NaN compares false with every bound, so a check that tests for being
+    # beyond a bound would pass it
+    scenario, radii, cluster_set, topology, plan = relay_run
+    column = getattr(plan, name).copy()
+    column.reshape(len(column), -1)[2, 0] = value    # UAV 0's x, or the time
+    bad = dataclasses.replace(plan, **{name: column})
+    checks = validate(bad, scenario, topology, radii, cluster_set)
+    assert failing <= {c.name for c in checks if not c.passed}
+
+
 def test_validate_rejects_wrong_uav_count(relay_run):
     scenario, radii, cluster_set, topology, _ = relay_run
     plan = simple_plan()

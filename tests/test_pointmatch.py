@@ -8,7 +8,10 @@ import pytest
 from conftest import build_instance
 
 from skyhaul import pointmatch
+from skyhaul.baselines import plan_cstp, plan_ttp
+from skyhaul.cli import prepare
 from skyhaul.mission import evaluate, lower_bound
+from skyhaul.model import Scenario
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair, _cost,
                                 _minimise, _on_circle, _relaxed_pairs,
@@ -322,6 +325,35 @@ def test_plan_three_rings_valid():
     assert report.all_passed, [c for c in report.checks if not c.passed]
     assert plan.meta["pair_processings"] == 2
     assert not report.bound_violated
+
+
+def test_plan_escorts_through_an_empty_middle_ring(default_params,
+                                                   default_radii):
+    """Two clumps, one near the BS and one past the second ring, leave the
+    middle ring without a CP: attaching it matches nothing, its UAV only
+    escorts, and the outer CP gets a step of its own."""
+    rng = np.random.default_rng(0)
+    d = default_radii.r_u2b_m + 1.5 * default_radii.r_u2u_m
+    xy = np.vstack([rng.uniform(200.0, 500.0, size=(30, 2)),
+                    d / math.sqrt(2) + rng.uniform(0.0, 300.0, size=(30, 2))])
+    side = float(xy.max()) + 100.0
+    scenario = Scenario(
+        region_width_m=side, region_height_m=side, bs_position_m=(0.0, 0.0),
+        bs_height_m=20.0, sensor_ids=np.arange(60), sensor_positions=xy,
+        sensor_data_bits=np.full(60, 1e7), params=default_params, n_th=60,
+        v_max_mps=30.0, d_safe_m=30.0, rng_seed=0)
+    radii, cluster_set, topology = prepare(scenario)
+    assert [len(tour.order) for tour in topology.tours] == [1, 0, 1]
+    for planner in (plan_ttp, plan_cstp, pointmatch.plan):
+        plan = planner(scenario, cluster_set, topology, radii)
+        report = evaluate(plan, scenario, topology, radii, cluster_set)
+        assert report.all_passed, [c for c in report.checks if not c.passed]
+    # the loop ends on pmtp's plan
+    assert {k: plan.meta[k] for k in (
+        "pair_processings", "pairs_matched", "pairs_relaxed",
+        "generated_waypoints", "p3_calls", "escorts")} == {
+        "pair_processings": 2, "pairs_matched": 0, "pairs_relaxed": 0,
+        "generated_waypoints": 1, "p3_calls": 0, "escorts": 2}
 
 
 def _annulus_grid(center, r_lo, r_hi):
