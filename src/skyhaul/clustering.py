@@ -32,59 +32,103 @@ class InfeasibleClusteringError(InfeasibleError):
     """No cluster count meets both the coverage radius and the member cap."""
 
 
-def _sq_dist(px: np.ndarray, py: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to `c`, rounded as dx*dx + dy*dy."""
-    dx, dy = px - c[0], py - c[1]
-    return dx * dx + dy * dy
-
-
-def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    px, py = points.T
-    centroids = np.empty((k, 2))
-    centroids[0] = points[rng.integers(n)]
-    d2 = _sq_dist(px, py, centroids[0])
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            # all remaining mass collapsed onto chosen centroids
-            centroids[j] = points[rng.integers(n)]
-            continue
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, _sq_dist(px, py, centroids[j]))
-    return centroids
-
-
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid of each point; argmin gives ties to the lowest index.
-
-    One (n, k) plane per coordinate, squared and summed in place. dx*dx + dy*dy
-    is the same IEEE sequence as summing squared (n, k, 2) differences over
-    their length-2 axis, so labels equal that form's bit for bit.
-    """
-    dx = np.subtract.outer(points[:, 0], centroids[:, 0])
-    dy = np.subtract.outer(points[:, 1], centroids[:, 1])
+def _sq_dist(px, py, cx, cy, planes: np.ndarray) -> np.ndarray:
+    """Squared distances from (px, py) to (cx, cy), broadcast against each
+    other and rounded as dx*dx + dy*dy, in place in the two `planes`."""
+    dx, dy = planes
+    np.subtract(px, cx, out=dx)
+    np.subtract(py, cy, out=dy)
     dx *= dx
     dy *= dy
     dx += dy
-    return np.argmin(dx, axis=1)
+    return dx
 
 
-def kmeans_cluster(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ seeding plus Lloyd iterations.
+def _kmeanspp_seeds(points: np.ndarray, k: int,
+                    rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ seedings (Arthur & Vassilvitskii 2007), one per generator.
 
-    Stops when no centroid moves more than 1e-6 m or after 300 rounds. Ties in
-    the assignment go to the lowest centroid index; a centroid that loses all
-    members keeps its position for that round. Returns (labels, centroids).
+    The seedings are built together: row a of each (A, n) array belongs to
+    rngs[a]. Each draw repeats `rng.choice(n, p=d2 / total)` bit for bit: the
+    cdf is cumsum(d2 / total) divided by its last entry, and the index is the
+    count of cdf entries <= rng.random(), which is searchsorted(side="right")
+    on a nondecreasing cdf. A row whose mass has collapsed onto chosen
+    centroids (total <= 0) draws rng.integers(n) and no random(), so every
+    stream is consumed as a seeding on its own would consume it. Returns the
+    (A, k, 2) seedings.
+    """
+    n, a = len(points), len(rngs)
+    seeds = np.empty((a, k, 2))
+    seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    px, py = points.T
+    planes, cdf = np.empty((2, a, n)), np.empty((a, n))
+    d2 = np.full((a, n), np.inf)
+    u = np.zeros((a, 1))
+    # a collapsed row's cdf is 0/0; an overflowing total raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, k):
+            newest = seeds[:, j - 1]
+            np.minimum(d2, _sq_dist(px, py, newest[:, :1], newest[:, 1:], planes),
+                       out=d2)
+            totals = d2.sum(axis=1)
+            np.divide(d2, totals[:, None], out=cdf)
+            cdf.cumsum(axis=1, out=cdf)
+            cdf /= cdf[:, -1:]
+            collapsed = {}
+            for i, (rng, total) in enumerate(zip(rngs, totals.tolist())):
+                if total <= 0:
+                    collapsed[i] = rng.integers(n)
+                elif total < math.inf:
+                    u[i] = rng.random()
+                else:
+                    raise ValueError("squared distances between the points "
+                                     "overflow")
+            pick = (cdf <= u).sum(axis=1)
+            for i, index in collapsed.items():
+                pick[i] = index
+            seeds[:, j] = points[pick]
+    return seeds
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray,
+            planes: np.ndarray) -> np.ndarray:
+    """Nearest centroid of each point; argmin gives ties to the lowest index.
+
+    `planes` is a (2, n, k) scratch array: one plane per coordinate, squared
+    and summed in place. dx*dx + dy*dy is the same IEEE sequence as summing
+    squared (n, k, 2) differences over their length-2 axis, so labels equal
+    that form's bit for bit.
+    """
+    return _sq_dist(points[:, :1], points[:, 1:], centroids[:, 0],
+                    centroids[:, 1], planes).argmin(axis=1)
+
+
+def kmeans_cluster(points, k: int, seed=0,
+                   init=None) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations from `init` centroids, or from a k-means++ seeding.
+
+    Without `init`, the seeding draws from `default_rng(seed)`. Stops when
+    no centroid moves more than 1e-6 m, when the labels repeat those of the
+    round before, or after 300 rounds. Ties in the assignment go to the
+    lowest centroid index; a centroid that loses all members keeps its
+    position for that round. Returns (labels, centroids).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_seed(points, k, rng)
+    if init is None:
+        centroids = _kmeanspp_seeds(points, k, [np.random.default_rng(seed)])[0]
+    else:
+        centroids = np.asarray(init, dtype=float).reshape(k, 2)
+    planes = np.empty((2, n, k))
+    labels = None
     for _ in range(_LLOYD_MAX_ITER):
-        labels = _assign(points, centroids)
+        new_labels = _assign(points, centroids, planes)
+        if labels is not None and np.array_equal(new_labels, labels):
+            # the update would give back these centroids, and they these labels
+            return labels, centroids
+        labels = new_labels
         counts = np.bincount(labels, minlength=k)[:, None]
         sums = np.stack([np.bincount(labels, weights=col, minlength=k)
                          for col in points.T], axis=1)
@@ -93,7 +137,7 @@ def kmeans_cluster(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
         centroids = new
         if moved < _LLOYD_TOL_M:
             break
-    return _assign(points, centroids), centroids
+    return _assign(points, centroids, planes), centroids
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +183,10 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
                 len(_packing_set(points, radii.r_g2u_m)))
     for k in range(k_min, n + 1):
         # a few fresh seedings per k before growing k; keeps the final count low
-        for attempt in range(_SEED_ATTEMPTS):
-            labels, centroids = kmeans_cluster(points, k,
-                                               seed=[scenario.rng_seed, k, attempt])
+        rngs = [np.random.default_rng([scenario.rng_seed, k, attempt])
+                for attempt in range(_SEED_ATTEMPTS)]
+        for init in _kmeanspp_seeds(points, k, rngs):
+            labels, centroids = kmeans_cluster(points, k, init=init)
             sizes = np.bincount(labels, minlength=k)
             dists = np.hypot(*(points - centroids[labels]).T)
             if (sizes.min() >= 1 and sizes.max() <= scenario.n_th

@@ -131,6 +131,12 @@ class Scenario:
                 (~inside.all(axis=1), "sensor {} lies outside the region")):
             if bad.any():
                 raise ScenarioError(message.format(ids[bad.argmax()]))
+        # k-means++ weighs sensors by squared distance; their sum must be finite
+        span_x, span_y = (xy.max(axis=0) - xy.min(axis=0)).tolist()
+        if not math.isfinite(n * (span_x * span_x + span_y * span_y)):
+            raise ScenarioError(
+                f"sensor positions span {span_x:g} m x {span_y:g} m: squared "
+                f"distances between {n} sensors overflow")
 
     @property
     def n_sensors(self) -> int:

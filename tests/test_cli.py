@@ -103,6 +103,25 @@ def test_non_finite_scenario_values_are_usage_errors(tmp_path, capsys, edit,
     assert message in capsys.readouterr().err
 
 
+def test_field_whose_squared_distances_overflow_is_a_usage_error(tmp_path,
+                                                                 capsys):
+    # k-means++ seeding used to end in a traceback on such a field
+    scn = tmp_path / "scn.json"
+    assert main(["generate", "--sensors", "200", "--size", "1e160",
+                 "-o", str(scn)]) == EXIT_USAGE
+    assert "squared distances between 200 sensors overflow" in \
+        capsys.readouterr().err
+    main(["generate", "--sensors", "200", "--size", "2000", "-o", str(scn)])
+    data = json.loads(scn.read_text())
+    data["region_width_m"] = data["region_height_m"] = 2000 * 1e157
+    for sensor in data["sensors"]:
+        sensor["position_m"] = [v * 1e157 for v in sensor["position_m"]]
+    scn.write_text(json.dumps(data))
+    assert main(["plan", str(scn)]) == EXIT_USAGE
+    assert "squared distances between 200 sensors overflow" in \
+        capsys.readouterr().err
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["plan", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

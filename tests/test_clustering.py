@@ -15,14 +15,20 @@ from skyhaul.clustering import (check_cluster_set, cluster_sensors,
 from skyhaul.model import Scenario, generate_scenario
 
 
+def _assign(points, centroids):
+    return clustering._assign(points, centroids,
+                              np.empty((2, len(points), len(centroids))))
+
+
 def _assign_broadcast(points, centroids):
     """The (n, k, 2) broadcast distance step the split-coordinate form replaced."""
     d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     return np.argmin(d2, axis=1)
 
 
-def _seed_broadcast(points, k, rng):
-    """k-means++ seeding with the distance written as a summed (n, 2) square."""
+def _seed_broadcast(points, k, rng, collapsed=None):
+    """One k-means++ seeding through `rng.choice`, the distance written as a
+    summed (n, 2) square; appends to `collapsed` each step drawn uniformly."""
     n = len(points)
     centroids = np.empty((k, 2))
     centroids[0] = points[rng.integers(n)]
@@ -30,11 +36,30 @@ def _seed_broadcast(points, k, rng):
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
+            if collapsed is not None:
+                collapsed.append(j)
             centroids[j] = points[rng.integers(n)]
             continue
         centroids[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
     return centroids
+
+
+def _lloyd_reference(points, centroids):
+    """Plain Lloyd: every round updates, with no exit on repeated labels, and
+    the labels returned come from a final assignment."""
+    k = len(centroids)
+    for _ in range(300):
+        labels = _assign_broadcast(points, centroids)
+        counts = np.bincount(labels, minlength=k)[:, None]
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k)
+                         for col in points.T], axis=1)
+        new = np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
+        moved = np.hypot(*(new - centroids).T).max()
+        centroids = new
+        if moved < 1e-6:
+            break
+    return _assign_broadcast(points, centroids), centroids
 
 
 def test_kmeans_each_point_own_cluster():
@@ -98,7 +123,7 @@ def test_assign_matches_broadcast_on_random_instances():
         scale = 10.0 ** rng.uniform(0, 4.5)
         pts = rng.uniform(0, scale, size=(n, 2))
         cents = rng.uniform(0, scale, size=(k, 2))
-        assert np.array_equal(clustering._assign(pts, cents),
+        assert np.array_equal(_assign(pts, cents),
                               _assign_broadcast(pts, cents))
 
 
@@ -107,14 +132,14 @@ def test_assign_ties_go_to_lowest_index():
     cents = np.array([[3.0, 4.0], [-3.0, 4.0], [5.0, 0.0], [0.0, -5.0],
                       [3.0, 4.0]])
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 4.0], [0.0, 4.0]])
-    assert clustering._assign(pts, cents).tolist() == [0, 0, 0, 0]
-    assert clustering._assign(pts, cents[[2, 3, 1, 0, 4]]).tolist() == [0, 3, 3, 2]
+    assert _assign(pts, cents).tolist() == [0, 0, 0, 0]
+    assert _assign(pts, cents[[2, 3, 1, 0, 4]]).tolist() == [0, 3, 3, 2]
     # points on a lattice midway between lattice centroids
     g = np.arange(0.0, 50.0, 10.0)
     cents = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     pts = cents + 5.0
     for c, p in ((cents, pts), (cents[::-1], pts)):
-        got = clustering._assign(p, c)
+        got = _assign(p, c)
         assert np.array_equal(got, _assign_broadcast(p, c))
         d2 = np.sum((p[:, None, :] - c[None, :, :]) ** 2, axis=2)
         assert (got == [row.tolist().index(row.min()) for row in d2]).all()
@@ -129,11 +154,11 @@ def test_assign_matches_broadcast_far_from_the_origin():
         pts = offset + rng.uniform(-60, 60, size=(rng.integers(1, 200), 2))
         # plus points exactly midway between two centroids
         pts = np.vstack([pts, (cents[:-1] + cents[1:]) / 2])
-        assert np.array_equal(clustering._assign(pts, cents),
+        assert np.array_equal(_assign(pts, cents),
                               _assign_broadcast(pts, cents))
 
 
-def test_kmeans_matches_broadcast_reference(monkeypatch):
+def test_kmeans_matches_broadcast_reference():
     rng = np.random.default_rng(22)
     cases = []
     for offset in (0.0, 1e6):
@@ -141,13 +166,123 @@ def test_kmeans_matches_broadcast_reference(monkeypatch):
             cases.append((offset + rng.uniform(0, 8000, size=(n, 2)), k,
                           [int(rng.integers(1000)), k, 0]))
     cases.append((np.array([[0.0, 0.0]] * 3 + [[10.0, 0.0], [20.0, 0.0]]), 4, 3))
-    got = [kmeans_cluster(pts, k, seed=seed) for pts, k, seed in cases]
-    monkeypatch.setattr(clustering, "_assign", _assign_broadcast)
-    monkeypatch.setattr(clustering, "_kmeanspp_seed", _seed_broadcast)
-    for (pts, k, seed), (labels, cents) in zip(cases, got):
-        ref_labels, ref_cents = kmeans_cluster(pts, k, seed=seed)
+    for pts, k, seed in cases:
+        init = _seed_broadcast(pts, k, np.random.default_rng(seed))
+        ref_labels, ref_cents = _lloyd_reference(pts, init)
+        for labels, cents in (kmeans_cluster(pts, k, seed=seed),
+                              kmeans_cluster(pts, k, init=init)):
+            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(cents, ref_cents)
+
+
+def test_kmeans_from_given_centroids_matches_plain_lloyd():
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        n, k = int(rng.integers(1, 300)), int(rng.integers(1, 25))
+        k = min(k, n)
+        scale = 10.0 ** rng.uniform(0, 4.5)
+        pts = rng.uniform(0, scale, size=(n, 2))
+        # centroids off the points, some far outside: empty clusters happen
+        init = rng.uniform(-scale, 2 * scale, size=(k, 2))
+        before = init.copy()
+        labels, cents = kmeans_cluster(pts, k, init=init)
+        ref_labels, ref_cents = _lloyd_reference(pts, init)
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(cents, ref_cents)
+        assert np.array_equal(init, before)
+    # a centroid that moves less than the tolerance can still flip a label,
+    # which only the final assignment sees: (1, 0) joins the empty cluster 1
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    init = np.array([[5e-7, 0.0], [2.0 - 2.5e-7, 0.0]])
+    labels, cents = kmeans_cluster(pts, 2, init=init)
+    assert labels.tolist() == [0, 1, 0]
+    assert cents.tolist() == [[0.0, 0.0], init[1].tolist()]
+
+
+def _seeding_instances():
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        n = int(rng.integers(1, 400))
+        scale = 10.0 ** rng.uniform(-3, 4.5)
+        yield rng.uniform(0, scale, size=(n, 2)), int(rng.integers(1, n + 1))
+    # co-located points, alone and beside a few distinct ones
+    yield np.full((6, 2), 3.0), 6
+    yield np.array([[0.0, 0.0]] * 5 + [[10.0, 0.0], [20.0, 5.0]]), 7
+    # k = n, and a single point
+    pts = rng.uniform(0, 1000, size=(40, 2))
+    yield pts, 40
+    yield pts[:1], 1
+
+
+def _lattice_instances():
+    # a 4 x 4 lattice 1e-162 m apart: (1e-162)² underflows to 0 but (2e-162)²
+    # does not, so the mass collapses after 2 to 4 draws, depending on the draws
+    rng = np.random.default_rng(26)
+    for _ in range(12):
+        yield rng.integers(0, 4, size=(12, 2)) * 1e-162, 12
+
+
+def test_kmeanspp_seeds_match_the_choice_reference():
+    first_collapse = set()
+    for i, (pts, k) in enumerate([*_seeding_instances(), *_lattice_instances()]):
+        rngs = [np.random.default_rng([i, k, attempt]) for attempt in range(3)]
+        seeds = clustering._kmeanspp_seeds(pts, k, rngs)
+        assert seeds.shape == (3, k, 2)
+        steps = []
+        for attempt, (got, rng) in enumerate(zip(seeds, rngs)):
+            ref_rng = np.random.default_rng([i, k, attempt])
+            collapsed = []
+            assert np.array_equal(got, _seed_broadcast(pts, k, ref_rng, collapsed))
+            # both consumed their stream alike
+            assert rng.random() == ref_rng.random()
+            steps.append(collapsed[:1])
+        if pts.max() < 1e-150:
+            first_collapse.add(len({tuple(s) for s in steps}) > 1)
+    # some lattice seedings collapse at different steps in one lockstep call
+    assert True in first_collapse
+
+
+class _FixedDraws(np.random.Generator):
+    """Draws the given values from random() in turn; integers() gives 0.
+
+    Generator.choice draws through self.random, so the reference sees them
+    too."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self._draws = iter(draws)
+
+    def random(self, *args, **kwargs):
+        return next(self._draws)
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+
+def test_kmeanspp_draws_on_a_cdf_entry_match_the_choice_reference():
+    # ten points 5 m from the first seed, pts[0]: p = 0.1 each, and the
+    # cumsum ends at 1 - 2⁻⁵³, so choice's cdf /= cdf[-1] moves most entries;
+    # a draw equal to an entry, before or after that division, tells <= from <
+    # and catches a cdf left unnormalised
+    pts = np.array([[0, 0], [5, 0], [0, 5], [-5, 0], [0, -5], [3, 4], [4, 3],
+                    [-3, 4], [-4, 3], [3, -4], [4, -3]], dtype=float)
+    d2 = np.r_[0.0, np.full(10, 25.0)]
+    cdf = np.cumsum(d2 / d2.sum())
+    assert cdf[-1] < 1.0
+    draws = [*cdf[:-1], *(cdf / cdf[-1])[:-1]]
+    draws += [np.nextafter(u, side) for u in draws for side in (0.0, 1.0)]
+    for i in range(0, len(draws), 3):
+        batch = draws[i:i + 3]
+        seeds = clustering._kmeanspp_seeds(
+            pts, 2, [_FixedDraws([u]) for u in batch])
+        for got, u in zip(seeds, batch):
+            assert np.array_equal(got, _seed_broadcast(pts, 2, _FixedDraws([u])))
+
+
+def test_kmeans_rejects_overflowing_distances():
+    pts = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]])
+    with pytest.raises(ValueError, match="overflow"):
+        kmeans_cluster(pts, 2)
 
 
 def test_packing_set_is_pairwise_apart_and_maximal():

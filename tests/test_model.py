@@ -261,6 +261,21 @@ def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
         scenario_from_dict(d)
 
 
+def test_scenario_rejects_a_field_whose_squared_distances_overflow():
+    with pytest.raises(ScenarioError, match="squared distances between 200 "
+                                            "sensors overflow"):
+        generate_scenario(1e160, 1e160, 200, seed=0)
+    # the bound is n_sensors · (span_x² + span_y²), not the region
+    d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
+    d["region_width_m"] = d["region_height_m"] = 1e300
+    d["sensors"][0]["position_m"] = [0.0, 0.0]
+    d["sensors"][1]["position_m"] = [1e153, 1e153]
+    scenario_from_dict(d)
+    d["sensors"][1]["position_m"] = [1e154, 1e154]
+    with pytest.raises(ScenarioError, match="overflow"):
+        scenario_from_dict(d)
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.update(n_sensors=2), "unknown field 'n_sensors' in scenario"),
     (lambda d: d["channel"].update(snr_th_g2u=100.0),
