@@ -19,6 +19,9 @@ from .model import InfeasibleError, Scenario
 _LLOYD_TOL_M = 1e-6
 _LLOYD_MAX_ITER = 300
 _SEED_ATTEMPTS = 3
+# cluster counts seeded together by the k search: larger blocks seed more k
+# that the search never reaches
+_K_BLOCK = 4
 # Two sensors count as apart only beyond 2·r·(1 + 1e-9). Each computed distance
 # (the pair's here, each member's in the `dists.max() <= r` test) is off by a
 # few ulps of the coordinates and of r, under 1e-11 m at 20 km. Without a
@@ -51,19 +54,25 @@ def _kmeanspp_seeds(points: np.ndarray, k: int,
     The seedings are built together: row a of each (A, n) array belongs to
     rngs[a]. Each draw repeats `rng.choice(n, p=d2 / total)` bit for bit: the
     cdf is cumsum(d2 / total) divided by its last entry, and the index is the
-    count of cdf entries <= rng.random(), which is searchsorted(side="right")
-    on a nondecreasing cdf. A row whose mass has collapsed onto chosen
-    centroids (total <= 0) draws rng.integers(n) and no random(), so every
-    stream is consumed as a seeding on its own would consume it. Returns the
-    (A, k, 2) seedings.
+    count of cdf entries <= the draw's uniform, which is
+    searchsorted(side="right") on a nondecreasing cdf. A row's k - 1 uniforms
+    come from one rng.random(k - 1), the values of k - 1 random() calls. A
+    row whose mass has collapsed onto chosen centroids (total <= 0) draws
+    rng.integers(n) instead, from then on: it is replayed from its state
+    before the uniforms, so every stream is consumed as a seeding on its own
+    would consume it. Draw j never depends on later draws, so the first j
+    centroids of a row are the j-centroid seeding of its generator. Returns
+    the (A, k, 2) seedings.
     """
     n, a = len(points), len(rngs)
     seeds = np.empty((a, k, 2))
     seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    states = [rng.bit_generator.state for rng in rngs]
+    uniforms = np.array([rng.random(k - 1) for rng in rngs])
     px, py = points.T
     planes, cdf = np.empty((2, a, n)), np.empty((a, n))
     d2 = np.full((a, n), np.inf)
-    u = np.zeros((a, 1))
+    replayed = set()
     # a collapsed row's cdf is 0/0; an overflowing total raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, k):
@@ -74,18 +83,19 @@ def _kmeanspp_seeds(points: np.ndarray, k: int,
             np.divide(d2, totals[:, None], out=cdf)
             cdf.cumsum(axis=1, out=cdf)
             cdf /= cdf[:, -1:]
-            collapsed = {}
-            for i, (rng, total) in enumerate(zip(rngs, totals.tolist())):
-                if total <= 0:
-                    collapsed[i] = rng.integers(n)
-                elif total < math.inf:
-                    u[i] = rng.random()
-                else:
-                    raise ValueError("squared distances between the points "
-                                     "overflow")
-            pick = (cdf <= u).sum(axis=1)
-            for i, index in collapsed.items():
-                pick[i] = index
+            pick = (cdf <= uniforms[:, j - 1:j]).sum(axis=1)
+            if not (0 < totals.min() and totals.max() < math.inf):
+                for i, total in enumerate(totals.tolist()):
+                    if total <= 0:
+                        rng = rngs[i]
+                        if i not in replayed:
+                            replayed.add(i)
+                            rng.bit_generator.state = states[i]
+                            rng.random(j - 1)
+                        pick[i] = rng.integers(n)
+                    elif not total < math.inf:
+                        raise ValueError("squared distances between the points "
+                                         "overflow")
             seeds[:, j] = points[pick]
     return seeds
 
@@ -121,19 +131,23 @@ def kmeans_cluster(points, k: int, seed=0,
         centroids = _kmeanspp_seeds(points, k, [np.random.default_rng(seed)])[0]
     else:
         centroids = np.asarray(init, dtype=float).reshape(k, 2)
+    px, py = np.ascontiguousarray(points.T)
     planes = np.empty((2, n, k))
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
         new_labels = _assign(points, centroids, planes)
-        if labels is not None and np.array_equal(new_labels, labels):
+        if labels is not None and (new_labels == labels).all():
             # the update would give back these centroids, and they these labels
             return labels, centroids
         labels = new_labels
-        counts = np.bincount(labels, minlength=k)[:, None]
-        sums = np.stack([np.bincount(labels, weights=col, minlength=k)
-                         for col in points.T], axis=1)
-        new = np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
-        moved = np.hypot(*(new - centroids).T).max()
+        counts = np.bincount(labels, minlength=k)
+        occupied = counts > 0
+        new = centroids.copy()
+        for col, coords in enumerate((px, py)):
+            np.divide(np.bincount(labels, coords, k), counts, out=new[:, col],
+                      where=occupied)
+        moved = np.hypot(new[:, 0] - centroids[:, 0],
+                         new[:, 1] - centroids[:, 1]).max()
         centroids = new
         if moved < _LLOYD_TOL_M:
             break
@@ -181,12 +195,15 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
     n = len(points)
     k_min = max(math.ceil(n / scenario.n_th),
                 len(_packing_set(points, radii.r_g2u_m)))
-    for k in range(k_min, n + 1):
-        # a few fresh seedings per k before growing k; keeps the final count low
+    for k_first in range(k_min, n + 1, _K_BLOCK):
+        ks = range(k_first, min(k_first + _K_BLOCK, n + 1))
+        # a few fresh seedings per k before growing k; keeps the final count
+        # low. Row (k, attempt) of the block's seeding starts with k's own.
         rngs = [np.random.default_rng([scenario.rng_seed, k, attempt])
-                for attempt in range(_SEED_ATTEMPTS)]
-        for init in _kmeanspp_seeds(points, k, rngs):
-            labels, centroids = kmeans_cluster(points, k, init=init)
+                for k in ks for attempt in range(_SEED_ATTEMPTS)]
+        for row, init in enumerate(_kmeanspp_seeds(points, ks[-1], rngs)):
+            k = ks[row // _SEED_ATTEMPTS]
+            labels, centroids = kmeans_cluster(points, k, init=init[:k])
             sizes = np.bincount(labels, minlength=k)
             dists = np.hypot(*(points - centroids[labels]).T)
             if (sizes.min() >= 1 and sizes.max() <= scenario.n_th

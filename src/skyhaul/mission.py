@@ -57,6 +57,7 @@ class EvalReport:
     gap_ratio: float
     bound_violated: bool
     checks: tuple[CheckResult, ...]
+    planner: dict                      # the meta of the plan evaluated
 
     @property
     def all_passed(self) -> bool:
@@ -270,6 +271,7 @@ def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,
         gap_ratio=gap,
         bound_violated=timing.completion_s < bound - TIME_TOL_S,
         checks=tuple(validate(plan, scenario, topology, radii, cluster_set)),
+        planner=plan.meta,
     )
 
 
@@ -303,6 +305,7 @@ def report_to_dict(report: EvalReport, topology: Topology,
         "radii_m": {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
                     "r_u2b": radii.r_u2b_m},
         "k_clusters": cluster_set.k,
+        "planner": report.planner,
     }
 
 

@@ -46,6 +46,21 @@ def test_generate_then_plan_writes_reports(tmp_path, capsys):
     assert report["k_clusters"] >= 1 and report["m_uavs"] >= 1
 
 
+@pytest.mark.parametrize("algo", ["pmtp", "ttp", "cstp"])
+def test_plan_report_carries_the_planner_metadata(tmp_path, algo):
+    scn = str(tmp_path / "scn.json")
+    assert main(["generate", "--sensors", "60", "--size", "2500",
+                 "--seed", "1", "-o", scn]) == EXIT_OK
+    prefix = str(tmp_path / "run")
+    assert main(["plan", scn, "--algo", algo, "-o", prefix]) == EXIT_OK
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    scenario = load_scenario(scn)
+    radii, cluster_set, topology = cli.prepare(scenario)
+    plan = cli._PLANNERS[algo](scenario, cluster_set, topology, radii)
+    assert report["planner"]["algo"] == algo
+    assert report["planner"] == json.loads(json.dumps(plan.meta))
+
+
 @pytest.mark.parametrize("algo", ["ttp", "cstp"])
 def test_plan_baselines_exit_clean(tmp_path, algo):
     scn = str(tmp_path / "scn.json")

@@ -252,8 +252,11 @@ class _FixedDraws(np.random.Generator):
         super().__init__(np.random.PCG64(0))
         self._draws = iter(draws)
 
-    def random(self, *args, **kwargs):
-        return next(self._draws)
+    def random(self, size=None):
+        # Generator.choice asks for one draw with size=()
+        if size in (None, ()):
+            return next(self._draws)
+        return np.array([next(self._draws) for _ in range(size)])
 
     def integers(self, *args, **kwargs):
         return 0
@@ -283,6 +286,110 @@ def test_kmeans_rejects_overflowing_distances():
     pts = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]])
     with pytest.raises(ValueError, match="overflow"):
         kmeans_cluster(pts, 2)
+    rngs = [np.random.default_rng([0, k, a]) for k in (1, 2, 3) for a in range(3)]
+    with pytest.raises(ValueError, match="overflow"):
+        clustering._kmeanspp_seeds(pts, 3, rngs)
+
+
+def _random_blocks():
+    rng = np.random.default_rng(27)
+    for _ in range(25):
+        n = int(rng.integers(2, 200))
+        scale = 10.0 ** rng.uniform(-3, 4.5)
+        k_first = int(rng.integers(1, n + 1))
+        yield rng.uniform(0, scale, size=(n, 2)), k_first, min(k_first + 5, n)
+
+
+def _collapsing_blocks():
+    # five distinct spots under co-located sensors: a row's mass collapses
+    # once it has taken all five, inside a block from 3 to 8
+    spots = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [7.0, 7.0],
+                      [30.0, 2.0]])
+    yield np.vstack([spots, np.repeat(spots[:1], 3, axis=0)]), 3, 8
+    yield np.repeat(spots, 4, axis=0), 3, 8
+    # all co-located: every row collapses at its first step
+    yield np.full((9, 2), 4.0), 1, 9
+    yield from ((pts, 2, k) for pts, k in _lattice_instances())
+
+
+def _block_rows_match_their_own_k(s, pts, k_first, k_last):
+    """Seeds the block k_first..k_last together; returns its (k, attempt)
+    rows, each checked against the seeding of its own k alone."""
+    rows = [(k, a) for k in range(k_first, k_last + 1) for a in range(3)]
+    seeds = clustering._kmeanspp_seeds(
+        pts, k_last, [np.random.default_rng([s, k, a]) for k, a in rows])
+    for got, (k, a) in zip(seeds, rows):
+        alone = clustering._kmeanspp_seeds(
+            pts, k, [np.random.default_rng([s, k, a])])[0]
+        assert np.array_equal(got[:k], alone)
+    return rows
+
+
+def test_block_seeding_rows_are_the_seedings_of_their_own_k():
+    for s, (pts, k_first, k_last) in enumerate(_random_blocks()):
+        _block_rows_match_their_own_k(s, pts, k_first, k_last)
+    collapsed_mid_block = False
+    for s, (pts, k_first, k_last) in enumerate(_collapsing_blocks()):
+        for k, a in _block_rows_match_their_own_k(s, pts, k_first, k_last):
+            collapsed = []
+            _seed_broadcast(pts, k_last, np.random.default_rng([s, k, a]),
+                            collapsed)
+            collapsed_mid_block |= (bool(collapsed)
+                                    and k_first < collapsed[0] < k_last)
+    # some row's mass collapses after the block's first k and before its last
+    assert collapsed_mid_block
+
+
+def _cluster_one_k_at_a_time(scenario, radii):
+    """The k search seeding each cluster count on its own, through the
+    `rng.choice` reference: k from the floor upward, three attempts each."""
+    points, n = scenario.sensor_positions, scenario.n_sensors
+    k_min = max(math.ceil(n / scenario.n_th),
+                len(clustering._packing_set(points, radii.r_g2u_m)))
+    for k in range(k_min, n + 1):
+        for attempt in range(3):
+            rng = np.random.default_rng([scenario.rng_seed, k, attempt])
+            init = _seed_broadcast(points, k, rng)
+            labels, cps = kmeans_cluster(points, k, init=init)
+            sizes = np.bincount(labels, minlength=k)
+            dists = np.hypot(*(points - cps[labels]).T)
+            if (sizes.min() >= 1 and sizes.max() <= scenario.n_th
+                    and dists.max() <= radii.r_g2u_m):
+                bits = scenario.sensor_data_bits
+                hover = [clustering.min_hover_time(
+                    points[labels == j], bits[labels == j], cps[j],
+                    scenario.params) for j in range(k)]
+                return k - k_min, labels, cps, np.array(hover)
+    raise AssertionError("reference found no feasible cluster count")
+
+
+def test_k_search_by_blocks_matches_one_k_at_a_time():
+    offsets = set()
+    fields = [(120, 6000.0, seed) for seed in range(8)]
+    fields += [(200, 8000.0, 1), (200, 8000.0, 3), (5, 16000.0, 0)]
+    for n, size, seed in fields:
+        sc = generate_scenario(size, size, n, seed=seed)
+        radii = coverage_radii(sc.params, sc.bs_height_m)
+        got = cluster_sensors(sc, radii)
+        offset, labels, cps, hover = _cluster_one_k_at_a_time(sc, radii)
+        offsets.add(offset % clustering._K_BLOCK)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.cps.tobytes() == cps.tobytes()
+        assert got.hover_s.tobytes() == hover.tobytes()
+    # accepted at the first and at the last cluster count of a block
+    assert {0, clustering._K_BLOCK - 1} <= offsets
+
+
+def test_colocated_sensors_over_the_member_cap_exhaust_the_k_search():
+    sc = generate_scenario(100.0, 100.0, 200, seed=0)
+    sc = dataclasses.replace(sc, sensor_positions=np.full((200, 2), 50.0),
+                             n_th=60)
+    radii = coverage_radii(sc.params, sc.bs_height_m)
+    message = (f"no cluster count up to 200 keeps every cluster within "
+               f"{radii.r_g2u_m:.1f} m of its CP and at most n_th=60 sensors")
+    with pytest.raises(clustering.InfeasibleClusteringError) as exc:
+        cluster_sensors(sc, radii)
+    assert str(exc.value) == message
 
 
 def test_packing_set_is_pairwise_apart_and_maximal():
