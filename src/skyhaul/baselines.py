@@ -49,7 +49,8 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     tour = solve_tsp(cps)
     s_count = len(tour.order)
     positions = np.empty((s_count, m, 2))
-    duties = []
+    duties = np.full((s_count, m), -1)
+    duties[:, m - 1] = tour.order
     for i, cp in enumerate(tour.order):
         c = cps[cp]
         vec = c - bs
@@ -65,7 +66,6 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
                 p = p + perp * (sign * _OFFSET_GAIN * d_safe * (1 + j // 2))
             positions[i, j] = p
         positions[i, m - 1] = c
-        duties.append([None] * (m - 1) + [int(cp)])
 
     meta = {"algo": "ttp", "tour_length_m": tour.length_m}
     return assemble_plan(positions, duties, hovers, v, meta)
@@ -99,7 +99,7 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     order = scan_order(cps, bs)
     s_count = len(order)
     positions = np.empty((s_count, m, 2))
-    duties = []
+    duties = np.full((s_count, m), -1)
     pad = _CHAIN_PAD * d_safe
     for i, cp in enumerate(order):
         c = cps[cp]
@@ -119,9 +119,7 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
                 f"outside BS range {radii.r_u2b_m:.0f} m")
         positions[i] = bs + rad[:, None] * u[None, :]
         positions[i, g] = c
-        duty = [None] * m
-        duty[g] = int(cp)
-        duties.append(duty)
+        duties[i, g] = cp
 
     meta = {"algo": "cstp"}
     return assemble_plan(positions, duties, hovers, v, meta)

@@ -166,7 +166,7 @@ class ClusterSet:
 
     def cp_array(self) -> np.ndarray:
         # bench/run.py calls this; it goes with the next benchmark change
-        # (ROADMAP item 1)
+        # (ROADMAP item 2)
         return self.cps
 
 

@@ -30,16 +30,12 @@ HOVER_TOL_S = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MissionPlan:
-    waypoints: np.ndarray                        # (S, M, 2)
-    duties: tuple[tuple[int | None, ...], ...]   # (S, M) CP collected, or None
-    hover_s: np.ndarray                          # (S,) shared hover per step
-    flight_s: np.ndarray                         # (S,) travel time into step
+    waypoints: np.ndarray     # (S, M, 2)
+    duties: np.ndarray        # (S, M) int: the CP collected, -1 to escort
+    hover_s: np.ndarray       # (S,) shared hover per step
+    flight_s: np.ndarray      # (S,) travel time into step
     v_max_mps: float
     meta: dict = field(default_factory=dict)
-
-    @property
-    def m_uavs(self) -> int:
-        return self.waypoints.shape[1]
 
 
 class CheckResult(NamedTuple):
@@ -75,14 +71,12 @@ def _leg_lengths(w: np.ndarray) -> np.ndarray:
     return np.hypot(*np.moveaxis(w - prev, 2, 0))    # (S, M)
 
 
-def assemble_plan(positions: np.ndarray, duties, cp_hovers: np.ndarray,
-                  v: float, meta: dict) -> MissionPlan:
-    """Time per-step geometry (S, M, 2) and duties cyclically: each step
-    hovers the largest demand among the CPs it collects (0.0 if none) and
-    flies its longest leg at v."""
-    duties = tuple(tuple(d) for d in duties)
-    hover = np.array([max((cp_hovers[c] for c in d if c is not None),
-                          default=0.0) for d in duties], dtype=float)
+def assemble_plan(positions: np.ndarray, duties: np.ndarray,
+                  cp_hovers: np.ndarray, v: float, meta: dict) -> MissionPlan:
+    """Time per-step geometry (S, M, 2) and duties (S, M) cyclically: each
+    step hovers the largest demand among the CPs it collects (0.0 if none)
+    and flies its longest leg at v."""
+    hover = np.where(duties >= 0, cp_hovers[duties], 0.0).max(axis=1)
     flight = _leg_lengths(positions).max(axis=1) / v
     return MissionPlan(positions, duties, hover, flight, v, meta)
 
@@ -118,10 +112,10 @@ def _plan_shape_or_raise(plan: MissionPlan, topology: Topology):
     w, m = plan.waypoints, topology.m_uavs
     if not len(w):
         raise ValueError("plan has no steps")
-    if w.shape[1:] != (m, 2) or any(len(d) != m for d in plan.duties):
-        raise ValueError(f"plan waypoints {w.shape} or duties do not fit "
-                         f"{m} UAVs, expected (S, {m}, 2)")
-    if not len(plan.duties) == len(plan.hover_s) == len(plan.flight_s) == len(w):
+    if w.shape[1:] != (m, 2) or plan.duties.shape != (len(w), m):
+        raise ValueError(f"plan waypoints {w.shape} or duties {plan.duties.shape}"
+                         f" do not fit {m} UAVs, expected (S, {m}, 2) and (S, {m})")
+    if not len(plan.hover_s) == len(plan.flight_s) == len(w):
         raise ValueError("plan arrays disagree on the step count")
 
 
@@ -192,38 +186,46 @@ def _check_speed(plan: MissionPlan) -> CheckResult:
 
 
 def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
-    problems = []
-    seen: dict[int, int] = {}
-    for i, duties in enumerate(plan.duties):
-        collected = [d for d in duties if d is not None]
-        if not collected:
-            problems.append(f"step {i} collects nothing")
-        for cp in collected:
-            if not 0 <= cp < cluster_set.k:
-                problems.append(f"step {i} references unknown CP {cp}")
-            elif cp in seen:
-                problems.append(f"CP {cp} collected at steps {seen[cp]} and {i}")
-            else:
-                seen[cp] = i
-    missing = [k for k in range(cluster_set.k) if k not in seen]
-    if missing:
-        problems.append(f"CP {missing[0]} never collected"
-                        + (f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""))
+    """Every CP collected exactly once, by a UAV hovering on it."""
+    duty, k = plan.duties, cluster_set.k
+    problems = [f"step {i} collects nothing"
+                for i in np.flatnonzero((duty == -1).all(axis=1))]
+    steps, uavs = np.nonzero(duty != -1)       # step order, then UAV order
+    ids = duty[steps, uavs]
+    known = (ids >= 0) & (ids < k)
+    problems += [f"step {i} references unknown CP {c}"
+                 for i, c in zip(steps[~known], ids[~known])]
+    steps, uavs, ids = steps[known], uavs[known], ids[known]
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    first = first[which]                # each collect's first occurrence
+    again = first != np.arange(len(ids))
+    problems += [f"CP {c} collected at steps {a} and {i}"
+                 for c, a, i in zip(ids[again], steps[first[again]], steps[again])]
+    missing = np.flatnonzero(np.bincount(ids, minlength=k) == 0)
+    if missing.size:
+        problems.append(f"CP {missing[0]} never collected" + (
+            f" (+{missing.size - 1} more)" if missing.size > 1 else ""))
+    off = np.hypot(*(plan.waypoints[steps, uavs] - cluster_set.cps[ids]).T)
+    far = np.flatnonzero(~(off <= DIST_TOL_M))
+    if far.size:
+        j = far[0]
+        problems.append(f"UAV {uavs[j]} collects CP {ids[j]} at step {steps[j]} "
+                        f"{off[j]:.1f} m off the CP" + (
+                            f" (+{far.size - 1} more)" if far.size > 1 else ""))
     return _result("coverage", problems,
-                   f"all {cluster_set.k} CPs collected exactly once")
+                   f"all {k} CPs collected exactly once, from the CP")
 
 
 def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
-    hovers = cluster_set.hover_s
-    problems = []
-    for i, (duties, hover) in enumerate(zip(plan.duties, plan.hover_s)):
-        ids = [d for d in duties if d is not None and 0 <= d < cluster_set.k]
-        if not ids:
-            continue
-        need = float(hovers[ids].max())
-        if not (np.isfinite(hover) and hover >= need - HOVER_TOL_S):
-            problems.append(f"step {i} hovers {hover:.3f} s but CP "
-                            f"{ids[int(np.argmax(hovers[ids]))]} needs {need:.3f} s")
+    duty, hover = plan.duties, plan.hover_s
+    known = (duty >= 0) & (duty < cluster_set.k)
+    # hovers are positive, so 0.0 never wins over a collected CP
+    demand = np.where(known, cluster_set.hover_s[np.where(known, duty, 0)], 0.0)
+    worst, need = demand.argmax(axis=1), demand.max(axis=1)
+    bad = np.flatnonzero(known.any(axis=1)
+                         & ~(np.isfinite(hover) & (hover >= need - HOVER_TOL_S)))
+    problems = [f"step {i} hovers {hover[i]:.3f} s but CP {duty[i, worst[i]]} "
+                f"needs {need[i]:.3f} s" for i in bad]
     return _result("hover-sufficiency", problems,
                    "every step hovers at least its demand")
 
@@ -277,13 +279,13 @@ def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,
 
 def write_plan_csv(plan: MissionPlan, path):
     # Python floats: numpy 2 writes a float64's repr as np.float64(...)
-    rows = zip(plan.waypoints.tolist(), plan.duties, plan.hover_s.tolist(),
-               plan.flight_s.tolist())
+    rows = zip(plan.waypoints.tolist(), plan.duties.tolist(),
+               plan.hover_s.tolist(), plan.flight_s.tolist())
     with open(path, "w") as f:
         f.write("step,uav,x_m,y_m,duty,hover_s,flight_s\n")
         for i, (waypoints, duties, hover, flight) in enumerate(rows):
             for m, ((x, y), d) in enumerate(zip(waypoints, duties)):
-                duty = "escort" if d is None else f"collect:{d}"
+                duty = "escort" if d == -1 else f"collect:{d}"
                 f.write(f"{i},{m},{x!r},{y!r},{duty},{hover!r},{flight!r}\n")
 
 

@@ -567,5 +567,4 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
                                  rings, bs, r_u2u, d_safe, meta)
         _fill_all(pos, ref, placed, rings, bs, r_u2u, d_safe, meta)
 
-    duties = [[None if c < 0 else c for c in row] for row in duty.tolist()]
-    return assemble_plan(pos, duties, hovers, v, meta)
+    return assemble_plan(pos, duty, hovers, v, meta)

@@ -31,7 +31,7 @@ def test_ttp_collector_walks_the_global_tour(two_ring_instance):
     tour = solve_tsp(cps)
     assert len(plan.duties) == cluster_set.k
     for i, cp in enumerate(tour.order):
-        assert plan.duties[i] == (None, int(cp))
+        assert plan.duties[i].tolist() == [-1, cp]
         assert tuple(plan.waypoints[i, 1]) == pytest.approx(tuple(cps[cp]), abs=1e-9)
         assert plan.hover_s[i] == pytest.approx(float(hovers[cp]), abs=1e-12)
 
@@ -65,7 +65,7 @@ def concentrated_far_corner():
     scenario = dataclasses.replace(base, sensor_positions=np.full((30, 2), 5650.0))
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
-    topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m,
+    topology = build_topology(cluster_set.cps, scenario.bs_position_m,
                               radii)
     assert cluster_set.k == 1 and topology.m_uavs == 2
     return scenario, radii, cluster_set, topology
@@ -73,7 +73,7 @@ def concentrated_far_corner():
 
 def test_ttp_rejects_hops_beyond_link_range(concentrated_far_corner):
     scenario, radii, cluster_set, topology = concentrated_far_corner
-    d = float(np.hypot(*(cluster_set.cp_array()[0] - scenario.bs_xy)))
+    d = float(np.hypot(*(cluster_set.cps[0] - scenario.bs_xy)))
     assert d / topology.m_uavs > radii.r_u2u_m      # the hop really is too long
     with pytest.raises(InfeasiblePlanError, match="link range"):
         plan_ttp(scenario, cluster_set, topology, radii)
@@ -86,7 +86,7 @@ def test_ttp_single_uav_only_needs_the_backhaul_link():
     scenario = dataclasses.replace(base, sensor_positions=np.full((30, 2), 2843.0))
     radii = coverage_radii(scenario.params, scenario.bs_height_m)
     cluster_set = cluster_sensors(scenario, radii)
-    topology = build_topology(cluster_set.cp_array(), scenario.bs_position_m,
+    topology = build_topology(cluster_set.cps, scenario.bs_position_m,
                               radii)
     d = float(np.hypot(2843.0, 2843.0))
     assert radii.r_u2u_m < d <= radii.r_u2b_m
@@ -120,7 +120,7 @@ def test_cstp_serving_uav_sits_on_the_cp(two_ring_instance):
     assert len(plan.duties) == cluster_set.k
     seen = []
     for w, duties, hover in zip(plan.waypoints, plan.duties, plan.hover_s):
-        served = [d for d in duties if d is not None]
+        served = duties[duties != -1]
         assert len(served) == 1
         cp = served[0]
         seen.append(cp)
@@ -138,8 +138,8 @@ def test_cstp_serving_uav_sits_on_the_cp(two_ring_instance):
 def test_cstp_steps_follow_the_angular_sweep(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_cstp(scenario, cluster_set, topology, radii)
-    order = scan_order(cluster_set.cp_array(), scenario.bs_xy)
-    served = [next(d for d in duties if d is not None) for duties in plan.duties]
+    order = scan_order(cluster_set.cps, scenario.bs_xy)
+    served = [int(duties[duties != -1][0]) for duties in plan.duties]
     assert served == order
 
 

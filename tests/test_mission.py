@@ -11,15 +11,15 @@ from conftest import build_instance, legs_connected
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.clustering import ClusterSet
-from skyhaul.mission import (MissionPlan, completion_time, evaluate,
-                             lower_bound, report_to_dict, validate,
+from skyhaul.mission import (MissionPlan, assemble_plan, completion_time,
+                             evaluate, lower_bound, report_to_dict, validate,
                              write_plan_csv, write_report_json)
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
 
 
 def hand_plan(waypoints, duties, hover_s, flight_s, v_max_mps=10.0):
-    return MissionPlan(np.array(waypoints, dtype=float), duties,
+    return MissionPlan(np.array(waypoints, dtype=float), np.array(duties),
                        np.array(hover_s, dtype=float),
                        np.array(flight_s, dtype=float), v_max_mps)
 
@@ -40,7 +40,7 @@ def test_completion_time_triangle_by_hand():
 def test_completion_time_slowest_uav_sets_leg_pace():
     # UAV 0 flies 30 m legs, UAV 1 flies 40 m legs; each leg costs 4 s at v=10
     plan = hand_plan([[(0.0, 0.0), (100.0, 0.0)], [(30.0, 0.0), (100.0, 40.0)]],
-                     ((0, None), (1, None)), [0.0, 0.0], [4.0, 4.0])
+                     ((0, -1), (1, -1)), [0.0, 0.0], [4.0, 4.0])
     timing = completion_time(plan)
     assert timing.flight_s == pytest.approx(8.0, abs=1e-12)
 
@@ -55,9 +55,9 @@ def test_lower_bound_single_ring_formula(default_radii):
     cps = [(500.0, 0.0), (0.0, 700.0), (-300.0, -300.0)]
     hovers = [10.0, 20.0, 30.0]
     cluster_set = _cluster_set(cps, hovers)
-    topology = build_topology(cluster_set.cp_array(), (0.0, 0.0), default_radii)
+    topology = build_topology(cluster_set.cps, (0.0, 0.0), default_radii)
     assert topology.m_uavs == 1
-    tour = solve_tsp(cluster_set.cp_array())
+    tour = solve_tsp(cluster_set.cps)
     expect = tour.length_m / 30.0 + 60.0
     assert lower_bound(cluster_set, topology, 30.0) == pytest.approx(expect, rel=1e-12)
 
@@ -67,9 +67,9 @@ def test_lower_bound_takes_worst_ring(default_radii):
     cps = [(1000.0, 0.0), (0.0, 1000.0), (5000.0, 0.0)]
     hovers = [1.0, 1.0, 500.0]
     cluster_set = _cluster_set(cps, hovers)
-    topology = build_topology(cluster_set.cp_array(), (0.0, 0.0), default_radii)
+    topology = build_topology(cluster_set.cps, (0.0, 0.0), default_radii)
     assert topology.m_uavs == 2
-    inner = solve_tsp(cluster_set.cp_array()[[0, 1]]).length_m / 30.0 + 2.0
+    inner = solve_tsp(cluster_set.cps[[0, 1]]).length_m / 30.0 + 2.0
     outer = 500.0
     assert lower_bound(cluster_set, topology, 30.0) == pytest.approx(
         max(inner, outer), rel=1e-12)
@@ -99,13 +99,13 @@ def test_validate_passes_on_planner_output(relay_run):
 
 
 def _tamper(plan, idx, **changes):
-    """A copy of plan with step idx's waypoints, duties, hover_s or flight_s
-    replaced."""
+    """A copy of plan with entry idx (a step, or a step and UAV) of its
+    waypoints, duties, hover_s or flight_s replaced."""
     fields = {}
     for name, value in changes.items():
-        column = list(plan.duties) if name == "duties" else getattr(plan, name).copy()
+        column = getattr(plan, name).copy()
         column[idx] = value
-        fields[name] = tuple(column) if name == "duties" else column
+        fields[name] = column
     return dataclasses.replace(plan, **fields)
 
 
@@ -127,7 +127,7 @@ def test_validate_flags_underscheduled_leg(relay_run):
 def test_validate_flags_insufficient_hover(relay_run):
     plan = relay_run[-1]
     idx = next(i for i, (duties, hover) in enumerate(zip(plan.duties, plan.hover_s))
-               if any(d is not None for d in duties) and hover > 0.0)
+               if (duties != -1).any() and hover > 0.0)
     bad = _tamper(plan, idx, hover_s=plan.hover_s[idx] * 0.5)
     check = _failed(bad, relay_run, "hover-sufficiency")
     assert not check.passed
@@ -143,7 +143,7 @@ def test_validate_flags_duplicate_collection(relay_run):
 
 def test_validate_flags_missing_collection(relay_run):
     plan = relay_run[-1]
-    bad = _tamper(plan, 0, duties=(None,) * plan.m_uavs)
+    bad = _tamper(plan, 0, duties=-1)
     check = _failed(bad, relay_run, "coverage")
     assert not check.passed
     assert "never collected" in check.detail
@@ -171,7 +171,7 @@ def test_collision_check_finds_near_miss_between_samples(relay_run):
     # waypoint-to-waypoint gap and any 100 evenly spaced samples stay ~50 m
     assert relay_run[0].d_safe_m == 30.0
     plan = hand_plan([[(5000.0, 10.0), (0.0, 0.0)], [(-5000.0, 10.0), (0.0, 0.0)]],
-                     ((0, None), (1, None)), [0.0, 0.0], [1000.0, 1000.0])
+                     ((0, -1), (1, -1)), [0.0, 0.0], [1000.0, 1000.0])
     check = _failed(plan, relay_run, "collision")
     assert not check.passed
     assert "close to 10.0 m" in check.detail
@@ -185,6 +185,127 @@ def test_validate_flags_broken_closure(relay_run):
     assert "closing leg" in check.detail
     # a generous schedule still satisfies the speed floor
     assert _failed(bad, relay_run, "speed").passed
+
+
+@pytest.fixture(scope="module")
+def paper_run():
+    """The pmtp plan on the benchmark's `paper` seed-0 cell, known valid."""
+    scenario, radii, cluster_set, topology = build_instance(1000, 8000.0, 0)
+    plan = pointmatch.plan(scenario, cluster_set, topology, radii)
+    return scenario, radii, cluster_set, topology, plan
+
+
+def _retimed(plan, run, waypoints):
+    """plan flown through new waypoints, its schedule re-derived to fit."""
+    return assemble_plan(waypoints, plan.duties, run[2].hover_s,
+                         plan.v_max_mps, plan.meta)
+
+
+def _first_collect(plan):
+    step, uav = np.argwhere(plan.duties != -1)[0]
+    return step, uav, plan.duties[step, uav]
+
+
+def _move_waypoint(plan, run):
+    # stretch the longest leg into step 1 by 10 m, keeping its schedule
+    w = plan.waypoints
+    leg = w[1] - w[0]
+    uav = int(np.argmax(np.hypot(*leg.T)))
+    return _tamper(plan, (1, uav), waypoints=w[1, uav]
+                   + 10.0 * leg[uav] / np.hypot(*leg[uav]))
+
+
+def _freeze(plan, run):
+    # the whole fleet holds step 0's positions, so flight takes no time
+    return _retimed(plan, run, np.repeat(plan.waypoints[:1],
+                                         len(plan.waypoints), axis=0))
+
+
+def _off_cp(plan, run):
+    """The first collector, in step order, that can fly 200 m toward the BS
+    off its CP and still pass every check but coverage."""
+    scenario, radii, cluster_set, topology, _ = run
+    for step, uav in np.argwhere(plan.duties != -1):
+        w = plan.waypoints.copy()
+        inward = scenario.bs_xy - w[step, uav]
+        w[step, uav] += 200.0 * inward / np.hypot(*inward)
+        bad = _retimed(plan, run, w)
+        checks = validate(bad, scenario, topology, radii, cluster_set)
+        if all(c.passed for c in checks if c.name != "coverage"):
+            return bad
+    pytest.fail("every 200 m move off a CP breaks a check other than coverage")
+
+
+def _swap_steps(plan, run):
+    return _tamper(plan, [0, 1], duties=plan.duties[[1, 0]])
+
+
+def _duplicate_collect(plan, run):
+    # a UAV escorting at another step also claims the first collect's CP
+    step, _, cp = _first_collect(plan)
+    other, uav = next((i, j) for i, j in np.argwhere(plan.duties == -1)
+                      if i != step)
+    return _tamper(plan, (other, uav), duties=cp)
+
+
+def _relabel_first_collect(duty_of_k):
+    """The first collect's duty replaced by duty_of_k(k)."""
+    def mutate(plan, run):
+        step, uav, _ = _first_collect(plan)
+        return _tamper(plan, (step, uav), duties=duty_of_k(run[2].k))
+    return mutate
+
+
+def _shorten(name):
+    def mutate(plan, run):
+        column = getattr(plan, name)
+        i = int(np.argmax(column))
+        return _tamper(plan, i, **{name: column[i] * 0.5})
+    return mutate
+
+
+def _too_close(plan, run):
+    w = plan.waypoints.copy()
+    w[1, 1] = w[1, 0] + (0.5 * run[0].d_safe_m, 0.0)
+    return _retimed(plan, run, w)
+
+
+MUTATIONS = {
+    "move-waypoint": (_move_waypoint, "speed"),
+    "freeze-fleet": (_freeze, "coverage"),
+    "collect-off-cp": (_off_cp, "coverage"),
+    "swap-step-duties": (_swap_steps, "coverage"),
+    "drop-collect": (_relabel_first_collect(lambda k: -1), "coverage"),
+    "duplicate-collect": (_duplicate_collect, "coverage"),
+    "duty-minus-two": (_relabel_first_collect(lambda k: -2), "coverage"),
+    "duty-k": (_relabel_first_collect(lambda k: k), "coverage"),
+    "shorten-flight": (_shorten("flight_s"), "speed"),
+    "shorten-hover": (_shorten("hover_s"), "hover-sufficiency"),
+    "within-d-safe": (_too_close, "collision"),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("run_name", ["relay_run", "paper_run"])
+def test_mutation_fails_a_named_check(request, run_name, mutation):
+    # every perturbation of a valid plan that breaks the model must fail
+    run = request.getfixturevalue(run_name)
+    scenario, radii, cluster_set, topology, plan = run
+    assert all(c.passed for c in validate(plan, scenario, topology, radii,
+                                          cluster_set))
+    mutate, name = MUTATIONS[mutation]
+    check = _failed(mutate(plan, run), run, name)
+    assert not check.passed, check
+
+
+def test_coverage_names_the_collector_off_its_cp(relay_run):
+    scenario, radii, cluster_set, topology, plan = relay_run
+    step, uav, cp = _first_collect(plan)
+    w = plan.waypoints.copy()
+    w[step, uav] += (0.0, 200.0)
+    check = _failed(_retimed(plan, relay_run, w), relay_run, "coverage")
+    assert check.detail == (f"UAV {uav} collects CP {cp} at step {step} "
+                            "200.0 m off the CP")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -244,7 +365,7 @@ def test_plan_csv_round_trip(relay_run, tmp_path):
     write_plan_csv(plan, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,uav,x_m,y_m,duty,hover_s,flight_s"
-    assert len(lines) == 1 + len(plan.hover_s) * plan.m_uavs
+    assert len(lines) == 1 + len(plan.hover_s) * plan.waypoints.shape[1]
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[1]) == 0
     assert float(first[2]) == plan.waypoints[0, 0, 0]

@@ -141,7 +141,7 @@ def test_two_opt_improvement_threshold(edge, moves):
 
 def test_matches_the_scalar_reference_on_a_wide_cell():
     # 400 sensors over 16 km: the clustering of the bench's `wide` workload
-    cps = build_instance(400, 16000.0, 0)[2].cp_array()
+    cps = build_instance(400, 16000.0, 0)[2].cps
     assert len(cps) >= 50
     tour = solve_tsp(cps)
     assert (tour.order, tour.length_m) == reference_solve_tsp(cps)
