@@ -175,18 +175,23 @@ def _packing_set(points: np.ndarray, r_m: float) -> np.ndarray:
 
     A cluster whose members all lie within r_m of its CP spans at most 2·r_m,
     so it holds at most one point of the set: no cluster count below its size
-    is feasible. The set takes points in index order, skipping any within
-    2·r_m·(1 + _APART_MARGIN) of one already taken.
+    is feasible. The set takes points from the periphery in, by descending
+    distance from the centre of their bounding box (lowest index first on
+    ties), skipping any within 2·r_m·(1 + _APART_MARGIN) of one already
+    taken. A point near the edge has fewer points within reach, so taking
+    those first leaves room for more picks: a higher floor.
     """
-    px, py = points.T
+    mid = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    order = np.argsort(-np.hypot(*(points - mid).T), kind="stable")
+    px, py = points[order].T
     reach = 2.0 * r_m * (1.0 + _APART_MARGIN)
     near = np.zeros(len(points), dtype=bool)
     taken = []
     while not near.all():
-        i = int(np.argmin(near))            # lowest index not yet near the set
+        i = int(np.argmin(near))            # first in order not yet near the set
         near |= np.hypot(px - px[i], py - py[i]) <= reach
         taken.append(i)
-    return np.array(taken, dtype=int)
+    return order[np.array(taken, dtype=int)]
 
 
 def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:

@@ -111,36 +111,36 @@ def _annuli(anchor, d_safe: float, r_link: float, ring: Ring | None,
     return [(anchor, d_safe, r_link)] + band
 
 
-def _cost(pts: np.ndarray, foci: np.ndarray) -> np.ndarray:
-    """Summed distance from each point (..., 2) to every focus."""
-    return np.hypot(*np.moveaxis(pts[..., None, :] - foci, -1, 0)).sum(axis=-1)
+def _dist(p, q) -> float:
+    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def _on_circle(cen: np.ndarray, rad: np.ndarray, theta) -> np.ndarray:
-    return cen + rad[..., None] * np.stack([np.cos(theta), np.sin(theta)],
-                                           axis=-1)
+def _at_angle(c, r: float, theta: float) -> tuple[float, float]:
+    """The point of the circle (c, r) at angle theta."""
+    return c[0] + r * math.cos(theta), c[1] + r * math.sin(theta)
 
 
-def _crossings(c1: np.ndarray, r1: float, c2: np.ndarray,
-               r2: float) -> np.ndarray:
+def _crossings(c1, r1: float, c2, r2: float) -> list[tuple[float, float]]:
     """Where two circles cross. Circles that touch up to rounding yield their
     touching point, so a feasible set shrunk to one tangent point survives;
     circles that miss yield a point the feasibility filter rejects."""
-    v = c2 - c1
-    d = float(np.hypot(*v))
+    (x1, y1), (x2, y2) = c1, c2
+    d = math.hypot(x2 - x1, y2 - y1)
     if d == 0.0:
-        return np.zeros((0, 2))
-    u = v / d
+        return []
+    ux, uy = (x2 - x1) / d, (y2 - y1) / d
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-    return c1 + a * u + np.outer([h, -h], [-u[1], u[0]])
+    mx, my = x1 + a * ux, y1 + a * uy
+    return [(mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)]
 
 
 def _arc_minima(foci: np.ndarray, cen: np.ndarray,
                 rad: np.ndarray) -> np.ndarray:
-    """Every point of each circle where the summed distance to `foci` may be
-    locally least, in closed form: the radial projection of each focus (for
-    one focus, the minimum) and, for foci A, B (complex, centre-relative):
+    """Every point of each circle where the summed distance to the one or two
+    `foci` may be locally least, in closed form: the radial projection of
+    each focus (for one focus, the minimum) and, for foci A, B (complex,
+    centre-relative):
     - the reflection points, where (A - z)(B - z) / z^2 is real: roots of
       conj(AB) z^4 - r^2 conj(A+B) z^3 + r^4 (A+B) z - r^4 AB (Neumann 1998),
       one batched eigenvalue call over the companion matrices, each root put
@@ -148,74 +148,97 @@ def _arc_minima(foci: np.ndarray, cen: np.ndarray,
       the radial projections exact, so those circles skip it;
     - where the segment AB crosses the circle: both gradients cancel there,
       so the quartic has no root."""
-    rel = foci[:, None] - cen
-    pts = [_on_circle(cen, rad, np.arctan2(v[:, 1], v[:, 0])) for v in rel]
-    if len(foci) == 1:
-        return pts[0]
-    a, b = (rel[..., 0] + 1j * rel[..., 1]) / np.where(rad > 0.0, rad, 1.0)
-    k = np.flatnonzero((rad > 0.0) & (a * b != 0.0))
-    s, p = a[k] + b[k], a[k] * b[k]
-    comp = np.zeros((len(k), 4, 4), dtype=complex)
-    comp[:, 1:, :-1] = np.eye(3)
-    comp[:, 0] = (np.stack([s.conj(), np.zeros_like(s), -s, p], axis=1)
-                  / p.conj()[:, None])
-    theta = np.angle(np.linalg.eigvals(comp))
-    pts.append(_on_circle(cen[k, None], rad[k, None], theta).reshape(-1, 2))
-    edge = foci[1] - foci[0]
-    if (bb := float(edge @ edge)) > 0.0:
-        disc, t0, t1 = _chord(rel[0] @ edge, bb, (rel[0] ** 2).sum(1), rad)
-        t = np.concatenate([t0, t1])
-        t = t[np.tile(disc >= 0.0, 2) & (t >= 0.0) & (t <= 1.0)]
-        pts.append(foci[0] + t[:, None] * edge)
-    return np.vstack(pts)
+    foci, circles = foci.tolist(), list(zip(cen.tolist(), rad.tolist()))
+    pts = [_at_angle(c, r, math.atan2(fy - c[1], fx - c[0]))
+           for fx, fy in foci for c, r in circles]
+    if len(foci) == 2:
+        (ax, ay), (bx, by) = foci
+        rows, on = [], []
+        for c, r in circles:
+            if r <= 0.0:
+                continue
+            a = complex(ax - c[0], ay - c[1]) / r
+            b = complex(bx - c[0], by - c[1]) / r
+            if (p := a * b) != 0.0:
+                s = a + b
+                rows.append([z / p.conjugate()
+                             for z in (s.conjugate(), 0j, -s, p)])
+                on.append((c, r))
+        if rows:
+            comp = np.zeros((len(rows), 4, 4), dtype=complex)
+            comp[:, 1:, :-1] = np.eye(3)
+            comp[:, 0] = rows
+            for (c, r), roots in zip(on, np.linalg.eigvals(comp).tolist()):
+                pts += [_at_angle(c, r, math.atan2(z.imag, z.real))
+                        for z in roots]
+        ex, ey = bx - ax, by - ay
+        if (bb := ex * ex + ey * ey) > 0.0:
+            near, far = [], []
+            for (cx, cy), r in circles:
+                dx, dy = ax - cx, ay - cy
+                disc, t0, t1 = _chord(dx * ex + dy * ey, bb, dx * dx + dy * dy,
+                                      r)
+                if disc >= 0.0:
+                    near.append(t0)
+                    far.append(t1)
+            pts += [(ax + t * ex, ay + t * ey) for t in near + far
+                    if 0.0 <= t <= 1.0]
+    return np.array(pts, dtype=float).reshape(-1, 2)
 
 
-def _minimise(foci, seeds, annuli) -> np.ndarray | None:
+def _minimise(foci, seeds, annuli) -> tuple[float, float] | None:
     """Point of the intersection of `annuli` ((center, lo, hi): lo <= |q -
-    center| <= hi) with the least summed distance to `foci`, or None when the
-    intersection is empty.
+    center| <= hi) with the least summed distance to the one or two `foci`,
+    or None when the intersection is empty.
 
     The cost is convex, so the optimum is a feasible unconstrained minimiser
     from `seeds`, a point where two boundary circles cross or touch, or a
     local minimum of the cost along one boundary circle, all in closed form
-    (`_arc_minima`). All are scored and one feasibility filter keeps the
-    admissible ones, so a candidate that is no minimum costs nothing.
+    (`_arc_minima`). All are scored in that order, the first least cost
+    among the admissible ones wins, so a candidate that is no minimum costs
+    nothing. A call is a few dozen candidates, so they are Python floats.
     """
-    foci = np.asarray(foci, dtype=float).reshape(-1, 2)
-    circles = [(np.asarray(c, dtype=float), r) for c, lo, hi in annuli
+    circles = [(c, r) for c, lo, hi in annuli
                for r in ((lo, hi) if lo > 0.0 else (hi,))]
-    cen, rad = (np.array(x, dtype=float) for x in zip(*circles))
-    pts = np.vstack(
-        [np.asarray(seeds, dtype=float).reshape(-1, 2),
-         _arc_minima(foci, cen, rad)]
-        + [_crossings(*a, *b) for a, b in itertools.combinations(circles, 2)])
-    ok = np.ones(len(pts), dtype=bool)
-    for c, lo, hi in annuli:
-        d = np.hypot(*(pts - c).T)
-        ok &= (d >= lo - _TOL_M) & (d <= hi + _TOL_M)
-    best = int(np.argmin(np.where(ok, _cost(pts, foci), np.inf)))
-    return pts[best].copy() if ok[best] else None
+    cen, rad = zip(*circles)
+    pts = list(seeds) + _arc_minima(
+        np.array(foci, dtype=float).reshape(-1, 2), np.array(cen, dtype=float),
+        np.array(rad, dtype=float)).tolist()
+    for (c1, r1), (c2, r2) in itertools.combinations(circles, 2):
+        pts += _crossings(c1, r1, c2, r2)
+    bounds = [(c[0], c[1], lo - _TOL_M, hi + _TOL_M) for c, lo, hi in annuli]
+    best, least = None, math.inf
+    for x, y in pts:
+        for cx, cy, lo, hi in bounds:
+            if not lo <= math.hypot(x - cx, y - cy) <= hi:
+                break
+        else:
+            cost = 0.0
+            for fx, fy in foci:
+                cost += math.hypot(x - fx, y - fy)
+            if cost < least:
+                best, least = (x, y), cost
+    return best
 
 
-def _chord(db, bb, dd, r):
+def _chord(db: float, bb: float, dd: float, r: float):
     """Where the line d + t b meets the circle |x| = r (db = d.b, bb = b.b > 0,
     dd = d.d): the discriminant, negative if it misses, and roots t0 <= t1."""
     disc = db * db - bb * (dd - r * r)
-    s = np.sqrt(np.maximum(disc, 0.0))
+    s = math.sqrt(max(disc, 0.0))
     return disc, (-db - s) / bb, (-db + s) / bb
 
 
-def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
+def _band_spans(e1, e2, center, r_lo: float,
                 r_hi: float) -> list[tuple[float, float]]:
     """Sub-intervals of t in [0, 1] where e1 + t(e2-e1) is r_lo..r_hi from center."""
-    b = e2 - e1
-    d = e1 - np.asarray(center, dtype=float)
-    bb = float(b @ b)
+    (x1, y1), (x2, y2), (cx, cy) = e1, e2, center
+    bx, by, dx, dy = x2 - x1, y2 - y1, x1 - cx, y1 - cy
+    bb = bx * bx + by * by
     if bb == 0.0:
-        dist = float(np.hypot(*d))
-        return [(0.0, 1.0)] if r_lo <= dist <= r_hi else []
-    db = float(d @ b)
-    dd = float(d @ d)
+        return [(0.0, 1.0)] if r_lo <= math.hypot(dx, dy) <= r_hi else []
+    db = dx * bx + dy * by
+    dd = dx * dx + dy * dy
     disc, t0, t1 = _chord(db, bb, dd, r_hi)
     lo, hi = max(t0, 0.0), min(t1, 1.0)
     if disc < 0.0 or lo > hi:
@@ -227,8 +250,7 @@ def _band_spans(e1: np.ndarray, e2: np.ndarray, center, r_lo: float,
         [(max(lo, h1), hi)] if h1 < hi else [])
 
 
-def _edge_through_point(e1: np.ndarray, e2: np.ndarray,
-                        annuli) -> np.ndarray | None:
+def _edge_through_point(e1, e2, annuli) -> tuple[float, float] | None:
     """Exact zero-detour candidate: a point of the edge itself inside every
     annulus, when the edge crosses their intersection. Midpoint of the widest
     crossing."""
@@ -240,7 +262,9 @@ def _edge_through_point(e1: np.ndarray, e2: np.ndarray,
     if not spans:
         return None
     t0, t1 = max(spans, key=lambda s: s[1] - s[0])
-    return e1 + (0.5 * (t0 + t1)) * (e2 - e1)
+    t = 0.5 * (t0 + t1)
+    (x1, y1), (x2, y2) = e1, e2
+    return x1 + t * (x2 - x1), y1 + t * (y2 - y1)
 
 
 def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
@@ -249,19 +273,21 @@ def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
     inside `ring`: the on-edge point when the edge passes through the
     feasible set (detour zero), otherwise the exact minimiser of
     |q - e1| + |q - e2| over that set. None when the set is empty."""
-    edge = np.array([e1, e2], dtype=float)
-    annuli = _annuli(np.asarray(p_k, dtype=float), d_safe, r_u2u, ring, bs)
-    q = _edge_through_point(edge[0], edge[1], annuli)
+    annuli = _annuli(p_k, d_safe, r_u2u, ring, bs)
+    q = _edge_through_point(e1, e2, annuli)
     if q is None:
-        q = _minimise(edge, [], annuli)
+        q = _minimise((e1, e2), [], annuli)
     if q is None:
         return None
-    detour = float(_cost(q, edge) - np.hypot(*(edge[1] - edge[0])))
-    return P3Result(point=(float(q[0]), float(q[1])), detour_m=max(detour, 0.0))
+    (x1, y1), (x2, y2), (qx, qy) = e1, e2, q
+    detour = (math.hypot(qx - x1, qy - y1) + math.hypot(qx - x2, qy - y2)
+              - math.hypot(x2 - x1, y2 - y1))
+    return P3Result(point=(float(qx), float(qy)), detour_m=max(detour, 0.0))
 
 
 def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
-                        ring: Ring | None, bs=(0.0, 0.0)) -> np.ndarray:
+                        ring: Ring | None,
+                        bs=(0.0, 0.0)) -> tuple[float, float]:
     """Least-displacement point within `r_link` of anchor, outside the safety
     bubble, inside the ring."""
     q = _minimise([prev], [prev], _annuli(anchor, d_safe, r_link, ring, bs))
@@ -272,7 +298,7 @@ def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
 
 def advance_point(prev, anchor, target, budget_m: float, r_link: float,
                   d_safe: float, ring: Ring | None,
-                  bs=(0.0, 0.0)) -> np.ndarray:
+                  bs=(0.0, 0.0)) -> tuple[float, float]:
     """Waypoint for an idle UAV: close in on `target` without travelling more
     than `budget_m`, staying chained to `anchor` (between d_safe and r_link)
     and inside the ring. Spending idle legs on the approach keeps the later
@@ -355,7 +381,7 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
             last = cp_id
             continue
         after = int(adj_ids[nxt[t]]) if nxt[t] is not None else None
-        cp = cps[cp_id]
+        cp = cps[cp_id].tolist()
         band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
         col = duty[:, adj]
         lo = int(np.flatnonzero(col == last)[0]) if last is not None else -1
@@ -368,28 +394,30 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
             # empty window: no matched anchor follows and the last anchor is
             # the final step (or the path is one step long), so park the
             # fixed UAV next to the CP; p3_calls and detour_m skip this step
-            q = nearest_chain_point(pos[0, ref], cp, r_u2u, d_safe, band, bs)
+            q = nearest_chain_point(pos[0, ref].tolist(), cp, r_u2u, d_safe,
+                                    band, bs)
             at = max(lo, 0) + 1
         else:
             # cost each window edge: fixed-ring detour plus however much of
             # the attach UAV's in/out jumps the intervening legs cannot absorb
             refpath = pos[:, ref]
             ref_legs = np.hypot(*(refpath - np.roll(refpath, 1, axis=0)).T)
+            path = refpath.tolist()
+            jump_in = None if last is None else _dist(cps[last].tolist(), cp)
+            jump_out = None if after is None else _dist(cp, cps[after].tolist())
             best = None
             for s in range(s_lo, s_hi + 1):
-                res = p3_waypoint(cp, refpath[s], refpath[s + 1], r_u2u,
-                                  d_safe, band, bs)
+                res = p3_waypoint(cp, path[s], path[s + 1], r_u2u, d_safe,
+                                  band, bs)
                 if res is None:
                     continue
                 cost = res.detour_m
-                if last is not None:
+                if jump_in is not None:
                     slack = float(ref_legs[lo + 1:s + 1].sum())
-                    cost += max(0.0, float(np.hypot(*(cps[last] - cp)))
-                                - slack)
-                if after is not None:
+                    cost += max(0.0, jump_in - slack)
+                if jump_out is not None:
                     slack = float(ref_legs[s + 1:hi + 1].sum())
-                    cost += max(0.0, float(np.hypot(*(cp - cps[after])))
-                                - slack)
+                    cost += max(0.0, jump_out - slack)
                 if best is None or cost < best[0] - 1e-9:
                     best = (cost, s, res)
             if best is None:
@@ -408,8 +436,8 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
     return pos, duty
 
 
-def _radial_band(g: int, anchor_ring: int, anchor_pos: np.ndarray,
-                 ring_geom: Ring, bs: np.ndarray, d_safe: float) -> Ring:
+def _radial_band(g: int, anchor_ring: int, anchor_pos, ring_geom: Ring, bs,
+                 d_safe: float) -> Ring:
     """Where ring g's UAV may wait while it collects nothing.
 
     It keeps radial order with the anchor instead of its own annulus: an
@@ -419,7 +447,7 @@ def _radial_band(g: int, anchor_ring: int, anchor_pos: np.ndarray,
     pair separated while freeing the UAV from annulus slivers when the
     anchor dives inward.
     """
-    bsd = float(np.hypot(*(anchor_pos - bs)))
+    bsd = _dist(anchor_pos, bs)
     if g > anchor_ring:
         lo = bsd + d_safe
         return Ring(lo, max(ring_geom.outer_m, lo))
@@ -441,30 +469,34 @@ def _fill_ring(pos, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
     """
     s_count = len(pos)
     hard = np.flatnonzero(~np.isnan(pos[:, g, 0]))
+    # both rings' positions as float pairs; the ring's holes are NaN
+    col, anchors = pos[:, g].tolist(), pos[:, anchor_ring].tolist()
     if hard.size:
         # next duty step strictly after each step, cyclically
         nxt = hard[np.searchsorted(hard, np.arange(s_count), side="right")
-                   % len(hard)]
+                   % len(hard)].tolist()
         start = int(hard[0])
     else:
-        anc0 = pos[0, anchor_ring]
-        v = anc0 - bs
-        nv = float(np.hypot(*v))
-        u = v / nv if nv > 0 else np.array([1.0, 0.0])
+        (ax, ay), (bx, by) = anchors[0], bs
+        nv = math.hypot(ax - bx, ay - by)
+        ux, uy = ((ax - bx) / nv, (ay - by) / nv) if nv > 0 else (1.0, 0.0)
         mid = 0.5 * (ring_geom.inner_m + ring_geom.outer_m)
-        pos[0, g] = nearest_chain_point(bs + u * mid, anc0, r_u2u, d_safe,
-                                        _radial_band(g, anchor_ring, anc0,
-                                                     ring_geom, bs, d_safe), bs)
+        col[0] = nearest_chain_point((bx + ux * mid, by + uy * mid),
+                                     anchors[0], r_u2u, d_safe,
+                                     _radial_band(g, anchor_ring, anchors[0],
+                                                  ring_geom, bs, d_safe), bs)
         start = 0
-    budget = _leg_lengths(pos[:, done_rings]).max(axis=1)
-    seq = np.roll(np.arange(s_count), -start)
-    for i in seq[np.isnan(pos[seq, g, 0])]:
-        anchor_pos = pos[i, anchor_ring]
-        target = pos[nxt[i], g] if hard.size else anchor_pos
+    budget = _leg_lengths(pos[:, done_rings]).max(axis=1).tolist()
+    for i in [*range(start, s_count), *range(start)]:
+        if not math.isnan(col[i][0]):
+            continue
+        anchor_pos = anchors[i]
+        target = col[nxt[i]] if hard.size else anchor_pos
         band = _radial_band(g, anchor_ring, anchor_pos, ring_geom, bs, d_safe)
-        pos[i, g] = advance_point(pos[i - 1, g], anchor_pos, target,
-                                  float(budget[i]), r_u2u, d_safe, band, bs)
+        col[i] = advance_point(col[i - 1], anchor_pos, target, budget[i],
+                               r_u2u, d_safe, band, bs)
         meta["escorts"] += 1
+    pos[:, g] = col
 
 
 def _fill_all(pos, ref, ring_range, rings, bs, r_u2u, d_safe, meta):
@@ -535,7 +567,7 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     """
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
-    bs = scenario.bs_xy
+    bs = tuple(scenario.bs_xy.tolist())
     v = scenario.v_max_mps
     d_safe = scenario.d_safe_m
     r_u2u = radii.r_u2u_m

@@ -67,19 +67,26 @@ def _two_opt(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
     edges = k * n + (k + 1) % n
     ac, bd = i * n + j, (i + 1) * n + (j + 1) % n
     for order in orders:
+        # distances between tour positions, kept in step with `order`: a move
+        # reverses the same segment of its rows and of its columns. Contiguous,
+        # so that `flat` is a view and sees every move.
+        by_pos = np.ascontiguousarray(dist[order][:, order])
+        flat = by_pos.ravel()
         seen = set()
         while (start := order.tobytes()) not in seen:
             seen.add(start)
             p = 0
             while True:
-                by_pos = dist[order][:, order].ravel()
-                edge = by_pos[edges]
-                hits = np.flatnonzero(by_pos[ac[p:]] + by_pos[bd[p:]]
+                edge = flat[edges]
+                hits = np.flatnonzero(flat[ac[p:]] + flat[bd[p:]]
                                       - edge[i[p:]] - edge[j[p:]] < -1e-12)
                 if not hits.size:
                     break
                 p += int(hits[0])
-                order[i[p] + 1:j[p] + 1] = order[i[p] + 1:j[p] + 1][::-1]
+                seg = slice(i[p] + 1, j[p] + 1)
+                order[seg] = order[seg][::-1]
+                by_pos[seg] = by_pos[seg][::-1]
+                by_pos[:, seg] = by_pos[:, seg][:, ::-1]
                 p += 1
     return orders
 

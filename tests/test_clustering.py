@@ -401,9 +401,15 @@ def test_packing_set_is_pairwise_apart_and_maximal():
         d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
         sub = d[np.ix_(taken, taken)]
         assert (sub[~np.eye(len(taken), dtype=bool)] > 2 * r).all()
-        # greedy in index order: every point left out is near an earlier pick
+        # greedy from the periphery in: every point left out is near a pick
+        # made earlier in the greedy's order
+        mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        rank = np.empty(len(pts), dtype=int)
+        rank[np.argsort(-np.hypot(*(pts - mid).T), kind="stable")] = \
+            np.arange(len(pts))
         for i in set(range(len(pts))) - set(taken.tolist()):
-            assert (d[i, taken[taken < i]] <= 2 * r * (1 + 1e-9)).any()
+            earlier = taken[rank[taken] < rank[i]]
+            assert (d[i, earlier] <= 2 * r * (1 + 1e-9)).any()
 
 
 def _two_sensor_scenario(gap_m):

@@ -1,6 +1,7 @@
 """Point-matching planner: pairing rules, waypoint solvers, full plans."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ from skyhaul.cli import prepare
 from skyhaul.mission import evaluate, lower_bound
 from skyhaul.model import Scenario
 from skyhaul.partition import Ring
-from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair, _cost,
-                                _minimise, _on_circle, _relaxed_pairs,
-                                advance_point, match_pairs,
+from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
+                                _annuli, _arc_minima, _crossings, _minimise,
+                                _relaxed_pairs, advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
 from skyhaul.tsp import solve_tsp
 
@@ -431,6 +432,17 @@ def test_waypoint_solvers_never_lose_to_the_grid():
     assert solved >= 100
 
 
+def _cost(pts, foci) -> np.ndarray:
+    """Summed distance from each point (..., 2) to every focus."""
+    pts = np.asarray(pts, dtype=float)
+    return np.hypot(*np.moveaxis(pts[..., None, :] - foci, -1, 0)).sum(axis=-1)
+
+
+def _on_circle(cen: np.ndarray, rad: np.ndarray, theta) -> np.ndarray:
+    return cen + rad[..., None] * np.stack([np.cos(theta), np.sin(theta)],
+                                           axis=-1)
+
+
 # The sampled arc solver that the closed form replaced, kept as an oracle:
 # 360 samples per circle, each sampled local minimum refined by golden section.
 _ARC_SAMPLES = 360          # cost samples per boundary circle (1 degree)
@@ -555,3 +567,169 @@ def test_p3_degenerate_geometry_matches_the_sampled_solver(case, monkeypatch):
                                               ring.outer_m)]
     assert _feasible(q, annuli, 1e-6)
     assert res.detour_m == pytest.approx(oracle.detour_m, abs=1e-6)
+
+
+# The waypoint solver as numpy array code, before it moved to Python floats,
+# kept as the reference the float solver must reproduce.
+def reference_crossings(c1: np.ndarray, r1: float, c2: np.ndarray,
+                        r2: float) -> np.ndarray:
+    v = c2 - c1
+    d = float(np.hypot(*v))
+    if d == 0.0:
+        return np.zeros((0, 2))
+    u = v / d
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    return c1 + a * u + np.outer([h, -h], [-u[1], u[0]])
+
+
+def reference_chord(db, bb, dd, r):
+    disc = db * db - bb * (dd - r * r)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    return disc, (-db - s) / bb, (-db + s) / bb
+
+
+def reference_arc_minima(foci: np.ndarray, cen: np.ndarray,
+                         rad: np.ndarray) -> np.ndarray:
+    rel = foci[:, None] - cen
+    pts = [_on_circle(cen, rad, np.arctan2(v[:, 1], v[:, 0])) for v in rel]
+    if len(foci) == 1:
+        return pts[0]
+    a, b = (rel[..., 0] + 1j * rel[..., 1]) / np.where(rad > 0.0, rad, 1.0)
+    k = np.flatnonzero((rad > 0.0) & (a * b != 0.0))
+    s, p = a[k] + b[k], a[k] * b[k]
+    comp = np.zeros((len(k), 4, 4), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(3)
+    comp[:, 0] = (np.stack([s.conj(), np.zeros_like(s), -s, p], axis=1)
+                  / p.conj()[:, None])
+    theta = np.angle(np.linalg.eigvals(comp))
+    pts.append(_on_circle(cen[k, None], rad[k, None], theta).reshape(-1, 2))
+    edge = foci[1] - foci[0]
+    if (bb := float(edge @ edge)) > 0.0:
+        disc, t0, t1 = reference_chord(rel[0] @ edge, bb,
+                                       (rel[0] ** 2).sum(1), rad)
+        t = np.concatenate([t0, t1])
+        t = t[np.tile(disc >= 0.0, 2) & (t >= 0.0) & (t <= 1.0)]
+        pts.append(foci[0] + t[:, None] * edge)
+    return np.vstack(pts)
+
+
+def reference_minimise(foci, seeds, annuli) -> np.ndarray | None:
+    foci = np.asarray(foci, dtype=float).reshape(-1, 2)
+    circles = [(np.asarray(c, dtype=float), r) for c, lo, hi in annuli
+               for r in ((lo, hi) if lo > 0.0 else (hi,))]
+    cen, rad = (np.array(x, dtype=float) for x in zip(*circles))
+    pts = np.vstack(
+        [np.asarray(seeds, dtype=float).reshape(-1, 2),
+         reference_arc_minima(foci, cen, rad)]
+        + [reference_crossings(*a, *b)
+           for a, b in itertools.combinations(circles, 2)])
+    ok = np.ones(len(pts), dtype=bool)
+    for c, lo, hi in annuli:
+        d = np.hypot(*(pts - c).T)
+        ok &= (d >= lo - pointmatch._TOL_M) & (d <= hi + pointmatch._TOL_M)
+    best = int(np.argmin(np.where(ok, _cost(pts, foci), np.inf)))
+    return pts[best].copy() if ok[best] else None
+
+
+_DEGENERATE_SOLVES = {
+    # (foci, seeds, annuli): each as the planner poses it
+    "outer tangent disks": ([(150.0, 80.0)], [(150.0, 80.0)],
+                            [((0.0, 0.0), 0.0, 100.0),
+                             ((200.0, 0.0), 0.0, 100.0)]),
+    "inner tangent annulus": ([(0.0, 500.0), (40.0, 520.0)], [],
+                              [((0.0, 0.0), 100.0, 200.0),
+                               ((300.0, 0.0), 0.0, 100.0)]),
+    "concentric annuli": ([(30.0, 400.0), (90.0, 350.0)], [],
+                          [((10.0, 20.0), 50.0, 150.0),
+                           ((10.0, 20.0), 120.0, 300.0)]),
+    "zero-radius band": ([(-100.0, 600.0), (100.0, 640.0)], [],
+                         [((0.0, 300.0), 30.0, 500.0),
+                          ((0.0, 0.0), 0.0, 0.0)]),
+    "zero-radius band out of reach": ([(-100.0, 600.0), (100.0, 640.0)], [],
+                                      [((0.0, 20.0), 30.0, 500.0),
+                                       ((0.0, 0.0), 0.0, 0.0)]),
+    "coincident foci": ([(700.0, 90.0), (700.0, 90.0)], [],
+                        [((0.0, 0.0), 30.0, 500.0),
+                         ((0.0, 0.0), 0.0, 2000.0)]),
+    "focus on a centre": ([(0.0, 0.0), (900.0, 300.0)], [],
+                          [((0.0, 0.0), 30.0, 500.0),
+                           ((400.0, 0.0), 100.0, 2000.0)]),
+    "both foci on a centre": ([(900.0, 0.0), (900.0, 0.0)], [],
+                              [((900.0, 0.0), 30.0, 500.0),
+                               ((0.0, 0.0), 1030.0, 2000.0)]),
+    "seed on a centre": ([(0.0, 1000.0)], [(0.0, 1000.0)],
+                         [((0.0, 1000.0), 30.0, 500.0),
+                          ((0.0, 0.0), 1030.0, 2000.0)]),
+}
+
+
+def _solver_instances():
+    """(foci, seeds, annuli) as the planner poses them (chain points,
+    escorts and window edges on random rings), the two-focus instances and
+    the degenerate cases."""
+    for ring, anchor, r_link, prev, target, budget, e1, e2 in \
+            _oracle_instances(150):
+        chain = _annuli(anchor, 30.0, r_link, ring, np.zeros(2))
+        yield [prev], [prev], chain
+        yield [target], [target], chain + [(prev, 0.0, budget)]
+        yield [e1, e2], [], chain
+    for _, foci, annuli in _two_focus_instances(300):
+        yield foci, [], annuli
+    yield from _DEGENERATE_SOLVES.values()
+
+
+def _segment_meets(foci, annuli) -> bool:
+    """Two foci whose segment crosses the feasible set: every feasible point
+    of that crossing costs |AB|, so rounding alone picks the minimiser."""
+    return (len(foci) == 2
+            and pointmatch._edge_through_point(foci[0], foci[1], annuli)
+            is not None)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_solver_matches_the_array_reference():
+    solved = ties = 0
+    for foci, seeds, annuli in _solver_instances():
+        with np.errstate(all="raise"):
+            q = _minimise(foci, seeds, annuli)
+        ref = reference_minimise(foci, seeds, annuli)
+        if ref is None:
+            assert q is None
+            continue
+        solved += 1
+        assert q is not None
+        if _segment_meets(foci, annuli):
+            ties += 1
+            foci = np.asarray(foci, dtype=float)
+            assert _feasible(np.asarray(q), annuli, pointmatch._TOL_M)
+            assert float(_cost(q, foci)) == pytest.approx(
+                float(_cost(ref, foci)), rel=0.0, abs=1e-9)
+        else:
+            assert math.dist(q, ref) <= 1e-9
+    assert solved >= 500 and solved - ties >= 300
+
+
+def _same_points(got, ref, atol: float) -> bool:
+    """Two (P, 2) point lists hold the same points up to order, give or take
+    atol (a repeated root's eigenvalues come in either order)."""
+    gap = np.hypot(*np.moveaxis(got[:, None] - ref[None], -1, 0))
+    return (got.shape == ref.shape and bool(gap.min(axis=0).max() <= atol)
+            and bool(gap.min(axis=1).max() <= atol))
+
+
+def test_float_solver_parts_match_the_array_reference():
+    """Crossings in the same order, arc minima up to the order of repeated
+    roots, each within 1e-9 m of the reference."""
+    for foci, _, annuli in _solver_instances():
+        circles = [(np.asarray(c, dtype=float), r) for c, lo, hi in annuli
+                   for r in ((lo, hi) if lo > 0.0 else (hi,))]
+        for (c1, r1), (c2, r2) in itertools.combinations(circles, 2):
+            ref = reference_crossings(c1, r1, c2, r2)
+            got = np.reshape(_crossings(c1, r1, c2, r2), (-1, 2))
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+        args = (np.asarray(foci, dtype=float).reshape(-1, 2),
+                *(np.array(x, dtype=float) for x in zip(*circles)))
+        assert _same_points(_arc_minima(*args), reference_arc_minima(*args),
+                            1e-9)
