@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, assemble_plan
+from .mission import MissionPlan
 from .model import InfeasibleError, Scenario
 from .partition import Topology
 from .tsp import solve_tsp
@@ -32,10 +32,9 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     each; UAVs 0..m-2 hold evenly spaced points on the BS-to-collector line.
     Works only while the farthest CP divided by m fits both link budgets.
     """
-    cps, hovers = cluster_set.cps, cluster_set.hover_s
+    cps = cluster_set.cps
     m = topology.m_uavs
     bs = scenario.bs_xy
-    v = scenario.v_max_mps
     d_safe = scenario.d_safe_m
 
     d_bs = np.hypot(*(cps - bs).T)
@@ -68,7 +67,7 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         positions[i, m - 1] = c
 
     meta = {"algo": "ttp", "tour_length_m": tour.length_m}
-    return assemble_plan(positions, duties, hovers, v, meta)
+    return MissionPlan(positions, duties, meta)
 
 
 def scan_order(cps: np.ndarray, bs: np.ndarray) -> list[int]:
@@ -88,10 +87,9 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     the same bearing near its ring midline, radially clamped so adjacent
     UAVs stay within link range yet comfortably separated.
     """
-    cps, hovers = cluster_set.cps, cluster_set.hover_s
+    cps = cluster_set.cps
     m = topology.m_uavs
     bs = scenario.bs_xy
-    v = scenario.v_max_mps
     d_safe = scenario.d_safe_m
     r_u2u = radii.r_u2u_m
     mids = [0.5 * (r.inner_m + r.outer_m) for r in topology.rings]
@@ -121,5 +119,4 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         positions[i, g] = c
         duties[i, g] = cp
 
-    meta = {"algo": "cstp"}
-    return assemble_plan(positions, duties, hovers, v, meta)
+    return MissionPlan(positions, duties, {"algo": "cstp"})

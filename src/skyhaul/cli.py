@@ -83,14 +83,15 @@ def cmd_plan(args) -> int:
     plan = _PLANNERS[args.algo](scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
     if args.output:
-        write_plan_csv(plan, f"{args.output}.plan.csv")
+        write_plan_csv(plan, f"{args.output}.plan.csv", cluster_set.hover_s,
+                       scenario.v_max_mps)
         write_report_json(report, f"{args.output}.report.json",
                           topology, radii, cluster_set)
         write_clusters_csv(scenario, cluster_set,
                            f"{args.output}.assignments.csv",
                            f"{args.output}.cps.csv")
     print(f"algo={args.algo} sensors={scenario.n_sensors} "
-          f"k={cluster_set.k} m={topology.m_uavs} steps={len(plan.hover_s)}")
+          f"k={cluster_set.k} m={topology.m_uavs} steps={len(plan.waypoints)}")
     print(f"completion_s={report.completion_s:.3f} "
           f"lower_bound_s={report.lower_bound_s:.3f} "
           f"gap={report.gap_ratio:.2%} flight_s={report.flight_s:.3f} "

@@ -3,10 +3,11 @@
 A plan is a cyclic sequence of steps. Every UAV owns one waypoint per step;
 all UAVs fly leg i-1 -> i together (the slowest sets the pace), then hold for
 the step's shared hover. Step 0 doubles as the start/finish configuration, so
-flight_s[0] is the closing leg flown from the last step back home.
+its leg is the closing leg flown from the last step back home. A plan holds
+only waypoints and duties; `step_times` derives its schedule.
 
 Each check tests that a value is within its bound, never that it is beyond
-it, so a NaN fails every check that reads it; infinite times fail too.
+it, so a NaN or an infinite waypoint fails every check that reads it.
 """
 
 from __future__ import annotations
@@ -25,16 +26,12 @@ from .partition import Topology
 
 DIST_TOL_M = 1e-6
 TIME_TOL_S = 1e-6
-HOVER_TOL_S = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class MissionPlan:
     waypoints: np.ndarray     # (S, M, 2)
     duties: np.ndarray        # (S, M) int: the CP collected, -1 to escort
-    hover_s: np.ndarray       # (S,) shared hover per step
-    flight_s: np.ndarray      # (S,) travel time into step
-    v_max_mps: float
     meta: dict = field(default_factory=dict)
 
 
@@ -66,27 +63,33 @@ class Timing(NamedTuple):
     hover_s: float
 
 
-def _leg_lengths(w: np.ndarray) -> np.ndarray:
+def _longest_legs(w: np.ndarray) -> np.ndarray:
+    """(S,) the longest leg into each step, the closing leg at step 0."""
     prev = np.roll(w, 1, axis=0)
-    return np.hypot(*np.moveaxis(w - prev, 2, 0))    # (S, M)
+    return np.hypot(*np.moveaxis(w - prev, 2, 0)).max(axis=1)
 
 
-def assemble_plan(positions: np.ndarray, duties: np.ndarray,
-                  cp_hovers: np.ndarray, v: float, meta: dict) -> MissionPlan:
-    """Time per-step geometry (S, M, 2) and duties (S, M) cyclically: each
-    step hovers the largest demand among the CPs it collects (0.0 if none)
-    and flies its longest leg at v."""
-    hover = np.where(duties >= 0, cp_hovers[duties], 0.0).max(axis=1)
-    flight = _leg_lengths(positions).max(axis=1) / v
-    return MissionPlan(positions, duties, hover, flight, v, meta)
+def step_times(plan: MissionPlan, cp_hover_s: np.ndarray,
+               v: float) -> tuple[np.ndarray, np.ndarray]:
+    """The least schedule of the plan, as (S,) hover and (S,) flight: each
+    step hovers the largest demand among the known CPs it collects (0.0 if
+    none) and flies its longest leg at v."""
+    duty = plan.duties
+    known = (duty >= 0) & (duty < len(cp_hover_s))
+    demand = np.zeros(duty.shape)
+    demand[known] = cp_hover_s[duty[known]]
+    return demand.max(axis=1), _longest_legs(plan.waypoints) / v
 
 
-def completion_time(plan: MissionPlan) -> Timing:
+def completion_time(plan: MissionPlan, cp_hover_s: np.ndarray,
+                    v: float) -> Timing:
     """Mission duration: synchronized flight legs plus shared hovers."""
-    legs = _leg_lengths(plan.waypoints)
-    flight = float(legs.max(axis=1).sum()) / plan.v_max_mps
+    hovers, _ = step_times(plan, cp_hover_s, v)
+    # the legs are summed before the division, which rounds differently
+    # from summing each step's seconds
+    flight = float(_longest_legs(plan.waypoints).sum()) / v
     # a sequential sum: numpy's pairwise sum rounds differently past 8 steps
-    hover = float(sum(plan.hover_s.tolist()))
+    hover = float(sum(hovers.tolist()))
     return Timing(flight + hover, flight, hover)
 
 
@@ -115,8 +118,6 @@ def _plan_shape_or_raise(plan: MissionPlan, topology: Topology):
     if w.shape[1:] != (m, 2) or plan.duties.shape != (len(w), m):
         raise ValueError(f"plan waypoints {w.shape} or duties {plan.duties.shape}"
                          f" do not fit {m} UAVs, expected (S, {m}, 2) and (S, {m})")
-    if not len(plan.hover_s) == len(plan.flight_s) == len(w):
-        raise ValueError("plan arrays disagree on the step count")
 
 
 def _result(name: str, problems: list[str], ok_detail: str) -> CheckResult:
@@ -171,20 +172,6 @@ def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
                    f"all pairs keep {d_safe:.0f} m separation")
 
 
-def _check_speed(plan: MissionPlan) -> CheckResult:
-    need = _leg_lengths(plan.waypoints) / plan.v_max_mps
-    flight = plan.flight_s
-    problems = []
-    short = np.flatnonzero(~(np.isfinite(flight)
-                             & (need.max(axis=1) <= flight + TIME_TOL_S)))
-    if short.size:
-        i = short[0]
-        problems.append(f"step {i} schedules {flight[i]:.3f} s but the longest "
-                        f"leg needs {need[i].max():.3f} s at v_max")
-    return _result("speed", problems,
-                   "every leg fits its scheduled duration at v_max")
-
-
 def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
     """Every CP collected exactly once, by a UAV hovering on it."""
     duty, k = plan.duties, cluster_set.k
@@ -216,34 +203,6 @@ def _check_coverage(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
                    f"all {k} CPs collected exactly once, from the CP")
 
 
-def _check_hover(plan: MissionPlan, cluster_set: ClusterSet) -> CheckResult:
-    duty, hover = plan.duties, plan.hover_s
-    known = (duty >= 0) & (duty < cluster_set.k)
-    # hovers are positive, so 0.0 never wins over a collected CP
-    demand = np.where(known, cluster_set.hover_s[np.where(known, duty, 0)], 0.0)
-    worst, need = demand.argmax(axis=1), demand.max(axis=1)
-    bad = np.flatnonzero(known.any(axis=1)
-                         & ~(np.isfinite(hover) & (hover >= need - HOVER_TOL_S)))
-    problems = [f"step {i} hovers {hover[i]:.3f} s but CP {duty[i, worst[i]]} "
-                f"needs {need[i]:.3f} s" for i in bad]
-    return _result("hover-sufficiency", problems,
-                   "every step hovers at least its demand")
-
-
-def _check_closure(plan: MissionPlan) -> CheckResult:
-    expect = _leg_lengths(plan.waypoints).max(axis=1) / plan.v_max_mps
-    flight = plan.flight_s
-    problems = []
-    bad = np.flatnonzero(~(np.abs(flight - expect) <= TIME_TOL_S))
-    if bad.size:
-        i = bad[0]
-        which = "closing leg" if i == 0 else f"leg into step {i}"
-        problems.append(f"{which} takes {expect[i]:.3f} s but the plan "
-                        f"records {flight[i]:.3f} s")
-    return _result("return-to-start", problems,
-                   "cyclic schedule consistent, tours close on step 0")
-
-
 def validate(plan: MissionPlan, scenario: Scenario, topology: Topology,
              radii: CoverageRadii, cluster_set: ClusterSet) -> list[CheckResult]:
     """Run every mission validity check; failures are reported, never raised."""
@@ -253,16 +212,13 @@ def validate(plan: MissionPlan, scenario: Scenario, topology: Topology,
         return [
             _check_connectivity(plan.waypoints, scenario.bs_xy, radii),
             _check_collision(plan.waypoints, scenario.d_safe_m),
-            _check_speed(plan),
             _check_coverage(plan, cluster_set),
-            _check_hover(plan, cluster_set),
-            _check_closure(plan),
         ]
 
 
 def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,
              radii: CoverageRadii, cluster_set: ClusterSet) -> EvalReport:
-    timing = completion_time(plan)
+    timing = completion_time(plan, cluster_set.hover_s, scenario.v_max_mps)
     bound = lower_bound(cluster_set, topology, scenario.v_max_mps)
     gap = (timing.completion_s - bound) / bound if bound > 0 else 0.0
     return EvalReport(
@@ -277,10 +233,12 @@ def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,
     )
 
 
-def write_plan_csv(plan: MissionPlan, path):
+def write_plan_csv(plan: MissionPlan, path, cp_hover_s: np.ndarray, v: float):
+    """One row per step and UAV, with the step's derived hover and flight."""
+    hovers, flights = step_times(plan, cp_hover_s, v)
     # Python floats: numpy 2 writes a float64's repr as np.float64(...)
     rows = zip(plan.waypoints.tolist(), plan.duties.tolist(),
-               plan.hover_s.tolist(), plan.flight_s.tolist())
+               hovers.tolist(), flights.tolist())
     with open(path, "w") as f:
         f.write("step,uav,x_m,y_m,duty,hover_s,flight_s\n")
         for i, (waypoints, duties, hover, flight) in enumerate(rows):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, _leg_lengths, assemble_plan, ring_serial_s
+from .mission import MissionPlan, _longest_legs, ring_serial_s
 from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
@@ -486,7 +486,7 @@ def _fill_ring(pos, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
                                      _radial_band(g, anchor_ring, anchors[0],
                                                   ring_geom, bs, d_safe), bs)
         start = 0
-    budget = _leg_lengths(pos[:, done_rings]).max(axis=1).tolist()
+    budget = _longest_legs(pos[:, done_rings]).tolist()
     for i in [*range(start, s_count), *range(start)]:
         if not math.isnan(col[i][0]):
             continue
@@ -568,13 +568,12 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
     bs = tuple(scenario.bs_xy.tolist())
-    v = scenario.v_max_mps
     d_safe = scenario.d_safe_m
     r_u2u = radii.r_u2u_m
     rings = topology.rings
 
     orders = [list(tour.order) for tour in topology.tours]
-    times = ring_serial_s(cluster_set, topology, v)
+    times = ring_serial_s(cluster_set, topology, scenario.v_max_mps)
     pacing = int(np.argmax(times))
     if not orders[pacing]:
         raise ValueError("cluster set has no collection points")
@@ -599,4 +598,4 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
                                  rings, bs, r_u2u, d_safe, meta)
         _fill_all(pos, ref, placed, rings, bs, r_u2u, d_safe, meta)
 
-    return assemble_plan(pos, duty, hovers, v, meta)
+    return MissionPlan(pos, duty, meta)

@@ -11,7 +11,7 @@ from skyhaul.baselines import (InfeasiblePlanError, plan_cstp, plan_ttp,
                                scan_order)
 from skyhaul.channel import coverage_radii
 from skyhaul.clustering import cluster_sensors
-from skyhaul.mission import evaluate, validate
+from skyhaul.mission import evaluate, step_times, validate
 from skyhaul.model import generate_scenario
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
@@ -29,11 +29,12 @@ def test_ttp_collector_walks_the_global_tour(two_ring_instance):
     plan = plan_ttp(scenario, cluster_set, topology, radii)
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     tour = solve_tsp(cps)
+    hover, _ = step_times(plan, hovers, scenario.v_max_mps)
     assert len(plan.duties) == cluster_set.k
     for i, cp in enumerate(tour.order):
         assert plan.duties[i].tolist() == [-1, cp]
         assert tuple(plan.waypoints[i, 1]) == pytest.approx(tuple(cps[cp]), abs=1e-9)
-        assert plan.hover_s[i] == pytest.approx(float(hovers[cp]), abs=1e-12)
+        assert hover[i] == pytest.approx(float(hovers[cp]), abs=1e-12)
 
 
 def test_ttp_relays_hold_the_chain_midpoints(two_ring_instance):
@@ -119,7 +120,8 @@ def test_cstp_serving_uav_sits_on_the_cp(two_ring_instance):
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     assert len(plan.duties) == cluster_set.k
     seen = []
-    for w, duties, hover in zip(plan.waypoints, plan.duties, plan.hover_s):
+    step_hovers, _ = step_times(plan, hovers, scenario.v_max_mps)
+    for w, duties, hover in zip(plan.waypoints, plan.duties, step_hovers):
         served = duties[duties != -1]
         assert len(served) == 1
         cp = served[0]

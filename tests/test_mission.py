@@ -11,27 +11,26 @@ from conftest import build_instance, legs_connected
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.clustering import ClusterSet
-from skyhaul.mission import (MissionPlan, assemble_plan, completion_time,
-                             evaluate, lower_bound, report_to_dict, validate,
+from skyhaul.mission import (MissionPlan, completion_time, evaluate,
+                             lower_bound, report_to_dict, step_times, validate,
                              write_plan_csv, write_report_json)
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
 
 
-def hand_plan(waypoints, duties, hover_s, flight_s, v_max_mps=10.0):
-    return MissionPlan(np.array(waypoints, dtype=float), np.array(duties),
-                       np.array(hover_s, dtype=float),
-                       np.array(flight_s, dtype=float), v_max_mps)
+def hand_plan(waypoints, duties):
+    return MissionPlan(np.array(waypoints, dtype=float), np.array(duties))
 
 
 def simple_plan():
-    """One UAV on a 30-40-50 triangle at v_max 10 with known hovers."""
+    """One UAV on a 30-40-50 triangle, collecting CPs 0, 1 and 2."""
     return hand_plan([[(0.0, 0.0)], [(30.0, 0.0)], [(30.0, 40.0)]],
-                     ((0,), (1,), (2,)), [1.0, 2.0, 3.0], [5.0, 3.0, 4.0])
+                     ((0,), (1,), (2,)))
 
 
 def test_completion_time_triangle_by_hand():
-    timing = completion_time(simple_plan())
+    # at v_max 10 the legs into steps 0, 1 and 2 take 5, 3 and 4 s
+    timing = completion_time(simple_plan(), np.array([1.0, 2.0, 3.0]), 10.0)
     assert timing.flight_s == pytest.approx(12.0, abs=1e-12)
     assert timing.hover_s == pytest.approx(6.0, abs=1e-12)
     assert timing.completion_s == pytest.approx(18.0, abs=1e-12)
@@ -40,8 +39,8 @@ def test_completion_time_triangle_by_hand():
 def test_completion_time_slowest_uav_sets_leg_pace():
     # UAV 0 flies 30 m legs, UAV 1 flies 40 m legs; each leg costs 4 s at v=10
     plan = hand_plan([[(0.0, 0.0), (100.0, 0.0)], [(30.0, 0.0), (100.0, 40.0)]],
-                     ((0, -1), (1, -1)), [0.0, 0.0], [4.0, 4.0])
-    timing = completion_time(plan)
+                     ((0, -1), (1, -1)))
+    timing = completion_time(plan, np.zeros(2), 10.0)
     assert timing.flight_s == pytest.approx(8.0, abs=1e-12)
 
 
@@ -91,16 +90,13 @@ def _checks_by_name(checks):
 def test_validate_passes_on_planner_output(relay_run):
     scenario, radii, cluster_set, topology, plan = relay_run
     checks = validate(plan, scenario, topology, radii, cluster_set)
-    assert len(checks) == 6
-    assert {c.name for c in checks} == {
-        "connectivity", "collision", "speed", "coverage",
-        "hover-sufficiency", "return-to-start"}
+    assert [c.name for c in checks] == ["connectivity", "collision", "coverage"]
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def _tamper(plan, idx, **changes):
     """A copy of plan with entry idx (a step, or a step and UAV) of its
-    waypoints, duties, hover_s or flight_s replaced."""
+    waypoints or duties replaced."""
     fields = {}
     for name, value in changes.items():
         column = getattr(plan, name).copy()
@@ -113,24 +109,6 @@ def _failed(plan, run, name):
     scenario, radii, cluster_set, topology, _ = run
     checks = _checks_by_name(validate(plan, scenario, topology, radii, cluster_set))
     return checks[name]
-
-
-def test_validate_flags_underscheduled_leg(relay_run):
-    plan = relay_run[-1]
-    idx = next(i for i, f in enumerate(plan.flight_s) if f > 0.1)
-    bad = _tamper(plan, idx, flight_s=plan.flight_s[idx] * 0.5)
-    check = _failed(bad, relay_run, "speed")
-    assert not check.passed
-    assert "at v_max" in check.detail
-
-
-def test_validate_flags_insufficient_hover(relay_run):
-    plan = relay_run[-1]
-    idx = next(i for i, (duties, hover) in enumerate(zip(plan.duties, plan.hover_s))
-               if (duties != -1).any() and hover > 0.0)
-    bad = _tamper(plan, idx, hover_s=plan.hover_s[idx] * 0.5)
-    check = _failed(bad, relay_run, "hover-sufficiency")
-    assert not check.passed
 
 
 def test_validate_flags_duplicate_collection(relay_run):
@@ -171,20 +149,10 @@ def test_collision_check_finds_near_miss_between_samples(relay_run):
     # waypoint-to-waypoint gap and any 100 evenly spaced samples stay ~50 m
     assert relay_run[0].d_safe_m == 30.0
     plan = hand_plan([[(5000.0, 10.0), (0.0, 0.0)], [(-5000.0, 10.0), (0.0, 0.0)]],
-                     ((0, -1), (1, -1)), [0.0, 0.0], [1000.0, 1000.0])
+                     ((0, -1), (1, -1)))
     check = _failed(plan, relay_run, "collision")
     assert not check.passed
     assert "close to 10.0 m" in check.detail
-
-
-def test_validate_flags_broken_closure(relay_run):
-    plan = relay_run[-1]
-    bad = _tamper(plan, 0, flight_s=plan.flight_s[0] + 5.0)
-    check = _failed(bad, relay_run, "return-to-start")
-    assert not check.passed
-    assert "closing leg" in check.detail
-    # a generous schedule still satisfies the speed floor
-    assert _failed(bad, relay_run, "speed").passed
 
 
 @pytest.fixture(scope="module")
@@ -195,30 +163,15 @@ def paper_run():
     return scenario, radii, cluster_set, topology, plan
 
 
-def _retimed(plan, run, waypoints):
-    """plan flown through new waypoints, its schedule re-derived to fit."""
-    return assemble_plan(waypoints, plan.duties, run[2].hover_s,
-                         plan.v_max_mps, plan.meta)
-
-
 def _first_collect(plan):
     step, uav = np.argwhere(plan.duties != -1)[0]
     return step, uav, plan.duties[step, uav]
 
 
-def _move_waypoint(plan, run):
-    # stretch the longest leg into step 1 by 10 m, keeping its schedule
-    w = plan.waypoints
-    leg = w[1] - w[0]
-    uav = int(np.argmax(np.hypot(*leg.T)))
-    return _tamper(plan, (1, uav), waypoints=w[1, uav]
-                   + 10.0 * leg[uav] / np.hypot(*leg[uav]))
-
-
 def _freeze(plan, run):
     # the whole fleet holds step 0's positions, so flight takes no time
-    return _retimed(plan, run, np.repeat(plan.waypoints[:1],
-                                         len(plan.waypoints), axis=0))
+    return dataclasses.replace(plan, waypoints=np.repeat(
+        plan.waypoints[:1], len(plan.waypoints), axis=0))
 
 
 def _off_cp(plan, run):
@@ -229,7 +182,7 @@ def _off_cp(plan, run):
         w = plan.waypoints.copy()
         inward = scenario.bs_xy - w[step, uav]
         w[step, uav] += 200.0 * inward / np.hypot(*inward)
-        bad = _retimed(plan, run, w)
+        bad = dataclasses.replace(plan, waypoints=w)
         checks = validate(bad, scenario, topology, radii, cluster_set)
         if all(c.passed for c in checks if c.name != "coverage"):
             return bad
@@ -256,22 +209,13 @@ def _relabel_first_collect(duty_of_k):
     return mutate
 
 
-def _shorten(name):
-    def mutate(plan, run):
-        column = getattr(plan, name)
-        i = int(np.argmax(column))
-        return _tamper(plan, i, **{name: column[i] * 0.5})
-    return mutate
-
-
 def _too_close(plan, run):
     w = plan.waypoints.copy()
     w[1, 1] = w[1, 0] + (0.5 * run[0].d_safe_m, 0.0)
-    return _retimed(plan, run, w)
+    return dataclasses.replace(plan, waypoints=w)
 
 
 MUTATIONS = {
-    "move-waypoint": (_move_waypoint, "speed"),
     "freeze-fleet": (_freeze, "coverage"),
     "collect-off-cp": (_off_cp, "coverage"),
     "swap-step-duties": (_swap_steps, "coverage"),
@@ -279,8 +223,7 @@ MUTATIONS = {
     "duplicate-collect": (_duplicate_collect, "coverage"),
     "duty-minus-two": (_relabel_first_collect(lambda k: -2), "coverage"),
     "duty-k": (_relabel_first_collect(lambda k: k), "coverage"),
-    "shorten-flight": (_shorten("flight_s"), "speed"),
-    "shorten-hover": (_shorten("hover_s"), "hover-sufficiency"),
+    "duty-1e9": (_relabel_first_collect(lambda k: 10**9), "coverage"),
     "within-d-safe": (_too_close, "collision"),
 }
 
@@ -294,8 +237,55 @@ def test_mutation_fails_a_named_check(request, run_name, mutation):
     assert all(c.passed for c in validate(plan, scenario, topology, radii,
                                           cluster_set))
     mutate, name = MUTATIONS[mutation]
-    check = _failed(mutate(plan, run), run, name)
+    bad = mutate(plan, run)
+    check = _failed(bad, run, name)
     assert not check.passed, check
+    # evaluate derives the schedule of the broken plan without raising
+    report = evaluate(bad, scenario, topology, radii, cluster_set)
+    assert not _checks_by_name(report.checks)[name].passed
+    if mutation.startswith("duty-"):
+        assert [c.name for c in report.checks if not c.passed] == ["coverage"]
+        # an unknown CP demands no hover, as if its UAV escorted
+        escort = _relabel_first_collect(lambda k: -1)(plan, run)
+        assert report.hover_s == evaluate(escort, scenario, topology, radii,
+                                          cluster_set).hover_s
+
+
+def _stretch_escort(plan, run):
+    """plan with the first escort at step 1 that keeps it valid flying on
+    past its waypoint until its leg is 10 m longer than the step's slowest."""
+    scenario, radii, cluster_set, topology, _ = run
+    w = plan.waypoints
+    leg = w[1] - w[0]
+    length = np.hypot(*leg.T)
+    for uav in np.flatnonzero((plan.duties[1] == -1) & (length > 0.0)):
+        stretch = length.max() - length[uav] + 10.0
+        moved = _tamper(plan, (1, uav), waypoints=w[1, uav]
+                        + stretch * leg[uav] / length[uav])
+        if all(c.passed for c in validate(moved, scenario, topology, radii,
+                                          cluster_set)):
+            return moved
+    pytest.fail("every stretched escort leg into step 1 breaks a check")
+
+
+@pytest.mark.parametrize("run_name", ["relay_run", "paper_run"])
+def test_stretched_escort_leg_is_flown_at_v_max(request, run_name):
+    # a plan holds no schedule: a longer leg is a longer step, never a
+    # leg that outruns its step
+    run = request.getfixturevalue(run_name)
+    scenario, radii, cluster_set, topology, plan = run
+    moved = _stretch_escort(plan, run)
+    report = evaluate(moved, scenario, topology, radii, cluster_set)
+    assert report.all_passed
+    before = evaluate(plan, scenario, topology, radii, cluster_set)
+
+    def slowest(w, step):
+        return np.hypot(*(w[step] - w[step - 1]).T).max()
+
+    rise = sum(slowest(moved.waypoints, i) - slowest(plan.waypoints, i)
+               for i in (1, 2)) / scenario.v_max_mps
+    assert rise > 0.0
+    assert report.flight_s - before.flight_s == pytest.approx(rise, abs=1e-9)
 
 
 def test_coverage_names_the_collector_off_its_cp(relay_run):
@@ -303,7 +293,8 @@ def test_coverage_names_the_collector_off_its_cp(relay_run):
     step, uav, cp = _first_collect(plan)
     w = plan.waypoints.copy()
     w[step, uav] += (0.0, 200.0)
-    check = _failed(_retimed(plan, relay_run, w), relay_run, "coverage")
+    check = _failed(dataclasses.replace(plan, waypoints=w), relay_run,
+                    "coverage")
     assert check.detail == (f"UAV {uav} collects CP {cp} at step {step} "
                             "200.0 m off the CP")
 
@@ -311,15 +302,13 @@ def test_coverage_names_the_collector_off_its_cp(relay_run):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("name, failing", [
     ("waypoints", {"connectivity", "collision"}),
-    ("flight_s", {"speed", "return-to-start"}),
-    ("hover_s", {"hover-sufficiency"}),
-], ids=["waypoints", "flight_s", "hover_s"])
+], ids=["waypoints"])
 def test_validate_flags_non_finite_values(relay_run, name, failing, value):
     # NaN compares false with every bound, so a check that tests for being
     # beyond a bound would pass it
     scenario, radii, cluster_set, topology, plan = relay_run
     column = getattr(plan, name).copy()
-    column.reshape(len(column), -1)[2, 0] = value    # UAV 0's x, or the time
+    column.reshape(len(column), -1)[2, 0] = value    # UAV 0's x
     bad = dataclasses.replace(plan, **{name: column})
     checks = validate(bad, scenario, topology, radii, cluster_set)
     assert failing <= {c.name for c in checks if not c.passed}
@@ -330,13 +319,6 @@ def test_validate_rejects_wrong_uav_count(relay_run):
     plan = simple_plan()
     with pytest.raises(ValueError, match="expected"):
         validate(plan, scenario, topology, radii, cluster_set)
-
-
-def test_validate_rejects_ragged_step_count(relay_run):
-    scenario, radii, cluster_set, topology, plan = relay_run
-    short = dataclasses.replace(plan, hover_s=plan.hover_s[:-1])
-    with pytest.raises(ValueError, match="step count"):
-        validate(short, scenario, topology, radii, cluster_set)
 
 
 def test_segment_connectivity_endpoint_rule():
@@ -360,18 +342,34 @@ def test_evaluate_report_consistency(relay_run):
 
 
 def test_plan_csv_round_trip(relay_run, tmp_path):
-    plan = relay_run[-1]
+    scenario, _, cluster_set, _, plan = relay_run
     path = tmp_path / "plan.csv"
-    write_plan_csv(plan, path)
+    write_plan_csv(plan, path, cluster_set.hover_s, scenario.v_max_mps)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,uav,x_m,y_m,duty,hover_s,flight_s"
-    assert len(lines) == 1 + len(plan.hover_s) * plan.waypoints.shape[1]
+    assert len(lines) == 1 + plan.duties.size
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[1]) == 0
     assert float(first[2]) == plan.waypoints[0, 0, 0]
     duties = {row.split(",")[4] for row in lines[1:]}
     assert any(d.startswith("collect:") for d in duties)
     assert "escort" in duties
+
+
+@pytest.mark.parametrize("run_name", ["relay_run", "paper_run"])
+def test_plan_csv_times_are_the_derived_schedule(request, run_name, tmp_path):
+    scenario, radii, cluster_set, topology, plan = request.getfixturevalue(
+        run_name)
+    path = tmp_path / "plan.csv"
+    write_plan_csv(plan, path, cluster_set.hover_s, scenario.v_max_mps)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    hover, flight = step_times(plan, cluster_set.hover_s, scenario.v_max_mps)
+    m = plan.waypoints.shape[1]      # each step's times repeat on its M rows
+    assert [float(r[5]) for r in rows] == np.repeat(hover, m).tolist()
+    assert [float(r[6]) for r in rows] == np.repeat(flight, m).tolist()
+    report = evaluate(plan, scenario, topology, radii, cluster_set)
+    # Python's sum adds the steps in order, one at a time
+    assert sum(float(r[5]) for r in rows[::m]) == report.hover_s
 
 
 def test_report_json_contents(relay_run, tmp_path):
@@ -386,7 +384,7 @@ def test_report_json_contents(relay_run, tmp_path):
     assert data["all_passed"] is True
     assert data["m_uavs"] == 2
     assert data["k_clusters"] == cluster_set.k
-    assert len(data["checks"]) == 6
+    assert len(data["checks"]) == 3
     assert data["radii_m"]["r_u2u"] == radii.r_u2u_m
     assert len(data["rings_m"]) == 2
     assert len(data["association"]) == cluster_set.k
