@@ -16,7 +16,6 @@ import numpy as np
 from .channel import CoverageRadii, min_hover_time
 from .model import InfeasibleError, Scenario
 
-_LLOYD_TOL_M = 1e-6
 _LLOYD_MAX_ITER = 300
 _SEED_ATTEMPTS = 3
 # cluster counts seeded together by the k search: larger blocks seed more k
@@ -52,27 +51,24 @@ def _kmeanspp_seeds(points: np.ndarray, k: int,
     """k-means++ seedings (Arthur & Vassilvitskii 2007), one per generator.
 
     The seedings are built together: row a of each (A, n) array belongs to
-    rngs[a]. Each draw repeats `rng.choice(n, p=d2 / total)` bit for bit: the
-    cdf is cumsum(d2 / total) divided by its last entry, and the index is the
-    count of cdf entries <= the draw's uniform, which is
-    searchsorted(side="right") on a nondecreasing cdf. A row's k - 1 uniforms
-    come from one rng.random(k - 1), the values of k - 1 random() calls. A
-    row whose mass has collapsed onto chosen centroids (total <= 0) draws
-    rng.integers(n) instead, from then on: it is replayed from its state
-    before the uniforms, so every stream is consumed as a seeding on its own
-    would consume it. Draw j never depends on later draws, so the first j
-    centroids of a row are the j-centroid seeding of its generator. Returns
-    the (A, k, 2) seedings.
+    rngs[a], which draws the first centroid with rng.integers(n) and then
+    one rng.random(k - 1), the values of k - 1 random() calls. Draw j
+    repeats `rng.choice(n, p=d2 / total)` on its uniform u bit for bit: the
+    cdf is cumsum(d2 / total) divided by its last entry, and the index is
+    the count of cdf entries <= u, which is searchsorted(side="right") on a
+    nondecreasing cdf. A row whose mass has collapsed (total <= 0: every
+    point lies on a chosen centroid) takes index min(int(u * n), n - 1)
+    instead. Draw j never depends on later draws, so the first j centroids
+    of a row are the j-centroid seeding of its generator. Returns the
+    (A, k, 2) seedings.
     """
     n, a = len(points), len(rngs)
     seeds = np.empty((a, k, 2))
     seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
-    states = [rng.bit_generator.state for rng in rngs]
     uniforms = np.array([rng.random(k - 1) for rng in rngs])
     px, py = points.T
     planes, cdf = np.empty((2, a, n)), np.empty((a, n))
     d2 = np.full((a, n), np.inf)
-    replayed = set()
     # a collapsed row's cdf is 0/0; an overflowing total raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, k):
@@ -83,19 +79,13 @@ def _kmeanspp_seeds(points: np.ndarray, k: int,
             np.divide(d2, totals[:, None], out=cdf)
             cdf.cumsum(axis=1, out=cdf)
             cdf /= cdf[:, -1:]
-            pick = (cdf <= uniforms[:, j - 1:j]).sum(axis=1)
-            if not (0 < totals.min() and totals.max() < math.inf):
-                for i, total in enumerate(totals.tolist()):
-                    if total <= 0:
-                        rng = rngs[i]
-                        if i not in replayed:
-                            replayed.add(i)
-                            rng.bit_generator.state = states[i]
-                            rng.random(j - 1)
-                        pick[i] = rng.integers(n)
-                    elif not total < math.inf:
-                        raise ValueError("squared distances between the points "
-                                         "overflow")
+            if not totals.max() < math.inf:
+                raise ValueError("squared distances between the points "
+                                 "overflow")
+            u = uniforms[:, j - 1]
+            pick = (cdf <= u[:, None]).sum(axis=1)
+            collapsed = totals <= 0
+            pick[collapsed] = np.minimum(u[collapsed] * n, n - 1).astype(int)
             seeds[:, j] = points[pick]
     return seeds
 
@@ -113,45 +103,37 @@ def _assign(points: np.ndarray, centroids: np.ndarray,
                     centroids[:, 1], planes).argmin(axis=1)
 
 
-def kmeans_cluster(points, k: int, seed=0,
-                   init=None) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations from `init` centroids, or from a k-means++ seeding.
+def kmeans_cluster(points, k: int, init) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations from the `init` centroids to their fixed point.
 
-    Without `init`, the seeding draws from `default_rng(seed)`. Stops when
-    no centroid moves more than 1e-6 m, when the labels repeat those of the
-    round before, or after 300 rounds. Ties in the assignment go to the
-    lowest centroid index; a centroid that loses all members keeps its
-    position for that round. Returns (labels, centroids).
+    A round assigns each point to its nearest centroid, ties going to the
+    lowest index, and moves each centroid to the mean of its members; a
+    centroid without members keeps its position. Stops when the labels
+    repeat those of the round before, or after 300 rounds. The labels
+    returned are those the centroids were computed from, so each non-empty
+    cluster's centroid is the mean of its members. Returns (labels,
+    centroids).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if init is None:
-        centroids = _kmeanspp_seeds(points, k, [np.random.default_rng(seed)])[0]
-    else:
-        centroids = np.asarray(init, dtype=float).reshape(k, 2)
+    centroids = np.asarray(init, dtype=float).reshape(k, 2)
     px, py = np.ascontiguousarray(points.T)
     planes = np.empty((2, n, k))
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
         new_labels = _assign(points, centroids, planes)
         if labels is not None and (new_labels == labels).all():
-            # the update would give back these centroids, and they these labels
-            return labels, centroids
+            break
         labels = new_labels
         counts = np.bincount(labels, minlength=k)
         occupied = counts > 0
-        new = centroids.copy()
+        centroids = centroids.copy()
         for col, coords in enumerate((px, py)):
-            np.divide(np.bincount(labels, coords, k), counts, out=new[:, col],
-                      where=occupied)
-        moved = np.hypot(new[:, 0] - centroids[:, 0],
-                         new[:, 1] - centroids[:, 1]).max()
-        centroids = new
-        if moved < _LLOYD_TOL_M:
-            break
-    return _assign(points, centroids, planes), centroids
+            np.divide(np.bincount(labels, coords, k), counts,
+                      out=centroids[:, col], where=occupied)
+    return labels, centroids
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ class RingPair:
     the attach UAV may fly between two shared steps."""
 
     def __init__(self, cps_out, cps_in, hover_out, hover_in, path_m,
-                 r_u2u: float, d_safe: float = 0.0):
+                 r_u2u: float, d_safe: float):
         cps_out = np.asarray(cps_out, dtype=float).reshape(-1, 2)
         cps_in = np.asarray(cps_in, dtype=float).reshape(-1, 2)
         self.gap = _pairwise(cps_out, cps_in)
@@ -135,12 +135,11 @@ def _crossings(c1, r1: float, c2, r2: float) -> list[tuple[float, float]]:
     return [(mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)]
 
 
-def _arc_minima(foci: np.ndarray, cen: np.ndarray,
-                rad: np.ndarray) -> np.ndarray:
-    """Every point of each circle where the summed distance to the one or two
-    `foci` may be locally least, in closed form: the radial projection of
-    each focus (for one focus, the minimum) and, for foci A, B (complex,
-    centre-relative):
+def _arc_minima(foci, circles) -> list[tuple[float, float]]:
+    """Every point of each of the (center, r) `circles` where the summed
+    distance to the one or two `foci` may be locally least, in closed form:
+    the radial projection of each focus (for one focus, the minimum) and,
+    for foci A, B (complex, centre-relative):
     - the reflection points, where (A - z)(B - z) / z^2 is real: roots of
       conj(AB) z^4 - r^2 conj(A+B) z^3 + r^4 (A+B) z - r^4 AB (Neumann 1998),
       one batched eigenvalue call over the companion matrices, each root put
@@ -148,7 +147,6 @@ def _arc_minima(foci: np.ndarray, cen: np.ndarray,
       the radial projections exact, so those circles skip it;
     - where the segment AB crosses the circle: both gradients cancel there,
       so the quartic has no root."""
-    foci, circles = foci.tolist(), list(zip(cen.tolist(), rad.tolist()))
     pts = [_at_angle(c, r, math.atan2(fy - c[1], fx - c[0]))
            for fx, fy in foci for c, r in circles]
     if len(foci) == 2:
@@ -183,7 +181,7 @@ def _arc_minima(foci: np.ndarray, cen: np.ndarray,
                     far.append(t1)
             pts += [(ax + t * ex, ay + t * ey) for t in near + far
                     if 0.0 <= t <= 1.0]
-    return np.array(pts, dtype=float).reshape(-1, 2)
+    return pts
 
 
 def _minimise(foci, seeds, annuli) -> tuple[float, float] | None:
@@ -200,10 +198,7 @@ def _minimise(foci, seeds, annuli) -> tuple[float, float] | None:
     """
     circles = [(c, r) for c, lo, hi in annuli
                for r in ((lo, hi) if lo > 0.0 else (hi,))]
-    cen, rad = zip(*circles)
-    pts = list(seeds) + _arc_minima(
-        np.array(foci, dtype=float).reshape(-1, 2), np.array(cen, dtype=float),
-        np.array(rad, dtype=float)).tolist()
+    pts = list(seeds) + _arc_minima(foci, circles)
     for (c1, r1), (c2, r2) in itertools.combinations(circles, 2):
         pts += _crossings(c1, r1, c2, r2)
     bounds = [(c[0], c[1], lo - _TOL_M, hi + _TOL_M) for c, lo, hi in annuli]
@@ -268,7 +263,7 @@ def _edge_through_point(e1, e2, annuli) -> tuple[float, float] | None:
 
 
 def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
-                ring: Ring | None, bs=(0.0, 0.0)) -> P3Result | None:
+                ring: Ring | None, bs) -> P3Result | None:
     """Cheapest-detour waypoint on the edge e1 -> e2 connecting `p_k` from
     inside `ring`: the on-edge point when the edge passes through the
     feasible set (detour zero), otherwise the exact minimiser of
@@ -286,8 +281,7 @@ def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
 
 
 def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
-                        ring: Ring | None,
-                        bs=(0.0, 0.0)) -> tuple[float, float]:
+                        ring: Ring | None, bs) -> tuple[float, float]:
     """Least-displacement point within `r_link` of anchor, outside the safety
     bubble, inside the ring."""
     q = _minimise([prev], [prev], _annuli(anchor, d_safe, r_link, ring, bs))
@@ -298,7 +292,7 @@ def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
 
 def advance_point(prev, anchor, target, budget_m: float, r_link: float,
                   d_safe: float, ring: Ring | None,
-                  bs=(0.0, 0.0)) -> tuple[float, float]:
+                  bs) -> tuple[float, float]:
     """Waypoint for an idle UAV: close in on `target` without travelling more
     than `budget_m`, staying chained to `anchor` (between d_safe and r_link)
     and inside the ring. Spending idle legs on the approach keeps the later

@@ -297,7 +297,7 @@ def test_insertion_waypoint_optimality():
                           ring.inner_m, ring.outer_m)
             edge.append(rad * np.array([np.cos(ang), np.sin(ang)]))
         e1, e2 = edge
-        res = p3_waypoint(p_k, e1, e2, r_u2u, d_safe, ring)
+        res = p3_waypoint(p_k, e1, e2, r_u2u, d_safe, ring, (0.0, 0.0))
         q = np.array(res.point)
         d_cp = float(np.hypot(*(q - p_k)))
         d_bs = float(np.hypot(*q))

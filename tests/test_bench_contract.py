@@ -75,7 +75,9 @@ def test_k_search_calls_kmeans_through_the_module_name(monkeypatch):
         assert ks == [k for k, _ in attempts]
         # call i is attempt a at k: the run that seeding [rng_seed, k, a] gives
         for (args, (labels, cents)), (k, a) in zip(calls, attempts):
-            ref_labels, ref_cents = real(args[0], k, seed=[seed, k, a])
+            init = clustering._kmeanspp_seeds(
+                args[0], k, [np.random.default_rng([seed, k, a])])[0]
+            ref_labels, ref_cents = real(args[0], k, init)
             assert np.array_equal(labels, ref_labels)
             assert np.array_equal(cents, ref_cents)
         assert np.array_equal(calls[-1][1][0], clusters.labels)

@@ -26,9 +26,16 @@ def _assign_broadcast(points, centroids):
     return np.argmin(d2, axis=1)
 
 
+def _seeded(points, k, seed):
+    """The k-means++ seeding of `default_rng(seed)`."""
+    return clustering._kmeanspp_seeds(points, k,
+                                      [np.random.default_rng(seed)])[0]
+
+
 def _seed_broadcast(points, k, rng, collapsed=None):
     """One k-means++ seeding through `rng.choice`, the distance written as a
-    summed (n, 2) square; appends to `collapsed` each step drawn uniformly."""
+    summed (n, 2) square. A step whose mass has collapsed takes index
+    min(int(u * n), n - 1) of its uniform u and is appended to `collapsed`."""
     n = len(points)
     centroids = np.empty((k, 2))
     centroids[0] = points[rng.integers(n)]
@@ -38,7 +45,7 @@ def _seed_broadcast(points, k, rng, collapsed=None):
         if total <= 0:
             if collapsed is not None:
                 collapsed.append(j)
-            centroids[j] = points[rng.integers(n)]
+            centroids[j] = points[min(int(rng.random() * n), n - 1)]
             continue
         centroids[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
@@ -46,8 +53,9 @@ def _seed_broadcast(points, k, rng, collapsed=None):
 
 
 def _lloyd_reference(points, centroids):
-    """Plain Lloyd: every round updates, with no exit on repeated labels, and
-    the labels returned come from a final assignment."""
+    """Plain Lloyd: every round updates, with no exit on repeated labels,
+    until an update leaves every centroid exactly where it was; the labels
+    returned come from a final assignment."""
     k = len(centroids)
     for _ in range(300):
         labels = _assign_broadcast(points, centroids)
@@ -55,17 +63,16 @@ def _lloyd_reference(points, centroids):
         sums = np.stack([np.bincount(labels, weights=col, minlength=k)
                          for col in points.T], axis=1)
         new = np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
-        moved = np.hypot(*(new - centroids).T).max()
-        centroids = new
-        if moved < 1e-6:
+        if np.array_equal(new, centroids):
             break
+        centroids = new
     return _assign_broadcast(points, centroids), centroids
 
 
 def test_kmeans_each_point_own_cluster():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 100, size=(6, 2))
-    labels, centroids = kmeans_cluster(pts, 6, seed=1)
+    labels, centroids = kmeans_cluster(pts, 6, _seeded(pts, 6, 1))
     # zero distortion: every centroid coincides with one point
     d = np.hypot(*(pts - centroids[labels]).T)
     assert d.max() < 1e-9
@@ -76,7 +83,7 @@ def test_kmeans_two_separated_blobs():
     blob_a = np.array([[0.0, 0.0], [2.0, 0.0]])
     blob_b = np.array([[100.0, 0.0], [102.0, 0.0]])
     pts = np.vstack([blob_a, blob_b])
-    labels, centroids = kmeans_cluster(pts, 2, seed=3)
+    labels, centroids = kmeans_cluster(pts, 2, _seeded(pts, 2, 3))
     assert labels[0] == labels[1] and labels[2] == labels[3]
     assert labels[0] != labels[2]
     got = sorted(centroids.tolist())
@@ -87,7 +94,7 @@ def test_kmeans_two_separated_blobs():
 def test_kmeans_converges_to_fixed_point():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 1000, size=(300, 2))
-    labels, centroids = kmeans_cluster(pts, 7, seed=5)
+    labels, centroids = kmeans_cluster(pts, 7, _seeded(pts, 7, 5))
     # converged run: centroids are member means and labels are re-derived
     for j in range(7):
         members = pts[labels == j]
@@ -100,8 +107,8 @@ def test_kmeans_converges_to_fixed_point():
 def test_kmeans_deterministic_per_seed():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 500, size=(80, 2))
-    l1, c1 = kmeans_cluster(pts, 5, seed=[42, 5])
-    l2, c2 = kmeans_cluster(pts, 5, seed=[42, 5])
+    l1, c1 = kmeans_cluster(pts, 5, _seeded(pts, 5, [42, 5]))
+    l2, c2 = kmeans_cluster(pts, 5, _seeded(pts, 5, [42, 5]))
     assert np.array_equal(l1, l2) and np.array_equal(c1, c2)
 
 
@@ -109,7 +116,7 @@ def test_kmeans_duplicate_points_leave_a_centroid_empty():
     # three distinct locations for four centroids: some cluster is always empty
     pts = np.array([[0.0, 0.0]] * 3 + [[10.0, 0.0], [20.0, 0.0]])
     for seed in range(8):
-        labels, centroids = kmeans_cluster(pts, 4, seed=seed)
+        labels, centroids = kmeans_cluster(pts, 4, _seeded(pts, 4, seed))
         assert np.isfinite(centroids).all()
         for p, label in zip(pts, labels):
             d2 = np.sum((p - centroids) ** 2, axis=1).tolist()
@@ -169,10 +176,16 @@ def test_kmeans_matches_broadcast_reference():
     for pts, k, seed in cases:
         init = _seed_broadcast(pts, k, np.random.default_rng(seed))
         ref_labels, ref_cents = _lloyd_reference(pts, init)
-        for labels, cents in (kmeans_cluster(pts, k, seed=seed),
+        for labels, cents in (kmeans_cluster(pts, k, _seeded(pts, k, seed)),
                               kmeans_cluster(pts, k, init=init)):
             assert np.array_equal(labels, ref_labels)
             assert np.array_equal(cents, ref_cents)
+
+
+# (1, 0) sits 1 - 5e-7 m from the first centroid and 1 - 2.5e-7 m from the
+# second; the first round moves the first centroid to (0, 0), 1 m away
+_FLIP_POINTS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+_FLIP_INIT = np.array([[5e-7, 0.0], [2.0 - 2.5e-7, 0.0]])
 
 
 def test_kmeans_from_given_centroids_matches_plain_lloyd():
@@ -190,13 +203,51 @@ def test_kmeans_from_given_centroids_matches_plain_lloyd():
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(cents, ref_cents)
         assert np.array_equal(init, before)
-    # a centroid that moves less than the tolerance can still flip a label,
-    # which only the final assignment sees: (1, 0) joins the empty cluster 1
-    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    init = np.array([[5e-7, 0.0], [2.0 - 2.5e-7, 0.0]])
-    labels, cents = kmeans_cluster(pts, 2, init=init)
+    # a centroid that moves by 5e-7 m flips a label: (1, 0) joins the empty
+    # cluster 1, which then moves onto it
+    labels, cents = kmeans_cluster(_FLIP_POINTS, 2, init=_FLIP_INIT)
     assert labels.tolist() == [0, 1, 0]
-    assert cents.tolist() == [[0.0, 0.0], init[1].tolist()]
+    assert cents.tolist() == [[-0.5, 0.0], [1.0, 0.0]]
+
+
+def test_kmeans_returns_a_fixed_point():
+    """Each non-empty cluster's centroid is the mean of its members, and
+    each point's label its nearest centroid, lowest index on ties."""
+    cases = [(_FLIP_POINTS, _FLIP_INIT)]
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        n = int(rng.integers(1, 300))
+        k = min(int(rng.integers(1, 25)), n)
+        scale = 10.0 ** rng.uniform(0, 4.5)
+        pts = rng.uniform(0, scale, size=(n, 2))
+        cases.append((pts, rng.uniform(-scale, 2 * scale, size=(k, 2))))
+        # on a few spots: ties, duplicate centroids and empty clusters
+        spots = rng.integers(0, 4, size=(n, 2)) * scale
+        cases.append((spots, _seeded(spots, k, [28, n, k])))
+    for pts, init in cases:
+        k = len(init)
+        labels, cents = kmeans_cluster(pts, k, init=init)
+        counts = np.bincount(labels, minlength=k)
+        occupied = counts > 0
+        for col, coords in enumerate(pts.T):
+            means = np.bincount(labels, coords, k)[occupied] / counts[occupied]
+            assert np.array_equal(cents[occupied, col], means)
+        d2 = np.sum((pts[:, None, :] - cents[None, :, :]) ** 2, axis=2)
+        assert labels.tolist() == [row.index(min(row)) for row in d2.tolist()]
+
+
+def test_kmeans_stopped_by_the_round_cap_returns_member_means(monkeypatch):
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(0, 1000, size=(200, 2))
+    init = rng.uniform(0, 1000, size=(9, 2))
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(clustering, "_LLOYD_MAX_ITER", cap)
+        labels, cents = kmeans_cluster(pts, 9, init=init)
+        counts = np.bincount(labels, minlength=9)
+        occupied = counts > 0
+        for col, coords in enumerate(pts.T):
+            means = np.bincount(labels, coords, 9)[occupied] / counts[occupied]
+            assert np.array_equal(cents[occupied, col], means)
 
 
 def _seeding_instances():
@@ -285,7 +336,7 @@ def test_kmeanspp_draws_on_a_cdf_entry_match_the_choice_reference():
 def test_kmeans_rejects_overflowing_distances():
     pts = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]])
     with pytest.raises(ValueError, match="overflow"):
-        kmeans_cluster(pts, 2)
+        _seeded(pts, 2, 0)
     rngs = [np.random.default_rng([0, k, a]) for k in (1, 2, 3) for a in range(3)]
     with pytest.raises(ValueError, match="overflow"):
         clustering._kmeanspp_seeds(pts, 3, rngs)
@@ -450,9 +501,9 @@ def test_packing_floor_skips_only_infeasible_k(monkeypatch):
 def test_kmeans_rejects_bad_k():
     pts = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        kmeans_cluster(pts, 5)
+        kmeans_cluster(pts, 5, np.zeros((5, 2)))
     with pytest.raises(ValueError):
-        kmeans_cluster(pts, 0)
+        kmeans_cluster(pts, 0, np.zeros((0, 2)))
 
 
 def test_cluster_sensors_postconditions():

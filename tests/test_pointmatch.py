@@ -189,7 +189,7 @@ def test_match_pairs_contract_on_random_instances():
 
 def test_p3_zero_detour_when_edge_crosses_annulus():
     res = p3_waypoint((0.0, 0.0), (-1000.0, 50.0), (1000.0, 50.0),
-                      r_u2u=500.0, d_safe=30.0, ring=None)
+                      r_u2u=500.0, d_safe=30.0, ring=None, bs=(0.0, 0.0))
     assert res.detour_m == 0.0
     x, y = res.point
     assert y == pytest.approx(50.0, abs=1e-9)          # on the segment
@@ -199,7 +199,7 @@ def test_p3_zero_detour_when_edge_crosses_annulus():
 
 def test_p3_far_point_sits_on_range_circle():
     res = p3_waypoint((0.0, 5000.0), (-100.0, 0.0), (100.0, 0.0),
-                      r_u2u=500.0, d_safe=0.0, ring=None)
+                      r_u2u=500.0, d_safe=0.0, ring=None, bs=(0.0, 0.0))
     d = float(np.hypot(res.point[0], res.point[1] - 5000.0))
     assert d == pytest.approx(500.0, rel=1e-6)
     # best insertion heads toward the segment, so roughly (0, 4500)
@@ -219,7 +219,8 @@ def test_p3_random_postconditions():
         rad = np.hypot(*path.T)
         path = path * (np.clip(rad, 2100.0, 5900.0) / rad)[:, None]
         for e1, e2 in zip(path[:-1], path[1:]):
-            res = p3_waypoint(p_k, e1, e2, r_u2u=3000.0, d_safe=30.0, ring=ring)
+            res = p3_waypoint(p_k, e1, e2, r_u2u=3000.0, d_safe=30.0,
+                              ring=ring, bs=(0.0, 0.0))
             q = np.array(res.point)
             assert res.detour_m >= 0.0
             assert 30.0 - 1e-6 <= float(np.hypot(*(q - p_k))) <= 3000.0 + 1e-6
@@ -233,18 +234,19 @@ def test_p3_random_postconditions():
 def test_p3_infeasible_when_ring_out_of_reach():
     ring = Ring(inner_m=10000.0, outer_m=10100.0)
     assert p3_waypoint((0.0, 0.0), (9999.0, 0.0), (10050.0, 100.0),
-                       r_u2u=500.0, d_safe=30.0, ring=ring) is None
+                       r_u2u=500.0, d_safe=30.0, ring=ring,
+                       bs=(0.0, 0.0)) is None
 
 
 def test_nearest_chain_point_keeps_feasible_prev():
     q = nearest_chain_point((100.0, 50.0), (0.0, 0.0), r_link=200.0,
-                            d_safe=30.0, ring=None)
+                            d_safe=30.0, ring=None, bs=(0.0, 0.0))
     assert tuple(q) == (100.0, 50.0)
 
 
 def test_nearest_chain_point_clips_to_link_radius():
     q = nearest_chain_point((1000.0, 0.0), (0.0, 0.0), r_link=200.0,
-                            d_safe=30.0, ring=None)
+                            d_safe=30.0, ring=None, bs=(0.0, 0.0))
     assert float(np.hypot(*q)) == pytest.approx(200.0, abs=1e-9)
     assert q[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -253,7 +255,7 @@ def test_nearest_chain_point_respects_ring_band():
     ring = Ring(inner_m=500.0, outer_m=900.0)
     anchor = (700.0, 0.0)
     q = nearest_chain_point((1200.0, 0.0), anchor, r_link=600.0,
-                            d_safe=30.0, ring=ring)
+                            d_safe=30.0, ring=ring, bs=(0.0, 0.0))
     assert 500.0 - 1e-6 <= float(np.hypot(*q)) <= 900.0 + 1e-6
     assert 30.0 - 1e-6 <= float(np.hypot(*(q - np.array(anchor)))) <= 600.0 + 1e-6
 
@@ -262,7 +264,8 @@ def test_nearest_chain_point_finds_tangent_point():
     # the chain disk around the anchor touches the ring disk at one point
     u = np.array([np.cos(0.3), np.sin(0.3)])
     q = nearest_chain_point((5000.0, 5000.0), 12000.0 * u, r_link=4000.0,
-                            d_safe=30.0, ring=Ring(0.0, 8000.0))
+                            d_safe=30.0, ring=Ring(0.0, 8000.0),
+                            bs=(0.0, 0.0))
     assert np.allclose(q, 8000.0 * u, rtol=0.0, atol=1e-6)
 
 
@@ -270,7 +273,8 @@ def test_advance_point_moves_toward_target_within_budget():
     prev = np.array([0.0, 100.0])
     target = np.array([1000.0, 100.0])
     q = advance_point(prev, anchor=(500.0, 0.0), target=target,
-                      budget_m=200.0, r_link=600.0, d_safe=30.0, ring=None)
+                      budget_m=200.0, r_link=600.0, d_safe=30.0, ring=None,
+                      bs=(0.0, 0.0))
     leg = float(np.hypot(*(q - prev)))
     assert leg <= 200.0 + 1e-6
     assert float(np.hypot(*(q - target))) < float(np.hypot(*(prev - target)))
@@ -283,7 +287,8 @@ def test_advance_point_restores_chain_when_budget_too_small():
     # so the smallest chain-restoring move wins
     prev = np.array([1600.0, 0.0])
     q = advance_point(prev, anchor=(0.0, 0.0), target=(0.0, 500.0),
-                      budget_m=1.0, r_link=600.0, d_safe=30.0, ring=None)
+                      budget_m=1.0, r_link=600.0, d_safe=30.0, ring=None,
+                      bs=(0.0, 0.0))
     d_anchor = float(np.hypot(*q))
     assert 30.0 - 1e-6 <= d_anchor <= 600.0 + 1e-6
 
@@ -402,7 +407,8 @@ def test_waypoint_solvers_never_lose_to_the_grid():
                     <= ring.outer_m + tol)
 
         try:
-            q_chain = nearest_chain_point(prev, anchor, r_link, d_safe, ring)
+            q_chain = nearest_chain_point(prev, anchor, r_link, d_safe, ring,
+                                          (0.0, 0.0))
         except InfeasibleWaypointError:
             assert len(grid) == 0
             continue
@@ -411,14 +417,15 @@ def test_waypoint_solvers_never_lose_to_the_grid():
         if len(grid):
             assert float(_dist(q_chain, prev)) <= _dist(grid, prev).min() + tol
 
-        res = p3_waypoint(anchor, e1, e2, r_link, d_safe, ring)
+        res = p3_waypoint(anchor, e1, e2, r_link, d_safe, ring, (0.0, 0.0))
         q = np.array(res.point)
         assert feasible(q)
         if len(grid):
             detour = _dist(grid, e1) + _dist(grid, e2) - float(_dist(e2, e1))
             assert res.detour_m <= detour.min() + tol
 
-        q = advance_point(prev, anchor, target, budget, r_link, d_safe, ring)
+        q = advance_point(prev, anchor, target, budget, r_link, d_safe, ring,
+                          (0.0, 0.0))
         assert feasible(q)
         in_budget = grid[_dist(grid, prev) <= budget]
         if float(_dist(q, prev)) <= budget + tol:
@@ -477,6 +484,18 @@ def _sampled_arc_minima(foci: np.ndarray, cen: np.ndarray,
     return _on_circle(cen, rad, 0.5 * (lo + hi))
 
 
+def _list_form(arc_minima):
+    """An array-form arc solver, (foci (F, 2), centres (C, 2), radii (C,)) ->
+    (P, 2), called the way `_minimise` calls `_arc_minima`: with lists of
+    foci and of (center, r) circles, returning a list of points."""
+    def solve(foci, circles):
+        cen, rad = zip(*circles)
+        return arc_minima(np.array(foci, dtype=float).reshape(-1, 2),
+                          np.array(cen, dtype=float),
+                          np.array(rad, dtype=float)).tolist()
+    return solve
+
+
 def _feasible(pts, annuli, tol):
     """Which of the points (..., 2) lie in every annulus, give or take tol."""
     ok = True
@@ -514,7 +533,8 @@ def test_two_focus_minimum_never_loses_to_sampling_or_a_grid(monkeypatch):
     for kind, foci, annuli in _two_focus_instances(300):
         q = _minimise(foci, [], annuli)
         with monkeypatch.context() as patched:
-            patched.setattr(pointmatch, "_arc_minima", _sampled_arc_minima)
+            patched.setattr(pointmatch, "_arc_minima",
+                            _list_form(_sampled_arc_minima))
             q_sampled = _minimise(foci, [], annuli)
         circles = [(c, r) for c, lo, hi in annuli
                    for r in ((lo, hi) if lo > 0.0 else (hi,))]
@@ -554,10 +574,11 @@ _DEGENERATE = {
 @pytest.mark.parametrize("case", list(_DEGENERATE))
 def test_p3_degenerate_geometry_matches_the_sampled_solver(case, monkeypatch):
     p_k, e1, e2, ring = _DEGENERATE[case]
-    args = (p_k, e1, e2, 500.0, 30.0, ring)
+    args = (p_k, e1, e2, 500.0, 30.0, ring, (0.0, 0.0))
     with np.errstate(all="raise"):
         res = p3_waypoint(*args)
-    monkeypatch.setattr(pointmatch, "_arc_minima", _sampled_arc_minima)
+    monkeypatch.setattr(pointmatch, "_arc_minima",
+                        _list_form(_sampled_arc_minima))
     oracle = p3_waypoint(*args)
     if oracle is None:
         assert res is None
@@ -729,7 +750,7 @@ def test_float_solver_parts_match_the_array_reference():
             got = np.reshape(_crossings(c1, r1, c2, r2), (-1, 2))
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
-        args = (np.asarray(foci, dtype=float).reshape(-1, 2),
-                *(np.array(x, dtype=float) for x in zip(*circles)))
-        assert _same_points(_arc_minima(*args), reference_arc_minima(*args),
-                            1e-9)
+        got = np.reshape(_arc_minima(foci, circles), (-1, 2))
+        ref = np.reshape(_list_form(reference_arc_minima)(foci, circles),
+                         (-1, 2))
+        assert _same_points(got, ref, 1e-9)
