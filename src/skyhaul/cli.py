@@ -9,13 +9,16 @@ Exit codes: 0 success, 1 a mission validity check failed, 2 usage error,
 3 infeasible input (any model.InfeasibleError: radio ranges, clustering or
 chain geometry).
 Outputs are deterministic given the flags; the SKYHAUL_WORKERS environment
-variable caps the sweep worker pool.
+variable caps the sweep worker pool, whose workers run BLAS on one thread each
+unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS says otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 _WORKERS_ENV = "SKYHAUL_WORKERS"
+_BLAS_THREADS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _PLANNERS = {"pmtp": pointmatch.plan, "ttp": plan_ttp, "cstp": plan_cstp}
 _ALGO_ORDER = ("pmtp", "ttp", "cstp")
 _AXES = ("sensors", "snr-g2u-db")
@@ -172,6 +176,19 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _one_blas_thread_each():
+    """Sets each BLAS thread count the user has not set to 1 for processes
+    started inside the block; the environment is restored on exit."""
+    unset = [var for var in _BLAS_THREADS_ENV if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ScenarioParseError("--seeds must be at least 1")
@@ -181,8 +198,12 @@ def cmd_sweep(args) -> int:
              for value in values for seed in range(args.seeds)]
     workers = min(_worker_count(), len(cells))
     if workers > 1:
-        # map() keeps submission order, so the CSV is deterministic
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The workers already share the cores, so each runs BLAS on one
+        # thread; spawned, they read that from the environment when they
+        # start. map() keeps submission order, so the CSV is deterministic.
+        with _one_blas_thread_each(), ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(cell) for cell in cells]

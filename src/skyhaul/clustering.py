@@ -28,6 +28,12 @@ _K_BLOCK = 4
 # midway still passes the test; with it, a pair counted apart is truly farther
 # than two accepted radii can span, so the floor never exceeds an accepted k.
 _APART_MARGIN = 1e-9
+# Lloyd's matrix-product step certifies a label when only one centroid lies
+# within _BAND·S of the point's best (see _Nearest). The band is about 10⁶
+# times the rounding of either distance form, yet only points that near a tie
+# need an exact row. _TINY covers the absolute rounding of subnormal squares.
+_BAND = 1e-9
+_TINY = float(np.finfo(float).tiny)
 
 
 class InfeasibleClusteringError(InfeasibleError):
@@ -90,17 +96,76 @@ def _kmeanspp_seeds(points: np.ndarray, k: int,
     return seeds
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray,
-            planes: np.ndarray) -> np.ndarray:
+def _exact_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid of each point; argmin gives ties to the lowest index.
 
-    `planes` is a (2, n, k) scratch array: one plane per coordinate, squared
-    and summed in place. dx*dx + dy*dy is the same IEEE sequence as summing
-    squared (n, k, 2) differences over their length-2 axis, so labels equal
-    that form's bit for bit.
+    dx*dx + dy*dy is the same IEEE sequence as summing squared (n, k, 2)
+    differences over their length-2 axis, so labels equal that form's bit
+    for bit.
     """
+    planes = np.empty((2, len(points), len(centroids)))
     return _sq_dist(points[:, :1], points[:, 1:], centroids[:, 0],
                     centroids[:, 1], planes).argmin(axis=1)
+
+
+class _Nearest:
+    """The nearest-centroid step of Lloyd on one point set and k centroids.
+
+    Labels equal those of `_exact_rows` bit for bit, from two matrix
+    products a round. In coordinates p', c' relative to the centre of the
+    points' bounding box, g = |c'|² - 2·p'·c' is each squared distance less
+    |p'|², from one (k, 3) @ (3, n) product. Both forms of a distance are off
+    by a few ulps of S = max|p'|² + max|c'|², so a centroid whose g is more
+    than a band of _BAND·S (plus the smallest normal float, for subnormal
+    rounding) above a point's least g is farther in both forms too. A point
+    with one centroid in its band takes it: the exact form's strict unique
+    minimum. A (2, k) @ (k, n) product of the 0/1 band mask gives each
+    point's count and index. Every other point takes its exact row: ties,
+    duplicate centroids, a NaN g, and every point when 4·S is not finite.
+    """
+
+    def __init__(self, points: np.ndarray, k: int):
+        n = len(points)
+        self.points = points
+        self.xy = np.ascontiguousarray(points.T)
+        self.mid = 0.5 * (self.xy.min(axis=1) + self.xy.max(axis=1))
+        # rows 1, p'x, p'y: g is the product of rows |c'|², -2c'x, -2c'y
+        self.p3 = np.ones((3, n))
+        np.subtract(self.xy, self.mid[:, None], out=self.p3[1:])
+        self.p_sq_max = float((self.p3[1:] ** 2).sum(axis=0).max())
+        self.c3 = np.empty((k, 3))
+        self.c_sq = np.empty((k, 2))
+        self.g = np.empty((k, n))
+        self.in_band = np.empty((k, n), dtype=bool)
+        # 0/1 sums in float32: a count of two or more never rounds to 1, and
+        # a lone index below 2²⁴ is exact
+        self.in_band32 = np.empty((k, n), dtype=np.float32)
+        self.ones_index = np.ones((2, k), dtype=np.float32)
+        self.ones_index[1] = np.arange(k)
+        self.tally = np.empty((2, n), dtype=np.float32)
+
+    def __call__(self, centroids: np.ndarray) -> np.ndarray:
+        c3, c_sq, g = self.c3, self.c_sq, self.g
+        np.subtract(centroids, self.mid, out=c3[:, 1:])
+        np.square(c3[:, 1:], out=c_sq)
+        np.add(c_sq[:, 0], c_sq[:, 1], out=c3[:, 0])
+        s = self.p_sq_max + float(c3[:, 0].max())
+        # where 4·S overflows, so may a g or an exact square: a NaN band
+        # certifies no point
+        band = _BAND * s + _TINY if 4.0 * s < math.inf else math.nan
+        c3[:, 1:] *= -2.0
+        np.matmul(c3, self.p3, out=g)
+        least = g.min(axis=0)
+        least += band
+        np.less_equal(g, least, out=self.in_band)
+        np.copyto(self.in_band32, self.in_band)
+        np.matmul(self.ones_index, self.in_band32, out=self.tally)
+        count, index = self.tally
+        labels = index.astype(np.intp)
+        unsure = np.flatnonzero(count != 1.0)
+        if unsure.size:
+            labels[unsure] = _exact_rows(self.points[unsure], centroids)
+        return labels
 
 
 def kmeans_cluster(points, k: int, init) -> tuple[np.ndarray, np.ndarray]:
@@ -119,11 +184,11 @@ def kmeans_cluster(points, k: int, init) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     centroids = np.asarray(init, dtype=float).reshape(k, 2)
-    px, py = np.ascontiguousarray(points.T)
-    planes = np.empty((2, n, k))
+    nearest = _Nearest(points, k)
+    px, py = nearest.xy
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
-        new_labels = _assign(points, centroids, planes)
+        new_labels = nearest(centroids)
         if labels is not None and (new_labels == labels).all():
             break
         labels = new_labels

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -276,10 +277,47 @@ def test_sweep_pool_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("SKYHAUL_WORKERS", "1")
     assert main(flags + ["-o", str(serial)]) == EXIT_OK
     monkeypatch.setenv("SKYHAUL_WORKERS", "2")
+    before = dict(os.environ)
     assert main(flags + ["-o", str(pooled)]) == EXIT_OK
+    assert dict(os.environ) == before
     assert serial.read_bytes() == pooled.read_bytes()
     first = serial.read_text().splitlines()[1].split(",")
     assert first[0] == "17.0"                       # float axis keeps its repr
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the environment workers
+    would start in and runs the cells in this process."""
+
+    started = []
+
+    def __init__(self, max_workers, mp_context):
+        self.started.append((mp_context.get_start_method(), dict(os.environ)))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+def test_sweep_workers_start_spawned_with_one_blas_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setenv("SKYHAUL_WORKERS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")     # the user's own count
+    before = dict(os.environ)
+    assert main(["sweep", "--axis", "sensors", "--values", "40,60", "--seeds",
+                 "1", "--size", "2000", "-o", str(tmp_path / "x.csv")]) == EXIT_OK
+    method, env = _InlinePool.started.pop()
+    assert method == "spawn"
+    assert (env["OMP_NUM_THREADS"], env["OPENBLAS_NUM_THREADS"],
+            env["MKL_NUM_THREADS"]) == ("1", "3", "1")
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("flags", [

@@ -16,8 +16,7 @@ from skyhaul.model import Scenario, generate_scenario
 
 
 def _assign(points, centroids):
-    return clustering._assign(points, centroids,
-                              np.empty((2, len(points), len(centroids))))
+    return clustering._Nearest(points, len(centroids))(centroids)
 
 
 def _assign_broadcast(points, centroids):
@@ -165,11 +164,108 @@ def test_assign_matches_broadcast_far_from_the_origin():
                               _assign_broadcast(pts, cents))
 
 
+def _bisector_instances():
+    """Two centroids and points computed on their perpendicular bisector,
+    mid + t·perp in floats: both distance forms put each point within
+    rounding of either centroid, and ties go by a few ulps."""
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(3, math.log10(3e4))
+        cents = rng.uniform(0, scale, size=(2, 2))
+        mid = (cents[0] + cents[1]) / 2
+        perp = (cents[1] - cents[0])[::-1] * [-1.0, 1.0]
+        t = rng.uniform(-1, 1, size=(100, 1))
+        yield mid + t * perp, cents
+
+
+def test_assign_matches_broadcast_on_the_bisector():
+    for pts, cents in _bisector_instances():
+        assert np.array_equal(_assign(pts, cents),
+                              _assign_broadcast(pts, cents))
+        assert np.array_equal(_assign(pts, cents[::-1]),
+                              _assign_broadcast(pts, cents[::-1]))
+
+
+def test_assign_matches_broadcast_where_squares_overflow():
+    # squares of 1e150 m are 1e300; of 1e154 m, past the largest float
+    rng = np.random.default_rng(31)
+    overflowed = 0
+    for _ in range(60):
+        scale = 10.0 ** rng.uniform(150, 154.5)
+        pts = rng.uniform(-scale, scale, size=(rng.integers(1, 50), 2))
+        cents = rng.uniform(-scale, scale, size=(rng.integers(1, 8), 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_assign(pts, cents),
+                                  _assign_broadcast(pts, cents))
+        overflowed += scale > math.sqrt(np.finfo(float).max)
+    assert overflowed
+    # every square is finite, but g of centroid 0 at the first point is not:
+    # there the exact form ties both centroids at inf and takes centroid 0
+    pts = np.array([[9.48e153, 0.0], [-9.48e153, 0.0]])
+    cents = np.array([[-7e153, 0.0], [-4e153, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _assign(pts, cents).tolist() == [0, 0]
+        assert _assign_broadcast(pts, cents).tolist() == [0, 0]
+
+
+def test_assign_matches_broadcast_where_squares_underflow():
+    # lattices 1e-170 to 3e-155 m apart: squares are subnormal or zero, and
+    # their rounding is absolute rather than relative
+    rng = np.random.default_rng(34)
+    for unit in (1e-170, 1e-162, 1e-160, 1e-158, 3e-155):
+        for _ in range(40):
+            pts = rng.integers(0, 6, size=(30, 2)) * unit
+            cents = (rng.integers(0, 6, size=(int(rng.integers(1, 8)), 2))
+                     + rng.uniform(0, 1, size=(1, 2))) * unit
+            assert np.array_equal(_assign(pts, cents),
+                                  _assign_broadcast(pts, cents))
+
+
+def test_assign_matches_broadcast_on_colocated_and_single_cases():
+    rng = np.random.default_rng(32)
+    spots = rng.uniform(0, 8000, size=(3, 2))
+    cases = [
+        (spots[rng.integers(0, 3, size=40)], spots[[0, 1, 1, 2, 0]]),
+        (np.full((7, 2), 5.0), np.full((4, 2), 5.0)),
+        (np.full((7, 2), 5.0), np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 5.0]])),
+        (spots[:1], rng.uniform(0, 8000, size=(9, 2))),
+        (spots[:1], spots[[0, 0]]),
+        (rng.uniform(0, 8000, size=(50, 2)), spots[:1]),
+        (spots[:1], spots[:1] + 1.0),
+    ]
+    for pts, cents in cases:
+        assert np.array_equal(_assign(pts, cents),
+                              _assign_broadcast(pts, cents))
+
+
+def test_exact_rows_run_only_where_the_band_is_in_doubt(monkeypatch):
+    rows = []
+
+    def spy(points, centroids):
+        rows.append(len(points))
+        return exact(points, centroids)
+
+    exact = clustering._exact_rows
+    monkeypatch.setattr(clustering, "_exact_rows", spy)
+    rng = np.random.default_rng(33)
+    pts, cents = rng.uniform(0, 8000, size=(1000, 2)), rng.uniform(0, 8000, size=(22, 2))
+    assert np.array_equal(_assign(pts, cents), _assign_broadcast(pts, cents))
+    assert rows == []
+    # duplicate centroids: every point is in doubt
+    assert _assign(pts, cents[[3, 3]]).tolist() == [0] * 1000
+    assert rows == [1000]
+    for pts, cents in _bisector_instances():
+        _assign(pts, cents)
+    assert len(rows) > 1
+
+
 def test_kmeans_matches_broadcast_reference():
     rng = np.random.default_rng(22)
     cases = []
     for offset in (0.0, 1e6):
-        for n, k in ((1, 1), (5, 4), (120, 7), (400, 30), (1000, 22)):
+        # (3000, 71): a product large enough for BLAS to thread
+        for n, k in ((1, 1), (5, 4), (120, 7), (400, 30), (1000, 22),
+                     (3000, 71)):
             cases.append((offset + rng.uniform(0, 8000, size=(n, 2)), k,
                           [int(rng.integers(1000)), k, 0]))
     cases.append((np.array([[0.0, 0.0]] * 3 + [[10.0, 0.0], [20.0, 0.0]]), 4, 3))
