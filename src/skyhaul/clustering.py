@@ -28,12 +28,12 @@ _K_BLOCK = 4
 # midway still passes the test; with it, a pair counted apart is truly farther
 # than two accepted radii can span, so the floor never exceeds an accepted k.
 _APART_MARGIN = 1e-9
-# Lloyd's matrix-product step certifies a label when only one centroid lies
-# within _BAND·S of the point's best (see _Nearest). The band is about 10⁶
-# times the rounding of either distance form, yet only points that near a tie
-# need an exact row. _TINY covers the absolute rounding of subnormal squares.
-_BAND = 1e-9
-_TINY = float(np.finfo(float).tiny)
+# Lloyd's float32 step certifies a label when only one centroid lies within
+# _BAND32·S (plus the smallest normal float32) of the point's best; see
+# _Nearest for why 2⁻¹⁹ is wide enough.
+_BAND32 = 2.0 ** -19
+_TINY32 = float(np.finfo(np.float32).tiny)
+_MAX32 = float(np.finfo(np.float32).max)
 
 
 class InfeasibleClusteringError(InfeasibleError):
@@ -111,17 +111,30 @@ def _exact_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 class _Nearest:
     """The nearest-centroid step of Lloyd on one point set and k centroids.
 
-    Labels equal those of `_exact_rows` bit for bit, from two matrix
+    Labels equal those of `_exact_rows` bit for bit, from two float32 matrix
     products a round. In coordinates p', c' relative to the centre of the
     points' bounding box, g = |c'|² - 2·p'·c' is each squared distance less
-    |p'|², from one (k, 3) @ (3, n) product. Both forms of a distance are off
-    by a few ulps of S = max|p'|² + max|c'|², so a centroid whose g is more
-    than a band of _BAND·S (plus the smallest normal float, for subnormal
-    rounding) above a point's least g is farther in both forms too. A point
-    with one centroid in its band takes it: the exact form's strict unique
-    minimum. A (2, k) @ (k, n) product of the 0/1 band mask gives each
-    point's count and index. Every other point takes its exact row: ties,
-    duplicate centroids, a NaN g, and every point when 4·S is not finite.
+    |p'|², from one (k, 3) @ (3, n) product of the float32 casts of the
+    float64 rows (|c'|², c'x, c'y) and (1, -2p'x, -2p'y). A centroid is in a
+    point's band when its g is at most least + τ, the point's least g plus
+    τ = 2⁻¹⁹·S + the smallest normal float32, with S = max|p'|² + max|c'|²
+    in float64. A (2, k) @ (k, n) product of the 0/1 band mask gives each
+    point's count and index. A point with one centroid in its band takes
+    it; every other point takes its exact row: ties, duplicate centroids, a
+    NaN g, and every point once 4·S reaches the float32 maximum.
+
+    Why one centroid in the band is the exact form's strict unique minimum
+    (Higham 2002, §3.1), with u = 2⁻²⁴ and G the exact value of g: the casts
+    cost at most u·|c'|² + 2u·2|p'||c'| <= 3u·S, and the 3-term product at
+    most γ₃·(|c'|² + 2|p'||c'|) <= γ₃·2S ≈ 6u·S, so |g - G| <= 9u·S. The
+    sum least + τ rounds by at most 2u·S. A centroid whose g lies above it
+    is therefore farther in exact arithmetic than the lone one in the band
+    by more than τ - 20u·S = 12u·S. That margin is about 2²⁹ times the
+    float64 rounding of both the translation and dx*dx + dy*dy, so the
+    exact form orders them alike. The absolute term of τ covers the
+    absolute rounding of subnormal float32 values, a few multiples of 2⁻¹⁴⁹.
+    While 4·S is below the float32 maximum, no cast, product or sum
+    overflows.
     """
 
     def __init__(self, points: np.ndarray, k: int):
@@ -129,37 +142,39 @@ class _Nearest:
         self.points = points
         self.xy = np.ascontiguousarray(points.T)
         self.mid = 0.5 * (self.xy.min(axis=1) + self.xy.max(axis=1))
-        # rows 1, p'x, p'y: g is the product of rows |c'|², -2c'x, -2c'y
-        self.p3 = np.ones((3, n))
-        np.subtract(self.xy, self.mid[:, None], out=self.p3[1:])
-        self.p_sq_max = float((self.p3[1:] ** 2).sum(axis=0).max())
-        self.c3 = np.empty((k, 3))
+        centred = self.xy - self.mid[:, None]
+        self.p_sq_max = float((centred ** 2).sum(axis=0).max())
+        # rows 1, -2p'x, -2p'y: g is the product of rows |c'|², c'x, c'y.
+        # A p' too large for float32 makes 4·S overflow: those rows are
+        # never used.
+        self.p3 = np.ones((3, n), dtype=np.float32)
+        with np.errstate(over="ignore"):
+            np.multiply(centred, -2.0, out=self.p3[1:], casting="same_kind")
+        self.c64 = np.empty((k, 3))
         self.c_sq = np.empty((k, 2))
-        self.g = np.empty((k, n))
-        self.in_band = np.empty((k, n), dtype=bool)
+        self.c3 = np.empty((k, 3), dtype=np.float32)
+        self.g = np.empty((k, n), dtype=np.float32)
         # 0/1 sums in float32: a count of two or more never rounds to 1, and
         # a lone index below 2²⁴ is exact
-        self.in_band32 = np.empty((k, n), dtype=np.float32)
+        self.in_band = np.empty((k, n), dtype=np.float32)
         self.ones_index = np.ones((2, k), dtype=np.float32)
         self.ones_index[1] = np.arange(k)
         self.tally = np.empty((2, n), dtype=np.float32)
 
     def __call__(self, centroids: np.ndarray) -> np.ndarray:
-        c3, c_sq, g = self.c3, self.c_sq, self.g
-        np.subtract(centroids, self.mid, out=c3[:, 1:])
-        np.square(c3[:, 1:], out=c_sq)
-        np.add(c_sq[:, 0], c_sq[:, 1], out=c3[:, 0])
-        s = self.p_sq_max + float(c3[:, 0].max())
-        # where 4·S overflows, so may a g or an exact square: a NaN band
-        # certifies no point
-        band = _BAND * s + _TINY if 4.0 * s < math.inf else math.nan
-        c3[:, 1:] *= -2.0
-        np.matmul(c3, self.p3, out=g)
+        c64, c_sq, g = self.c64, self.c_sq, self.g
+        np.subtract(centroids, self.mid, out=c64[:, 1:])
+        np.square(c64[:, 1:], out=c_sq)
+        np.add(c_sq[:, 0], c_sq[:, 1], out=c64[:, 0])
+        s = self.p_sq_max + float(c64[:, 0].max())
+        if not 4.0 * s < _MAX32:
+            return _exact_rows(self.points, centroids)
+        np.copyto(self.c3, c64, casting="same_kind")
+        np.matmul(self.c3, self.p3, out=g)
         least = g.min(axis=0)
-        least += band
+        least += _BAND32 * s + _TINY32
         np.less_equal(g, least, out=self.in_band)
-        np.copyto(self.in_band32, self.in_band)
-        np.matmul(self.ones_index, self.in_band32, out=self.tally)
+        np.matmul(self.ones_index, self.in_band, out=self.tally)
         count, index = self.tally
         labels = index.astype(np.intp)
         unsure = np.flatnonzero(count != 1.0)
@@ -213,7 +228,7 @@ class ClusterSet:
 
     def cp_array(self) -> np.ndarray:
         # bench/run.py calls this; it goes with the next benchmark change
-        # (ROADMAP item 2)
+        # (ROADMAP item 4)
         return self.cps
 
 
@@ -245,6 +260,13 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
     """Partition the sensor field into coverage- and capacity-feasible clusters."""
     points = scenario.sensor_positions
     n = len(points)
+    message = (f"no cluster count up to {n} keeps every cluster within "
+               f"{radii.r_g2u_m:.1f} m of its CP and at most "
+               f"n_th={scenario.n_th} sensors")
+    # sensors at one position have the same exact rows, so they share every
+    # label: more than n_th of them overfill a cluster at every k
+    if np.unique(points, axis=0, return_counts=True)[1].max() > scenario.n_th:
+        raise InfeasibleClusteringError(message)
     k_min = max(math.ceil(n / scenario.n_th),
                 len(_packing_set(points, radii.r_g2u_m)))
     for k_first in range(k_min, n + 1, _K_BLOCK):
@@ -265,9 +287,7 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
                                         centroids[j], scenario.params)
                          for j in range(k)]
                 return ClusterSet(labels, centroids, np.array(hover))
-    raise InfeasibleClusteringError(
-        f"no cluster count up to {n} keeps every cluster within "
-        f"{radii.r_g2u_m:.1f} m of its CP and at most n_th={scenario.n_th} sensors")
+    raise InfeasibleClusteringError(message)
 
 
 def check_cluster_set(scenario: Scenario, cluster_set: ClusterSet,

@@ -178,12 +178,17 @@ def _bisector_instances():
         yield mid + t * perp, cents
 
 
-def test_assign_matches_broadcast_on_the_bisector():
-    for pts, cents in _bisector_instances():
-        assert np.array_equal(_assign(pts, cents),
-                              _assign_broadcast(pts, cents))
-        assert np.array_equal(_assign(pts, cents[::-1]),
-                              _assign_broadcast(pts, cents[::-1]))
+def _bisector_mislabels():
+    return sum(int((_assign(pts, c) != _assign_broadcast(pts, c)).sum())
+               for pts, cents in _bisector_instances()
+               for c in (cents, cents[::-1]))
+
+
+def test_assign_matches_broadcast_on_the_bisector(monkeypatch):
+    assert _bisector_mislabels() == 0
+    # without the relative band, float32 rounding picks the wrong centroid
+    monkeypatch.setattr(clustering, "_BAND32", 0.0)
+    assert _bisector_mislabels() > 0
 
 
 def test_assign_matches_broadcast_where_squares_overflow():
@@ -209,10 +214,12 @@ def test_assign_matches_broadcast_where_squares_overflow():
 
 
 def test_assign_matches_broadcast_where_squares_underflow():
-    # lattices 1e-170 to 3e-155 m apart: squares are subnormal or zero, and
-    # their rounding is absolute rather than relative
+    # lattices 1e-170 to 3e-155 m apart: float64 squares are subnormal or
+    # zero, and their rounding is absolute rather than relative; 1e-30 to
+    # 3e-21 m apart, float32 squares are
     rng = np.random.default_rng(34)
-    for unit in (1e-170, 1e-162, 1e-160, 1e-158, 3e-155):
+    for unit in (1e-170, 1e-162, 1e-160, 1e-158, 3e-155,
+                 1e-30, 1e-23, 3e-23, 1e-22, 3e-21):
         for _ in range(40):
             pts = rng.integers(0, 6, size=(30, 2)) * unit
             cents = (rng.integers(0, 6, size=(int(rng.integers(1, 8)), 2))
@@ -238,15 +245,21 @@ def test_assign_matches_broadcast_on_colocated_and_single_cases():
                               _assign_broadcast(pts, cents))
 
 
-def test_exact_rows_run_only_where_the_band_is_in_doubt(monkeypatch):
+def _spy_on_exact_rows(monkeypatch):
+    """The number of points of each `_exact_rows` call, appended as it runs."""
     rows = []
+    exact = clustering._exact_rows
 
     def spy(points, centroids):
         rows.append(len(points))
         return exact(points, centroids)
 
-    exact = clustering._exact_rows
     monkeypatch.setattr(clustering, "_exact_rows", spy)
+    return rows
+
+
+def test_exact_rows_run_only_where_the_band_is_in_doubt(monkeypatch):
+    rows = _spy_on_exact_rows(monkeypatch)
     rng = np.random.default_rng(33)
     pts, cents = rng.uniform(0, 8000, size=(1000, 2)), rng.uniform(0, 8000, size=(22, 2))
     assert np.array_equal(_assign(pts, cents), _assign_broadcast(pts, cents))
@@ -257,6 +270,28 @@ def test_exact_rows_run_only_where_the_band_is_in_doubt(monkeypatch):
     for pts, cents in _bisector_instances():
         _assign(pts, cents)
     assert len(rows) > 1
+
+
+def test_exact_rows_take_every_point_where_float32_4s_overflows(monkeypatch):
+    rows = _spy_on_exact_rows(monkeypatch)
+    rng = np.random.default_rng(35)
+    # 1e19 m: float64 squares near 1e38 are finite, but 4·S passes the
+    # float32 maximum; from 1e40 m, p' itself overflows its float32 cast
+    for scale in (1e19, 1e25, 1e40, 1e100):
+        for _ in range(10):
+            offset = rng.uniform(-scale, scale, size=2)
+            pts = offset + rng.uniform(-scale, scale, size=(rng.integers(1, 60), 2))
+            cents = offset + rng.uniform(-scale, scale, size=(rng.integers(1, 9), 2))
+            rows.clear()
+            assert np.array_equal(_assign(pts, cents),
+                                  _assign_broadcast(pts, cents))
+            assert rows == [len(pts)]
+    # at 1e18 m the float32 step still runs
+    pts = rng.uniform(-1e18, 1e18, size=(1000, 2))
+    cents = rng.uniform(-1e18, 1e18, size=(22, 2))
+    rows.clear()
+    assert np.array_equal(_assign(pts, cents), _assign_broadcast(pts, cents))
+    assert rows == []
 
 
 def test_kmeans_matches_broadcast_reference():
@@ -527,7 +562,11 @@ def test_k_search_by_blocks_matches_one_k_at_a_time():
     assert {0, clustering._K_BLOCK - 1} <= offsets
 
 
-def test_colocated_sensors_over_the_member_cap_exhaust_the_k_search():
+def test_colocated_sensors_over_the_member_cap_fail_before_the_k_search(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(clustering, "kmeans_cluster",
+                        lambda *args, **kwargs: calls.append(args))
     sc = generate_scenario(100.0, 100.0, 200, seed=0)
     sc = dataclasses.replace(sc, sensor_positions=np.full((200, 2), 50.0),
                              n_th=60)
@@ -537,6 +576,7 @@ def test_colocated_sensors_over_the_member_cap_exhaust_the_k_search():
     with pytest.raises(clustering.InfeasibleClusteringError) as exc:
         cluster_sensors(sc, radii)
     assert str(exc.value) == message
+    assert calls == []
 
 
 def test_packing_set_is_pairwise_apart_and_maximal():
