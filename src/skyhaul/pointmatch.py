@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .partition import Ring, Topology
 from .tsp import _pairwise
 
 _TOL_M = 1e-6
-_HOVER_CMP_TOL = 1e-12
 _HOP_TOL_M = 1e-9
 
 
@@ -51,51 +51,63 @@ class RingPair:
         self.path_m = np.asarray(path_m, dtype=float)
         self.d_safe = d_safe
 
-    def excess(self, a: int, e: int) -> float:
-        """Seconds a step shared by a and e waits beyond e's own hover."""
-        return max(0.0, float(self.hover_out[a] - self.hover_in[e]))
 
-    def _outruns(self, a1: int, e1: int, a2: int, e2: int) -> bool:
-        """The hop a1 -> a2 is longer than the fixed path from e1 to e2."""
-        return self.hop[a1, a2] > self.path_m[e2] - self.path_m[e1] + _HOP_TOL_M
+def match_pairs(pair: RingPair) -> tuple[list[int], dict[int, int]]:
+    """The attach order and monotone pairing {attach CP: event} with the
+    least leftover hover plus waiting, then the most matched CPs.
 
-    def fits(self, a: int, e: int, last=None, nxt=None) -> bool:
-        """Can attach CP a share event e? The link spans the two CPs, they
-        keep d_safe apart, and the hop from the previous matched (a, e) pair
-        `last` and to the next one `nxt` never outruns the fixed path."""
-        return bool(self.link[a, e] and self.gap[a, e] >= self.d_safe
-                    and (last is None or not self._outruns(*last, a, e))
-                    and (nxt is None or not self._outruns(a, e, *nxt)))
-
-
-def match_pairs(pair: RingPair, order) -> dict[int, int]:
-    """Greedy monotone pairing {attach CP: event} of the attach tour `order`.
-
-    Walks `order` with a forward-only cursor over the events. A candidate
-    must fit (`RingPair.fits` against the previous match) and hover at least
-    as long as the attach CP, so the fixed ring is never slowed.
+    The order is a rotation of the attach tour in either direction. A matched
+    CP collects in its event's step, which waits out max(0, hover_out -
+    hover_in); an unmatched CP pays its whole hover in a step of its own. The
+    cost is therefore sum(hover_out) minus, over the matched pairs,
+    min(hover_out[a], hover_in[e]), and the optimum is a longest path through
+    the feasible cells (a, e), those linked and at least d_safe apart. A cell
+    may follow another with a later event, a later attach position and a hop
+    that does not outrun the fixed path. Events order the cells for every
+    rotation at once, so one pass over them solves all 2n rotations as rows.
+    Ties go to the first rotation, forward rotations before backward ones,
+    and within one to the first cell in event order.
     """
-    pairs: dict[int, int] = {}
-    cursor, last = 0, None
-    for a in order:
-        for e in range(cursor, len(pair.hover_in)):
-            if pair.hover_out[a] > pair.hover_in[e] + _HOVER_CMP_TOL:
-                continue
-            if pair.fits(a, e, last):
-                pairs[a] = e
-                cursor, last = e + 1, (a, e)
-                break
-    return pairs
-
-
-def _next_matched(order, matched) -> list:
-    """Per position t of `order`, the next attach CP after t in `matched`."""
-    nxt, cur = [None] * len(order), None
-    for t in range(len(order) - 1, -1, -1):
-        nxt[t] = cur
-        if order[t] in matched:
-            cur = order[t]
-    return nxt
+    n = len(pair.hover_out)
+    cell_e, cell_a = np.nonzero((pair.link & (pair.gap >= pair.d_safe)).T)
+    # per row (forward rotations, then backward ones) each cell's attach
+    # position; column 0 is the empty start, which precedes every cell
+    shift = np.arange(n)[:, None]
+    at = np.full((2 * n, len(cell_a) + 1), -1)
+    at[:n, 1:] = (cell_a - shift) % n
+    at[n:, 1:] = (n - 1 - cell_a - shift) % n
+    pm = pair.path_m[cell_e]
+    # reach[c2, c1]: cell c2 may follow c1, its hop within the fixed path
+    reach = np.ones((len(cell_a) + 1,) * 2, dtype=bool)
+    reach[1:, 1:] = ~(pair.hop[np.ix_(cell_a, cell_a)]
+                      > pm[:, None] - pm[None, :] + _HOP_TOL_M)
+    score = np.zeros(at.shape)
+    score[:, 1:] = np.minimum(pair.hover_out[cell_a], pair.hover_in[cell_e])
+    count = (at >= 0).astype(int)               # the start matches nothing
+    pred = np.zeros_like(at)
+    starts = (np.flatnonzero(np.diff(cell_e, prepend=-1)) + 1).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(cell_a) + 1]):
+        ok = (at[:, lo:hi, None] > at[:, None, :lo]) & reach[lo:hi, :lo]
+        prev = np.broadcast_to(score[:, None, :lo], ok.shape)
+        best = prev.max(axis=2, where=ok, initial=-np.inf)
+        ok &= prev == best[..., None]
+        prev = np.broadcast_to(count[:, None, :lo], ok.shape)
+        most = prev.max(axis=2, where=ok, initial=0)
+        ok &= prev == most[..., None]
+        score[:, lo:hi] += best
+        count[:, lo:hi] += most
+        pred[:, lo:hi] = ok.argmax(axis=2)
+    top = score.max(axis=1)
+    ties = (score == top[:, None]) * count
+    rows = np.flatnonzero(top == top.max())
+    row = int(rows[np.argmax(ties[rows].max(axis=1))])
+    chain, c = [], int(ties[row].argmax())
+    while c:
+        chain.append(c - 1)
+        c = int(pred[row, c])
+    order = [(t + row) % n for t in range(n)]
+    return ([n - 1 - a for a in order] if row >= n else order,
+            {int(cell_a[c]): int(cell_e[c]) for c in reversed(chain)})
 
 
 @dataclass(frozen=True)
@@ -129,8 +141,15 @@ def _crossings(c1, r1: float, c2, r2: float) -> list[tuple[float, float]]:
     if d == 0.0:
         return []
     ux, uy = (x2 - x1) / d, (y2 - y1) / d
+    scale = (d * d + r1 * r1 + r2 * r2) / (2.0 * d)
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    h2 = r1 * r1 - a * a
+    # a is off by a few ulps of `scale` (the squares, and d from rounded
+    # centres), h2 by 2 r1 times that: noise that sqrt turns into ~1e-4 m
+    # near tangency. Under 32 epsilons of r1 * scale the circles touch, at a
+    # point within 16 epsilons of `scale` of each (h < 0.5 mm at 4 km radii).
+    h = (math.sqrt(h2) if h2 > 32 * sys.float_info.epsilon * r1 * scale
+         else 0.0)
     mx, my = x1 + a * ux, y1 + a * uy
     return [(mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)]
 
@@ -305,60 +324,6 @@ def advance_point(prev, anchor, target, budget_m: float, r_link: float,
     return q
 
 
-def _rotations(seq: list):
-    for base in (seq, seq[::-1]):
-        for r in range(len(base)):
-            yield base[r:] + base[:r]
-
-
-def _best_matching(pair: RingPair):
-    """Match the attach ring onto the fixed ring's collect events.
-
-    Tries every rotation and direction of the attach tour (the monotone cursor
-    is rotation-sensitive). Leftover CPs become inserted steps and pay their
-    full hover, relaxed slots only their excess, so the least leftover hover
-    plus relaxed excess wins, then the most assigned CPs. Returns the order,
-    the greedy pairs and the relaxed pairs.
-    """
-    n = len(pair.hover_out)
-    best = None
-    for order in _rotations(list(range(n))):
-        pairs = match_pairs(pair, order)
-        extra = _relaxed_pairs(pair, order, pairs)
-        excess = sum(pair.excess(a, e) for a, e in extra.items())
-        leftover = sum(float(pair.hover_out[a]) for a in range(n)
-                       if a not in pairs and a not in extra)
-        score = (-(leftover + excess), len(pairs) + len(extra))
-        if best is None or score > best[0]:
-            best = (score, order, pairs, extra)
-    return best[1:]
-
-
-def _relaxed_pairs(pair: RingPair, order, pairs: dict[int, int]) -> dict[int, int]:
-    """Second matching pass: slot leftover attach CPs into free fixed-ring
-    events even when the fixed CP hovers less, the step then waits out the
-    difference. That penalty never exceeds what a dedicated inserted step
-    would cost, so any admissible slot beats insertion. A leftover CP only
-    takes an event strictly between its matched neighbours' events, the one
-    with the least (hover excess, gap) that fits both neighbours."""
-    nxt = _next_matched(order, pairs)
-    extra: dict[int, int] = {}
-    last = None
-    for t, a in enumerate(order):
-        if a in pairs:
-            last = (a, pairs[a])
-            continue
-        after = (nxt[t], pairs[nxt[t]]) if nxt[t] is not None else None
-        lo = last[1] + 1 if last is not None else 0
-        hi = after[1] if after is not None else len(pair.hover_in)
-        fit = [e for e in range(lo, hi) if pair.fits(a, e, last, after)]
-        if fit:
-            e = min(fit, key=lambda e: (pair.excess(a, e), float(pair.gap[a, e])))
-            extra[a] = e
-            last = (a, e)
-    return extra
-
-
 def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
                       ring_ref, bs, r_u2u, d_safe, meta):
     """Give every unmatched attach-ring CP its own step, placed on the fixed
@@ -367,14 +332,14 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
     the CP (`_radial_band`), not its own annulus. An anchor's step is the row
     collecting its CP, which stays right as steps are inserted. Returns the
     grown `pos` and `duty`."""
-    nxt = _next_matched(order, matched)
     last = None
     for t, a_local in enumerate(order):
         cp_id = int(adj_ids[a_local])
         if a_local in matched:
             last = cp_id
             continue
-        after = int(adj_ids[nxt[t]]) if nxt[t] is not None else None
+        after = next((int(adj_ids[b]) for b in order[t + 1:] if b in matched),
+                     None)
         cp = cps[cp_id].tolist()
         band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
         col = duty[:, adj]
@@ -521,13 +486,14 @@ def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, rings, bs,
         np.hypot(*np.diff(pos[:, ref], axis=0).T))])
     pair = RingPair(cps[adj_ids], cps[ev_cps], hovers[adj_ids], hovers[ev_cps],
                     path_cum[ev_steps], r_u2u, d_safe)
-    order, pairs, extra = _best_matching(pair)
-    matched = pairs | extra
+    order, matched = match_pairs(pair)
+    waits = 0
     for a_local, e_local in matched.items():
         pos[ev_steps[e_local], adj] = cps[adj_ids[a_local]]
         duty[ev_steps[e_local], adj] = adj_ids[a_local]
-    meta["pairs_matched"] += len(pairs)
-    meta["pairs_relaxed"] += len(extra)
+        waits += bool(pair.hover_out[a_local] > pair.hover_in[e_local])
+    meta["pairs_matched"] += len(matched) - waits
+    meta["pairs_relaxed"] += waits
     return _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids,
                              cps, rings[ref], bs, r_u2u, d_safe, meta)
 

@@ -16,7 +16,7 @@ from skyhaul.model import Scenario
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
                                 _annuli, _arc_minima, _crossings, _minimise,
-                                _relaxed_pairs, advance_point, match_pairs,
+                                advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
 from skyhaul.tsp import solve_tsp
 
@@ -40,48 +40,56 @@ def test_link_boundary_is_inclusive():
 def test_empty_inner_ring_matches_nothing():
     pair = _pair([(0.0, 0.0)], np.zeros((0, 2)), [1.0], [], r_u2u=100.0)
     assert pair.link.shape == (1, 0)
-    assert match_pairs(pair, [0]) == {}
-    assert _relaxed_pairs(pair, [0], {}) == {}
+    assert match_pairs(pair) == ([0], {})
 
 
-def test_fits_checks_link_separation_and_both_hops():
-    def pair(r_u2u):
-        # attach CPs 0 and 2 at the ends, 1 in between; the fixed path is
-        # twice as long as the straight line through the events
-        return _pair([(100.0, 50.0), (340.0, 50.0), (600.0, 50.0)],
-                     [(100.0 * e, 0.0) for e in range(8)], [1.0] * 3,
-                     [1.0] * 8, r_u2u, d_safe=30.0,
-                     path_m=[200.0 * e for e in range(8)])
+def _three_cps(hover_out=(1.0, 1.0, 1.0), hover_in=(1.0,) * 8):
+    """Attach CPs 0 and 2 link only events 1 and 6, CP 1 events 2 to 5. The
+    fixed path is twice the straight line: 200 m between events, against
+    hops of 260 m from CP 0 to CP 1 and 279 m from CP 1 to CP 2."""
+    return _pair([(100.0, 150.0), (340.0, 50.0), (600.0, 150.0)],
+                 [(100.0 * e, 0.0) for e in range(8)], hover_out, hover_in,
+                 r_u2u=170.0, d_safe=30.0,
+                 path_m=[200.0 * e for e in range(8)])
 
-    tight = pair(75.0)
-    assert tight.fits(1, 3) and not tight.fits(1, 4)      # gaps 64 m, 78 m
-    assert not _pair([(0.0, 10.0)], [(0.0, 0.0)], [1.0], [1.0],
-                     r_u2u=75.0, d_safe=30.0).fits(0, 0)  # 10 m apart
-    wide = pair(1000.0)
-    # hop 240 m from CP 0 at event 1: 200 m of path to event 2, 400 m to 3
-    assert wide.fits(1, 2) and not wide.fits(1, 2, last=(0, 1))
-    assert wide.fits(1, 3, last=(0, 1))
-    # hop 260 m to CP 2 at event 6: 200 m of path from event 5, 400 m from 4
-    assert wide.fits(1, 5) and not wide.fits(1, 5, nxt=(2, 6))
-    assert wide.fits(1, 4, last=(0, 1), nxt=(2, 6))
+
+def test_match_pairs_checks_link_separation_and_both_hops():
+    pair = _three_cps()
+    assert [np.flatnonzero(row).tolist() for row in pair.link] == [
+        [1], [2, 3, 4, 5], [6]]
+    # CP 1 takes event 3 or 4, 400 m of path from both neighbours' events
+    assert match_pairs(pair) == ([0, 1, 2], {0: 1, 1: 3, 2: 6})
+    close = _pair([(0.0, 10.0)], [(0.0, 0.0)], [1.0], [1.0], r_u2u=75.0,
+                  d_safe=30.0)
+    assert match_pairs(close) == ([0], {})          # 10 m apart
+
+
+def test_match_pairs_refuses_hops_that_outrun_the_path():
+    # events 2 and 5 hover as long as CP 1, but the hop from CP 0 at event 1
+    # or to CP 2 at event 6 outruns the 200 m of path to them: sharing event
+    # 2 or 5 costs one neighbour its step, and saves more than that
+    hover_in = (1.0, 1.0, 9.0, 1.0, 1.0, 9.0, 1.0, 1.0)
+    pair = _three_cps(hover_out=(1.0, 5.0, 1.0), hover_in=hover_in)
+    assert match_pairs(pair) == ([0, 1, 2], {0: 1, 1: 5})
 
 
 def test_match_pairs_simple_walk():
     pair = _pair([[0.0, 100.0], [50.0, 100.0]], [[0.0, 0.0], [50.0, 0.0]],
                  [1.0, 1.0], [5.0, 5.0], r_u2u=150.0)
-    assert match_pairs(pair, [0, 1]) == {0: 0, 1: 1}
+    assert match_pairs(pair) == ([0, 1], {0: 0, 1: 1})
 
 
-def test_match_pairs_respects_hover_order():
-    # the inner CP finishes before the outer one; sharing would slow the ring
+def test_match_pairs_pays_hover_excess():
+    # the inner CP finishes 4 s before the outer one: the shared step waits
+    # 4 s, where a step of the outer CP's own would take 5 s
     pair = _pair([[0.0, 100.0]], [[0.0, 0.0]], [5.0], [1.0], r_u2u=150.0)
-    assert match_pairs(pair, [0]) == {}
+    assert match_pairs(pair) == ([0], {0: 0})
 
 
 def test_match_pairs_respects_safety_gap():
     pair = _pair([[0.0, 3.0]], [[0.0, 0.0]], [1.0], [5.0], r_u2u=150.0,
                  d_safe=4.0)
-    assert match_pairs(pair, [0]) == {}
+    assert match_pairs(pair) == ([0], {})
 
 
 def test_match_pairs_hop_cannot_outrun_inner_path():
@@ -90,62 +98,125 @@ def test_match_pairs_hop_cannot_outrun_inner_path():
     pair = _pair([[0.0, 100.0], [1000.0, 100.0]], [[0.0, 0.0], [10.0, 0.0]],
                  [1.0, 1.0], [5.0, 5.0], r_u2u=2000.0)
     assert pair.link.all()
-    assert match_pairs(pair, [0, 1]) == {0: 0}
+    assert match_pairs(pair) == ([0, 1], {0: 0})
 
 
-def test_match_pairs_cursor_never_revisits():
-    # both outer CPs can only reach inner 0; after the first match the
-    # cursor has moved past it
+def test_match_pairs_shares_each_event_once():
+    # both outer CPs can only reach inner 0
     pair = _pair([[0.0, 50.0], [5.0, 50.0]], [[0.0, 0.0], [500.0, 0.0]],
                  [1.0, 1.0], [9.0, 9.0], r_u2u=100.0)
     assert pair.link.tolist() == [[True, False], [True, False]]
-    assert match_pairs(pair, [0, 1]) == {0: 0}
+    assert match_pairs(pair) == ([0, 1], {0: 0})
 
 
-def _relaxed_instance(hover_out_1=5.0, hover_in=(1.0,) * 8):
-    """Attach CPs 0 and 3 are matched to events 1 and 6; CPs 1 and 2 sit at
-    the same spot between them. The fixed path is twice the straight line."""
-    pair = _pair([(100.0, 50.0), (340.0, 50.0), (340.0, 50.0), (600.0, 50.0)],
-                 [(100.0 * e, 0.0) for e in range(8)],
-                 [1.0, hover_out_1, hover_out_1, 1.0], hover_in,
-                 r_u2u=1000.0, d_safe=30.0,
+def _four_cps(hover_in=(1.0,) * 8):
+    """CPs 1 and 2 sit at the same spot between CPs 0 and 3 and hover 5 s
+    each; every CP links every event. The fixed path is twice the straight
+    line, 200 m between events."""
+    return _pair([(100.0, 50.0), (340.0, 50.0), (340.0, 50.0), (600.0, 50.0)],
+                 [(100.0 * e, 0.0) for e in range(8)], [1.0, 5.0, 5.0, 1.0],
+                 hover_in, r_u2u=1000.0, d_safe=30.0,
                  path_m=[200.0 * e for e in range(8)])
-    return pair, {0: 1, 3: 6}
 
 
-def test_relaxed_pass_slots_leftovers_inside_their_window():
-    pair, pairs = _relaxed_instance()
-    extra = _relaxed_pairs(pair, [0, 1, 2, 3], pairs)
-    # CP 1 takes event 3, the nearest that fits; CP 2's window then starts
-    # after it, although event 3 would fit CP 2 with a smaller gap
-    assert extra == {1: 3, 2: 4}
-    assert pair.fits(2, 3, last=(1, 3), nxt=(3, 6))
-    assert pair.gap[2, 3] < pair.gap[2, 4]
+def test_match_pairs_matches_every_cp_that_fits():
+    order, matched = match_pairs(_four_cps())
+    assert order == [0, 1, 2, 3] and len(matched) == 4
 
 
-def test_relaxed_pass_picks_least_excess_then_gap():
-    pair, pairs = _relaxed_instance()
-    assert _relaxed_pairs(pair, [0, 1, 3], pairs) == {1: 3}   # equal excess
+def test_match_pairs_waits_out_the_least_excess():
+    # event 4 leaves CP 1 or 2 2 s of excess against 4 s at any other event
     hover_in = (1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0)
-    pair, pairs = _relaxed_instance(hover_in=hover_in)
-    # event 4 leaves 2 s of excess against event 3's 4 s
-    assert _relaxed_pairs(pair, [0, 1, 3], pairs) == {1: 4}
+    order, matched = match_pairs(_four_cps(hover_in=hover_in))
+    assert len(matched) == 4 and 4 in (matched[1], matched[2])
 
 
-def test_relaxed_pass_refuses_hops_that_outrun_the_path():
-    # events 2 and 5 would cost no excess, but the hop from CP 0 (240 m) or
-    # to CP 3 (260 m) outruns the 200 m of fixed path to them
-    hover_in = (1.0, 1.0, 9.0, 1.0, 1.0, 9.0, 1.0, 1.0)
-    pair, pairs = _relaxed_instance(hover_in=hover_in)
-    assert _relaxed_pairs(pair, [0, 1, 3], pairs) == {1: 3}
-    assert not pair.fits(1, 2, last=(0, 1)) and pair.fits(1, 2, nxt=(3, 6))
-    assert not pair.fits(1, 5, nxt=(3, 6)) and pair.fits(1, 5, last=(0, 1))
-    # with every slot outrun, CP 1 stays unassigned
-    pair, _ = _relaxed_instance()
-    assert _relaxed_pairs(pair, [0, 1, 3], {0: 1, 3: 4}) == {}
+def _attach_orders(n):
+    """Every rotation of the attach tour, forward, then backward."""
+    for seq in (list(range(n)), list(range(n - 1, -1, -1))):
+        for r in range(n):
+            yield seq[r:] + seq[:r]
+
+
+def _brute_force(outer, inner, hover_out, hover_in, path_m, r_u2u, d_safe):
+    """Every (order, matching) the planner may choose. An order is a
+    rotation of the attach CPs, forward then backward; a matching pairs CPs
+    in that order with events in theirs. A matched CP links its event and
+    keeps d_safe from it, and the hop between consecutive matched CPs is no
+    longer than the fixed path between their events."""
+    n, n_ev = len(outer), len(inner)
+
+    def fits(a, e):
+        return d_safe <= math.dist(outer[a], inner[e]) <= r_u2u
+
+    def outruns(a1, e1, a2, e2):
+        return math.dist(outer[a1], outer[a2]) > path_m[e2] - path_m[e1] + 1e-9
+
+    def grow(order, seq, t0, e0):
+        yield seq
+        for t, e in itertools.product(range(t0, n), range(e0, n_ev)):
+            a = order[t]
+            if fits(a, e) and not (seq and outruns(*seq[-1], a, e)):
+                yield from grow(order, seq + [(a, e)], t + 1, e + 1)
+
+    for order in _attach_orders(n):
+        for seq in grow(order, [], 0, 0):
+            yield order, seq
+
+
+def _score(seq, hover_out, hover_in):
+    """Less leftover hover plus waiting of shared steps is better, then more
+    matched CPs."""
+    matched = {a for a, _ in seq}
+    wait = sum(max(0.0, hover_out[a] - hover_in[e]) for a, e in seq)
+    leftover = sum(h for a, h in enumerate(hover_out) if a not in matched)
+    return -(leftover + wait), len(seq)
+
+
+def test_match_pairs_equals_the_brute_force_optimum():
+    """On small random pairs the matching scores as well as the best of all
+    orders and matchings, is one of them, and is found in the first order
+    that scores that well. Whole-second hovers keep every score exact, so
+    ties are common and must resolve as documented. Rotating or reversing
+    the attach tour leaves the score as it is."""
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n, n_ev = int(rng.integers(1, 6)), int(rng.integers(0, 7))
+        outer = rng.uniform(0.0, 1000.0, (n, 2))
+        inner = rng.uniform(0.0, 1000.0, (n_ev, 2))
+        hover_out = rng.integers(1, 5, n).astype(float)
+        hover_in = rng.integers(1, 5, n_ev).astype(float)
+        legs = (np.hypot(*np.diff(inner, axis=0).T)
+                * rng.uniform(1.0, 2.0, max(n_ev - 1, 0)))
+        path_m = np.concatenate([[0.0], np.cumsum(legs)])[:n_ev]
+        r_u2u = float(rng.uniform(200.0, 1600.0))
+        d_safe = float(rng.uniform(0.0, 150.0))
+        args = (outer.tolist(), inner.tolist(), hover_out.tolist(),
+                hover_in.tolist(), path_m.tolist(), r_u2u, d_safe)
+        options = list(_brute_force(*args))
+        best = None
+        for order, seq in options:
+            score = _score(seq, args[2], args[3])
+            if best is None or score > best[0]:
+                best = (score, order)
+        order, matched = match_pairs(RingPair(outer, inner, hover_out,
+                                              hover_in, path_m, r_u2u, d_safe))
+        seq = [(a, matched[a]) for a in order if a in matched]
+        assert (_score(seq, args[2], args[3]), order) == best
+        assert (order, seq) in options
+        for shift, step in ((int(rng.integers(n)), 1), (0, -1)):
+            turned = np.roll(np.arange(n), -shift)[::step]
+            _, moved = match_pairs(RingPair(outer[turned], inner,
+                                            hover_out[turned], hover_in,
+                                            path_m, r_u2u, d_safe))
+            assert _score([(turned[a], e) for a, e in moved.items()],
+                          args[2], args[3]) == best[0]
 
 
 def test_match_pairs_contract_on_random_instances():
+    """Tour-ordered pairs of up to 9 CPs: the matching follows its order and
+    the events monotonically, every pair links and keeps d_safe, and no hop
+    outruns the fixed path."""
     rng = np.random.default_rng(7)
     d_safe = 30.0
     for _ in range(30):
@@ -156,35 +227,23 @@ def test_match_pairs_contract_on_random_instances():
         r_u2u = float(rng.uniform(300, 2500))
         hover_out = rng.uniform(1, 10, size=n_out)
         hover_in = rng.uniform(1, 10, size=n_in)
-        order = list(solve_tsp(outer).order)
+        tour_out = list(solve_tsp(outer).order)
         tour_in = list(solve_tsp(inner).order)
-        pair = _pair(outer, inner[tour_in], hover_out, hover_in[tour_in],
-                     r_u2u, d_safe)
-        pairs = match_pairs(pair, order)
-        extra = _relaxed_pairs(pair, order, pairs)
-        both = pairs | extra
-        assert len(both) == len(pairs) + len(extra)
-        for matched in (pairs, both):
-            # disjoint events that follow both tours monotonically
-            events = [matched[a] for a in order if a in matched]
-            assert events == sorted(set(events))
+        pair = _pair(outer[tour_out], inner[tour_in], hover_out[tour_out],
+                     hover_in[tour_in], r_u2u, d_safe)
+        order, matched = match_pairs(pair)
+        assert order in _attach_orders(n_out)
+        seq = [(a, matched[a]) for a in order if a in matched]
+        assert [e for _, e in seq] == sorted({e for _, e in seq})
         prev = None
-        for a in (a for a in order if a in pairs):
-            e = pairs[a]
-            gap = float(np.hypot(*(outer[a] - inner[tour_in[e]])))
+        for a, e in seq:
+            gap = float(np.hypot(*(outer[tour_out[a]] - inner[tour_in[e]])))
             assert d_safe <= gap <= r_u2u
-            assert hover_out[a] <= hover_in[tour_in[e]] + 1e-12
             if prev is not None:
-                hop = float(np.hypot(*(outer[prev[0]] - outer[a])))
+                hop = float(np.hypot(*(outer[tour_out[prev[0]]]
+                                       - outer[tour_out[a]])))
                 assert hop <= pair.path_m[e] - pair.path_m[prev[1]] + 1e-9
-            assert pair.fits(a, e, prev)
             prev = (a, e)
-        # relaxed slots fit both neighbours of the combined matching
-        seq = [(a, both[a]) for a in order if a in both]
-        for i, (a, e) in enumerate(seq):
-            if a in extra:
-                nxt = next(((b, f) for b, f in seq[i + 1:] if b in pairs), None)
-                assert pair.fits(a, e, seq[i - 1] if i else None, nxt)
 
 
 def test_p3_zero_detour_when_edge_crosses_annulus():
@@ -267,6 +326,26 @@ def test_nearest_chain_point_finds_tangent_point():
                             d_safe=30.0, ring=Ring(0.0, 8000.0),
                             bs=(0.0, 0.0))
     assert np.allclose(q, 8000.0 * u, rtol=0.0, atol=1e-6)
+
+
+def test_tangent_point_is_stable_under_rounding_of_the_anchor():
+    """A `wide` seed-0 solve: the 3991.57 m chain disk about the anchor
+    touches the ring's 4057.32 m outer circle about the BS. Moving the
+    anchor by up to 4 ulps per coordinate, in or out, moves the waypoint
+    by rounding only, not by the ~1e-4 m of a lens's two crossings."""
+    r_link, outer = 3991.57, 4057.32
+    x, y = 4744.98, 6501.53
+    scale = (r_link + outer) / math.hypot(x, y)
+    x, y = x * scale, y * scale
+    ring, prev = Ring(2000.0, outer), (-3000.0, 2500.0)
+    ref = nearest_chain_point(prev, (x, y), r_link, 30.0, ring, (0.0, 0.0))
+    for toward in (0.0, math.inf):
+        mx, my = x, y
+        for _ in range(4):
+            mx, my = math.nextafter(mx, toward), math.nextafter(my, toward)
+            q = nearest_chain_point(prev, (mx, my), r_link, 30.0, ring,
+                                    (0.0, 0.0))
+            assert math.dist(q, ref) <= 1e-9
 
 
 def test_advance_point_moves_toward_target_within_budget():
