@@ -1,9 +1,9 @@
 """Sensor clustering and collection-point placement.
 
 Cluster count starts at the larger of the load bound ceil(N / N_th) and a
-packing floor, and grows until every cluster fits inside the serving UAV's
-coverage disk and under the FDMA member cap. Collection points are cluster
-centroids at the flight altitude.
+packing floor, and grows one split at a time until every cluster fits inside
+the serving UAV's coverage disk and under the FDMA member cap. Collection
+points are cluster centroids at the flight altitude.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from .channel import CoverageRadii, min_hover_time
 from .model import InfeasibleError, Scenario
 
 _LLOYD_MAX_ITER = 300
-_SEED_ATTEMPTS = 3
-# cluster counts seeded together by the k search: larger blocks seed more k
-# that the search never reaches
-_K_BLOCK = 4
 # Two sensors count as apart only beyond 2·r·(1 + 1e-9). Each computed distance
-# (the pair's here, each member's in the `dists.max() <= r` test) is off by a
+# (the pair's here, each member's in the search's radius test) is off by a
 # few ulps of the coordinates and of r, under 1e-11 m at 20 km. Without a
 # margin, a pair at 2·r up to rounding could count as apart while a centroid
 # midway still passes the test; with it, a pair counted apart is truly farther
@@ -53,46 +49,29 @@ def _sq_dist(px, py, cx, cy, planes: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_seeds(points: np.ndarray, k: int,
-                    rngs: list[np.random.Generator]) -> np.ndarray:
-    """k-means++ seedings (Arthur & Vassilvitskii 2007), one per generator.
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007) of k centroids.
 
-    The seedings are built together: row a of each (A, n) array belongs to
-    rngs[a], which draws the first centroid with rng.integers(n) and then
-    one rng.random(k - 1), the values of k - 1 random() calls. Draw j
-    repeats `rng.choice(n, p=d2 / total)` on its uniform u bit for bit: the
-    cdf is cumsum(d2 / total) divided by its last entry, and the index is
-    the count of cdf entries <= u, which is searchsorted(side="right") on a
-    nondecreasing cdf. A row whose mass has collapsed (total <= 0: every
-    point lies on a chosen centroid) takes index min(int(u * n), n - 1)
-    instead. Draw j never depends on later draws, so the first j centroids
-    of a row are the j-centroid seeding of its generator. Returns the
-    (A, k, 2) seedings.
+    The first centroid is points[rng.integers(n)]; each later one is drawn
+    with rng.choice(n, p=d2 / d2.sum()), d2 being each point's squared
+    distance to its nearest chosen centroid. Where that mass is zero (fewer
+    than k distinct positions, or squares that underflow) the draw is
+    rng.choice(n), uniform. Returns the (k, 2) seeds.
     """
-    n, a = len(points), len(rngs)
-    seeds = np.empty((a, k, 2))
-    seeds[:, 0] = points[[rng.integers(n) for rng in rngs]]
-    uniforms = np.array([rng.random(k - 1) for rng in rngs])
+    n = len(points)
+    seeds = np.empty((k, 2))
+    seeds[0] = points[rng.integers(n)]
     px, py = points.T
-    planes, cdf = np.empty((2, a, n)), np.empty((a, n))
-    d2 = np.full((a, n), np.inf)
-    # a collapsed row's cdf is 0/0; an overflowing total raises below
-    with np.errstate(over="ignore", invalid="ignore"):
+    planes = np.empty((2, n))
+    d2 = np.full(n, np.inf)
+    with np.errstate(over="ignore"):
         for j in range(1, k):
-            newest = seeds[:, j - 1]
-            np.minimum(d2, _sq_dist(px, py, newest[:, :1], newest[:, 1:], planes),
-                       out=d2)
-            totals = d2.sum(axis=1)
-            np.divide(d2, totals[:, None], out=cdf)
-            cdf.cumsum(axis=1, out=cdf)
-            cdf /= cdf[:, -1:]
-            if not totals.max() < math.inf:
+            np.minimum(d2, _sq_dist(px, py, *seeds[j - 1], planes), out=d2)
+            total = d2.sum()
+            if not total < math.inf:
                 raise ValueError("squared distances between the points "
                                  "overflow")
-            u = uniforms[:, j - 1]
-            pick = (cdf <= u[:, None]).sum(axis=1)
-            collapsed = totals <= 0
-            pick[collapsed] = np.minimum(u[collapsed] * n, n - 1).astype(int)
-            seeds[:, j] = points[pick]
+            seeds[j] = points[rng.choice(n, p=d2 / total if total else None)]
     return seeds
 
 
@@ -267,26 +246,32 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
     # label: more than n_th of them overfill a cluster at every k
     if np.unique(points, axis=0, return_counts=True)[1].max() > scenario.n_th:
         raise InfeasibleClusteringError(message)
-    k_min = max(math.ceil(n / scenario.n_th),
-                len(_packing_set(points, radii.r_g2u_m)))
-    for k_first in range(k_min, n + 1, _K_BLOCK):
-        ks = range(k_first, min(k_first + _K_BLOCK, n + 1))
-        # a few fresh seedings per k before growing k; keeps the final count
-        # low. Row (k, attempt) of the block's seeding starts with k's own.
-        rngs = [np.random.default_rng([scenario.rng_seed, k, attempt])
-                for k in ks for attempt in range(_SEED_ATTEMPTS)]
-        for row, init in enumerate(_kmeanspp_seeds(points, ks[-1], rngs)):
-            k = ks[row // _SEED_ATTEMPTS]
-            labels, centroids = kmeans_cluster(points, k, init=init[:k])
-            sizes = np.bincount(labels, minlength=k)
-            dists = np.hypot(*(points - centroids[labels]).T)
-            if (sizes.min() >= 1 and sizes.max() <= scenario.n_th
-                    and dists.max() <= radii.r_g2u_m):
-                bits = scenario.sensor_data_bits
-                hover = [min_hover_time(points[labels == j], bits[labels == j],
-                                        centroids[j], scenario.params)
-                         for j in range(k)]
-                return ClusterSet(labels, centroids, np.array(hover))
+    k = max(math.ceil(n / scenario.n_th),
+            len(_packing_set(points, radii.r_g2u_m)))
+    init = _kmeanspp_seeds(points, k,
+                           np.random.default_rng([scenario.rng_seed, k, 0]))
+    while k <= n:
+        labels, centroids = kmeans_cluster(points, k, init=init)
+        sizes = np.bincount(labels, minlength=k)
+        dists = np.hypot(*(points - centroids[labels]).T)
+        beyond = dists.max() > radii.r_g2u_m
+        if not beyond and sizes.max() <= scenario.n_th:
+            occupied = sizes > 0
+            labels = (np.cumsum(occupied) - 1)[labels]
+            cps = centroids[occupied]
+            bits = scenario.sensor_data_bits
+            hover = [min_hover_time(points[labels == j], bits[labels == j],
+                                    cps[j], scenario.params)
+                     for j in range(len(cps))]
+            return ClusterSet(labels, cps, np.array(hover))
+        # split: one more centroid, at the sensor farthest from its own if
+        # any lies beyond the radius, else at the farthest member of the
+        # first largest cluster. That sensor never sits on a centroid: more
+        # than n_th co-located sensors failed above.
+        if not beyond:
+            dists = np.where(labels == sizes.argmax(), dists, -1.0)
+        init = np.vstack([centroids, points[dists.argmax()]])
+        k += 1
     raise InfeasibleClusteringError(message)
 
 

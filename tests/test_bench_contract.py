@@ -48,36 +48,39 @@ def test_bench_cell_solves_every_planner():
 def test_k_search_calls_kmeans_through_the_module_name(monkeypatch):
     # spans.py wraps `clustering.kmeans_cluster` and reads k from its second
     # positional argument: `clustering.kmeans_cluster.calls` counts one call
-    # per (k, attempt) and `clustering.k_tried` the distinct k. A k search
-    # that ran Lloyd another way would zero both, and bench/check_repeat.py,
-    # which only checks that counts repeat, would still pass.
+    # per run and `clustering.k_tried` the distinct k. The search makes one
+    # call per k, so the two are equal. A k search that ran Lloyd another way
+    # would zero both, and bench/check_repeat.py, which only checks that
+    # counts repeat, would still pass.
     real = clustering.kmeans_cluster
     calls = []
 
     def spy(*args, **kwargs):
         result = real(*args, **kwargs)
-        calls.append((args, result))
+        calls.append((args, kwargs, result))
         return result
 
     monkeypatch.setattr(clustering, "kmeans_cluster", spy)
-    for seed, accepted_attempt in ((1, 0), (3, 1)):
+    for seed in (1, 3):
         calls.clear()
         sc = generate_scenario(8000.0, 8000.0, 200, seed=seed)
         radii = coverage_radii(sc.params, sc.bs_height_m)
         clusters = clustering.cluster_sensors(sc, radii)
-        ks = [args[1] for args, _ in calls]
+        points = sc.sensor_positions
+        ks = [args[1] for args, _, _ in calls]
         assert all(type(k) is int for k in ks)
-        tried = list(range(ks[0], clusters.k + 1))
-        assert len(tried) > 1
-        attempts = [(k, a) for k in tried[:-1]
-                    for a in range(clustering._SEED_ATTEMPTS)]
-        attempts += [(clusters.k, a) for a in range(accepted_attempt + 1)]
-        assert ks == [k for k, _ in attempts]
-        # call i is attempt a at k: the run that seeding [rng_seed, k, a] gives
-        for (args, (labels, cents)), (k, a) in zip(calls, attempts):
-            init = clustering._kmeanspp_seeds(
-                args[0], k, [np.random.default_rng([seed, k, a])])[0]
-            ref_labels, ref_cents = real(args[0], k, init)
-            assert np.array_equal(labels, ref_labels)
-            assert np.array_equal(cents, ref_cents)
-        assert np.array_equal(calls[-1][1][0], clusters.labels)
+        floor = max(-(-sc.n_sensors // sc.n_th),
+                    len(clustering._packing_set(points, radii.r_g2u_m)))
+        assert ks == list(range(floor, floor + len(calls)))
+        assert len(ks) > 1
+        # the first run starts from the seeding [rng_seed, k, 0] at the floor,
+        # each later one from the run before's centroids plus one sensor
+        inits = [kwargs["init"] for _, kwargs, _ in calls]
+        assert np.array_equal(inits[0], clustering._kmeanspp_seeds(
+            points, floor, np.random.default_rng([seed, floor, 0])))
+        for (_, _, (_, cents)), init in zip(calls, inits[1:]):
+            assert np.array_equal(init[:-1], cents)
+            assert (points == init[-1]).all(axis=1).any()
+        last_labels = calls[-1][2][0]
+        assert np.array_equal(np.unique(last_labels, return_inverse=True)[1],
+                              clusters.labels)

@@ -27,26 +27,20 @@ def _assign_broadcast(points, centroids):
 
 def _seeded(points, k, seed):
     """The k-means++ seeding of `default_rng(seed)`."""
-    return clustering._kmeanspp_seeds(points, k,
-                                      [np.random.default_rng(seed)])[0]
+    return clustering._kmeanspp_seeds(points, k, np.random.default_rng(seed))
 
 
-def _seed_broadcast(points, k, rng, collapsed=None):
+def _seed_broadcast(points, k, rng):
     """One k-means++ seeding through `rng.choice`, the distance written as a
-    summed (n, 2) square. A step whose mass has collapsed takes index
-    min(int(u * n), n - 1) of its uniform u and is appended to `collapsed`."""
+    summed (n, 2) square; a mass of zero draws uniformly."""
     n = len(points)
     centroids = np.empty((k, 2))
     centroids[0] = points[rng.integers(n)]
     d2 = np.sum((points - centroids[0]) ** 2, axis=1)
     for j in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            if collapsed is not None:
-                collapsed.append(j)
-            centroids[j] = points[min(int(rng.random() * n), n - 1)]
-            continue
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
+        pick = rng.choice(n, p=d2 / total) if total > 0 else rng.choice(n)
+        centroids[j] = points[pick]
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
     return centroids
 
@@ -405,23 +399,13 @@ def _lattice_instances():
 
 
 def test_kmeanspp_seeds_match_the_choice_reference():
-    first_collapse = set()
     for i, (pts, k) in enumerate([*_seeding_instances(), *_lattice_instances()]):
-        rngs = [np.random.default_rng([i, k, attempt]) for attempt in range(3)]
-        seeds = clustering._kmeanspp_seeds(pts, k, rngs)
-        assert seeds.shape == (3, k, 2)
-        steps = []
-        for attempt, (got, rng) in enumerate(zip(seeds, rngs)):
-            ref_rng = np.random.default_rng([i, k, attempt])
-            collapsed = []
-            assert np.array_equal(got, _seed_broadcast(pts, k, ref_rng, collapsed))
-            # both consumed their stream alike
-            assert rng.random() == ref_rng.random()
-            steps.append(collapsed[:1])
-        if pts.max() < 1e-150:
-            first_collapse.add(len({tuple(s) for s in steps}) > 1)
-    # some lattice seedings collapse at different steps in one lockstep call
-    assert True in first_collapse
+        rng = np.random.default_rng([i, k, 0])
+        ref_rng = np.random.default_rng([i, k, 0])
+        assert np.array_equal(clustering._kmeanspp_seeds(pts, k, rng),
+                              _seed_broadcast(pts, k, ref_rng))
+        # both consumed their stream alike
+        assert rng.random() == ref_rng.random()
 
 
 class _FixedDraws(np.random.Generator):
@@ -456,110 +440,183 @@ def test_kmeanspp_draws_on_a_cdf_entry_match_the_choice_reference():
     assert cdf[-1] < 1.0
     draws = [*cdf[:-1], *(cdf / cdf[-1])[:-1]]
     draws += [np.nextafter(u, side) for u in draws for side in (0.0, 1.0)]
-    for i in range(0, len(draws), 3):
-        batch = draws[i:i + 3]
-        seeds = clustering._kmeanspp_seeds(
-            pts, 2, [_FixedDraws([u]) for u in batch])
-        for got, u in zip(seeds, batch):
-            assert np.array_equal(got, _seed_broadcast(pts, 2, _FixedDraws([u])))
+    for u in draws:
+        got = clustering._kmeanspp_seeds(pts, 2, _FixedDraws([u]))
+        assert np.array_equal(got, _seed_broadcast(pts, 2, _FixedDraws([u])))
 
 
 def test_kmeans_rejects_overflowing_distances():
     pts = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]])
-    with pytest.raises(ValueError, match="overflow"):
-        _seeded(pts, 2, 0)
-    rngs = [np.random.default_rng([0, k, a]) for k in (1, 2, 3) for a in range(3)]
-    with pytest.raises(ValueError, match="overflow"):
-        clustering._kmeanspp_seeds(pts, 3, rngs)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="overflow"):
+            _seeded(pts, k, 0)
 
 
-def _random_blocks():
-    rng = np.random.default_rng(27)
-    for _ in range(25):
-        n = int(rng.integers(2, 200))
-        scale = 10.0 ** rng.uniform(-3, 4.5)
-        k_first = int(rng.integers(1, n + 1))
-        yield rng.uniform(0, scale, size=(n, 2)), k_first, min(k_first + 5, n)
-
-
-def _collapsing_blocks():
-    # five distinct spots under co-located sensors: a row's mass collapses
-    # once it has taken all five, inside a block from 3 to 8
-    spots = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [7.0, 7.0],
-                      [30.0, 2.0]])
-    yield np.vstack([spots, np.repeat(spots[:1], 3, axis=0)]), 3, 8
-    yield np.repeat(spots, 4, axis=0), 3, 8
-    # all co-located: every row collapses at its first step
-    yield np.full((9, 2), 4.0), 1, 9
-    yield from ((pts, 2, k) for pts, k in _lattice_instances())
-
-
-def _block_rows_match_their_own_k(s, pts, k_first, k_last):
-    """Seeds the block k_first..k_last together; returns its (k, attempt)
-    rows, each checked against the seeding of its own k alone."""
-    rows = [(k, a) for k in range(k_first, k_last + 1) for a in range(3)]
-    seeds = clustering._kmeanspp_seeds(
-        pts, k_last, [np.random.default_rng([s, k, a]) for k, a in rows])
-    for got, (k, a) in zip(seeds, rows):
-        alone = clustering._kmeanspp_seeds(
-            pts, k, [np.random.default_rng([s, k, a])])[0]
-        assert np.array_equal(got[:k], alone)
-    return rows
-
-
-def test_block_seeding_rows_are_the_seedings_of_their_own_k():
-    for s, (pts, k_first, k_last) in enumerate(_random_blocks()):
-        _block_rows_match_their_own_k(s, pts, k_first, k_last)
-    collapsed_mid_block = False
-    for s, (pts, k_first, k_last) in enumerate(_collapsing_blocks()):
-        for k, a in _block_rows_match_their_own_k(s, pts, k_first, k_last):
-            collapsed = []
-            _seed_broadcast(pts, k_last, np.random.default_rng([s, k, a]),
-                            collapsed)
-            collapsed_mid_block |= (bool(collapsed)
-                                    and k_first < collapsed[0] < k_last)
-    # some row's mass collapses after the block's first k and before its last
-    assert collapsed_mid_block
-
-
-def _cluster_one_k_at_a_time(scenario, radii):
-    """The k search seeding each cluster count on its own, through the
-    `rng.choice` reference: k from the floor upward, three attempts each."""
+def _warm_split_reference(scenario, radii):
+    """The k search written out: one `rng.choice` seeding at the floor, then
+    one Lloyd run per cluster count, each from the last run's centroids
+    plus one split sensor. Returns the kinds of split made ("radius" or
+    "cap"), the labels, CPs and hovers."""
     points, n = scenario.sensor_positions, scenario.n_sensors
-    k_min = max(math.ceil(n / scenario.n_th),
-                len(clustering._packing_set(points, radii.r_g2u_m)))
-    for k in range(k_min, n + 1):
-        for attempt in range(3):
-            rng = np.random.default_rng([scenario.rng_seed, k, attempt])
-            init = _seed_broadcast(points, k, rng)
-            labels, cps = kmeans_cluster(points, k, init=init)
-            sizes = np.bincount(labels, minlength=k)
-            dists = np.hypot(*(points - cps[labels]).T)
-            if (sizes.min() >= 1 and sizes.max() <= scenario.n_th
-                    and dists.max() <= radii.r_g2u_m):
-                bits = scenario.sensor_data_bits
-                hover = [clustering.min_hover_time(
-                    points[labels == j], bits[labels == j], cps[j],
-                    scenario.params) for j in range(k)]
-                return k - k_min, labels, cps, np.array(hover)
-    raise AssertionError("reference found no feasible cluster count")
+    r, n_th = radii.r_g2u_m, scenario.n_th
+    k = max(math.ceil(n / n_th),
+            len(clustering._packing_set(points, r)))
+    init = _seed_broadcast(points, k,
+                           np.random.default_rng([scenario.rng_seed, k, 0]))
+    splits = []
+    while True:
+        labels, cps = kmeans_cluster(points, k, init=init)
+        dists = np.hypot(*(points - cps[labels]).T).tolist()
+        sizes = [labels.tolist().count(j) for j in range(k)]
+        beyond = [i for i in range(n) if dists[i] > r]
+        if not beyond and max(sizes) <= n_th:
+            break
+        if beyond:
+            splits.append("radius")
+            candidates = range(n)
+        else:
+            splits.append("cap")
+            largest = sizes.index(max(sizes))
+            candidates = [i for i in range(n) if labels[i] == largest]
+        # the farthest, first index on ties
+        far = max(candidates, key=lambda i: (dists[i], -i))
+        init = np.vstack([cps, points[far]])
+        k += 1
+    kept = [j for j in range(k) if sizes[j]]
+    labels = np.array([kept.index(j) for j in labels.tolist()])
+    cps = cps[kept]
+    bits = scenario.sensor_data_bits
+    hover = [clustering.min_hover_time(points[labels == j], bits[labels == j],
+                                       cps[j], scenario.params)
+             for j in range(len(kept))]
+    return splits, labels, cps, np.array(hover)
 
 
-def test_k_search_by_blocks_matches_one_k_at_a_time():
-    offsets = set()
+def test_k_search_matches_the_written_out_warm_split():
+    kinds = set()
     fields = [(120, 6000.0, seed) for seed in range(8)]
     fields += [(200, 8000.0, 1), (200, 8000.0, 3), (5, 16000.0, 0)]
-    for n, size, seed in fields:
-        sc = generate_scenario(size, size, n, seed=seed)
+    scenarios = [generate_scenario(size, size, n, seed=seed)
+                 for n, size, seed in fields]
+    # dense fields under a small member cap: the cap splits
+    scenarios += [dataclasses.replace(
+        generate_scenario(2000.0, 2000.0, 150, seed=seed), n_th=8)
+        for seed in range(3)]
+    # clumps: co-located members tie for the farthest
+    scenarios += _split_fields()
+    for sc in scenarios:
         radii = coverage_radii(sc.params, sc.bs_height_m)
         got = cluster_sensors(sc, radii)
-        offset, labels, cps, hover = _cluster_one_k_at_a_time(sc, radii)
-        offsets.add(offset % clustering._K_BLOCK)
+        splits, labels, cps, hover = _warm_split_reference(sc, radii)
+        kinds.add(tuple(sorted(set(splits))))
         assert got.labels.tobytes() == labels.tobytes()
         assert got.cps.tobytes() == cps.tobytes()
         assert got.hover_s.tobytes() == hover.tobytes()
-    # accepted at the first and at the last cluster count of a block
-    assert {0, clustering._K_BLOCK - 1} <= offsets
+    # accepted at the floor, after radius splits alone, and after cap splits
+    assert {(), ("radius",)} <= kinds
+    assert any("cap" in kind for kind in kinds)
+
+
+def _spy_kmeans(monkeypatch):
+    """Records (k, init, labels, centroids) of every k-means run."""
+    real, runs = clustering.kmeans_cluster, []
+
+    def spy(points, k, init):
+        labels, cents = real(points, k, init)
+        runs.append((k, np.array(init), labels, cents))
+        return labels, cents
+
+    monkeypatch.setattr(clustering, "kmeans_cluster", spy)
+    return runs
+
+
+def _split_fields():
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        n = int(rng.integers(2, 300))
+        size = float(rng.uniform(500, 16000))
+        sc = generate_scenario(size, size, n, seed=int(rng.integers(1000)))
+        n_th = int(rng.integers(1, 40))
+        if rng.random() < 0.5:
+            # clumps: up to n_th sensors on each of a few spots
+            spots = rng.uniform(0, size, size=(n, 2))
+            per_spot = int(rng.integers(1, n_th + 1))
+            positions = spots[np.arange(n) // per_spot]
+            sc = dataclasses.replace(sc, sensor_positions=positions)
+        yield dataclasses.replace(sc, n_th=n_th)
+
+
+def test_split_sensor_never_sits_on_a_centroid(monkeypatch):
+    runs = _spy_kmeans(monkeypatch)
+    splits = 0
+    for sc in _split_fields():
+        runs.clear()
+        radii = coverage_radii(sc.params, sc.bs_height_m)
+        clusters = cluster_sensors(sc, radii)
+        assert check_cluster_set(sc, clusters, radii) == []
+        for (k, _, _, cents), (next_k, init, _, _) in zip(runs, runs[1:]):
+            assert next_k == k + 1
+            assert np.array_equal(init[:k], cents)
+            assert np.hypot(*(cents - init[k]).T).min() > 0
+            splits += 1
+    assert splits > 100
+
+
+def test_empty_clusters_are_dropped_and_the_labels_compacted(monkeypatch):
+    real = kmeans_cluster
+    far = 1e7
+
+    def with_an_empty_cluster(points, k, init):
+        # a centroid far outside the field takes no member
+        init = np.array(init)
+        init[1] = far
+        return real(points, k, init)
+
+    monkeypatch.setattr(clustering, "kmeans_cluster", with_an_empty_cluster)
+    runs = _spy_kmeans(monkeypatch)
+    sc = generate_scenario(6000.0, 6000.0, 120, seed=0)
+    radii = coverage_radii(sc.params, sc.bs_height_m)
+    clusters = cluster_sensors(sc, radii)
+    k, _, labels, cents = runs[-1]
+    assert (labels != 1).all() and cents[1].tolist() == [far, far]
+    assert clusters.k == k - 1
+    assert np.array_equal(clusters.labels, labels - (labels > 1))
+    assert np.array_equal(clusters.cps, np.delete(cents, 1, axis=0))
+    assert set(clusters.labels.tolist()) == set(range(clusters.k))
+    assert len(clusters.hover_s) == clusters.k
+    assert check_cluster_set(sc, clusters, radii) == []
+
+
+def test_k_search_ends_at_n_with_the_infeasible_message(monkeypatch):
+    runs = []
+
+    def one_cluster(points, k, init):
+        # every sensor in cluster 0, at their mean: over the cap at every k
+        runs.append((k, np.array(init)))
+        centroids = np.array(init, dtype=float)
+        centroids[0] = points.mean(axis=0)
+        return np.zeros(len(points), dtype=int), centroids
+
+    monkeypatch.setattr(clustering, "kmeans_cluster", one_cluster)
+    # a 4 x 3 lattice in shuffled order: its four corners tie for the
+    # farthest from the mean, so every split takes the first of them
+    lattice = np.array([[x, y] for x in (0.0, 100.0, 200.0, 300.0)
+                        for y in (0.0, 100.0, 200.0)])
+    order = np.random.default_rng(31).permutation(12)
+    positions = lattice[order]
+    corner = min(np.flatnonzero(np.isin(order, [0, 2, 9, 11])))
+    sc = dataclasses.replace(generate_scenario(300.0, 300.0, 12, seed=0),
+                             sensor_positions=positions, n_th=5)
+    radii = coverage_radii(sc.params, sc.bs_height_m)
+    message = (f"no cluster count up to 12 keeps every cluster within "
+               f"{radii.r_g2u_m:.1f} m of its CP and at most n_th=5 sensors")
+    with pytest.raises(clustering.InfeasibleClusteringError) as exc:
+        cluster_sensors(sc, radii)
+    assert str(exc.value) == message
+    assert [k for k, _ in runs] == list(range(3, 13))
+    assert corner > 0
+    for _, init in runs[1:]:
+        assert init[-1].tolist() == positions[corner].tolist()
 
 
 def test_colocated_sensors_over_the_member_cap_fail_before_the_k_search(
@@ -577,6 +634,19 @@ def test_colocated_sensors_over_the_member_cap_fail_before_the_k_search(
         cluster_sensors(sc, radii)
     assert str(exc.value) == message
     assert calls == []
+
+
+def test_underflowing_squares_end_in_the_typed_error():
+    # four positions 1e-162 m apart, 25 sensors each: their squared distances
+    # underflow to 0, so the seeding's mass collapses at the second draw and
+    # every sensor ties for the first centroid at every k
+    sc = generate_scenario(100.0, 100.0, 100, seed=0)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    sc = dataclasses.replace(sc, sensor_positions=np.tile(corners, (25, 1))
+                             * 1e-162, n_th=30)
+    radii = coverage_radii(sc.params, sc.bs_height_m)
+    with pytest.raises(clustering.InfeasibleClusteringError):
+        cluster_sensors(sc, radii)
 
 
 def test_packing_set_is_pairwise_apart_and_maximal():
@@ -620,18 +690,22 @@ def test_sensors_two_radii_apart_share_one_cluster():
 
 
 def test_packing_floor_skips_only_infeasible_k(monkeypatch):
+    runs = _spy_kmeans(monkeypatch)
     for seed in range(3):
         sc = generate_scenario(16000.0, 16000.0, 100, seed=seed)
         radii = coverage_radii(sc.params, sc.bs_height_m)
         floor = len(clustering._packing_set(sc.sensor_positions, radii.r_g2u_m))
         assert floor > math.ceil(sc.n_sensors / sc.n_th)
-        with_floor = cluster_sensors(sc, radii)
+        runs.clear()
+        assert cluster_sensors(sc, radii).k >= floor
+        assert runs[0][0] == floor
+        # without the floor, the search starts at ceil(N / n_th) and rejects
+        # every cluster count below the floor
+        runs.clear()
         with monkeypatch.context() as m:
             m.setattr(clustering, "_packing_set", lambda points, r: [])
-            without = cluster_sensors(sc, radii)
-            assert np.array_equal(without.labels, with_floor.labels)
-            assert np.array_equal(without.cps, with_floor.cps)
-            assert np.array_equal(without.hover_s, with_floor.hover_s)
+            assert cluster_sensors(sc, radii).k >= floor
+        assert runs[0][0] == math.ceil(sc.n_sensors / sc.n_th)
 
 
 def test_kmeans_rejects_bad_k():
