@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CoverageRadii, min_hover_time
+from .channel import COVERAGE_TOL_M, CoverageRadii, min_hover_time
 from .model import InfeasibleError, Scenario
 
 _LLOYD_MAX_ITER = 300
@@ -295,7 +295,7 @@ def check_cluster_set(scenario: Scenario, cluster_set: ClusterSet,
         if len(pts) > scenario.n_th:
             problems.append(f"cluster {j} holds {len(pts)} > n_th members")
         d = np.hypot(*(pts - cp).T)
-        if d.max() > radii.r_g2u_m + 1e-6:
+        if d.max() > radii.r_g2u_m + COVERAGE_TOL_M:
             problems.append(f"cluster {j} member beyond coverage radius")
         centroid = pts.mean(axis=0)
         if np.hypot(*(centroid - cp)) > 1e-6:

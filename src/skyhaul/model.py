@@ -148,12 +148,11 @@ class Scenario:
 
 
 def generate_scenario(width_m: float, height_m: float, n_sensors: int,
-                      data_bits: float = DEFAULT_DATA_BITS,
                       params: ChannelParams | None = None,
-                      seed: int = 0, *,
-                      n_th: int = 60, v_max_mps: float = 30.0,
-                      d_safe_m: float = 30.0, bs_height_m: float = 20.0) -> Scenario:
-    """Uniform sensor field over [0,w]x[0,h] with the BS at the origin corner."""
+                      seed: int = 0) -> Scenario:
+    """Uniform sensor field over [0,w]x[0,h] with the BS at the origin corner,
+    20 m high. Each sensor holds DEFAULT_DATA_BITS; a CP serves at most 60
+    sensors, UAVs fly at 30 m/s and keep 30 m apart."""
     if not (isinstance(n_sensors, numbers.Integral) and n_sensors >= 1):
         raise ScenarioError(f"n_sensors must be a positive integer, got {n_sensors!r}")
     if seed < 0:
@@ -162,13 +161,13 @@ def generate_scenario(width_m: float, height_m: float, n_sensors: int,
     rng = np.random.default_rng(seed)
     return Scenario(
         region_width_m=float(width_m), region_height_m=float(height_m),
-        bs_position_m=(0.0, 0.0), bs_height_m=float(bs_height_m),
+        bs_position_m=(0.0, 0.0), bs_height_m=20.0,
         sensor_ids=np.arange(n_sensors, dtype=np.int64),
         sensor_positions=(rng.uniform(0.0, 1.0, size=(n_sensors, 2))
                           * [width_m, height_m]),
-        sensor_data_bits=np.full(n_sensors, float(data_bits)),
-        params=params, n_th=int(n_th),
-        v_max_mps=float(v_max_mps), d_safe_m=float(d_safe_m), rng_seed=int(seed),
+        sensor_data_bits=np.full(n_sensors, DEFAULT_DATA_BITS),
+        params=params, n_th=60, v_max_mps=30.0, d_safe_m=30.0,
+        rng_seed=int(seed),
     )
 
 

@@ -4,8 +4,8 @@ Builds the global step sequence around the pacing ring (largest tour-plus-
 hover time). Ring pairs are processed outward from it: CPs of the ring being
 attached are matched to collect steps of the already-fixed ring so both UAVs
 collect simultaneously; unmatched CPs get a minimal-detour waypoint inserted
-into the fixed ring's path; every remaining hole is an escort position that
-keeps the relay chain connected without slowing the pace.
+into the fixed ring's closed path; every remaining hole is an escort position
+that keeps the relay chain connected without slowing the pace.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan, _longest_legs, ring_serial_s
+from .mission import DIST_TOL_M, MissionPlan, _longest_legs, ring_serial_s
 from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
 
-_TOL_M = 1e-6
 _HOP_TOL_M = 1e-9
 
 
@@ -220,7 +219,8 @@ def _minimise(foci, seeds, annuli) -> tuple[float, float] | None:
     pts = list(seeds) + _arc_minima(foci, circles)
     for (c1, r1), (c2, r2) in itertools.combinations(circles, 2):
         pts += _crossings(c1, r1, c2, r2)
-    bounds = [(c[0], c[1], lo - _TOL_M, hi + _TOL_M) for c, lo, hi in annuli]
+    bounds = [(c[0], c[1], lo - DIST_TOL_M, hi + DIST_TOL_M)
+              for c, lo, hi in annuli]
     best, least = None, math.inf
     for x, y in pts:
         for cx, cy, lo, hi in bounds:
@@ -326,72 +326,63 @@ def advance_point(prev, anchor, target, budget_m: float, r_link: float,
 
 def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
                       ring_ref, bs, r_u2u, d_safe, meta):
-    """Give every unmatched attach-ring CP its own step, placed on the fixed
-    ring's path between the surrounding match anchors with minimal detour.
-    The fixed UAV collects nothing there, so it only keeps radial order with
-    the CP (`_radial_band`), not its own annulus. An anchor's step is the row
-    collecting its CP, which stays right as steps are inserted. Returns the
-    grown `pos` and `duty`."""
-    last = None
+    """Give every unmatched attach-ring CP its own step on the fixed ring's
+    path, read as a cycle: edge s runs from step s to step (s + 1) mod S, so
+    a pick on the closing edge appends the step. The window runs from the
+    step of the CP placed just before this one in the cyclic attach order
+    (before any insertion, the last anchor, a matched CP) to the step of the
+    next anchor, wrapping to the first; it is the whole cycle when those
+    coincide or nothing is matched. Each edge costs its detour plus however
+    much of the attach UAV's jumps in and out the legs either side cannot
+    absorb. The fixed UAV collects nothing there, so it only keeps radial
+    order with the CP (`_radial_band`). A step is found by the CP it
+    collects, which stays right as steps are inserted. Returns the grown
+    `pos` and `duty`."""
+    prev = next((int(adj_ids[a]) for a in reversed(order) if a in matched),
+                None)
     for t, a_local in enumerate(order):
         cp_id = int(adj_ids[a_local])
         if a_local in matched:
-            last = cp_id
+            prev = cp_id
             continue
-        after = next((int(adj_ids[b]) for b in order[t + 1:] if b in matched),
-                     None)
+        nxt = next((int(adj_ids[b]) for b in order[t + 1:] + order[:t]
+                    if b in matched), None)
         cp = cps[cp_id].tolist()
-        band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
         col = duty[:, adj]
-        lo = int(np.flatnonzero(col == last)[0]) if last is not None else -1
-        hi = (int(np.flatnonzero(col == after)[0]) if after is not None
-              else len(pos) - 1)
-        s_lo, s_hi = max(lo, 0), hi - 1
-        if s_hi < s_lo:
-            s_lo, s_hi = max(lo, 0), len(pos) - 2
-        if s_hi < s_lo:
-            # empty window: no matched anchor follows and the last anchor is
-            # the final step (or the path is one step long), so park the
-            # fixed UAV next to the CP; p3_calls and detour_m skip this step
-            q = nearest_chain_point(pos[0, ref].tolist(), cp, r_u2u, d_safe,
-                                    band, bs)
-            at = max(lo, 0) + 1
-        else:
-            # cost each window edge: fixed-ring detour plus however much of
-            # the attach UAV's in/out jumps the intervening legs cannot absorb
-            refpath = pos[:, ref]
-            ref_legs = np.hypot(*(refpath - np.roll(refpath, 1, axis=0)).T)
-            path = refpath.tolist()
-            jump_in = None if last is None else _dist(cps[last].tolist(), cp)
-            jump_out = None if after is None else _dist(cp, cps[after].tolist())
-            best = None
-            for s in range(s_lo, s_hi + 1):
-                res = p3_waypoint(cp, path[s], path[s + 1], r_u2u, d_safe,
-                                  band, bs)
-                if res is None:
-                    continue
-                cost = res.detour_m
-                if jump_in is not None:
-                    slack = float(ref_legs[lo + 1:s + 1].sum())
-                    cost += max(0.0, jump_in - slack)
-                if jump_out is not None:
-                    slack = float(ref_legs[s + 1:hi + 1].sum())
-                    cost += max(0.0, jump_out - slack)
-                if best is None or cost < best[0] - 1e-9:
-                    best = (cost, s, res)
-            if best is None:
-                raise InfeasibleWaypointError(
-                    f"no feasible detour for CP {cp_id} on the fixed path")
-            _, s, res = best
-            meta["p3_calls"] += 1
-            meta["detour_m"] += res.detour_m
-            q = res.point
-            at = s + 1
+        # each end's step and attach CP; with nothing placed, step 0 and the
+        # CP itself, so a missing end costs no jump
+        lo, p_in = ((int(np.flatnonzero(col == prev)[0]), cps[prev].tolist())
+                    if prev is not None else (0, cp))
+        hi, p_out = ((int(np.flatnonzero(col == nxt)[0]), cps[nxt].tolist())
+                     if nxt is not None else (lo, cp))
+        span = (hi - lo - 1) % len(pos) + 1
+        path = np.roll(pos[:, ref], -lo, axis=0)
+        # legs[i]: the fixed ring's leg from path[i] to path[i + 1], cyclically
+        legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
+        pts = path.tolist() + path[:1].tolist()
+        jump_in, jump_out = _dist(p_in, cp), _dist(cp, p_out)
+        band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
+        best = None
+        for i in range(span):
+            res = p3_waypoint(cp, pts[i], pts[i + 1], r_u2u, d_safe, band, bs)
+            if res is None:
+                continue
+            cost = (res.detour_m
+                    + max(0.0, jump_in - float(legs[:i].sum()))
+                    + max(0.0, jump_out - float(legs[i:span].sum())))
+            if best is None or cost < best[0] - 1e-9:
+                best = (cost, i, res)
+        if best is None:
+            raise InfeasibleWaypointError(
+                f"no feasible detour for CP {cp_id} on the fixed path")
+        _, i, res = best
+        at = (lo + i) % len(pos) + 1
         pos = np.insert(pos, at, np.nan, axis=0)
         duty = np.insert(duty, at, -1, axis=0)
-        pos[at, ref], pos[at, adj], duty[at, adj] = q, cp, cp_id
-        last = cp_id
+        pos[at, ref], pos[at, adj], duty[at, adj] = res.point, cp, cp_id
+        prev = cp_id
         meta["generated_waypoints"] += 1
+        meta["detour_m"] += res.detour_m
     return pos, duty
 
 
@@ -548,7 +539,6 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         "pairs_relaxed": 0,
         "generated_waypoints": 0,
         "pair_processings": 0,
-        "p3_calls": 0,
         "detour_m": 0.0,
         "escorts": 0,
     }

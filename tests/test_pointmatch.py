@@ -11,7 +11,7 @@ from conftest import build_instance
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.cli import prepare
-from skyhaul.mission import evaluate, lower_bound
+from skyhaul.mission import DIST_TOL_M, evaluate, lower_bound
 from skyhaul.model import Scenario
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
@@ -385,8 +385,11 @@ def test_plan_single_ring_hits_lower_bound():
     assert plan.meta["pair_processings"] == 0
 
 
-def test_plan_two_rings_pacing_invariant():
-    scenario, radii, cluster_set, topology = build_instance(150, 4000.0, 3)
+@pytest.mark.parametrize("field, appends", [((150, 4000.0, 3), False),
+                                            ((200, 5000.0, 11), True)],
+                         ids=["n150-s3", "n200-s11"])
+def test_plan_two_rings_pacing_invariant(field, appends):
+    scenario, radii, cluster_set, topology = build_instance(*field)
     assert topology.m_uavs == 2
     plan = pointmatch.plan(scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
@@ -400,6 +403,19 @@ def test_plan_two_rings_pacing_invariant():
     tour = solve_tsp(cluster_set.cps[topology.association == pacing])
     assert flown == pytest.approx(tour.length_m + plan.meta["detour_m"],
                                   rel=1e-9)
+    if appends:
+        # the last attach CP follows the last anchor, which sits at the final
+        # step: its step goes on the closing edge, after the final step
+        attach = 1 - pacing
+        assert len(w) == 4 and plan.duties[-1, pacing] == -1
+        cp = cluster_set.cps[plan.duties[-1, attach]].tolist()
+        path, bs = w[:-1, pacing].tolist(), scenario.bs_xy.tolist()
+        band = pointmatch._radial_band(pacing, attach, cp,
+                                       topology.rings[pacing], bs,
+                                       scenario.d_safe_m)
+        res = p3_waypoint(cp, path[-1], path[0], radii.r_u2u_m,
+                          scenario.d_safe_m, band, bs)
+        assert tuple(w[-1, pacing].tolist()) == res.point
 
 
 def test_plan_three_rings_valid():
@@ -436,9 +452,9 @@ def test_plan_escorts_through_an_empty_middle_ring(default_params,
     # the loop ends on pmtp's plan
     assert {k: plan.meta[k] for k in (
         "pair_processings", "pairs_matched", "pairs_relaxed",
-        "generated_waypoints", "p3_calls", "escorts")} == {
+        "generated_waypoints", "escorts")} == {
         "pair_processings": 2, "pairs_matched": 0, "pairs_relaxed": 0,
-        "generated_waypoints": 1, "p3_calls": 0, "escorts": 2}
+        "generated_waypoints": 1, "escorts": 2}
 
 
 def _annulus_grid(center, r_lo, r_hi):
@@ -727,7 +743,7 @@ def reference_minimise(foci, seeds, annuli) -> np.ndarray | None:
     ok = np.ones(len(pts), dtype=bool)
     for c, lo, hi in annuli:
         d = np.hypot(*(pts - c).T)
-        ok &= (d >= lo - pointmatch._TOL_M) & (d <= hi + pointmatch._TOL_M)
+        ok &= (d >= lo - DIST_TOL_M) & (d <= hi + DIST_TOL_M)
     best = int(np.argmin(np.where(ok, _cost(pts, foci), np.inf)))
     return pts[best].copy() if ok[best] else None
 
@@ -802,7 +818,7 @@ def test_float_solver_matches_the_array_reference():
         if _segment_meets(foci, annuli):
             ties += 1
             foci = np.asarray(foci, dtype=float)
-            assert _feasible(np.asarray(q), annuli, pointmatch._TOL_M)
+            assert _feasible(np.asarray(q), annuli, DIST_TOL_M)
             assert float(_cost(q, foci)) == pytest.approx(
                 float(_cost(ref, foci)), rel=0.0, abs=1e-9)
         else:
