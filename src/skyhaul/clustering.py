@@ -243,8 +243,12 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
                f"{radii.r_g2u_m:.1f} m of its CP and at most "
                f"n_th={scenario.n_th} sensors")
     # sensors at one position have the same exact rows, so they share every
-    # label: more than n_th of them overfill a cluster at every k
-    if np.unique(points, axis=0, return_counts=True)[1].max() > scenario.n_th:
+    # label: more than n_th of them overfill a cluster at every k. Sorted by
+    # both coordinates, each position is one run of rows.
+    rows = points[np.lexsort((points[:, 1], points[:, 0]))]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (rows[1:] != rows[:-1]).any(axis=1), [True]]))
+    if np.diff(starts).max() > scenario.n_th:
         raise InfeasibleClusteringError(message)
     k = max(math.ceil(n / scenario.n_th),
             len(_packing_set(points, radii.r_g2u_m)))

@@ -69,22 +69,28 @@ def _longest_legs(w: np.ndarray) -> np.ndarray:
     return np.hypot(*np.moveaxis(w - prev, 2, 0)).max(axis=1)
 
 
+def _step_hovers(plan: MissionPlan, cp_hover_s: np.ndarray) -> np.ndarray:
+    """(S,) each step's hover: the largest demand among the known CPs it
+    collects, 0.0 if none."""
+    duty = plan.duties
+    known = (duty >= 0) & (duty < len(cp_hover_s))
+    demand = np.zeros(duty.shape)
+    demand[known] = cp_hover_s[duty[known]]
+    return demand.max(axis=1)
+
+
 def step_times(plan: MissionPlan, cp_hover_s: np.ndarray,
                v: float) -> tuple[np.ndarray, np.ndarray]:
     """The least schedule of the plan, as (S,) hover and (S,) flight: each
     step hovers the largest demand among the known CPs it collects (0.0 if
     none) and flies its longest leg at v."""
-    duty = plan.duties
-    known = (duty >= 0) & (duty < len(cp_hover_s))
-    demand = np.zeros(duty.shape)
-    demand[known] = cp_hover_s[duty[known]]
-    return demand.max(axis=1), _longest_legs(plan.waypoints) / v
+    return _step_hovers(plan, cp_hover_s), _longest_legs(plan.waypoints) / v
 
 
 def completion_time(plan: MissionPlan, cp_hover_s: np.ndarray,
                     v: float) -> Timing:
     """Mission duration: synchronized flight legs plus shared hovers."""
-    hovers, _ = step_times(plan, cp_hover_s, v)
+    hovers = _step_hovers(plan, cp_hover_s)
     # the legs are summed before the division, which rounds differently
     # from summing each step's seconds
     flight = float(_longest_legs(plan.waypoints).sum()) / v
@@ -155,19 +161,18 @@ def _check_collision(w: np.ndarray, d_safe: float) -> CheckResult:
     if m == 1:
         return CheckResult("collision", True, "single UAV")
     prev = np.roll(w, 1, axis=0)
-    problems = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = prev[:, i, :] - prev[:, j, :]
-            d = w[:, i, :] - w[:, j, :] - a
-            dd = (d * d).sum(axis=1)
-            t = np.clip(-(a * d).sum(axis=1) / np.where(dd > 0, dd, 1.0),
-                        0.0, 1.0)
-            closest = np.hypot(*(a + t[:, None] * d).T)
-            bad = np.flatnonzero(~(closest >= d_safe - DIST_TOL_M))
-            if bad.size:
-                problems.append(f"UAVs {i}/{j} close to {closest[bad[0]]:.1f} m "
-                                f"on the leg into step {bad[0]}")
+    # every pair (i, j), i < j, in row-major order, as (S, pairs, 2) arrays
+    i, j = np.triu_indices(m, 1)
+    a = prev[:, i, :] - prev[:, j, :]
+    d = w[:, i, :] - w[:, j, :] - a
+    dd = (d * d).sum(axis=2)
+    t = np.clip(-(a * d).sum(axis=2) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+    closest = np.hypot(*np.moveaxis(a + t[..., None] * d, 2, 0))
+    bad = ~(closest >= d_safe - DIST_TOL_M)
+    problems = [f"UAVs {i[p]}/{j[p]} close to {closest[s, p]:.1f} m "
+                f"on the leg into step {s}"
+                for p in np.flatnonzero(bad.any(axis=0))
+                for s in [int(bad[:, p].argmax())]]
     return _result("collision", problems,
                    f"all pairs keep {d_safe:.0f} m separation")
 

@@ -324,6 +324,31 @@ def advance_point(prev, anchor, target, budget_m: float, r_link: float,
     return q
 
 
+def _detour_floor(p_k, e1, e2, r_u2u: float) -> float:
+    """A lower bound on `p3_waypoint(p_k, e1, e2, ...).detour_m`.
+
+    Every waypoint lies within r_u2u (plus the solver's DIST_TOL_M) of p_k,
+    so at least h = |p_k, segment| - r_u2u - DIST_TOL_M from the segment.
+    A point q with |q - e1| + |q - e2| = L + detour lies within the ellipse
+    of foci e1, e2, whose farthest points from the segment are its
+    co-vertices, sqrt(((L + detour) / 2)^2 - L^2 / 4) away; hence detour >=
+    sqrt(L^2 + 4 h^2) - L, written without the cancellation. The margin
+    taken off covers the rounding of both this bound and the detour, a few
+    ulps of the coordinates and of L."""
+    (px, py), (x1, y1), (x2, y2) = p_k, e1, e2
+    bx, by = x2 - x1, y2 - y1
+    bb = bx * bx + by * by
+    t = (min(max(((px - x1) * bx + (py - y1) * by) / bb, 0.0), 1.0)
+         if bb > 0.0 else 0.0)
+    h = math.hypot(px - (x1 + t * bx), py - (y1 + t * by)) - r_u2u - DIST_TOL_M
+    if h <= 0.0:
+        return 0.0
+    length = math.sqrt(bb)
+    margin = 1e-9 * (1.0 + abs(px) + abs(py) + length)
+    return max(4.0 * h * h / (math.sqrt(bb + 4.0 * h * h) + length) - margin,
+               0.0)
+
+
 def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
                       ring_ref, bs, r_u2u, d_safe, meta):
     """Give every unmatched attach-ring CP its own step on the fixed ring's
@@ -334,7 +359,9 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
     next anchor, wrapping to the first; it is the whole cycle when those
     coincide or nothing is matched. Each edge costs its detour plus however
     much of the attach UAV's jumps in and out the legs either side cannot
-    absorb. The fixed UAV collects nothing there, so it only keeps radial
+    absorb; an edge is solved only if those penalties plus `_detour_floor`
+    could still beat the best edge so far, so the pick is that of solving
+    every edge. The fixed UAV collects nothing there, so it only keeps radial
     order with the CP (`_radial_band`). A step is found by the CP it
     collects, which stays right as steps are inserted. Returns the grown
     `pos` and `duty`."""
@@ -364,12 +391,18 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
         band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
         best = None
         for i in range(span):
+            pen_in = max(0.0, jump_in - float(legs[:i].sum()))
+            pen_out = max(0.0, jump_out - float(legs[i:span].sum()))
+            # float addition is monotone, so an edge whose floor already
+            # costs too much cannot cost less than best[0] - 1e-9 either
+            if best is not None and (
+                    _detour_floor(cp, pts[i], pts[i + 1], r_u2u)
+                    + pen_in + pen_out >= best[0] - 1e-9):
+                continue
             res = p3_waypoint(cp, pts[i], pts[i + 1], r_u2u, d_safe, band, bs)
             if res is None:
                 continue
-            cost = (res.detour_m
-                    + max(0.0, jump_in - float(legs[:i].sum()))
-                    + max(0.0, jump_out - float(legs[i:span].sum())))
+            cost = res.detour_m + pen_in + pen_out
             if best is None or cost < best[0] - 1e-9:
                 best = (cost, i, res)
         if best is None:

@@ -2,14 +2,15 @@
 all k CPs.
 
 Nearest-neighbour tours from every start, each polished by first-improvement
-2-opt (Croes 1958); the shortest is kept. The nearest-neighbour starts run in
-lockstep and each 2-opt step is one array scan over the remaining moves, so a
-solve makes O(moves) numpy calls. The result is move for move that of the
-scalar double loop, which the tests keep as the reference.
+2-opt (Croes 1958); the shortest is kept. The starts run in lockstep through
+both: a 2-opt step scans a fixed window of candidate moves for every
+unfinished tour at once. The result is move for move that of the scalar
+double loop, which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,52 +44,101 @@ def _nearest_neighbours(dist: np.ndarray) -> np.ndarray:
     return orders
 
 
+_WINDOW = 128
+
+
+@functools.lru_cache(maxsize=64)
+def _moves(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The 2-opt candidates (i, j) of an n-point tour in row-major order,
+    padded by one scan window of repeats of the last, and the window."""
+    i, j = np.triu_indices(n, 2)
+    keep = (i != 0) | (j != n - 1)          # (0, n-1) is the same edge
+    i, j = i[keep], j[keep]
+    window = min(_WINDOW, len(i))
+    pad = np.full(window, len(i) - 1)
+    i, j = np.concatenate([i, i[pad]]), np.concatenate([j, j[pad]])
+    i.flags.writeable = j.flags.writeable = False      # shared by every call
+    return i, j, window
+
+
 def _two_opt(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """First-improvement 2-opt of each row of `orders`, in place.
 
     The candidate moves (i, j), which reverse tour positions i+1..j, are
-    taken in row-major order. From scan position `p`, every remaining
-    candidate is evaluated on the current order at once and the first
-    improving one is applied; since nothing moves between `p` and that hit,
-    this makes the moves of the scalar double loop over i < j, and each
-    delta is the same sum of the same four distances. Passes repeat until
-    one starts from an order an earlier pass started from: a pass with no
-    move, or a cycle, which rounding makes possible where points coincide
-    (a move and its reverse can both show a delta below -1e-12).
+    taken in row-major order. All rows step in lockstep: each evaluates the
+    next `_WINDOW` candidates from its own scan position on its current
+    order, its distances gathered through the order from `dist`, and
+    applies the first improving one, or advances by the window. Since
+    nothing moves between a row's scan position and its first hit, that hit
+    is the first of the whole remaining pass, so these are the moves of the
+    scalar double loop over i < j, and each delta is the same sum of the
+    same four distances. Passes repeat until one starts from an order an
+    earlier pass started from: a pass with no move, or a cycle, which
+    rounding makes possible where points coincide (a move and its reverse
+    can both show a delta below -1e-12).
     """
-    n = orders.shape[1]
-    i, j = np.triu_indices(n, 2)
-    keep = (i != 0) | (j != n - 1)          # (0, n-1) is the same edge
-    i, j = i[keep], j[keep]
-    if not len(i):
-        return orders                       # n <= 3: no move changes a tour
-    k = np.arange(n)
-    # flat indices into the (n, n) distances between tour positions
-    edges = k * n + (k + 1) % n
-    ac, bd = i * n + j, (i + 1) * n + (j + 1) % n
-    for order in orders:
-        # distances between tour positions, kept in step with `order`: a move
-        # reverses the same segment of its rows and of its columns. Contiguous,
-        # so that `flat` is a view and sees every move.
-        by_pos = np.ascontiguousarray(dist[order][:, order])
-        flat = by_pos.ravel()
-        seen = set()
-        while (start := order.tobytes()) not in seen:
-            seen.add(start)
-            p = 0
-            while True:
-                edge = flat[edges]
-                hits = np.flatnonzero(flat[ac[p:]] + flat[bd[p:]]
-                                      - edge[i[p:]] - edge[j[p:]] < -1e-12)
-                if not hits.size:
-                    break
-                p += int(hits[0])
-                seg = slice(i[p] + 1, j[p] + 1)
-                order[seg] = order[seg][::-1]
-                by_pos[seg] = by_pos[seg][::-1]
-                by_pos[:, seg] = by_pos[:, seg][:, ::-1]
-                p += 1
-    return orders
+    rows, n = orders.shape
+    if n <= 3:
+        return orders                       # no move changes a tour
+    i, j, window = _moves(n)
+    moves = len(i) - window
+    scan = np.arange(window)
+    cols = np.arange(n + 1)
+    flat_dist = dist.ravel()
+    # Per live row: the tour with its start repeated at the end, so that
+    # position j + 1 needs no modulo, and its edge lengths in tour order,
+    # padded to n + 1 so that one flat index serves both.
+    tours = np.concatenate([orders, orders[:, :1]], axis=1)
+    edges = np.zeros(tours.shape)
+    edges[:, :-1] = flat_dist[tours[:, :-1] * n + tours[:, 1:]]
+    live = np.arange(rows)                  # the row of `orders` of each tour
+    seen = [{t.tobytes()} for t in tours]
+    pos = np.zeros(rows, dtype=np.intp)
+    base = np.arange(0, rows * (n + 1), n + 1)
+    flat, flat_edges = tours.ravel(), edges.ravel()
+    while True:
+        cand = pos[:, None] + scan
+        at_i = base[:, None] + i[cand]
+        at_j = base[:, None] + j[cand]
+        hit = (flat_dist[flat[at_i] * n + flat[at_j]]
+               + flat_dist[flat[1:][at_i] * n + flat[1:][at_j]]
+               - flat_edges[at_i] - flat_edges[at_j]) < -1e-12
+        step = pos + hit.argmax(axis=1)
+        pos += window
+        h = (hit.any(axis=1) & (step < moves)).nonzero()[0]
+        if len(h):
+            step = step[h]
+            pos[h] = step + 1
+            lo, hi = i[step] + 1, j[step]
+            # every moved row reversed at once by one index permutation
+            perm = np.where((cols >= lo[:, None]) & (cols <= hi[:, None]),
+                            (lo + hi)[:, None] - cols, cols)
+            t = flat[base[h, None] + perm]
+            tours[h] = t
+            edges[h, :-1] = flat_dist[t[:, :-1] * n + t[:, 1:]]
+        if pos.max() < moves:
+            continue
+        # a pass ended: the row stops if its order started an earlier pass
+        ended = (pos >= moves).nonzero()[0].tolist()
+        pos[ended] = 0
+        done = []
+        for r in ended:
+            start = tours[r].tobytes()
+            if start in seen[r]:
+                done.append(r)
+            else:
+                seen[r].add(start)
+        if done:
+            orders[live[done]] = tours[done, :-1]
+            if len(done) == len(live):
+                return orders
+            stay = np.ones(len(live), dtype=bool)
+            stay[done] = False
+            live, tours, edges, pos = (
+                live[stay], tours[stay], edges[stay], pos[stay])
+            seen = [s for s, on in zip(seen, stay.tolist()) if on]
+            base = base[:len(live)]
+            flat, flat_edges = tours.ravel(), edges.ravel()
 
 
 def solve_tsp(points) -> Tour:

@@ -636,6 +636,32 @@ def test_colocated_sensors_over_the_member_cap_fail_before_the_k_search(
     assert calls == []
 
 
+@pytest.mark.parametrize("extra, fails", [(0, False), (1, True)])
+def test_signed_zeros_are_one_position(monkeypatch, extra, fails):
+    # 30 sensors at (0.0, 50.0) and 30 + extra at (-0.0, 50.0): equal
+    # values, so one position of 60 + extra sensors against n_th=60
+    calls = []
+
+    def no_search(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("k search")
+
+    monkeypatch.setattr(clustering, "kmeans_cluster", no_search)
+    positions = np.tile([[0.0, 50.0], [-0.0, 50.0]], (30, 1))
+    positions = np.vstack([positions, np.tile([-0.0, 50.0], (extra, 1)),
+                           np.tile([100.0, 100.0], (5, 1))])
+    sc = generate_scenario(100.0, 100.0, len(positions), seed=0)
+    sc = dataclasses.replace(sc, sensor_positions=positions, n_th=60)
+    radii = coverage_radii(sc.params, sc.bs_height_m)
+    if fails:
+        with pytest.raises(clustering.InfeasibleClusteringError):
+            cluster_sensors(sc, radii)
+        assert calls == []
+    else:
+        with pytest.raises(RuntimeError, match="k search"):
+            cluster_sensors(sc, radii)
+
+
 def test_underflowing_squares_end_in_the_typed_error():
     # four positions 1e-162 m apart, 25 sensors each: their squared distances
     # underflow to 0, so the seeding's mass collapses at the second draw and

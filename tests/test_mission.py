@@ -11,7 +11,8 @@ from conftest import build_instance, legs_connected
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.clustering import ClusterSet
-from skyhaul.mission import (MissionPlan, completion_time, evaluate,
+from skyhaul.mission import (MissionPlan, _check_collision, completion_time,
+                             evaluate,
                              lower_bound, report_to_dict, step_times, validate,
                              write_plan_csv, write_report_json)
 from skyhaul.partition import build_topology
@@ -153,6 +154,22 @@ def test_collision_check_finds_near_miss_between_samples(relay_run):
     check = _failed(plan, relay_run, "collision")
     assert not check.passed
     assert "close to 10.0 m" in check.detail
+
+
+def test_collision_check_names_each_colliding_pair_once(relay_run):
+    # UAVs 0 and 1 hold still; UAV 2 stops 25 m from UAV 0 at step 1 (and
+    # leaves it on the leg into step 2), UAV 3 sweeps past UAV 1 12 m away
+    # mid-leg into step 2. Pairs come in (i, j) order, each at its first step.
+    plan = hand_plan([
+        [(0.0, 0.0), (0.0, 1000.0), (1000.0, 0.0), (1000.0, 1000.0)],
+        [(0.0, 0.0), (0.0, 1000.0), (25.0, 0.0), (500.0, 1012.0)],
+        [(0.0, 0.0), (0.0, 1000.0), (1000.0, 0.0), (-500.0, 1012.0)],
+        [(0.0, 0.0), (0.0, 1000.0), (1000.0, 0.0), (-500.0, 2000.0)],
+    ], [(0, -1, -1, -1), (1, -1, -1, -1), (2, -1, -1, -1), (3, -1, -1, -1)])
+    check = _check_collision(plan.waypoints, 30.0)
+    assert check == ("collision", False,
+                     "UAVs 0/2 close to 25.0 m on the leg into step 1; "
+                     "UAVs 1/3 close to 12.0 m on the leg into step 2")
 
 
 @pytest.fixture(scope="module")

@@ -2,20 +2,24 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import build_instance
+from test_acceptance import _STRESS_REGIMES
 
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.cli import prepare
 from skyhaul.mission import DIST_TOL_M, evaluate, lower_bound
-from skyhaul.model import Scenario
+from skyhaul.model import ChannelParams, Scenario, apply_config_overrides
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
-                                _annuli, _arc_minima, _crossings, _minimise,
+                                _annuli, _arc_minima, _crossings,
+                                _detour_floor, _minimise,
                                 advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
 from skyhaul.tsp import solve_tsp
@@ -288,6 +292,64 @@ def test_p3_random_postconditions():
             direct = float(np.hypot(*(e2 - e1)))
             det = float(np.hypot(*(q - e1)) + np.hypot(*(q - e2))) - direct
             assert det == pytest.approx(res.detour_m, abs=1e-9)
+
+
+def _floor_cases(rng):
+    """(p_k, e1, e2, r_u2u, d_safe, ring, bs, tight): random segments and
+    annuli; segments tangent to the link circle, within a few DIST_TOL_M
+    either side; degenerate and short segments; and, `tight`, segments
+    whose midpoint is nearest p_k, where the floor is the detour itself."""
+    for t in range(900):
+        r_u2u = rng.uniform(200.0, 3000.0)
+        d_safe = rng.uniform(0.0, 0.3) * r_u2u
+        p_k = rng.uniform(-1e4, 1e4, 2)
+        ang = rng.uniform(0.0, 2 * np.pi)
+        u = np.array([np.cos(ang), np.sin(ang)])
+        normal = np.array([-u[1], u[0]])
+        kind = t % 4
+        tight = False
+        if kind == 0:
+            e1, e2 = p_k + rng.uniform(-4.0, 4.0, (2, 2)) * r_u2u
+        elif kind == 1:
+            gap = r_u2u + rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]) * DIST_TOL_M
+            foot = p_k + gap * normal
+            e1 = foot - rng.uniform(0.0, 3.0) * r_u2u * u
+            e2 = foot + rng.uniform(0.0, 3.0) * r_u2u * u
+        elif kind == 2:
+            e1 = p_k + rng.uniform(-4.0, 4.0, 2) * r_u2u
+            e2 = e1 + rng.choice([0.0, 1e-9, 1e-3, 1.0]) * u
+        else:
+            foot = p_k + (r_u2u + rng.uniform(0.0, 2.0) * r_u2u) * normal
+            half = rng.uniform(0.0, 3.0) * r_u2u
+            e1, e2 = foot - half * u, foot + half * u
+            tight = True
+        ring, bs = None, (0.0, 0.0)
+        if not tight and rng.uniform() < 0.5:
+            bs = tuple(p_k + rng.uniform(-2.0, 2.0, 2) * r_u2u)
+            near = float(np.hypot(*(p_k - bs)))
+            inner = max(near - rng.uniform(0.0, 1.0) * r_u2u, 0.0)
+            ring = Ring(inner, inner + rng.uniform(0.1, 2.0) * r_u2u)
+        yield (tuple(p_k), tuple(e1), tuple(e2), r_u2u, d_safe, ring, bs,
+               tight)
+
+
+def test_detour_floor_never_exceeds_the_detour():
+    solved = positive = 0
+    for p_k, e1, e2, r_u2u, d_safe, ring, bs, tight in _floor_cases(
+            np.random.default_rng(43)):
+        res = p3_waypoint(p_k, e1, e2, r_u2u, d_safe, ring, bs)
+        if res is None:
+            continue
+        floor = _detour_floor(p_k, e1, e2, r_u2u)
+        assert 0.0 <= floor <= res.detour_m, (p_k, e1, e2, r_u2u, d_safe,
+                                              ring, bs)
+        if tight:
+            # the optimum sits on the ellipse's co-vertex: only the margins
+            # separate the floor from the detour
+            assert res.detour_m - floor < 1e-4
+        solved += 1
+        positive += floor > 0.0
+    assert solved > 700 and positive > 300
 
 
 def test_p3_infeasible_when_ring_out_of_reach():
@@ -849,3 +911,99 @@ def test_float_solver_parts_match_the_array_reference():
         ref = np.reshape(_list_form(reference_arc_minima)(foci, circles),
                          (-1, 2))
         assert _same_points(got, ref, 1e-9)
+
+
+# The insertion before its edges were pruned: every window edge is solved
+# with `p3_waypoint`, kept as the reference the pruned loop must reproduce.
+def reference_insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids,
+                               cps, ring_ref, bs, r_u2u, d_safe, meta):
+    prev = next((int(adj_ids[a]) for a in reversed(order) if a in matched),
+                None)
+    for t, a_local in enumerate(order):
+        cp_id = int(adj_ids[a_local])
+        if a_local in matched:
+            prev = cp_id
+            continue
+        nxt = next((int(adj_ids[b]) for b in order[t + 1:] + order[:t]
+                    if b in matched), None)
+        cp = cps[cp_id].tolist()
+        col = duty[:, adj]
+        lo, p_in = ((int(np.flatnonzero(col == prev)[0]), cps[prev].tolist())
+                    if prev is not None else (0, cp))
+        hi, p_out = ((int(np.flatnonzero(col == nxt)[0]), cps[nxt].tolist())
+                     if nxt is not None else (lo, cp))
+        span = (hi - lo - 1) % len(pos) + 1
+        path = np.roll(pos[:, ref], -lo, axis=0)
+        legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
+        pts = path.tolist() + path[:1].tolist()
+        jump_in = pointmatch._dist(p_in, cp)
+        jump_out = pointmatch._dist(cp, p_out)
+        band = pointmatch._radial_band(ref, adj, cp, ring_ref, bs, d_safe)
+        best = None
+        for i in range(span):
+            res = pointmatch.p3_waypoint(cp, pts[i], pts[i + 1], r_u2u,
+                                         d_safe, band, bs)
+            if res is None:
+                continue
+            cost = (res.detour_m
+                    + max(0.0, jump_in - float(legs[:i].sum()))
+                    + max(0.0, jump_out - float(legs[i:span].sum())))
+            if best is None or cost < best[0] - 1e-9:
+                best = (cost, i, res)
+        if best is None:
+            raise InfeasibleWaypointError(
+                f"no feasible detour for CP {cp_id} on the fixed path")
+        _, i, res = best
+        at = (lo + i) % len(pos) + 1
+        pos = np.insert(pos, at, np.nan, axis=0)
+        duty = np.insert(duty, at, -1, axis=0)
+        pos[at, ref], pos[at, adj], duty[at, adj] = res.point, cp, cp_id
+        prev = cp_id
+        meta["generated_waypoints"] += 1
+        meta["detour_m"] += res.detour_m
+    return pos, duty
+
+
+def _bench_and_stress_cells():
+    """(sensors, size, seed, radio) of every bench cell, then of the 24
+    stress cells of the acceptance battery."""
+    bench = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+    for w in json.loads(bench.read_text())["workloads"].values():
+        for seed in w["seeds"]:
+            yield w["sensors"], w["size_m"], seed, w["radio"]
+    for (_, size, radio), seed in itertools.product(_STRESS_REGIMES, range(6)):
+        yield 400, size, seed, radio
+
+
+def test_pruned_insertion_matches_the_unpruned_reference(monkeypatch):
+    pruned = pointmatch._insert_unmatched
+    solver = pointmatch.p3_waypoint
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(pointmatch, "p3_waypoint", counted)
+    solves = {pruned: 0, reference_insert_unmatched: 0}
+    inserted = 0
+    for n, size, seed, radio in _bench_and_stress_cells():
+        params = apply_config_overrides(ChannelParams(), radio)
+        scenario, radii, cluster_set, topology = build_instance(
+            n, size, seed, params)
+        outcomes = []
+        for insert in solves:
+            monkeypatch.setattr(pointmatch, "_insert_unmatched", insert)
+            calls.clear()
+            try:
+                plan = pointmatch.plan(scenario, cluster_set, topology, radii)
+                outcomes.append((plan.waypoints.shape, plan.waypoints.tobytes(),
+                                 plan.duties.tolist(), plan.meta))
+            except InfeasibleWaypointError as err:
+                outcomes.append(str(err))
+            solves[insert] += len(calls)
+        assert outcomes[0] == outcomes[1], (n, size, seed, radio)
+        if not isinstance(outcomes[0], str):
+            inserted += outcomes[0][3]["generated_waypoints"]
+    assert inserted > 100
+    assert solves[pruned] < solves[reference_insert_unmatched]

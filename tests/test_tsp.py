@@ -156,3 +156,12 @@ def test_coincident_points_end():
     assert sorted(tour.order) == [0, 1, 2, 3]
     assert tour.length_m == pytest.approx(brute_force_length(pts), rel=1e-12)
     assert (tour.order, tour.length_m) == reference_solve_tsp(pts)
+
+
+def test_matches_the_scalar_reference_across_scan_windows():
+    # 80 points make 3080 candidate moves a pass, so each row's scan crosses
+    # some 24 windows and hits land at every offset within one
+    for seed in (3, 4):
+        pts = np.random.default_rng(seed).uniform(0.0, 5000.0, (80, 2))
+        tour = solve_tsp(pts)
+        assert (tour.order, tour.length_m) == reference_solve_tsp(pts)
