@@ -50,24 +50,30 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     positions = np.empty((s_count, m, 2))
     duties = np.full((s_count, m), -1)
     duties[:, m - 1] = tour.order
-    for i, cp in enumerate(tour.order):
-        c = cps[cp]
-        vec = c - bs
-        d = float(np.hypot(*vec))
-        u = vec / d if d > 0 else np.array([1.0, 0.0])
-        perp = np.array([-u[1], u[0]])
-        spacing = d / m
-        for j in range(m - 1):
-            p = bs + u * (d * (j + 1) / m)
-            if spacing < _CHAIN_PAD * d_safe:
-                # CP close to the BS: the line collapses, fan the relays out
-                sign = 1.0 if j % 2 == 0 else -1.0
-                p = p + perp * (sign * _OFFSET_GAIN * d_safe * (1 + j // 2))
-            positions[i, j] = p
-        positions[i, m - 1] = c
+    c = cps[np.array(tour.order)]
+    d, u = _bearings(c, bs)
+    perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    # CP close to the BS: the line collapses, fan the relays out
+    fan = (d / m < _CHAIN_PAD * d_safe)[:, None]
+    for j in range(m - 1):
+        p = bs + u * (d * (j + 1) / m)[:, None]
+        sign = 1.0 if j % 2 == 0 else -1.0
+        offset = sign * _OFFSET_GAIN * d_safe * (1 + j // 2)
+        positions[:, j] = np.where(fan, p + perp * offset, p)
+    positions[:, m - 1] = c
 
     meta = {"algo": "ttp", "tour_length_m": tour.length_m}
     return MissionPlan(positions, duties, meta)
+
+
+def _bearings(c: np.ndarray, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S,) distance and (S, 2) unit direction of each point `c` from the
+    BS; a point on the BS gets the direction (1, 0)."""
+    vec = c - bs
+    d = np.hypot(*vec.T)
+    u = np.divide(vec, d[:, None], out=np.tile([1.0, 0.0], (len(c), 1)),
+                  where=d[:, None] > 0)
+    return d, u
 
 
 def scan_order(cps: np.ndarray, bs: np.ndarray) -> list[int]:
@@ -76,7 +82,8 @@ def scan_order(cps: np.ndarray, bs: np.ndarray) -> list[int]:
     vec = np.asarray(cps, dtype=float) - np.asarray(bs, dtype=float)
     ang = np.arctan2(vec[:, 1], vec[:, 0])
     dist = np.hypot(*vec.T)
-    return sorted(range(len(cps)), key=lambda i: (ang[i], dist[i], i))
+    # a stable sort: equal angle and distance keep the index order
+    return np.lexsort((dist, ang)).tolist()
 
 
 def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
@@ -90,33 +97,34 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     cps = cluster_set.cps
     m = topology.m_uavs
     bs = scenario.bs_xy
-    d_safe = scenario.d_safe_m
     r_u2u = radii.r_u2u_m
+    pad = _CHAIN_PAD * scenario.d_safe_m
     mids = [0.5 * (r.inner_m + r.outer_m) for r in topology.rings]
 
-    order = scan_order(cps, bs)
-    s_count = len(order)
-    positions = np.empty((s_count, m, 2))
-    duties = np.full((s_count, m), -1)
-    pad = _CHAIN_PAD * d_safe
-    for i, cp in enumerate(order):
-        c = cps[cp]
-        vec = c - bs
-        d = float(np.hypot(*vec))
-        u = vec / d if d > 0 else np.array([1.0, 0.0])
-        g = topology.association[cp]
-        rad = np.empty(m)
-        rad[g] = d
-        for j in range(g - 1, -1, -1):
-            rad[j] = min(max(mids[j], rad[j + 1] - r_u2u), rad[j + 1] - pad)
-        for j in range(g + 1, m):
-            rad[j] = min(max(mids[j], rad[j - 1] + pad), rad[j - 1] + r_u2u)
-        if rad[0] > radii.r_u2b_m + 1e-9:
-            raise InfeasiblePlanError(
-                f"CP {cp} forces the innermost UAV to {rad[0]:.0f} m, "
-                f"outside BS range {radii.r_u2b_m:.0f} m")
-        positions[i] = bs + rad[:, None] * u[None, :]
-        positions[i, g] = c
-        duties[i, g] = cp
-
+    order = np.array(scan_order(cps, bs))
+    steps = np.arange(len(order))
+    c = cps[order]
+    d, u = _bearings(c, bs)
+    g = topology.association[order]
+    # each UAV's distance from the BS: d on the serving ring g, clamped ring
+    # by ring inward from g (UAV j on the steps with j < g), then outward
+    rad = np.repeat(d[:, None], m, axis=1)
+    for j in range(m - 2, -1, -1):
+        out = rad[:, j + 1]
+        inward = np.minimum(np.maximum(mids[j], out - r_u2u), out - pad)
+        rad[:, j] = np.where(j < g, inward, rad[:, j])
+    for j in range(1, m):
+        inn = rad[:, j - 1]
+        outward = np.minimum(np.maximum(mids[j], inn + pad), inn + r_u2u)
+        rad[:, j] = np.where(j > g, outward, rad[:, j])
+    forced = np.flatnonzero(rad[:, 0] > radii.r_u2b_m + 1e-9)
+    if forced.size:
+        i = forced[0]
+        raise InfeasiblePlanError(
+            f"CP {order[i]} forces the innermost UAV to {rad[i, 0]:.0f} m, "
+            f"outside BS range {radii.r_u2b_m:.0f} m")
+    positions = bs + rad[:, :, None] * u[:, None, :]
+    positions[steps, g] = c
+    duties = np.full((len(order), m), -1)
+    duties[steps, g] = order
     return MissionPlan(positions, duties, {"algo": "cstp"})

@@ -126,10 +126,15 @@ def _g2u_radius(params: ChannelParams) -> float:
                             "sensor uplink")
 
 
-def _upload_times(positions, data_bits, cp, params: ChannelParams) -> np.ndarray:
-    """Each member's full-band upload time to a UAV hovering over `cp`."""
+def upload_times(positions, data_bits, cps, params: ChannelParams) -> np.ndarray:
+    """Each member's full-band upload time to a UAV hovering over its CP.
+
+    `cps` is one CP for all members or one per member. The times are
+    elementwise, so a member's time does not depend on the others passed
+    with it: one call over a whole field equals one call per cluster.
+    """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    dists = np.hypot(*(positions - np.asarray(cp, dtype=float)).T)
+    dists = np.hypot(*(positions - np.asarray(cps, dtype=float)).T)
     data = np.asarray(data_bits, dtype=float).reshape(-1)
     if data.shape != dists.shape:
         raise ValueError("data_bits and positions lengths differ")
@@ -143,10 +148,10 @@ def optimal_bandwidth_shares(positions, data_bits, cp, params: ChannelParams) ->
     Shares are proportional to each member's full-band upload time; the common
     finish time then equals the minimal hover time of the group.
     """
-    t = _upload_times(positions, data_bits, cp, params)
+    t = upload_times(positions, data_bits, cp, params)
     return t / t.sum()
 
 
 def min_hover_time(positions, data_bits, cp, params: ChannelParams) -> float:
     """Minimal hover time to drain all members under the optimal split."""
-    return float(_upload_times(positions, data_bits, cp, params).sum())
+    return float(upload_times(positions, data_bits, cp, params).sum())

@@ -132,7 +132,10 @@ def _parse_values(tokens, axis: str) -> list[float]:
 
 
 def _sweep_cell(cell):
-    """One (axis value, seed) evaluation of all planners; pure and picklable."""
+    """One (axis value, seed) evaluation of all planners; pure and picklable.
+
+    Returns the CSV rows and, per planner whose plan failed a check, its
+    name and the names of the checks it failed."""
     axis, value, seed, n_sensors, size, overrides = cell
     params = ChannelParams()
     if overrides:
@@ -143,14 +146,16 @@ def _sweep_cell(cell):
         n_sensors = int(value)
     scenario = generate_scenario(size, size, n_sensors, params=params, seed=seed)
     radii, cluster_set, topology = prepare(scenario)
-    rows, all_ok = [], True
+    rows, failed = [], []
     for algo in _ALGO_ORDER:
         plan = _PLANNERS[algo](scenario, cluster_set, topology, radii)
         report = evaluate(plan, scenario, topology, radii, cluster_set)
-        all_ok = all_ok and report.all_passed
+        if not report.all_passed:
+            failed.append((algo, [c.name for c in report.checks
+                                  if not c.passed]))
         rows.append((value, seed, algo, report.completion_s,
                      report.lower_bound_s, report.flight_s, report.hover_s))
-    return rows, all_ok
+    return rows, failed
 
 
 def _sensor_count(text: str) -> int:
@@ -217,9 +222,13 @@ def cmd_sweep(args) -> int:
                         f"{bound!r},{flight!r},{hover!r}\n")
                 n_rows += 1
     print(f"wrote {n_rows} rows to {args.output}")
-    if all(ok for _, ok in results):
+    if not any(failed for _, failed in results):
         return EXIT_OK
     print("some sweep cells failed validation", file=sys.stderr)
+    for (_, value, seed, *_), (_, failed) in zip(cells, results):
+        for algo, checks in failed:
+            print(f"  {args.axis}={fmt(value)} seed={seed} {algo}: "
+                  f"{', '.join(checks)}", file=sys.stderr)
     return EXIT_VALIDATION
 
 

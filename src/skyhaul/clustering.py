@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import COVERAGE_TOL_M, CoverageRadii, min_hover_time
+from .channel import COVERAGE_TOL_M, CoverageRadii, upload_times
 from .model import InfeasibleError, Scenario
 
 _LLOYD_MAX_ITER = 300
@@ -207,7 +207,7 @@ class ClusterSet:
 
     def cp_array(self) -> np.ndarray:
         # bench/run.py calls this; it goes with the next benchmark change
-        # (ROADMAP item 4)
+        # (ROADMAP item 5)
         return self.cps
 
 
@@ -224,15 +224,34 @@ def _packing_set(points: np.ndarray, r_m: float) -> np.ndarray:
     """
     mid = 0.5 * (points.min(axis=0) + points.max(axis=0))
     order = np.argsort(-np.hypot(*(points - mid).T), kind="stable")
-    px, py = points[order].T
     reach = 2.0 * r_m * (1.0 + _APART_MARGIN)
-    near = np.zeros(len(points), dtype=bool)
+    # the points not yet near the set, in order: each pick is the first
+    rest, (px, py) = order, points[order].T
     taken = []
-    while not near.all():
-        i = int(np.argmin(near))            # first in order not yet near the set
-        near |= np.hypot(px - px[i], py - py[i]) <= reach
-        taken.append(i)
-    return order[np.array(taken, dtype=int)]
+    while rest.size:
+        taken.append(rest[0])
+        far = ~(np.hypot(px - px[0], py - py[0]) <= reach)
+        rest, px, py = rest[far], px[far], py[far]
+    return np.array(taken, dtype=int)
+
+
+def _hovers(scenario: Scenario, labels: np.ndarray,
+            cps: np.ndarray) -> np.ndarray:
+    """(k,) each cluster's minimum hover, the labels running 0..k-1.
+
+    The members sorted stably by label keep their index order in each
+    cluster, so a cluster's contiguous slice of upload times holds what
+    `min_hover_time` sums, in the same order; the ndarray sum of the slice is
+    the same pairwise sum. (`np.add.reduceat` and `np.bincount(weights=)`
+    sum sequentially, which rounds differently.)
+    """
+    order = np.argsort(labels, kind="stable")
+    members = labels[order]
+    times = upload_times(scenario.sensor_positions[order],
+                         scenario.sensor_data_bits[order], cps[members],
+                         scenario.params)
+    ends = np.searchsorted(members, np.arange(1, len(cps) + 1)).tolist()
+    return np.array([times[a:b].sum() for a, b in zip([0] + ends, ends)])
 
 
 def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
@@ -263,11 +282,7 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
             occupied = sizes > 0
             labels = (np.cumsum(occupied) - 1)[labels]
             cps = centroids[occupied]
-            bits = scenario.sensor_data_bits
-            hover = [min_hover_time(points[labels == j], bits[labels == j],
-                                    cps[j], scenario.params)
-                     for j in range(len(cps))]
-            return ClusterSet(labels, cps, np.array(hover))
+            return ClusterSet(labels, cps, _hovers(scenario, labels, cps))
         # split: one more centroid, at the sensor farthest from its own if
         # any lies beyond the radius, else at the farthest member of the
         # first largest cluster. That sensor never sits on a centroid: more

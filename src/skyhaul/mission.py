@@ -133,22 +133,23 @@ def _result(name: str, problems: list[str], ok_detail: str) -> CheckResult:
 
 def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> CheckResult:
     problems = []
-    m = w.shape[1]
     d_bs = np.hypot(*np.moveaxis(w[:, 0, :] - bs, 1, 0))
     bad = np.flatnonzero(~(d_bs <= radii.r_u2b_m + DIST_TOL_M))
     if bad.size:
         problems.append(f"UAV 0 beyond BS range at step {bad[0]} "
                         f"({d_bs[bad[0]]:.1f} m)")
     # per-segment relay condition between adjacent UAVs: the gap is convex
-    # in time, so the endpoints decide, and every waypoint ends some leg
+    # in time, so the endpoints decide, and every waypoint ends some leg.
+    # (S, m - 1) gaps at each leg's start and end, pair i - 1/i in column i - 1
     prev = np.roll(w, 1, axis=0)
-    for i in range(1, m):
-        s = np.hypot(*np.moveaxis(prev[:, i, :] - prev[:, i - 1, :], 1, 0))
-        e = np.hypot(*np.moveaxis(w[:, i, :] - w[:, i - 1, :], 1, 0))
-        bad = np.flatnonzero(~(np.maximum(s, e) <= radii.r_u2u_m + DIST_TOL_M))
-        if bad.size:
-            problems.append(f"UAVs {i - 1}/{i} out of range on the leg into "
-                            f"step {bad[0]} ({max(s[bad[0]], e[bad[0]]):.1f} m)")
+    s = np.hypot(*np.moveaxis(prev[:, 1:] - prev[:, :-1], 2, 0))
+    e = np.hypot(*np.moveaxis(w[:, 1:] - w[:, :-1], 2, 0))
+    bad = ~(np.maximum(s, e) <= radii.r_u2u_m + DIST_TOL_M)
+    # max() names the start gap where only the end one is NaN
+    problems += [f"UAVs {p}/{p + 1} out of range on the leg into step {t} "
+                 f"({max(s[t, p], e[t, p]):.1f} m)"
+                 for p in np.flatnonzero(bad.any(axis=0))
+                 for t in [int(bad[:, p].argmax())]]
     return _result("connectivity", problems,
                    "chain intact at every waypoint and along every leg")
 

@@ -106,8 +106,8 @@ def trend_grid():
     for axis, values in (("sensors", (600.0, 800.0, 1000.0, 1200.0)),
                          ("snr-g2u-db", (14.0, 17.0, 20.0, 23.0))):
         for value, seed in itertools.product(values, _BENCH_SEEDS):
-            rows, ok = _sweep_cell((axis, value, seed, 1000, 8000.0, None))
-            all_ok = all_ok and ok
+            rows, failed = _sweep_cell((axis, value, seed, 1000, 8000.0, None))
+            all_ok = all_ok and not failed
             for _, _, algo, completion, *_ in rows:
                 cells.setdefault((axis, value, algo), []).append(completion)
     means = {key: float(np.mean(v)) for key, v in cells.items()}

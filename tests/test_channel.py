@@ -14,7 +14,7 @@ from skyhaul.channel import (CoverageError, InfeasibleConfigError,
                              coverage_radii,
                              los_probability, min_hover_time,
                              optimal_bandwidth_shares, path_loss, snr_g2u,
-                             snr_u2b, upload_rate_g2u)
+                             snr_u2b, upload_rate_g2u, upload_times)
 from skyhaul.model import ChannelParams, db_to_linear
 
 R_G2U_ORACLE = 1447.8607072889391
@@ -180,6 +180,27 @@ def test_member_beyond_coverage_raises(params):
         min_hover_time(far, [1e7], [0.0, 0.0], params)
     with pytest.raises(CoverageError):
         optimal_bandwidth_shares(far, [1e7], [0.0, 0.0], params)
+
+
+def test_upload_times_with_a_cp_per_member_equal_one_call_per_cp(params):
+    # one call over several clusters, each member with its own CP, gives
+    # every member the time a call on its cluster alone gives it
+    rng = np.random.default_rng(9)
+    cps = rng.uniform(0, 8000, size=(5, 2))
+    owner = rng.integers(5, size=60)
+    pos = cps[owner] + rng.uniform(-900, 900, size=(60, 2))
+    data = rng.uniform(0.5e7, 2e7, size=60)
+    times = upload_times(pos, data, cps[owner], params)
+    for j, cp in enumerate(cps):
+        mine = owner == j
+        assert times[mine].tobytes() == \
+            upload_times(pos[mine], data[mine], cp, params).tobytes()
+        assert times[mine].sum() == min_hover_time(pos[mine], data[mine], cp,
+                                                   params)
+    radii = coverage_radii(params, 20.0)
+    pos[17] = cps[owner[17]] + [radii.r_g2u_m + 1.0, 0.0]
+    with pytest.raises(CoverageError, match="member 17 "):
+        upload_times(pos, data, cps[owner], params)
 
 
 def test_custom_threshold_shifts_radius(params):

@@ -10,7 +10,8 @@ from skyhaul import cli
 from skyhaul.baselines import InfeasiblePlanError
 from skyhaul.channel import (CoverageError, InfeasibleConfigError,
                              coverage_radii)
-from skyhaul.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from skyhaul.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
+                         EXIT_VALIDATION, main)
 from skyhaul.clustering import InfeasibleClusteringError
 from skyhaul.model import load_scenario
 from skyhaul.pointmatch import InfeasibleWaypointError
@@ -283,6 +284,29 @@ def test_sweep_pool_matches_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == pooled.read_bytes()
     first = serial.read_text().splitlines()[1].split(",")
     assert first[0] == "17.0"                       # float axis keeps its repr
+
+
+def test_sweep_names_each_failing_cell(tmp_path, capsys, monkeypatch):
+    # ttp forgets to collect at its first step on the cells (60, seed 1) and
+    # (40, seed 0): only their coverage check fails
+    real = cli._PLANNERS["ttp"]
+
+    def forgetful(scenario, *rest):
+        plan = real(scenario, *rest)
+        if (scenario.n_sensors, scenario.rng_seed) in ((60, 1), (40, 0)):
+            plan.duties[0] = -1
+        return plan
+
+    monkeypatch.setitem(cli._PLANNERS, "ttp", forgetful)
+    monkeypatch.setenv("SKYHAUL_WORKERS", "1")
+    flags = ["sweep", "--axis", "sensors", "--values", "40,60", "--seeds", "2",
+             "--size", "2000", "-o", str(tmp_path / "x.csv")]
+    assert main(flags) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == f"wrote 12 rows to {tmp_path / 'x.csv'}\n"
+    assert err == ("some sweep cells failed validation\n"
+                   "  sensors=40 seed=0 ttp: coverage\n"
+                   "  sensors=60 seed=1 ttp: coverage\n")
 
 
 class _InlinePool:

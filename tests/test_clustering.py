@@ -8,7 +8,7 @@ import pytest
 
 from conftest import build_instance
 from skyhaul import clustering
-from skyhaul.channel import coverage_radii
+from skyhaul.channel import coverage_radii, min_hover_time
 from skyhaul.cli import prepare
 from skyhaul.clustering import (check_cluster_set, cluster_sensors,
                                 kmeans_cluster, write_clusters_csv)
@@ -486,8 +486,8 @@ def _warm_split_reference(scenario, radii):
     labels = np.array([kept.index(j) for j in labels.tolist()])
     cps = cps[kept]
     bits = scenario.sensor_data_bits
-    hover = [clustering.min_hover_time(points[labels == j], bits[labels == j],
-                                       cps[j], scenario.params)
+    hover = [min_hover_time(points[labels == j], bits[labels == j], cps[j],
+                            scenario.params)
              for j in range(len(kept))]
     return splits, labels, cps, np.array(hover)
 
@@ -693,6 +693,39 @@ def test_packing_set_is_pairwise_apart_and_maximal():
         for i in set(range(len(pts))) - set(taken.tolist()):
             earlier = taken[rank[taken] < rank[i]]
             assert (d[i, earlier] <= 2 * r * (1 + 1e-9)).any()
+
+
+def _packing_reference(points, r_m):
+    """_packing_set written out: a mask of the points near the set so far,
+    each pick the first point in order not yet near it."""
+    mid = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    order = np.argsort(-np.hypot(*(points - mid).T), kind="stable")
+    px, py = points[order].T
+    reach = 2.0 * r_m * (1.0 + 1e-9)
+    near = np.zeros(len(points), dtype=bool)
+    taken = []
+    while not near.all():
+        i = int(np.argmin(near))
+        near |= np.hypot(px - px[i], py - py[i]) <= reach
+        taken.append(i)
+    return order[np.array(taken, dtype=int)]
+
+
+def test_packing_set_matches_the_masked_reference():
+    rng = np.random.default_rng(29)
+    sizes = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 400))
+        size = float(rng.uniform(500.0, 20000.0))
+        pts = rng.uniform(0.0, size, (n, 2))
+        if trial % 2:
+            # clumps: a few spots, several sensors on each
+            pts = pts[rng.integers(int(rng.integers(1, 12)), size=n)]
+        r = float(rng.uniform(100.0, 2000.0))
+        got = clustering._packing_set(pts, r)
+        assert got.tobytes() == _packing_reference(pts, r).tobytes()
+        sizes.add(len(got))
+    assert len(sizes) > 10
 
 
 def _two_sensor_scenario(gap_m):

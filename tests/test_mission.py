@@ -11,8 +11,8 @@ from conftest import build_instance, legs_connected
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.clustering import ClusterSet
-from skyhaul.mission import (MissionPlan, _check_collision, completion_time,
-                             evaluate,
+from skyhaul.mission import (DIST_TOL_M, MissionPlan, _check_collision,
+                             _check_connectivity, completion_time, evaluate,
                              lower_bound, report_to_dict, step_times, validate,
                              write_plan_csv, write_report_json)
 from skyhaul.partition import build_topology
@@ -343,6 +343,63 @@ def test_segment_connectivity_endpoint_rule():
     legs = ((0.0, 0.0), (100.0, 0.0), (50.0, 10.0), (50.0, -10.0))
     assert legs_connected(*legs, worst + 1e-9)
     assert not legs_connected(*legs, worst - 1e-9)
+
+
+def _connectivity_reference(w, bs, radii):
+    """_check_connectivity written out with one pass per adjacent pair."""
+    problems = []
+    d_bs = np.hypot(*np.moveaxis(w[:, 0, :] - bs, 1, 0))
+    bad = np.flatnonzero(~(d_bs <= radii.r_u2b_m + DIST_TOL_M))
+    if bad.size:
+        problems.append(f"UAV 0 beyond BS range at step {bad[0]} "
+                        f"({d_bs[bad[0]]:.1f} m)")
+    prev = np.roll(w, 1, axis=0)
+    for i in range(1, w.shape[1]):
+        s = np.hypot(*np.moveaxis(prev[:, i, :] - prev[:, i - 1, :], 1, 0))
+        e = np.hypot(*np.moveaxis(w[:, i, :] - w[:, i - 1, :], 1, 0))
+        bad = np.flatnonzero(~(np.maximum(s, e) <= radii.r_u2u_m + DIST_TOL_M))
+        if bad.size:
+            problems.append(f"UAVs {i - 1}/{i} out of range on the leg into "
+                            f"step {bad[0]} ({max(s[bad[0]], e[bad[0]]):.1f} m)")
+    detail = "; ".join(problems) or \
+        "chain intact at every waypoint and along every leg"
+    return "connectivity", not problems, detail
+
+
+def test_connectivity_names_each_broken_pair_once(default_radii):
+    # UAV 1 strays from UAV 0 at step 2 and UAV 3 from UAV 2 at step 1;
+    # pairs come in chain order, each at the first leg it breaks on
+    r = default_radii.r_u2u_m
+    w = np.zeros((4, 4, 2))
+    w[:, :, 0] = [0.0, 1000.0, 2000.0, 3000.0]
+    w[2, 1, 0] = 1000.0 + r
+    w[1, 3, 0] = 2100.0 + r
+    check = _check_connectivity(w, np.zeros(2), default_radii)
+    assert check == _connectivity_reference(w, np.zeros(2), default_radii)
+    assert check == (
+        "connectivity", False,
+        f"UAVs 0/1 out of range on the leg into step 2 ({1000.0 + r:.1f} m); "
+        f"UAVs 2/3 out of range on the leg into step 1 ({100.0 + r:.1f} m)")
+
+
+def test_connectivity_matches_the_per_pair_reference(default_radii):
+    rng = np.random.default_rng(5)
+    bs = np.array([100.0, -50.0])
+    failed = 0
+    with np.errstate(invalid="ignore"):
+        for _ in range(200):
+            s, m = rng.integers(1, 8), rng.integers(1, 6)
+            w = bs + rng.uniform(0.0, 1.2, (s, m, 1)) * rng.choice(
+                [default_radii.r_u2u_m, default_radii.r_u2b_m], (s, m, 1)) \
+                * rng.normal(size=(s, m, 2))
+            if rng.random() < 0.3:
+                # a NaN or infinite coordinate at the start or end of a leg
+                w[rng.integers(s), rng.integers(m), rng.integers(2)] = \
+                    rng.choice([np.nan, np.inf, -np.inf])
+            check = _check_connectivity(w, bs, default_radii)
+            assert check == _connectivity_reference(w, bs, default_radii)
+            failed += check.detail.count("; ") >= 1
+    assert failed > 10           # many plans break two links or more
 
 
 def test_evaluate_report_consistency(relay_run):
