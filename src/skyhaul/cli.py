@@ -42,7 +42,6 @@ EXIT_INFEASIBLE = 3
 _WORKERS_ENV = "SKYHAUL_WORKERS"
 _BLAS_THREADS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _PLANNERS = {"pmtp": pointmatch.plan, "ttp": plan_ttp, "cstp": plan_cstp}
-_ALGO_ORDER = ("pmtp", "ttp", "cstp")
 _AXES = ("sensors", "snr-g2u-db")
 _SWEEP_HEADER = "axis_value,seed,algo,completion_s,lower_bound_s,flight_s,hover_s\n"
 
@@ -147,8 +146,8 @@ def _sweep_cell(cell):
     scenario = generate_scenario(size, size, n_sensors, params=params, seed=seed)
     radii, cluster_set, topology = prepare(scenario)
     rows, failed = [], []
-    for algo in _ALGO_ORDER:
-        plan = _PLANNERS[algo](scenario, cluster_set, topology, radii)
+    for algo, planner in _PLANNERS.items():
+        plan = planner(scenario, cluster_set, topology, radii)
         report = evaluate(plan, scenario, topology, radii, cluster_set)
         if not report.all_passed:
             failed.append((algo, [c.name for c in report.checks

@@ -180,18 +180,19 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(value, key: str, context: str, kind=float):
-    """`kind(value)`, or a ScenarioParseError naming the field.
+    """`kind(value)` of a JSON int or float, or a ScenarioParseError naming
+    the field.
 
     An int field rejects a fractional value instead of truncating it, and
-    no field takes a JSON boolean for 0 or 1.
+    no field takes a string (even "60") or a JSON boolean for 0 or 1.
     """
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScenarioParseError(f"field '{key}' in {context} must be an integer, "
                                  f"got {value!r}")
-    if not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ScenarioParseError(f"field '{key}' in {context} must be a number, "
                              f"got {value!r}")

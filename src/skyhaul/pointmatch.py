@@ -115,11 +115,36 @@ class P3Result:
     detour_m: float
 
 
-def _annuli(anchor, d_safe: float, r_link: float, ring: Ring | None,
-            bs) -> list[tuple]:
-    """The chain annulus around `anchor`, plus the ring band when given."""
-    band = [] if ring is None else [(bs, ring.inner_m, ring.outer_m)]
-    return [(anchor, d_safe, r_link)] + band
+@dataclass(frozen=True)
+class _Fleet:
+    """The geometry every waypoint rule reads: each ring's annulus about the
+    BS, the U2U link range and the safety distance."""
+    rings: tuple[Ring, ...]
+    bs: tuple[float, float]
+    r_u2u: float
+    d_safe: float
+
+    def allowed(self, g: int, anchor_ring: int, anchor) -> list[tuple]:
+        """Where ring g's UAV may wait while it collects nothing, as annuli
+        (center, lo, hi): the chain annulus about `anchor`, the position of
+        ring `anchor_ring`'s UAV, then a band about the BS.
+
+        The band keeps radial order with the anchor instead of the ring's
+        own annulus: an outward ring holds at least d_safe farther from the
+        BS than its anchor, an inward ring at least d_safe nearer (capped by
+        its own outer edge, which for ring 0 is the BS link range). Radial
+        order keeps every UAV pair separated while freeing the UAV from
+        annulus slivers when the anchor dives inward.
+        """
+        bsd, outer = _dist(anchor, self.bs), self.rings[g].outer_m
+        if g > anchor_ring:
+            lo = bsd + self.d_safe
+            band = (self.bs, lo, max(outer, lo))
+        else:
+            band = (self.bs, 0.0, max(min(outer, bsd - self.d_safe), 0.0))
+        # chain annulus first: `_minimise` keeps the first least-cost
+        # candidate, and the order of its circles orders the candidates
+        return [(anchor, self.d_safe, self.r_u2u), band]
 
 
 def _dist(p, q) -> float:
@@ -281,16 +306,14 @@ def _edge_through_point(e1, e2, annuli) -> tuple[float, float] | None:
     return x1 + t * (x2 - x1), y1 + t * (y2 - y1)
 
 
-def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
-                ring: Ring | None, bs) -> P3Result | None:
-    """Cheapest-detour waypoint on the edge e1 -> e2 connecting `p_k` from
-    inside `ring`: the on-edge point when the edge passes through the
-    feasible set (detour zero), otherwise the exact minimiser of
-    |q - e1| + |q - e2| over that set. None when the set is empty."""
-    annuli = _annuli(p_k, d_safe, r_u2u, ring, bs)
-    q = _edge_through_point(e1, e2, annuli)
+def p3_waypoint(e1, e2, allowed) -> P3Result | None:
+    """Cheapest-detour waypoint on the edge e1 -> e2 inside the `allowed`
+    annuli: the on-edge point when the edge passes through them (detour
+    zero), otherwise the exact minimiser of |q - e1| + |q - e2| over them.
+    None when they do not meet."""
+    q = _edge_through_point(e1, e2, allowed)
     if q is None:
-        q = _minimise((e1, e2), [], annuli)
+        q = _minimise((e1, e2), [], allowed)
     if q is None:
         return None
     (x1, y1), (x2, y2), (qx, qy) = e1, e2, q
@@ -299,33 +322,30 @@ def p3_waypoint(p_k, e1, e2, r_u2u: float, d_safe: float,
     return P3Result(point=(float(qx), float(qy)), detour_m=max(detour, 0.0))
 
 
-def nearest_chain_point(prev, anchor, r_link: float, d_safe: float,
-                        ring: Ring | None, bs) -> tuple[float, float]:
-    """Least-displacement point within `r_link` of anchor, outside the safety
-    bubble, inside the ring."""
-    q = _minimise([prev], [prev], _annuli(anchor, d_safe, r_link, ring, bs))
+def nearest_chain_point(prev, allowed) -> tuple[float, float]:
+    """Least-displacement point from `prev` inside the `allowed` annuli."""
+    q = _minimise([prev], [prev], allowed)
     if q is None:
         raise InfeasibleWaypointError("chain annulus does not meet the ring")
     return q
 
 
-def advance_point(prev, anchor, target, budget_m: float, r_link: float,
-                  d_safe: float, ring: Ring | None,
-                  bs) -> tuple[float, float]:
+def advance_point(prev, target, budget_m: float,
+                  allowed) -> tuple[float, float]:
     """Waypoint for an idle UAV: close in on `target` without travelling more
-    than `budget_m`, staying chained to `anchor` (between d_safe and r_link)
-    and inside the ring. Spending idle legs on the approach keeps the later
-    duty leg from outrunning the fleet's pace. If no chained point fits the
-    budget, the smallest chain-restoring move wins instead."""
-    q = _minimise([target], [target], _annuli(anchor, d_safe, r_link, ring, bs)
-                  + [(prev, 0.0, budget_m)])
+    than `budget_m`, staying inside the `allowed` annuli. Spending idle legs
+    on the approach keeps the later duty leg from outrunning the fleet's
+    pace. If no allowed point fits the budget, the smallest move into the
+    allowed set wins instead."""
+    q = _minimise([target], [target], allowed + [(prev, 0.0, budget_m)])
     if q is None:
-        return nearest_chain_point(prev, anchor, r_link, d_safe, ring, bs)
+        return nearest_chain_point(prev, allowed)
     return q
 
 
 def _detour_floor(p_k, e1, e2, r_u2u: float) -> float:
-    """A lower bound on `p3_waypoint(p_k, e1, e2, ...).detour_m`.
+    """A lower bound on the detour `p3_waypoint(e1, e2, allowed)` finds when
+    `allowed` chains the waypoint to p_k.
 
     Every waypoint lies within r_u2u (plus the solver's DIST_TOL_M) of p_k,
     so at least h = |p_k, segment| - r_u2u - DIST_TOL_M from the segment.
@@ -349,31 +369,27 @@ def _detour_floor(p_k, e1, e2, r_u2u: float) -> float:
                0.0)
 
 
-def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
-                      ring_ref, bs, r_u2u, d_safe, meta):
-    """Give every unmatched attach-ring CP its own step on the fixed ring's
-    path, read as a cycle: edge s runs from step s to step (s + 1) mod S, so
-    a pick on the closing edge appends the step. The window runs from the
-    step of the CP placed just before this one in the cyclic attach order
-    (before any insertion, the last anchor, a matched CP) to the step of the
-    next anchor, wrapping to the first; it is the whole cycle when those
-    coincide or nothing is matched. Each edge costs its detour plus however
-    much of the attach UAV's jumps in and out the legs either side cannot
-    absorb; an edge is solved only if those penalties plus `_detour_floor`
-    could still beat the best edge so far, so the pick is that of solving
-    every edge. The fixed UAV collects nothing there, so it only keeps radial
-    order with the CP (`_radial_band`). A step is found by the CP it
-    collects, which stays right as steps are inserted. Returns the grown
-    `pos` and `duty`."""
-    prev = next((int(adj_ids[a]) for a in reversed(order) if a in matched),
-                None)
-    for t, a_local in enumerate(order):
-        cp_id = int(adj_ids[a_local])
-        if a_local in matched:
+def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
+    """Give every attach-ring CP of `ids` (in attach order) not in `shared`
+    its own step on the fixed ring's path, read as a cycle: edge s runs from
+    step s to step (s + 1) mod S, so a pick on the closing edge appends the
+    step. The window runs from the step of the CP placed just before this
+    one in the cyclic attach order (before any insertion, the last anchor, a
+    shared CP) to the step of the next anchor, wrapping to the first; it is
+    the whole cycle when those coincide or nothing is shared. Each edge
+    costs its detour plus however much of the attach UAV's jumps in and out
+    the legs either side cannot absorb; an edge is solved only if those
+    penalties plus `_detour_floor` could still beat the best edge so far, so
+    the pick is that of solving every edge. The fixed UAV collects nothing
+    there, so it only keeps radial order with the CP (`_Fleet.allowed`). A
+    step is found by the CP it collects, which stays right as steps are
+    inserted. Returns the grown `pos` and `duty`."""
+    prev = next((c for c in reversed(ids) if c in shared), None)
+    for t, cp_id in enumerate(ids):
+        if cp_id in shared:
             prev = cp_id
             continue
-        nxt = next((int(adj_ids[b]) for b in order[t + 1:] + order[:t]
-                    if b in matched), None)
+        nxt = next((c for c in ids[t + 1:] + ids[:t] if c in shared), None)
         cp = cps[cp_id].tolist()
         col = duty[:, adj]
         # each end's step and attach CP; with nothing placed, step 0 and the
@@ -388,7 +404,7 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
         legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
         pts = path.tolist() + path[:1].tolist()
         jump_in, jump_out = _dist(p_in, cp), _dist(cp, p_out)
-        band = _radial_band(ref, adj, cp, ring_ref, bs, d_safe)
+        allowed = fleet.allowed(ref, adj, cp)
         best = None
         for i in range(span):
             pen_in = max(0.0, jump_in - float(legs[:i].sum()))
@@ -396,10 +412,10 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
             # float addition is monotone, so an edge whose floor already
             # costs too much cannot cost less than best[0] - 1e-9 either
             if best is not None and (
-                    _detour_floor(cp, pts[i], pts[i + 1], r_u2u)
+                    _detour_floor(cp, pts[i], pts[i + 1], fleet.r_u2u)
                     + pen_in + pen_out >= best[0] - 1e-9):
                 continue
-            res = p3_waypoint(cp, pts[i], pts[i + 1], r_u2u, d_safe, band, bs)
+            res = p3_waypoint(pts[i], pts[i + 1], allowed)
             if res is None:
                 continue
             cost = res.detour_m + pen_in + pen_out
@@ -419,26 +435,7 @@ def _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids, cps,
     return pos, duty
 
 
-def _radial_band(g: int, anchor_ring: int, anchor_pos, ring_geom: Ring, bs,
-                 d_safe: float) -> Ring:
-    """Where ring g's UAV may wait while it collects nothing.
-
-    It keeps radial order with the anchor instead of its own annulus: an
-    outward ring holds at least d_safe farther from the BS than its anchor,
-    an inward ring at least d_safe nearer (capped by its own outer edge,
-    which for ring 0 is the BS link range). Radial order keeps every UAV
-    pair separated while freeing the UAV from annulus slivers when the
-    anchor dives inward.
-    """
-    bsd = _dist(anchor_pos, bs)
-    if g > anchor_ring:
-        lo = bsd + d_safe
-        return Ring(lo, max(ring_geom.outer_m, lo))
-    return Ring(0.0, max(min(ring_geom.outer_m, bsd - d_safe), 0.0))
-
-
-def _fill_ring(pos, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
-               done_rings, meta):
+def _fill_ring(pos, g, anchor_ring, fleet, done_rings, meta):
     """Assign ring `g` a position at every step that still lacks one.
 
     Sweeps the cyclic step list from the ring's first duty. Each hole becomes
@@ -448,7 +445,7 @@ def _fill_ring(pos, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
     annulus is exactly the escort constraint around the served CP).
 
     Idle positions need not sit inside the ring's own annulus, only duty
-    waypoints do; they keep the `_radial_band` order instead.
+    waypoints do; they keep the `_Fleet.allowed` radial order instead.
     """
     s_count = len(pos)
     hard = np.flatnonzero(~np.isnan(pos[:, g, 0]))
@@ -460,29 +457,25 @@ def _fill_ring(pos, g, anchor_ring, ring_geom, bs, r_u2u, d_safe,
                    % len(hard)].tolist()
         start = int(hard[0])
     else:
-        (ax, ay), (bx, by) = anchors[0], bs
+        (ax, ay), (bx, by), ring = anchors[0], fleet.bs, fleet.rings[g]
         nv = math.hypot(ax - bx, ay - by)
         ux, uy = ((ax - bx) / nv, (ay - by) / nv) if nv > 0 else (1.0, 0.0)
-        mid = 0.5 * (ring_geom.inner_m + ring_geom.outer_m)
+        mid = 0.5 * (ring.inner_m + ring.outer_m)
         col[0] = nearest_chain_point((bx + ux * mid, by + uy * mid),
-                                     anchors[0], r_u2u, d_safe,
-                                     _radial_band(g, anchor_ring, anchors[0],
-                                                  ring_geom, bs, d_safe), bs)
+                                     fleet.allowed(g, anchor_ring, anchors[0]))
         start = 0
     budget = _longest_legs(pos[:, done_rings]).tolist()
     for i in [*range(start, s_count), *range(start)]:
         if not math.isnan(col[i][0]):
             continue
-        anchor_pos = anchors[i]
-        target = col[nxt[i]] if hard.size else anchor_pos
-        band = _radial_band(g, anchor_ring, anchor_pos, ring_geom, bs, d_safe)
-        col[i] = advance_point(col[i - 1], anchor_pos, target, budget[i],
-                               r_u2u, d_safe, band, bs)
+        target = col[nxt[i]] if hard.size else anchors[i]
+        col[i] = advance_point(col[i - 1], target, budget[i],
+                               fleet.allowed(g, anchor_ring, anchors[i]))
         meta["escorts"] += 1
     pos[:, g] = col
 
 
-def _fill_all(pos, ref, ring_range, rings, bs, r_u2u, d_safe, meta):
+def _fill_all(pos, ref, ring_range, fleet, meta):
     """After a pair processing, close every hole: rings fill in chain order
     outward from the fixed ring, each anchored to its neighbor toward it."""
     done = [ref]
@@ -490,13 +483,11 @@ def _fill_all(pos, ref, ring_range, rings, bs, r_u2u, d_safe, meta):
         if g == ref:
             continue
         anchor_ring = g - 1 if g > ref else g + 1
-        _fill_ring(pos, g, anchor_ring, rings[g], bs, r_u2u, d_safe,
-                   done, meta)
+        _fill_ring(pos, g, anchor_ring, fleet, done, meta)
         done.append(g)
 
 
-def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, rings, bs,
-                 r_u2u, d_safe, meta):
+def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, fleet, meta):
     """Process one adjacent ring pair: match shared steps, then insert new
     steps for the attach-ring CPs that could not share one. Returns the
     grown `pos` and `duty`."""
@@ -509,7 +500,7 @@ def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, rings, bs,
     path_cum = np.concatenate([[0.0], np.cumsum(
         np.hypot(*np.diff(pos[:, ref], axis=0).T))])
     pair = RingPair(cps[adj_ids], cps[ev_cps], hovers[adj_ids], hovers[ev_cps],
-                    path_cum[ev_steps], r_u2u, d_safe)
+                    path_cum[ev_steps], fleet.r_u2u, fleet.d_safe)
     order, matched = match_pairs(pair)
     waits = 0
     for a_local, e_local in matched.items():
@@ -518,8 +509,10 @@ def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, rings, bs,
         waits += bool(pair.hover_out[a_local] > pair.hover_in[e_local])
     meta["pairs_matched"] += len(matched) - waits
     meta["pairs_relaxed"] += waits
-    return _insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids,
-                             cps, rings[ref], bs, r_u2u, d_safe, meta)
+    return _insert_unmatched(pos, duty, ref, adj,
+                             [int(adj_ids[a]) for a in order],
+                             {int(adj_ids[a]) for a in matched}, cps, fleet,
+                             meta)
 
 
 def _attach_schedule(pacing: int, m: int):
@@ -551,10 +544,8 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     """
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
-    bs = tuple(scenario.bs_xy.tolist())
-    d_safe = scenario.d_safe_m
-    r_u2u = radii.r_u2u_m
-    rings = topology.rings
+    fleet = _Fleet(topology.rings, tuple(scenario.bs_xy.tolist()),
+                   radii.r_u2u_m, scenario.d_safe_m)
 
     orders = [list(tour.order) for tour in topology.tours]
     times = ring_serial_s(cluster_set, topology, scenario.v_max_mps)
@@ -578,7 +569,7 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
 
     for ref, adj, placed in _attach_schedule(pacing, m):
         pos, duty = _attach_ring(pos, duty, ref, adj, cps, hovers, orders,
-                                 rings, bs, r_u2u, d_safe, meta)
-        _fill_all(pos, ref, placed, rings, bs, r_u2u, d_safe, meta)
+                                 fleet, meta)
+        _fill_all(pos, ref, placed, fleet, meta)
 
     return MissionPlan(pos, duty, meta)

@@ -297,7 +297,8 @@ def test_insertion_waypoint_optimality():
                           ring.inner_m, ring.outer_m)
             edge.append(rad * np.array([np.cos(ang), np.sin(ang)]))
         e1, e2 = edge
-        res = p3_waypoint(p_k, e1, e2, r_u2u, d_safe, ring, (0.0, 0.0))
+        res = p3_waypoint(e1, e2, [(p_k, d_safe, r_u2u),
+                                   ((0.0, 0.0), ring.inner_m, ring.outer_m)])
         q = np.array(res.point)
         d_cp = float(np.hypot(*(q - p_k)))
         d_bs = float(np.hypot(*q))

@@ -20,9 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from skyhaul import clustering
+from skyhaul import clustering, pointmatch
 from skyhaul.channel import coverage_radii
-from skyhaul.model import generate_scenario
+from skyhaul.cli import prepare
+from skyhaul.model import (ChannelParams, apply_config_overrides,
+                           generate_scenario)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -87,3 +89,30 @@ def test_k_search_calls_kmeans_through_the_module_name(monkeypatch):
         last_labels = calls[-1][2][0]
         assert np.array_equal(np.unique(last_labels, return_inverse=True)[1],
                               clusters.labels)
+
+
+def test_pmtp_calls_its_solvers_through_the_module_names(monkeypatch):
+    # spans.py wraps `pointmatch.p3_waypoint`, `advance_point` and
+    # `nearest_chain_point` and counts the calls made through those names.
+    # A planner that reached its solvers another way would zero the counts,
+    # and bench/check_repeat.py, which only checks that counts repeat, would
+    # still pass. One `wide` cell calls all three.
+    counts = {}
+    for name in ("p3_waypoint", "advance_point", "nearest_chain_point"):
+        real = getattr(pointmatch, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(pointmatch, name, counted)
+    workload = json.loads((BENCH_DIR / "workloads.json").read_text())[
+        "workloads"]["wide"]
+    params = apply_config_overrides(ChannelParams(), workload["radio"])
+    scenario = generate_scenario(workload["size_m"], workload["size_m"],
+                                 workload["sensors"], params=params,
+                                 seed=workload["seeds"][0])
+    radii, cluster_set, topology = prepare(scenario)
+    pointmatch.plan(scenario, cluster_set, topology, radii)
+    assert all(n > 0 for n in counts.values()), counts

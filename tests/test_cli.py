@@ -393,7 +393,8 @@ def test_threshold_without_a_finite_linear_value(tmp_path, capsys, db, code,
 @pytest.mark.parametrize("key, value", [
     ("snr_th_g2u_db", "loud"),
     ("beta0", True),
-], ids=["loud", "true"])
+    ("snr_th_g2u_db", "60"),
+], ids=["loud", "true", "numeric-string"])
 def test_non_numeric_config_value_is_a_usage_error(tmp_path, capsys, key, value):
     scn = str(tmp_path / "scn.json")
     main(["generate", "--sensors", "30", "--size", "2000", "-o", scn])

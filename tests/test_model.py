@@ -222,6 +222,8 @@ def test_missing_field_is_named(tmp_path):
     ("channel", 5, "channel must be a JSON object"),
     ("sensors", 3, "'sensors' in scenario must be a list"),
     ("n_th", "sixty", "'n_th' in scenario must be a number"),
+    pytest.param("n_th", "60", "'n_th' in scenario must be a number, got '60'",
+                 id="n_th-string"),
     pytest.param("n_th", True, "'n_th' in scenario must be a number, got True",
                  id="n_th-true"),
     ("n_th", 60.9, "'n_th' in scenario must be an integer"),

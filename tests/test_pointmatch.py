@@ -18,7 +18,7 @@ from skyhaul.mission import DIST_TOL_M, evaluate, lower_bound
 from skyhaul.model import ChannelParams, Scenario, apply_config_overrides
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
-                                _annuli, _arc_minima, _crossings,
+                                _arc_minima, _crossings,
                                 _detour_floor, _minimise,
                                 advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
@@ -33,6 +33,13 @@ def _pair(outer, inner, hover_out, hover_in, r_u2u, d_safe=0.0, path_m=None):
         legs = np.hypot(*np.diff(inner, axis=0).T)
         path_m = np.concatenate([[0.0], np.cumsum(legs)])[:len(inner)]
     return RingPair(outer, inner, hover_out, hover_in, path_m, r_u2u, d_safe)
+
+
+def _allowed(anchor, d_safe, r_link, ring=None, bs=(0.0, 0.0)):
+    """The annuli a solver takes: the chain annulus about `anchor`, then
+    `ring` about `bs` when given."""
+    band = [] if ring is None else [(bs, ring.inner_m, ring.outer_m)]
+    return [(anchor, d_safe, r_link)] + band
 
 
 def test_link_boundary_is_inclusive():
@@ -251,8 +258,8 @@ def test_match_pairs_contract_on_random_instances():
 
 
 def test_p3_zero_detour_when_edge_crosses_annulus():
-    res = p3_waypoint((0.0, 0.0), (-1000.0, 50.0), (1000.0, 50.0),
-                      r_u2u=500.0, d_safe=30.0, ring=None, bs=(0.0, 0.0))
+    res = p3_waypoint((-1000.0, 50.0), (1000.0, 50.0),
+                      _allowed((0.0, 0.0), d_safe=30.0, r_link=500.0))
     assert res.detour_m == 0.0
     x, y = res.point
     assert y == pytest.approx(50.0, abs=1e-9)          # on the segment
@@ -261,8 +268,8 @@ def test_p3_zero_detour_when_edge_crosses_annulus():
 
 
 def test_p3_far_point_sits_on_range_circle():
-    res = p3_waypoint((0.0, 5000.0), (-100.0, 0.0), (100.0, 0.0),
-                      r_u2u=500.0, d_safe=0.0, ring=None, bs=(0.0, 0.0))
+    res = p3_waypoint((-100.0, 0.0), (100.0, 0.0),
+                      _allowed((0.0, 5000.0), d_safe=0.0, r_link=500.0))
     d = float(np.hypot(res.point[0], res.point[1] - 5000.0))
     assert d == pytest.approx(500.0, rel=1e-6)
     # best insertion heads toward the segment, so roughly (0, 4500)
@@ -282,8 +289,8 @@ def test_p3_random_postconditions():
         rad = np.hypot(*path.T)
         path = path * (np.clip(rad, 2100.0, 5900.0) / rad)[:, None]
         for e1, e2 in zip(path[:-1], path[1:]):
-            res = p3_waypoint(p_k, e1, e2, r_u2u=3000.0, d_safe=30.0,
-                              ring=ring, bs=(0.0, 0.0))
+            res = p3_waypoint(e1, e2, _allowed(p_k, d_safe=30.0,
+                                               r_link=3000.0, ring=ring))
             q = np.array(res.point)
             assert res.detour_m >= 0.0
             assert 30.0 - 1e-6 <= float(np.hypot(*(q - p_k))) <= 3000.0 + 1e-6
@@ -337,7 +344,7 @@ def test_detour_floor_never_exceeds_the_detour():
     solved = positive = 0
     for p_k, e1, e2, r_u2u, d_safe, ring, bs, tight in _floor_cases(
             np.random.default_rng(43)):
-        res = p3_waypoint(p_k, e1, e2, r_u2u, d_safe, ring, bs)
+        res = p3_waypoint(e1, e2, _allowed(p_k, d_safe, r_u2u, ring, bs))
         if res is None:
             continue
         floor = _detour_floor(p_k, e1, e2, r_u2u)
@@ -354,20 +361,20 @@ def test_detour_floor_never_exceeds_the_detour():
 
 def test_p3_infeasible_when_ring_out_of_reach():
     ring = Ring(inner_m=10000.0, outer_m=10100.0)
-    assert p3_waypoint((0.0, 0.0), (9999.0, 0.0), (10050.0, 100.0),
-                       r_u2u=500.0, d_safe=30.0, ring=ring,
-                       bs=(0.0, 0.0)) is None
+    assert p3_waypoint((9999.0, 0.0), (10050.0, 100.0),
+                       _allowed((0.0, 0.0), d_safe=30.0, r_link=500.0,
+                                ring=ring)) is None
 
 
 def test_nearest_chain_point_keeps_feasible_prev():
-    q = nearest_chain_point((100.0, 50.0), (0.0, 0.0), r_link=200.0,
-                            d_safe=30.0, ring=None, bs=(0.0, 0.0))
+    q = nearest_chain_point((100.0, 50.0), _allowed((0.0, 0.0), d_safe=30.0,
+                                                    r_link=200.0))
     assert tuple(q) == (100.0, 50.0)
 
 
 def test_nearest_chain_point_clips_to_link_radius():
-    q = nearest_chain_point((1000.0, 0.0), (0.0, 0.0), r_link=200.0,
-                            d_safe=30.0, ring=None, bs=(0.0, 0.0))
+    q = nearest_chain_point((1000.0, 0.0), _allowed((0.0, 0.0), d_safe=30.0,
+                                                    r_link=200.0))
     assert float(np.hypot(*q)) == pytest.approx(200.0, abs=1e-9)
     assert q[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -375,8 +382,8 @@ def test_nearest_chain_point_clips_to_link_radius():
 def test_nearest_chain_point_respects_ring_band():
     ring = Ring(inner_m=500.0, outer_m=900.0)
     anchor = (700.0, 0.0)
-    q = nearest_chain_point((1200.0, 0.0), anchor, r_link=600.0,
-                            d_safe=30.0, ring=ring, bs=(0.0, 0.0))
+    q = nearest_chain_point((1200.0, 0.0), _allowed(anchor, d_safe=30.0,
+                                                    r_link=600.0, ring=ring))
     assert 500.0 - 1e-6 <= float(np.hypot(*q)) <= 900.0 + 1e-6
     assert 30.0 - 1e-6 <= float(np.hypot(*(q - np.array(anchor)))) <= 600.0 + 1e-6
 
@@ -384,9 +391,9 @@ def test_nearest_chain_point_respects_ring_band():
 def test_nearest_chain_point_finds_tangent_point():
     # the chain disk around the anchor touches the ring disk at one point
     u = np.array([np.cos(0.3), np.sin(0.3)])
-    q = nearest_chain_point((5000.0, 5000.0), 12000.0 * u, r_link=4000.0,
-                            d_safe=30.0, ring=Ring(0.0, 8000.0),
-                            bs=(0.0, 0.0))
+    q = nearest_chain_point((5000.0, 5000.0),
+                            _allowed(12000.0 * u, d_safe=30.0, r_link=4000.0,
+                                     ring=Ring(0.0, 8000.0)))
     assert np.allclose(q, 8000.0 * u, rtol=0.0, atol=1e-6)
 
 
@@ -400,22 +407,22 @@ def test_tangent_point_is_stable_under_rounding_of_the_anchor():
     scale = (r_link + outer) / math.hypot(x, y)
     x, y = x * scale, y * scale
     ring, prev = Ring(2000.0, outer), (-3000.0, 2500.0)
-    ref = nearest_chain_point(prev, (x, y), r_link, 30.0, ring, (0.0, 0.0))
+    ref = nearest_chain_point(prev, _allowed((x, y), 30.0, r_link, ring))
     for toward in (0.0, math.inf):
         mx, my = x, y
         for _ in range(4):
             mx, my = math.nextafter(mx, toward), math.nextafter(my, toward)
-            q = nearest_chain_point(prev, (mx, my), r_link, 30.0, ring,
-                                    (0.0, 0.0))
+            q = nearest_chain_point(prev,
+                                    _allowed((mx, my), 30.0, r_link, ring))
             assert math.dist(q, ref) <= 1e-9
 
 
 def test_advance_point_moves_toward_target_within_budget():
     prev = np.array([0.0, 100.0])
     target = np.array([1000.0, 100.0])
-    q = advance_point(prev, anchor=(500.0, 0.0), target=target,
-                      budget_m=200.0, r_link=600.0, d_safe=30.0, ring=None,
-                      bs=(0.0, 0.0))
+    q = advance_point(prev, target=target, budget_m=200.0,
+                      allowed=_allowed((500.0, 0.0), d_safe=30.0,
+                                       r_link=600.0))
     leg = float(np.hypot(*(q - prev)))
     assert leg <= 200.0 + 1e-6
     assert float(np.hypot(*(q - target))) < float(np.hypot(*(prev - target)))
@@ -427,11 +434,34 @@ def test_advance_point_restores_chain_when_budget_too_small():
     # prev is 1000 m outside the link radius; budget 1 m cannot fix that,
     # so the smallest chain-restoring move wins
     prev = np.array([1600.0, 0.0])
-    q = advance_point(prev, anchor=(0.0, 0.0), target=(0.0, 500.0),
-                      budget_m=1.0, r_link=600.0, d_safe=30.0, ring=None,
-                      bs=(0.0, 0.0))
+    q = advance_point(prev, target=(0.0, 500.0), budget_m=1.0,
+                      allowed=_allowed((0.0, 0.0), d_safe=30.0,
+                                       r_link=600.0))
     d_anchor = float(np.hypot(*q))
     assert 30.0 - 1e-6 <= d_anchor <= 600.0 + 1e-6
+
+
+def test_fleet_allowed_keeps_radial_order_with_the_anchor():
+    """The chain annulus about the anchor comes first, then a band about the
+    BS: an outward ring holds d_safe beyond the anchor's BS distance, up to
+    its own outer edge or that floor, an inward ring d_safe inside it,
+    capped by its own outer edge and never below 0."""
+    bs = (100.0, -50.0)
+    fleet = pointmatch._Fleet((Ring(0.0, 1000.0), Ring(1000.0, 1500.0),
+                               Ring(1500.0, 2000.0)), bs, 400.0, 30.0)
+
+    def at(dx, dy):         # integer legs of a 3-4-5 triangle from the BS
+        return (bs[0] + dx, bs[1] + dy)
+
+    for g, anchor_ring, anchor, lo, hi in [
+            (2, 1, at(720.0, 960.0), 1230.0, 2000.0),        # 1200 m out
+            (2, 1, at(1194.0, 1592.0), 2020.0, 2020.0),      # 1990 m out
+            (0, 1, at(480.0, 640.0), 0.0, 770.0),            # 800 m out
+            (0, 1, at(720.0, 960.0), 0.0, 1000.0),
+            (1, 2, at(1194.0, 1592.0), 0.0, 1500.0),
+            (0, 1, at(12.0, 16.0), 0.0, 0.0)]:               # 20 m out
+        assert fleet.allowed(g, anchor_ring, anchor) == [
+            (anchor, 30.0, 400.0), (bs, lo, hi)]
 
 
 def test_plan_single_ring_hits_lower_bound():
@@ -471,12 +501,12 @@ def test_plan_two_rings_pacing_invariant(field, appends):
         attach = 1 - pacing
         assert len(w) == 4 and plan.duties[-1, pacing] == -1
         cp = cluster_set.cps[plan.duties[-1, attach]].tolist()
-        path, bs = w[:-1, pacing].tolist(), scenario.bs_xy.tolist()
-        band = pointmatch._radial_band(pacing, attach, cp,
-                                       topology.rings[pacing], bs,
-                                       scenario.d_safe_m)
-        res = p3_waypoint(cp, path[-1], path[0], radii.r_u2u_m,
-                          scenario.d_safe_m, band, bs)
+        path = w[:-1, pacing].tolist()
+        fleet = pointmatch._Fleet(topology.rings,
+                                  tuple(scenario.bs_xy.tolist()),
+                                  radii.r_u2u_m, scenario.d_safe_m)
+        res = p3_waypoint(path[-1], path[0],
+                          fleet.allowed(pacing, attach, cp))
         assert tuple(w[-1, pacing].tolist()) == res.point
 
 
@@ -564,8 +594,8 @@ def test_waypoint_solvers_never_lose_to_the_grid():
                     <= ring.outer_m + tol)
 
         try:
-            q_chain = nearest_chain_point(prev, anchor, r_link, d_safe, ring,
-                                          (0.0, 0.0))
+            q_chain = nearest_chain_point(
+                prev, _allowed(anchor, d_safe, r_link, ring))
         except InfeasibleWaypointError:
             assert len(grid) == 0
             continue
@@ -574,15 +604,15 @@ def test_waypoint_solvers_never_lose_to_the_grid():
         if len(grid):
             assert float(_dist(q_chain, prev)) <= _dist(grid, prev).min() + tol
 
-        res = p3_waypoint(anchor, e1, e2, r_link, d_safe, ring, (0.0, 0.0))
+        res = p3_waypoint(e1, e2, _allowed(anchor, d_safe, r_link, ring))
         q = np.array(res.point)
         assert feasible(q)
         if len(grid):
             detour = _dist(grid, e1) + _dist(grid, e2) - float(_dist(e2, e1))
             assert res.detour_m <= detour.min() + tol
 
-        q = advance_point(prev, anchor, target, budget, r_link, d_safe, ring,
-                          (0.0, 0.0))
+        q = advance_point(prev, target, budget,
+                          _allowed(anchor, d_safe, r_link, ring))
         assert feasible(q)
         in_budget = grid[_dist(grid, prev) <= budget]
         if float(_dist(q, prev)) <= budget + tol:
@@ -731,7 +761,7 @@ _DEGENERATE = {
 @pytest.mark.parametrize("case", list(_DEGENERATE))
 def test_p3_degenerate_geometry_matches_the_sampled_solver(case, monkeypatch):
     p_k, e1, e2, ring = _DEGENERATE[case]
-    args = (p_k, e1, e2, 500.0, 30.0, ring, (0.0, 0.0))
+    args = (e1, e2, _allowed(p_k, 30.0, 500.0, ring))
     with np.errstate(all="raise"):
         res = p3_waypoint(*args)
     monkeypatch.setattr(pointmatch, "_arc_minima",
@@ -848,7 +878,7 @@ def _solver_instances():
     the degenerate cases."""
     for ring, anchor, r_link, prev, target, budget, e1, e2 in \
             _oracle_instances(150):
-        chain = _annuli(anchor, 30.0, r_link, ring, np.zeros(2))
+        chain = _allowed(anchor, 30.0, r_link, ring, np.zeros(2))
         yield [prev], [prev], chain
         yield [target], [target], chain + [(prev, 0.0, budget)]
         yield [e1, e2], [], chain
@@ -915,17 +945,14 @@ def test_float_solver_parts_match_the_array_reference():
 
 # The insertion before its edges were pruned: every window edge is solved
 # with `p3_waypoint`, kept as the reference the pruned loop must reproduce.
-def reference_insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids,
-                               cps, ring_ref, bs, r_u2u, d_safe, meta):
-    prev = next((int(adj_ids[a]) for a in reversed(order) if a in matched),
-                None)
-    for t, a_local in enumerate(order):
-        cp_id = int(adj_ids[a_local])
-        if a_local in matched:
+def reference_insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet,
+                               meta):
+    prev = next((c for c in reversed(ids) if c in shared), None)
+    for t, cp_id in enumerate(ids):
+        if cp_id in shared:
             prev = cp_id
             continue
-        nxt = next((int(adj_ids[b]) for b in order[t + 1:] + order[:t]
-                    if b in matched), None)
+        nxt = next((c for c in ids[t + 1:] + ids[:t] if c in shared), None)
         cp = cps[cp_id].tolist()
         col = duty[:, adj]
         lo, p_in = ((int(np.flatnonzero(col == prev)[0]), cps[prev].tolist())
@@ -938,11 +965,10 @@ def reference_insert_unmatched(pos, duty, ref, adj, order, matched, adj_ids,
         pts = path.tolist() + path[:1].tolist()
         jump_in = pointmatch._dist(p_in, cp)
         jump_out = pointmatch._dist(cp, p_out)
-        band = pointmatch._radial_band(ref, adj, cp, ring_ref, bs, d_safe)
+        allowed = fleet.allowed(ref, adj, cp)
         best = None
         for i in range(span):
-            res = pointmatch.p3_waypoint(cp, pts[i], pts[i + 1], r_u2u,
-                                         d_safe, band, bs)
+            res = pointmatch.p3_waypoint(pts[i], pts[i + 1], allowed)
             if res is None:
                 continue
             cost = (res.detour_m
