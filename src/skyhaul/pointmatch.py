@@ -182,14 +182,13 @@ def _arc_minima(foci, circles) -> list[tuple[float, float]]:
     """Every point of each of the (center, r) `circles` where the summed
     distance to the one or two `foci` may be locally least, in closed form:
     the radial projection of each focus (for one focus, the minimum) and,
-    for foci A, B (complex, centre-relative):
-    - the reflection points, where (A - z)(B - z) / z^2 is real: roots of
-      conj(AB) z^4 - r^2 conj(A+B) z^3 + r^4 (A+B) z - r^4 AB (Neumann 1998),
-      one batched eigenvalue call over the companion matrices, each root put
-      on its circle by angle. A focus on the centre or a zero radius leaves
-      the radial projections exact, so those circles skip it;
-    - where the segment AB crosses the circle: both gradients cancel there,
-      so the quartic has no root."""
+    for foci A, B (complex, centre-relative), the reflection points, where
+    (A - z)(B - z) / z^2 is real: roots of conj(AB) z^4 - r^2 conj(A+B) z^3
+    + r^4 (A+B) z - r^4 AB (Neumann 1998), one batched eigenvalue call over
+    the companion matrices, each root put on its circle by angle. A focus on
+    the centre or a zero radius leaves the radial projections exact, so
+    those circles skip it. Where the segment AB crosses a circle the quartic
+    has no root; `_minimise` answers a segment that meets the set itself."""
     pts = [_at_angle(c, r, math.atan2(fy - c[1], fx - c[0]))
            for fx, fy in foci for c, r in circles]
     if len(foci) == 2:
@@ -212,36 +211,30 @@ def _arc_minima(foci, circles) -> list[tuple[float, float]]:
             for (c, r), roots in zip(on, np.linalg.eigvals(comp).tolist()):
                 pts += [_at_angle(c, r, math.atan2(z.imag, z.real))
                         for z in roots]
-        ex, ey = bx - ax, by - ay
-        if (bb := ex * ex + ey * ey) > 0.0:
-            near, far = [], []
-            for (cx, cy), r in circles:
-                dx, dy = ax - cx, ay - cy
-                disc, t0, t1 = _chord(dx * ex + dy * ey, bb, dx * dx + dy * dy,
-                                      r)
-                if disc >= 0.0:
-                    near.append(t0)
-                    far.append(t1)
-            pts += [(ax + t * ex, ay + t * ey) for t in near + far
-                    if 0.0 <= t <= 1.0]
     return pts
 
 
-def _minimise(foci, seeds, annuli) -> tuple[float, float] | None:
+def _minimise(foci, annuli) -> tuple[float, float] | None:
     """Point of the intersection of `annuli` ((center, lo, hi): lo <= |q -
     center| <= hi) with the least summed distance to the one or two `foci`,
     or None when the intersection is empty.
 
-    The cost is convex, so the optimum is a feasible unconstrained minimiser
-    from `seeds`, a point where two boundary circles cross or touch, or a
-    local minimum of the cost along one boundary circle, all in closed form
-    (`_arc_minima`). All are scored in that order, the first least cost
-    among the admissible ones wins, so a candidate that is no minimum costs
-    nothing. A call is a few dozen candidates, so they are Python floats.
+    Two foci whose segment meets the set cost |AB| at every point of that
+    crossing; the answer is the midpoint of the widest one
+    (`_edge_through_point`). Otherwise the cost is convex, so the optimum is
+    a feasible lone focus, a point where two boundary circles cross or
+    touch, or a local minimum of the cost along one boundary circle, all in
+    closed form (`_arc_minima`). All are scored in that order, the first
+    least cost among the admissible ones wins, so a candidate that is no
+    minimum costs nothing. A call is a few dozen candidates, so they are
+    Python floats.
     """
+    if len(foci) == 2 and (
+            q := _edge_through_point(*foci, annuli)) is not None:
+        return q
     circles = [(c, r) for c, lo, hi in annuli
                for r in ((lo, hi) if lo > 0.0 else (hi,))]
-    pts = list(seeds) + _arc_minima(foci, circles)
+    pts = (list(foci) if len(foci) == 1 else []) + _arc_minima(foci, circles)
     for (c1, r1), (c2, r2) in itertools.combinations(circles, 2):
         pts += _crossings(c1, r1, c2, r2)
     bounds = [(c[0], c[1], lo - DIST_TOL_M, hi + DIST_TOL_M)
@@ -308,12 +301,9 @@ def _edge_through_point(e1, e2, annuli) -> tuple[float, float] | None:
 
 def p3_waypoint(e1, e2, allowed) -> P3Result | None:
     """Cheapest-detour waypoint on the edge e1 -> e2 inside the `allowed`
-    annuli: the on-edge point when the edge passes through them (detour
-    zero), otherwise the exact minimiser of |q - e1| + |q - e2| over them.
-    None when they do not meet."""
-    q = _edge_through_point(e1, e2, allowed)
-    if q is None:
-        q = _minimise((e1, e2), [], allowed)
+    annuli, the minimiser of |q - e1| + |q - e2| over them (`_minimise`),
+    with its detour. None when they do not meet."""
+    q = _minimise((e1, e2), allowed)
     if q is None:
         return None
     (x1, y1), (x2, y2), (qx, qy) = e1, e2, q
@@ -324,7 +314,7 @@ def p3_waypoint(e1, e2, allowed) -> P3Result | None:
 
 def nearest_chain_point(prev, allowed) -> tuple[float, float]:
     """Least-displacement point from `prev` inside the `allowed` annuli."""
-    q = _minimise([prev], [prev], allowed)
+    q = _minimise([prev], allowed)
     if q is None:
         raise InfeasibleWaypointError("chain annulus does not meet the ring")
     return q
@@ -337,7 +327,7 @@ def advance_point(prev, target, budget_m: float,
     on the approach keeps the later duty leg from outrunning the fleet's
     pace. If no allowed point fits the budget, the smallest move into the
     allowed set wins instead."""
-    q = _minimise([target], [target], allowed + [(prev, 0.0, budget_m)])
+    q = _minimise([target], allowed + [(prev, 0.0, budget_m)])
     if q is None:
         return nearest_chain_point(prev, allowed)
     return q

@@ -13,7 +13,9 @@ from skyhaul.channel import (CoverageError, InfeasibleConfigError,
 from skyhaul.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                          EXIT_VALIDATION, main)
 from skyhaul.clustering import InfeasibleClusteringError
-from skyhaul.model import load_scenario
+from skyhaul.mission import evaluate
+from skyhaul.model import (ChannelParams, apply_config_overrides,
+                           generate_scenario, load_scenario)
 from skyhaul.pointmatch import InfeasibleWaypointError
 
 
@@ -69,6 +71,26 @@ def test_plan_baselines_exit_clean(tmp_path, algo):
     assert main(["generate", "--sensors", "60", "--size", "2500",
                  "--seed", "1", "-o", scn]) == EXIT_OK
     assert main(["plan", scn, "--algo", algo]) == EXIT_OK
+
+
+def test_plan_names_each_failing_check(tmp_path, capsys, monkeypatch):
+    # ttp forgets to collect at its first step: only its coverage check fails
+    scn = str(tmp_path / "scn.json")
+    assert main(["generate", "--sensors", "60", "--size", "2500",
+                 "--seed", "1", "-o", scn]) == EXIT_OK
+    real = cli._PLANNERS["ttp"]
+
+    def forgetful(*args):
+        plan = real(*args)
+        plan.duties[0] = -1
+        return plan
+
+    monkeypatch.setitem(cli._PLANNERS, "ttp", forgetful)
+    assert main(["plan", scn, "--algo", "ttp"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0] == "checks FAILED: coverage"
+    assert err[1].startswith("  coverage: step 0 collects nothing")
 
 
 def test_unknown_algo_is_a_usage_error(tmp_path, capsys):
@@ -309,6 +331,27 @@ def test_sweep_names_each_failing_cell(tmp_path, capsys, monkeypatch):
                    "  sensors=60 seed=1 ttp: coverage\n")
 
 
+def test_sweep_config_reaches_every_cell(tmp_path, monkeypatch):
+    # a narrower band doubles every upload time, so a dropped config shows
+    cfg = {"bandwidth_hz": 1e6}
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("SKYHAUL_WORKERS", "1")
+    assert main(["sweep", "--axis", "sensors", "--values", "40", "--seeds",
+                 "2", "--size", "2000", "--config",
+                 _write_config(tmp_path, cfg), "-o", str(out)]) == EXIT_OK
+    params = apply_config_overrides(ChannelParams(), cfg)
+    want = []
+    for seed in range(2):
+        scenario = generate_scenario(2000, 2000, 40, params=params, seed=seed)
+        radii, cluster_set, topology = cli.prepare(scenario)
+        for algo, planner in cli._PLANNERS.items():
+            plan = planner(scenario, cluster_set, topology, radii)
+            report = evaluate(plan, scenario, topology, radii, cluster_set)
+            want.append(["40", str(seed), algo, repr(report.completion_s)])
+    rows = [line.split(",")[:4] for line in out.read_text().splitlines()[1:]]
+    assert rows == want
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the environment workers
     would start in and runs the cells in this process."""
@@ -350,6 +393,7 @@ def test_sweep_workers_start_spawned_with_one_blas_thread(tmp_path, monkeypatch)
     ["--values", "inf"],
     ["--values", "nan"],
     ["--values", "40", "--seeds", "0"],
+    ["--values", ","],
 ])
 def test_sweep_rejects_bad_inputs(tmp_path, capsys, flags):
     rc = main(["sweep", "--axis", "sensors", "-o", str(tmp_path / "x.csv")]
