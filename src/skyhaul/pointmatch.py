@@ -31,57 +31,48 @@ class InfeasibleWaypointError(InfeasibleError):
     """The waypoint constraint set is empty."""
 
 
-class RingPair:
-    """An attach ring against the fixed ring's collect events, in local
-    indices: attach CP a is the a-th CP of the attach tour, event e the e-th
-    collect step of the fixed ring. `path_m[e]` is the fixed UAV's path
-    distance at event e, so path_m[e2] - path_m[e1] bounds the straight hop
-    the attach UAV may fly between two shared steps."""
-
-    def __init__(self, cps_out, cps_in, hover_out, hover_in, path_m,
-                 r_u2u: float, d_safe: float):
-        cps_out = np.asarray(cps_out, dtype=float).reshape(-1, 2)
-        cps_in = np.asarray(cps_in, dtype=float).reshape(-1, 2)
-        self.gap = _pairwise(cps_out, cps_in)
-        self.hop = _pairwise(cps_out, cps_out)
-        self.link = self.gap <= r_u2u
-        self.hover_out = np.asarray(hover_out, dtype=float)
-        self.hover_in = np.asarray(hover_in, dtype=float)
-        self.path_m = np.asarray(path_m, dtype=float)
-        self.d_safe = d_safe
-
-
-def match_pairs(pair: RingPair) -> tuple[list[int], dict[int, int]]:
+def match_pairs(cps_out, cps_in, hover_out, hover_in, path_m, r_u2u: float,
+                d_safe: float) -> tuple[list[int], dict[int, int]]:
     """The attach order and monotone pairing {attach CP: event} with the
     least leftover hover plus waiting, then the most matched CPs.
+
+    Indices are local: attach CP a is the a-th of `cps_out`, in attach tour
+    order, and event e the e-th collect step of the fixed ring, at `cps_in`.
+    `path_m[e]` is the fixed UAV's path distance at event e, so path_m[e2] -
+    path_m[e1] bounds the straight hop the attach UAV may fly between two
+    shared steps.
 
     The order is a rotation of the attach tour in either direction. A matched
     CP collects in its event's step, which waits out max(0, hover_out -
     hover_in); an unmatched CP pays its whole hover in a step of its own. The
     cost is therefore sum(hover_out) minus, over the matched pairs,
     min(hover_out[a], hover_in[e]), and the optimum is a longest path through
-    the feasible cells (a, e), those linked and at least d_safe apart. A cell
-    may follow another with a later event, a later attach position and a hop
-    that does not outrun the fixed path. Events order the cells for every
-    rotation at once, so one pass over them solves all 2n rotations as rows.
-    Ties go to the first rotation, forward rotations before backward ones,
-    and within one to the first cell in event order.
+    the feasible cells (a, e), those at most r_u2u and at least d_safe apart.
+    A cell may follow another with a later event, a later attach position and
+    a hop that does not outrun the fixed path. Events order the cells for
+    every rotation at once, so one pass over them solves all 2n rotations as
+    rows. Ties go to the first rotation, forward rotations before backward
+    ones, and within one to the first cell in event order.
     """
-    n = len(pair.hover_out)
-    cell_e, cell_a = np.nonzero((pair.link & (pair.gap >= pair.d_safe)).T)
+    cps_out = np.asarray(cps_out, dtype=float).reshape(-1, 2)
+    hover_out = np.asarray(hover_out, dtype=float)
+    hover_in = np.asarray(hover_in, dtype=float)
+    gap = _pairwise(cps_out, np.asarray(cps_in, dtype=float).reshape(-1, 2))
+    n = len(hover_out)
+    cell_e, cell_a = np.nonzero(((gap <= r_u2u) & (gap >= d_safe)).T)
     # per row (forward rotations, then backward ones) each cell's attach
     # position; column 0 is the empty start, which precedes every cell
     shift = np.arange(n)[:, None]
     at = np.full((2 * n, len(cell_a) + 1), -1)
     at[:n, 1:] = (cell_a - shift) % n
     at[n:, 1:] = (n - 1 - cell_a - shift) % n
-    pm = pair.path_m[cell_e]
+    pm = np.asarray(path_m, dtype=float)[cell_e]
     # reach[c2, c1]: cell c2 may follow c1, its hop within the fixed path
     reach = np.ones((len(cell_a) + 1,) * 2, dtype=bool)
-    reach[1:, 1:] = ~(pair.hop[np.ix_(cell_a, cell_a)]
+    reach[1:, 1:] = ~(_pairwise(cps_out, cps_out)[np.ix_(cell_a, cell_a)]
                       > pm[:, None] - pm[None, :] + _HOP_TOL_M)
     score = np.zeros(at.shape)
-    score[:, 1:] = np.minimum(pair.hover_out[cell_a], pair.hover_in[cell_e])
+    score[:, 1:] = np.minimum(hover_out[cell_a], hover_in[cell_e])
     count = (at >= 0).astype(int)               # the start matches nothing
     pred = np.zeros_like(at)
     starts = (np.flatnonzero(np.diff(cell_e, prepend=-1)) + 1).tolist()
@@ -453,6 +444,7 @@ def _fill_ring(pos, g, anchor_ring, fleet, done_rings, meta):
         mid = 0.5 * (ring.inner_m + ring.outer_m)
         col[0] = nearest_chain_point((bx + ux * mid, by + uy * mid),
                                      fleet.allowed(g, anchor_ring, anchors[0]))
+        meta["escorts"] += 1
         start = 0
     budget = _longest_legs(pos[:, done_rings]).tolist()
     for i in [*range(start, s_count), *range(start)]:
@@ -482,21 +474,20 @@ def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, fleet, meta):
     steps for the attach-ring CPs that could not share one. Returns the
     grown `pos` and `duty`."""
     adj_ids = orders[adj]
-    meta["pair_processings"] += 1
     if not adj_ids:
         return pos, duty
     ev_steps = np.flatnonzero(duty[:, ref] >= 0)
     ev_cps = duty[ev_steps, ref]
     path_cum = np.concatenate([[0.0], np.cumsum(
         np.hypot(*np.diff(pos[:, ref], axis=0).T))])
-    pair = RingPair(cps[adj_ids], cps[ev_cps], hovers[adj_ids], hovers[ev_cps],
-                    path_cum[ev_steps], fleet.r_u2u, fleet.d_safe)
-    order, matched = match_pairs(pair)
+    order, matched = match_pairs(cps[adj_ids], cps[ev_cps], hovers[adj_ids],
+                                 hovers[ev_cps], path_cum[ev_steps],
+                                 fleet.r_u2u, fleet.d_safe)
     waits = 0
     for a_local, e_local in matched.items():
         pos[ev_steps[e_local], adj] = cps[adj_ids[a_local]]
         duty[ev_steps[e_local], adj] = adj_ids[a_local]
-        waits += bool(pair.hover_out[a_local] > pair.hover_in[e_local])
+        waits += bool(hovers[adj_ids[a_local]] > hovers[ev_cps[e_local]])
     meta["pairs_matched"] += len(matched) - waits
     meta["pairs_relaxed"] += waits
     return _insert_unmatched(pos, duty, ref, adj,
@@ -552,7 +543,6 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         "pairs_matched": 0,
         "pairs_relaxed": 0,
         "generated_waypoints": 0,
-        "pair_processings": 0,
         "detour_m": 0.0,
         "escorts": 0,
     }

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -168,9 +170,12 @@ def test_missing_scenario_file(tmp_path, capsys):
 
 def test_malformed_scenario_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["plan", str(bad)]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    for text, message in (("{not json", "error: scenario file is not valid"),
+                          ("[]", "error: scenario file must contain a JSON "
+                                 "object")):
+        bad.write_text(text)
+        assert main(["plan", str(bad)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 def test_hopeless_radio_config_is_infeasible(tmp_path, capsys):
@@ -403,11 +408,13 @@ def test_sweep_rejects_bad_inputs(tmp_path, capsys, flags):
 
 
 def test_bad_worker_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SKYHAUL_WORKERS", "zero")
-    rc = main(["sweep", "--axis", "sensors", "--values", "40",
-               "--seeds", "1", "--size", "2000", "-o", str(tmp_path / "x.csv")])
-    assert rc == EXIT_USAGE
-    assert "SKYHAUL_WORKERS" in capsys.readouterr().err
+    for raw in ("zero", "0", "-3"):
+        monkeypatch.setenv("SKYHAUL_WORKERS", raw)
+        rc = main(["sweep", "--axis", "sensors", "--values", "40", "--seeds",
+                   "1", "--size", "2000", "-o", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert (f"SKYHAUL_WORKERS must be a positive integer, got {raw!r}"
+                in capsys.readouterr().err)
 
 
 def test_generate_writes_config_thresholds_as_given(tmp_path):
@@ -503,3 +510,13 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     scn.write_text(json.dumps(data))
     assert main(["plan", str(scn)]) == EXIT_USAGE
     assert "error: rng_seed must be non-negative" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs(capsys):
+    """README's one Python block, the documented library entry point
+    (prepare, a planner, evaluate), runs and reports a valid plan."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    assert capsys.readouterr().out.split()[-1] == "True"

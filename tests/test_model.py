@@ -81,6 +81,14 @@ def _with_first_data_bits(bits):
     return dataclasses.replace(sc, sensor_data_bits=np.array([bits, 1e7]))
 
 
+@pytest.mark.parametrize("field", ["sensor_ids", "sensor_positions",
+                                   "sensor_data_bits"])
+def test_scenario_rejects_sensor_arrays_of_mismatched_lengths(field):
+    sc = generate_scenario(500.0, 500.0, 3, seed=0)
+    with pytest.raises(ScenarioError, match="must have matching lengths"):
+        dataclasses.replace(sc, **{field: getattr(sc, field)[:2]})
+
+
 def test_sensor_requires_positive_data():
     with pytest.raises(ScenarioError):
         _with_first_data_bits(0.0)
@@ -236,6 +244,9 @@ def test_missing_field_is_named(tmp_path):
                  r"'id' in sensors\[0\] must fit in int64", id="sensor-id-2**63"),
     pytest.param("v_max_mps", 10 ** 400, "'v_max_mps' in scenario must be a number",
                  id="v_max_mps-1e400"),
+    pytest.param("bs_position_m", [1.0, 2.0, 3.0],
+                 r"'bs_position_m' in scenario must be \[x, y\]",
+                 id="bs_position_m-3d"),
 ])
 def test_malformed_sections_are_named(key, value, match):
     d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))
@@ -255,6 +266,9 @@ def test_malformed_sections_are_named(key, value, match):
     ("bs_height_m", float("inf"), "bs_height_m must be finite"),
     ("bs_position_m", [float("inf"), 0.0], "bs_position_m must be finite"),
     ("bs_position_m", [0.0, float("nan")], "bs_position_m must be finite"),
+    ("region_width_m", 0.0, "region dimensions must be positive"),
+    ("v_max_mps", 0.0, "v_max_mps must be positive"),
+    ("n_th", 0, "n_th must be at least 1"),
 ])
 def test_scenario_rejects_nan_lengths_and_no_sensors(key, value, match):
     d = scenario_to_dict(generate_scenario(500.0, 500.0, 2, seed=0))

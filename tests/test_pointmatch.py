@@ -17,22 +17,28 @@ from skyhaul.cli import prepare
 from skyhaul.mission import DIST_TOL_M, evaluate, lower_bound
 from skyhaul.model import ChannelParams, Scenario, apply_config_overrides
 from skyhaul.partition import Ring
-from skyhaul.pointmatch import (InfeasibleWaypointError, RingPair,
-                                _arc_minima, _crossings,
-                                _detour_floor, _minimise,
+from skyhaul.pointmatch import (InfeasibleWaypointError, _arc_minima,
+                                _crossings, _detour_floor, _minimise,
                                 advance_point, match_pairs,
                                 nearest_chain_point, p3_waypoint)
-from skyhaul.tsp import solve_tsp
+from skyhaul.tsp import _pairwise, solve_tsp
 
 
 def _pair(outer, inner, hover_out, hover_in, r_u2u, d_safe=0.0, path_m=None):
-    """RingPair whose events are `inner` in index order; by default the fixed
-    UAV flies straight from one event to the next."""
+    """`match_pairs` arguments whose events are `inner` in index order; by
+    default the fixed UAV flies straight from one event to the next."""
     inner = np.asarray(inner, dtype=float).reshape(-1, 2)
     if path_m is None:
         legs = np.hypot(*np.diff(inner, axis=0).T)
         path_m = np.concatenate([[0.0], np.cumsum(legs)])[:len(inner)]
-    return RingPair(outer, inner, hover_out, hover_in, path_m, r_u2u, d_safe)
+    return outer, inner, hover_out, hover_in, path_m, r_u2u, d_safe
+
+
+def _link(pair):
+    """Which attach CPs of `pair` are within U2U range of which events."""
+    outer, inner, *_, r_u2u, _ = pair
+    return _pairwise(np.asarray(outer, dtype=float).reshape(-1, 2),
+                     inner) <= r_u2u
 
 
 def _allowed(anchor, d_safe, r_link, ring=None, bs=(0.0, 0.0)):
@@ -43,15 +49,16 @@ def _allowed(anchor, d_safe, r_link, ring=None, bs=(0.0, 0.0)):
 
 
 def test_link_boundary_is_inclusive():
-    pair = _pair([(0.0, 0.0), (10.0, 0.0)], [(0.0, 5.0), (8.0, 0.0)],
-                 [1.0, 1.0], [1.0, 1.0], r_u2u=5.0)
-    assert pair.link.tolist() == [[True, False], [False, True]]
+    """A CP exactly r_u2u from its only event shares its step."""
+    for r_u2u, expected in ((5.0, ([0], {0: 0})), (4.999999999, ([0], {}))):
+        pair = _pair([(0.0, 0.0)], [(3.0, 4.0)], [1.0], [1.0], r_u2u=r_u2u)
+        assert match_pairs(*pair) == expected
 
 
 def test_empty_inner_ring_matches_nothing():
     pair = _pair([(0.0, 0.0)], np.zeros((0, 2)), [1.0], [], r_u2u=100.0)
-    assert pair.link.shape == (1, 0)
-    assert match_pairs(pair) == ([0], {})
+    assert _link(pair).shape == (1, 0)
+    assert match_pairs(*pair) == ([0], {})
 
 
 def _three_cps(hover_out=(1.0, 1.0, 1.0), hover_in=(1.0,) * 8):
@@ -66,13 +73,13 @@ def _three_cps(hover_out=(1.0, 1.0, 1.0), hover_in=(1.0,) * 8):
 
 def test_match_pairs_checks_link_separation_and_both_hops():
     pair = _three_cps()
-    assert [np.flatnonzero(row).tolist() for row in pair.link] == [
+    assert [np.flatnonzero(row).tolist() for row in _link(pair)] == [
         [1], [2, 3, 4, 5], [6]]
     # CP 1 takes event 3 or 4, 400 m of path from both neighbours' events
-    assert match_pairs(pair) == ([0, 1, 2], {0: 1, 1: 3, 2: 6})
+    assert match_pairs(*pair) == ([0, 1, 2], {0: 1, 1: 3, 2: 6})
     close = _pair([(0.0, 10.0)], [(0.0, 0.0)], [1.0], [1.0], r_u2u=75.0,
                   d_safe=30.0)
-    assert match_pairs(close) == ([0], {})          # 10 m apart
+    assert match_pairs(*close) == ([0], {})          # 10 m apart
 
 
 def test_match_pairs_refuses_hops_that_outrun_the_path():
@@ -81,26 +88,26 @@ def test_match_pairs_refuses_hops_that_outrun_the_path():
     # 2 or 5 costs one neighbour its step, and saves more than that
     hover_in = (1.0, 1.0, 9.0, 1.0, 1.0, 9.0, 1.0, 1.0)
     pair = _three_cps(hover_out=(1.0, 5.0, 1.0), hover_in=hover_in)
-    assert match_pairs(pair) == ([0, 1, 2], {0: 1, 1: 5})
+    assert match_pairs(*pair) == ([0, 1, 2], {0: 1, 1: 5})
 
 
 def test_match_pairs_simple_walk():
     pair = _pair([[0.0, 100.0], [50.0, 100.0]], [[0.0, 0.0], [50.0, 0.0]],
                  [1.0, 1.0], [5.0, 5.0], r_u2u=150.0)
-    assert match_pairs(pair) == ([0, 1], {0: 0, 1: 1})
+    assert match_pairs(*pair) == ([0, 1], {0: 0, 1: 1})
 
 
 def test_match_pairs_pays_hover_excess():
     # the inner CP finishes 4 s before the outer one: the shared step waits
     # 4 s, where a step of the outer CP's own would take 5 s
     pair = _pair([[0.0, 100.0]], [[0.0, 0.0]], [5.0], [1.0], r_u2u=150.0)
-    assert match_pairs(pair) == ([0], {0: 0})
+    assert match_pairs(*pair) == ([0], {0: 0})
 
 
 def test_match_pairs_respects_safety_gap():
     pair = _pair([[0.0, 3.0]], [[0.0, 0.0]], [1.0], [5.0], r_u2u=150.0,
                  d_safe=4.0)
-    assert match_pairs(pair) == ([0], {})
+    assert match_pairs(*pair) == ([0], {})
 
 
 def test_match_pairs_hop_cannot_outrun_inner_path():
@@ -108,16 +115,16 @@ def test_match_pairs_hop_cannot_outrun_inner_path():
     # force the outer UAV to fly 1000 m while the inner one flies 10 m
     pair = _pair([[0.0, 100.0], [1000.0, 100.0]], [[0.0, 0.0], [10.0, 0.0]],
                  [1.0, 1.0], [5.0, 5.0], r_u2u=2000.0)
-    assert pair.link.all()
-    assert match_pairs(pair) == ([0, 1], {0: 0})
+    assert _link(pair).all()
+    assert match_pairs(*pair) == ([0, 1], {0: 0})
 
 
 def test_match_pairs_shares_each_event_once():
     # both outer CPs can only reach inner 0
     pair = _pair([[0.0, 50.0], [5.0, 50.0]], [[0.0, 0.0], [500.0, 0.0]],
                  [1.0, 1.0], [9.0, 9.0], r_u2u=100.0)
-    assert pair.link.tolist() == [[True, False], [True, False]]
-    assert match_pairs(pair) == ([0, 1], {0: 0})
+    assert _link(pair).tolist() == [[True, False], [True, False]]
+    assert match_pairs(*pair) == ([0, 1], {0: 0})
 
 
 def _four_cps(hover_in=(1.0,) * 8):
@@ -131,14 +138,14 @@ def _four_cps(hover_in=(1.0,) * 8):
 
 
 def test_match_pairs_matches_every_cp_that_fits():
-    order, matched = match_pairs(_four_cps())
+    order, matched = match_pairs(*_four_cps())
     assert order == [0, 1, 2, 3] and len(matched) == 4
 
 
 def test_match_pairs_waits_out_the_least_excess():
     # event 4 leaves CP 1 or 2 2 s of excess against 4 s at any other event
     hover_in = (1.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0)
-    order, matched = match_pairs(_four_cps(hover_in=hover_in))
+    order, matched = match_pairs(*_four_cps(hover_in=hover_in))
     assert len(matched) == 4 and 4 in (matched[1], matched[2])
 
 
@@ -210,16 +217,15 @@ def test_match_pairs_equals_the_brute_force_optimum():
             score = _score(seq, args[2], args[3])
             if best is None or score > best[0]:
                 best = (score, order)
-        order, matched = match_pairs(RingPair(outer, inner, hover_out,
-                                              hover_in, path_m, r_u2u, d_safe))
+        order, matched = match_pairs(outer, inner, hover_out, hover_in,
+                                     path_m, r_u2u, d_safe)
         seq = [(a, matched[a]) for a in order if a in matched]
         assert (_score(seq, args[2], args[3]), order) == best
         assert (order, seq) in options
         for shift, step in ((int(rng.integers(n)), 1), (0, -1)):
             turned = np.roll(np.arange(n), -shift)[::step]
-            _, moved = match_pairs(RingPair(outer[turned], inner,
-                                            hover_out[turned], hover_in,
-                                            path_m, r_u2u, d_safe))
+            _, moved = match_pairs(outer[turned], inner, hover_out[turned],
+                                   hover_in, path_m, r_u2u, d_safe)
             assert _score([(turned[a], e) for a, e in moved.items()],
                           args[2], args[3]) == best[0]
 
@@ -242,7 +248,8 @@ def test_match_pairs_contract_on_random_instances():
         tour_in = list(solve_tsp(inner).order)
         pair = _pair(outer[tour_out], inner[tour_in], hover_out[tour_out],
                      hover_in[tour_in], r_u2u, d_safe)
-        order, matched = match_pairs(pair)
+        order, matched = match_pairs(*pair)
+        path_m = pair[4]
         assert order in _attach_orders(n_out)
         seq = [(a, matched[a]) for a in order if a in matched]
         assert [e for _, e in seq] == sorted({e for _, e in seq})
@@ -253,7 +260,7 @@ def test_match_pairs_contract_on_random_instances():
             if prev is not None:
                 hop = float(np.hypot(*(outer[tour_out[prev[0]]]
                                        - outer[tour_out[a]])))
-                assert hop <= pair.path_m[e] - pair.path_m[prev[1]] + 1e-9
+                assert hop <= path_m[e] - path_m[prev[1]] + 1e-9
             prev = (a, e)
 
 
@@ -495,7 +502,6 @@ def test_plan_single_ring_hits_lower_bound():
     assert report.completion_s == pytest.approx(bound, rel=1e-12)
     duties = plan.duties[plan.duties != -1]
     assert sorted(duties) == list(range(cluster_set.k))
-    assert plan.meta["pair_processings"] == 0
 
 
 @pytest.mark.parametrize("field, appends", [((150, 4000.0, 3), False),
@@ -507,7 +513,6 @@ def test_plan_two_rings_pacing_invariant(field, appends):
     plan = pointmatch.plan(scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
     assert report.all_passed
-    assert plan.meta["pair_processings"] == 1
     # the pacing ring flies exactly its tour plus the recorded detours
     pacing = plan.meta["pacing_ring"]
     w = plan.waypoints
@@ -537,7 +542,6 @@ def test_plan_three_rings_valid():
     plan = pointmatch.plan(scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
     assert report.all_passed, [c for c in report.checks if not c.passed]
-    assert plan.meta["pair_processings"] == 2
     assert not report.bound_violated
 
 
@@ -563,11 +567,16 @@ def test_plan_escorts_through_an_empty_middle_ring(default_params,
         report = evaluate(plan, scenario, topology, radii, cluster_set)
         assert report.all_passed, [c for c in report.checks if not c.passed]
     # the loop ends on pmtp's plan
-    assert {k: plan.meta[k] for k in (
-        "pair_processings", "pairs_matched", "pairs_relaxed",
-        "generated_waypoints", "escorts")} == {
-        "pair_processings": 2, "pairs_matched": 0, "pairs_relaxed": 0,
-        "generated_waypoints": 1, "escorts": 2}
+    meta = plan.meta
+    assert {k: meta[k] for k in (
+        "pairs_matched", "pairs_relaxed", "generated_waypoints",
+        "escorts")} == {
+        "pairs_matched": 0, "pairs_relaxed": 0, "generated_waypoints": 1,
+        "escorts": 3}
+    # every idle waypoint is an escort or the fixed ring's side of an
+    # inserted step
+    assert ((plan.duties == -1).sum()
+            == meta["escorts"] + meta["generated_waypoints"])
 
 
 def _annulus_grid(center, r_lo, r_hi):
