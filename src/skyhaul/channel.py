@@ -36,24 +36,20 @@ def los_probability(r, height_m: float, params: ChannelParams):
         raise ValueError("height_m must be positive")
     r = np.asarray(r, dtype=float)
     elev_deg = np.degrees(np.arctan2(height_m, r))
-    p = 1.0 / (1.0 + params.a * np.exp(-params.b * (elev_deg - params.a)))
-    return p if p.ndim else float(p)
+    return 1.0 / (1.0 + params.a * np.exp(-params.b * (elev_deg - params.a)))
 
 
 def path_loss(r, height_m: float, params: ChannelParams):
     """Expected channel gain: LoS/NLoS mix times beta0 * slant_range^-alpha."""
-    r = np.asarray(r, dtype=float)
-    p = np.asarray(los_probability(r, height_m, params))
-    d = np.hypot(height_m, r)
-    g = (p + (1.0 - p) * params.kappa) * params.beta0 * d ** (-params.alpha)
-    return g if g.ndim else float(g)
+    p = los_probability(r, height_m, params)
+    d = np.hypot(height_m, np.asarray(r, dtype=float))
+    return (p + (1.0 - p) * params.kappa) * params.beta0 * d ** (-params.alpha)
 
 
 def snr_g2u(r, params: ChannelParams):
     """Uplink SNR from a ground sensor to a hovering UAV."""
-    g = np.asarray(path_loss(r, params.uav_height_m, params))
-    s = params.p_sensor_w * g / params.noise_w
-    return s if s.ndim else float(s)
+    g = path_loss(r, params.uav_height_m, params)
+    return params.p_sensor_w * g / params.noise_w
 
 
 def snr_u2b(r, params: ChannelParams, bs_height_m: float):
@@ -61,9 +57,7 @@ def snr_u2b(r, params: ChannelParams, bs_height_m: float):
     h = params.uav_height_m - bs_height_m
     if h <= 0:
         raise InfeasibleConfigError("UAV altitude must exceed BS height")
-    g = np.asarray(path_loss(r, h, params))
-    s = params.p_uav_w * g / params.noise_w
-    return s if s.ndim else float(s)
+    return params.p_uav_w * path_loss(r, h, params) / params.noise_w
 
 
 @dataclass(frozen=True)
@@ -105,9 +99,7 @@ def coverage_radii(params: ChannelParams, bs_height_m: float) -> CoverageRadii:
 
 def upload_rate_g2u(r, params: ChannelParams):
     """Full-band uplink rate (bit/s) at horizontal distance r."""
-    s = np.asarray(snr_g2u(r, params))
-    rate = params.bandwidth_hz * np.log2(1.0 + s)
-    return rate if rate.ndim else float(rate)
+    return params.bandwidth_hz * np.log2(1.0 + snr_g2u(r, params))
 
 
 def _check_coverage(dists: np.ndarray, params: ChannelParams):

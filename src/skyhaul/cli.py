@@ -167,17 +167,16 @@ def _sensor_count(text: str) -> int:
 
 def _worker_count() -> int:
     raw = os.environ.get(_WORKERS_ENV, "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ScenarioParseError(
-                f"{_WORKERS_ENV} must be a positive integer, got {raw!r}") from None
-        if n < 1:
-            raise ScenarioParseError(
-                f"{_WORKERS_ENV} must be a positive integer, got {raw!r}")
-        return n
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ScenarioParseError(
+            f"{_WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return n
 
 
 @contextlib.contextmanager

@@ -202,9 +202,18 @@ def _field(mapping: dict, key: str, context: str, kind=float):
     return _number(_require(mapping, key, context), key, context, kind)
 
 
-_SCENARIO_KEYS = ("region_width_m", "region_height_m", "bs_position_m",
-                  "bs_height_m", "n_th", "v_max_mps", "d_safe_m", "rng_seed",
-                  "channel", "sensors")
+def _xy(mapping: dict, key: str, context: str) -> tuple[float, float]:
+    pos = _require(mapping, key, context)
+    if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
+        raise ScenarioParseError(f"field '{key}' in {context} must be [x, y]")
+    return _number(pos[0], key, context), _number(pos[1], key, context)
+
+
+# a scenario file's scalar fields in file order, each with how it is read:
+# `float`, `int` or the [x, y] reader `_xy`
+_SCENARIO_FIELDS = {"region_width_m": float, "region_height_m": float,
+                    "bs_position_m": _xy, "bs_height_m": float, "n_th": int,
+                    "v_max_mps": float, "d_safe_m": float, "rng_seed": int}
 _SENSOR_KEYS = ("id", "position_m", "data_bits")
 _CHANNEL_KEYS = tuple(f.name for f in fields(ChannelParams))
 
@@ -224,14 +233,8 @@ def _params_from_dict(d: dict) -> ChannelParams:
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
-        "region_width_m": s.region_width_m,
-        "region_height_m": s.region_height_m,
-        "bs_position_m": list(s.bs_position_m),
-        "bs_height_m": s.bs_height_m,
-        "n_th": s.n_th,
-        "v_max_mps": s.v_max_mps,
-        "d_safe_m": s.d_safe_m,
-        "rng_seed": s.rng_seed,
+        **{key: list(getattr(s, key)) if kind is _xy else getattr(s, key)
+           for key, kind in _SCENARIO_FIELDS.items()},
         "channel": asdict(s.params),
         "sensors": [
             {"id": i, "position_m": xy, "data_bits": bits}
@@ -242,16 +245,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _xy(mapping: dict, key: str, context: str) -> tuple[float, float]:
-    pos = _require(mapping, key, context)
-    if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-        raise ScenarioParseError(f"field '{key}' in {context} must be [x, y]")
-    return _number(pos[0], key, context), _number(pos[1], key, context)
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     params = _params_from_dict(_require(d, "channel", "scenario"))
-    _reject_unknown(d, _SCENARIO_KEYS, "scenario")
+    _reject_unknown(d, (*_SCENARIO_FIELDS, "channel", "sensors"), "scenario")
     raw_sensors = _require(d, "sensors", "scenario")
     if not isinstance(raw_sensors, list):
         raise ScenarioParseError("field 'sensors' in scenario must be a list")
@@ -265,20 +261,13 @@ def scenario_from_dict(d: dict) -> Scenario:
         xy.append(_xy(entry, "position_m", ctx))
         bits.append(_field(entry, "data_bits", ctx))
         _reject_unknown(entry, _SENSOR_KEYS, ctx)
-    return Scenario(
-        region_width_m=_field(d, "region_width_m", "scenario"),
-        region_height_m=_field(d, "region_height_m", "scenario"),
-        bs_position_m=_xy(d, "bs_position_m", "scenario"),
-        bs_height_m=_field(d, "bs_height_m", "scenario"),
-        sensor_ids=np.array(ids, dtype=np.int64),
-        sensor_positions=np.array(xy, dtype=float).reshape(-1, 2),
-        sensor_data_bits=np.array(bits, dtype=float),
-        params=params,
-        n_th=_field(d, "n_th", "scenario", int),
-        v_max_mps=_field(d, "v_max_mps", "scenario"),
-        d_safe_m=_field(d, "d_safe_m", "scenario"),
-        rng_seed=_field(d, "rng_seed", "scenario", int),
-    )
+    scalars = {key: _xy(d, key, "scenario") if kind is _xy
+               else _field(d, key, "scenario", kind)
+               for key, kind in _SCENARIO_FIELDS.items()}
+    return Scenario(sensor_ids=np.array(ids, dtype=np.int64),
+                    sensor_positions=np.array(xy, dtype=float).reshape(-1, 2),
+                    sensor_data_bits=np.array(bits, dtype=float),
+                    params=params, **scalars)
 
 
 def save_scenario(s: Scenario, path: str | Path):

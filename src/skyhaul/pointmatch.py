@@ -525,7 +525,7 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     """
     cps, hovers = cluster_set.cps, cluster_set.hover_s
     m = topology.m_uavs
-    fleet = _Fleet(topology.rings, tuple(scenario.bs_xy.tolist()),
+    fleet = _Fleet(topology.rings, scenario.bs_position_m,
                    radii.r_u2u_m, scenario.d_safe_m)
 
     orders = [list(tour.order) for tour in topology.tours]

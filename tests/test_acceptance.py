@@ -7,6 +7,7 @@ after the run.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -19,7 +20,7 @@ from skyhaul import pointmatch
 from skyhaul.baselines import InfeasiblePlanError, plan_cstp, plan_ttp
 from skyhaul.channel import (coverage_radii, min_hover_time,
                              optimal_bandwidth_shares, upload_rate_g2u)
-from skyhaul.cli import _sweep_cell
+from skyhaul.cli import _sweep_cell, prepare
 from skyhaul.clustering import check_cluster_set, cluster_sensors
 from skyhaul.mission import evaluate, lower_bound, validate
 from skyhaul.model import (ChannelParams, apply_config_overrides,
@@ -421,3 +422,41 @@ def test_pmtp_plans_wherever_cstp_does():
         f"{cells} stress cells, cstp valid on {cstp_valid}, pmtp failed on "
         f"{len(failures)} of those" + (f": {failures[:3]}" if failures else ""))
     assert ok, failures
+
+
+_CLUMP_KM = (5, 6, 7)
+
+
+def _clump_field(d_km: int):
+    """A 16 km field with the BS at its centre and two 40-sensor clumps,
+    each within 50 m of a point d_km east or west of the BS."""
+    rng = np.random.default_rng(d_km)
+    d = 1000.0 * d_km
+    xy = np.concatenate([(8000.0 + d, 8000.0) + rng.uniform(-50, 50, (40, 2)),
+                         (8000.0 - d, 8000.0) + rng.uniform(-50, 50, (40, 2))])
+    scenario = dataclasses.replace(
+        generate_scenario(16000.0, 16000.0, 80, seed=0),
+        bs_position_m=(8000.0, 8000.0), sensor_positions=xy)
+    return (scenario, *prepare(scenario))
+
+
+def test_clump_fields_put_one_cp_per_clump_on_the_outer_ring():
+    for d_km in _CLUMP_KM:
+        _, _, cluster_set, topology = _clump_field(d_km)
+        assert (cluster_set.k, topology.m_uavs) == (2, 2), d_km
+        assert topology.association.tolist() == [1, 1], d_km
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: the chain swings through the BS "
+                          "between the clumps, and the leg into step 0 "
+                          "brings the two UAVs closer than d_safe")
+@pytest.mark.parametrize("d_km", _CLUMP_KM, ids=[f"{d}km" for d in _CLUMP_KM])
+def test_every_plan_passes_on_clump_fields(d_km):
+    scenario, radii, cluster_set, topology = _clump_field(d_km)
+    failed = {}
+    for name, planner in _PLANNERS:
+        plan = planner(scenario, cluster_set, topology, radii)
+        report = evaluate(plan, scenario, topology, radii, cluster_set)
+        failed[name] = [c.detail for c in report.checks if not c.passed]
+    assert not any(failed.values()), failed

@@ -95,6 +95,28 @@ def test_snr_u2b_uses_height_gap(params):
         snr_u2b(r, params, params.uav_height_m)
 
 
+def test_link_functions_follow_the_numpy_scalar_rule(params):
+    # a scalar distance gives a numpy float64, an array an array of its shape
+    r = np.array([0.0, 800.0])
+    for fn in (lambda r: los_probability(r, 100.0, params),
+               lambda r: path_loss(r, 100.0, params),
+               lambda r: snr_g2u(r, params),
+               lambda r: snr_u2b(r, params, 20.0),
+               lambda r: upload_rate_g2u(r, params)):
+        assert type(fn(800.0)) is np.float64
+        assert fn(r).shape == (2,) and fn(r)[1] == fn(800.0)
+    radii = coverage_radii(params, 20.0)
+    assert {type(x) for x in vars(radii).values()} == {float}
+    assert type(min_hover_time([[1.0, 0.0]], [1e7], [0.0, 0.0], params)) is float
+
+
+def test_bad_link_inputs_raise(params):
+    with pytest.raises(ValueError, match="height_m must be positive"):
+        los_probability(100.0, 0.0, params)
+    with pytest.raises(ValueError, match="lengths differ"):
+        upload_times([[0.0, 0.0], [1.0, 0.0]], [1e7], [0.0, 0.0], params)
+
+
 def test_coverage_radii_frozen(params):
     radii = coverage_radii(params, 20.0)
     assert radii.r_g2u_m == pytest.approx(R_G2U_ORACLE, rel=1e-8)

@@ -417,6 +417,11 @@ def test_bad_worker_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
                 in capsys.readouterr().err)
 
 
+def test_worker_count_defaults_to_the_cpu_count(monkeypatch):
+    monkeypatch.delenv("SKYHAUL_WORKERS", raising=False)
+    assert cli._worker_count() == (os.cpu_count() or 1)
+
+
 def test_generate_writes_config_thresholds_as_given(tmp_path):
     scn = tmp_path / "scn.json"
     cfg = _write_config(tmp_path, {"snr_th_g2u_db": 1.0})

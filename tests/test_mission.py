@@ -338,6 +338,14 @@ def test_validate_rejects_wrong_uav_count(relay_run):
         validate(plan, scenario, topology, radii, cluster_set)
 
 
+def test_validate_rejects_a_plan_with_no_steps(relay_run):
+    scenario, radii, cluster_set, topology, _ = relay_run
+    m = topology.m_uavs
+    plan = hand_plan(np.zeros((0, m, 2)), np.zeros((0, m), dtype=int))
+    with pytest.raises(ValueError, match="plan has no steps"):
+        validate(plan, scenario, topology, radii, cluster_set)
+
+
 def test_segment_connectivity_endpoint_rule():
     worst = float(np.hypot(50.0, 10.0))
     legs = ((0.0, 0.0), (100.0, 0.0), (50.0, 10.0), (50.0, -10.0))
