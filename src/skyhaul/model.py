@@ -159,13 +159,17 @@ def generate_scenario(width_m: float, height_m: float, n_sensors: int,
         raise ScenarioError(f"seed must be non-negative, got {seed!r}")
     params = params or ChannelParams()
     rng = np.random.default_rng(seed)
+    try:
+        ids = np.arange(n_sensors, dtype=np.int64)
+        xy = rng.uniform(0.0, 1.0, size=(n_sensors, 2)) * [width_m, height_m]
+        bits = np.full(n_sensors, DEFAULT_DATA_BITS)
+    except (ValueError, MemoryError) as e:
+        raise ScenarioError(
+            f"n_sensors {n_sensors} is too large to allocate: {e}") from None
     return Scenario(
         region_width_m=float(width_m), region_height_m=float(height_m),
         bs_position_m=(0.0, 0.0), bs_height_m=20.0,
-        sensor_ids=np.arange(n_sensors, dtype=np.int64),
-        sensor_positions=(rng.uniform(0.0, 1.0, size=(n_sensors, 2))
-                          * [width_m, height_m]),
-        sensor_data_bits=np.full(n_sensors, DEFAULT_DATA_BITS),
+        sensor_ids=ids, sensor_positions=xy, sensor_data_bits=bits,
         params=params, n_th=60, v_max_mps=30.0, d_safe_m=30.0,
         rng_seed=int(seed),
     )

@@ -411,12 +411,11 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
         duty = np.insert(duty, at, -1, axis=0)
         pos[at, ref], pos[at, adj], duty[at, adj] = res.point, cp, cp_id
         prev = cp_id
-        meta["generated_waypoints"] += 1
         meta["detour_m"] += res.detour_m
     return pos, duty
 
 
-def _fill_ring(pos, g, anchor_ring, fleet, done_rings, meta):
+def _fill_ring(pos, g, anchor_ring, fleet, done_rings):
     """Assign ring `g` a position at every step that still lacks one.
 
     Sweeps the cyclic step list from the ring's first duty. Each hole becomes
@@ -444,7 +443,6 @@ def _fill_ring(pos, g, anchor_ring, fleet, done_rings, meta):
         mid = 0.5 * (ring.inner_m + ring.outer_m)
         col[0] = nearest_chain_point((bx + ux * mid, by + uy * mid),
                                      fleet.allowed(g, anchor_ring, anchors[0]))
-        meta["escorts"] += 1
         start = 0
     budget = _longest_legs(pos[:, done_rings]).tolist()
     for i in [*range(start, s_count), *range(start)]:
@@ -453,20 +451,7 @@ def _fill_ring(pos, g, anchor_ring, fleet, done_rings, meta):
         target = col[nxt[i]] if hard.size else anchors[i]
         col[i] = advance_point(col[i - 1], target, budget[i],
                                fleet.allowed(g, anchor_ring, anchors[i]))
-        meta["escorts"] += 1
     pos[:, g] = col
-
-
-def _fill_all(pos, ref, ring_range, fleet, meta):
-    """After a pair processing, close every hole: rings fill in chain order
-    outward from the fixed ring, each anchored to its neighbor toward it."""
-    done = [ref]
-    for g in sorted(ring_range, key=lambda r: abs(r - ref)):
-        if g == ref:
-            continue
-        anchor_ring = g - 1 if g > ref else g + 1
-        _fill_ring(pos, g, anchor_ring, fleet, done, meta)
-        done.append(g)
 
 
 def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, fleet, meta):
@@ -496,29 +481,17 @@ def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, fleet, meta):
                              meta)
 
 
-def _attach_schedule(pacing: int, m: int):
-    """(fixed ring, attach ring, rings placed so far) for every ring pair,
-    alternately one ring inward and one outward from the pacing ring."""
-    down = up = pacing
-    while down > 0 or up < m - 1:
-        if down > 0:
-            down -= 1
-            yield down + 1, down, range(down, up + 1)
-        if up < m - 1:
-            up += 1
-            yield up - 1, up, range(down, up + 1)
-
-
 def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
          radii: CoverageRadii) -> MissionPlan:
     """Build a synchronized mission by point matching.
 
     The ring whose serial tour-plus-hover time is largest paces the mission
-    and seeds the step list with its tour. Adjacent rings are then attached
-    one pair at a time, inward and outward from the pacing ring: each attach
-    ring reuses the fixed ring's collect steps where a shared step is
-    feasible, gets minimal-detour inserted steps for the rest, and every
-    other ring closes its holes with chained low-displacement waypoints.
+    and seeds the step list with its tour. The other rings then attach one
+    at a time, in order of distance from the pacing ring, inward first at
+    each distance, each to its neighbour toward it: each attach ring reuses
+    the fixed ring's collect steps where a shared step is feasible, gets
+    minimal-detour inserted steps for the rest, and every other ring closes
+    its holes with chained low-displacement waypoints.
 
     The plan under construction is `pos` (S, M, 2), NaN where a ring has no
     position yet, and `duty` (S, M), the CP collected or -1.
@@ -542,14 +515,25 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         "ring_serial_s": [float(t) for t in times],
         "pairs_matched": 0,
         "pairs_relaxed": 0,
-        "generated_waypoints": 0,
+        "generated_waypoints": 0,       # read off the finished plan
         "detour_m": 0.0,
         "escorts": 0,
     }
 
-    for ref, adj, placed in _attach_schedule(pacing, m):
+    # rings[:k], those placed once rings[k - 1] attaches, are contiguous
+    rings = sorted(range(m), key=lambda r: (abs(r - pacing), r))
+    for k, adj in enumerate(rings[1:], 2):
+        ref = adj + 1 if adj < pacing else adj - 1
         pos, duty = _attach_ring(pos, duty, ref, adj, cps, hovers, orders,
                                  fleet, meta)
-        _fill_all(pos, ref, placed, fleet, meta)
+        # close every hole outward from the fixed ring, each ring anchored
+        # to its neighbour toward it
+        done = [ref]
+        for g in sorted(rings[:k], key=lambda r: (abs(r - ref), r))[1:]:
+            _fill_ring(pos, g, g - 1 if g > ref else g + 1, fleet, done)
+            done.append(g)
 
+    # one step per insertion; every other idle waypoint is an escort
+    meta["generated_waypoints"] = len(pos) - len(orders[pacing])
+    meta["escorts"] = int((duty == -1).sum()) - meta["generated_waypoints"]
     return MissionPlan(pos, duty, meta)

@@ -234,6 +234,20 @@ def test_nonpositive_sensor_count_is_a_usage_error(tmp_path, capsys, count):
     assert "sensor count must be at least 1" in capsys.readouterr().err
 
 
+def test_sensor_count_too_large_to_allocate_is_a_usage_error(tmp_path,
+                                                            capsys):
+    # numpy refuses 10**30 elements before allocating anything
+    assert main(["generate", "--sensors", str(10**30),
+                 "-o", str(tmp_path / "x.json")]) == EXIT_USAGE
+    assert (f"error: n_sensors {10**30} is too large to allocate"
+            in capsys.readouterr().err)
+    assert main(["sweep", "--axis", "sensors", "--values", "1e30", "--seeds",
+                 "1", "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert (f"error: n_sensors {int(1e30)} is too large to allocate"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 def _tight_link_scenario(tmp_path):
     # short U2U links: the innermost ring reaches past one relay hop
     scn = str(tmp_path / "scn.json")

@@ -546,7 +546,8 @@ def test_plan_three_rings_valid():
 
 
 def test_plan_escorts_through_an_empty_middle_ring(default_params,
-                                                   default_radii):
+                                                   default_radii,
+                                                   monkeypatch):
     """Two clumps, one near the BS and one past the second ring, leave the
     middle ring without a CP: attaching it matches nothing, its UAV only
     escorts, and the outer CP gets a step of its own."""
@@ -577,6 +578,84 @@ def test_plan_escorts_through_an_empty_middle_ring(default_params,
     # inserted step
     assert ((plan.duties == -1).sum()
             == meta["escorts"] + meta["generated_waypoints"])
+    # and the fill pass placed each escort
+    placed = _count_fill_placements(monkeypatch)
+    pointmatch.plan(scenario, cluster_set, topology, radii)
+    assert placed[0] == meta["escorts"]
+
+
+def _count_fill_placements(monkeypatch) -> list[int]:
+    """A one-item counter of the waypoints pmtp's fill pass places: each is
+    one `advance_point` call, or one direct `nearest_chain_point` call for
+    an empty ring's seed. `advance_point`'s own fallback call is not one."""
+    placed, inside = [0], [False]
+    advance, nearest = pointmatch.advance_point, pointmatch.nearest_chain_point
+
+    def counted_advance(*args):
+        placed[0] += 1
+        inside[0] = True
+        try:
+            return advance(*args)
+        finally:
+            inside[0] = False
+
+    def counted_nearest(*args):
+        placed[0] += not inside[0]
+        return nearest(*args)
+
+    monkeypatch.setattr(pointmatch, "advance_point", counted_advance)
+    monkeypatch.setattr(pointmatch, "nearest_chain_point", counted_nearest)
+    return placed
+
+
+def test_escorts_count_the_waypoints_the_fill_pass_places(monkeypatch):
+    placed = _count_fill_placements(monkeypatch)
+    for n, size, seed, radio in _bench_cells():
+        params = apply_config_overrides(ChannelParams(), radio)
+        scenario, radii, cluster_set, topology = build_instance(
+            n, size, seed, params)
+        placed[0] = 0
+        plan = pointmatch.plan(scenario, cluster_set, topology, radii)
+        assert plan.meta["escorts"] == placed[0], (n, size, seed, radio)
+
+
+@pytest.mark.parametrize("sensors, size, radio, expected", [
+    # `wide` seed 0: six rings, paced by ring 3
+    (400, 16000.0, {}, [
+        ((3, 2), [(2, 3)]),
+        ((3, 4), [(2, 3), (4, 3)]),
+        ((2, 1), [(1, 2), (3, 2), (4, 3)]),
+        ((4, 5), [(3, 4), (5, 4), (2, 3), (1, 2)]),
+        ((1, 0), [(0, 1), (2, 1), (3, 2), (4, 3), (5, 4)])]),
+    # `tight-link` seed 0: four rings, paced by ring 2
+    (400, 8000.0, {"snr_th_u2u_db": 23.0}, [
+        ((2, 1), [(1, 2)]),
+        ((2, 3), [(1, 2), (3, 2)]),
+        ((1, 0), [(0, 1), (2, 1), (3, 2)])]),
+], ids=["wide", "tight-link"])
+def test_rings_attach_and_fill_outward_from_the_pacing_ring(
+        monkeypatch, sensors, size, radio, expected):
+    """Each (fixed ring, attach ring) pair, inward first at each distance
+    from the pacing ring, then every placed ring but the fixed one as
+    (ring, anchor ring), outward from the fixed ring."""
+    attach, fill = pointmatch._attach_ring, pointmatch._fill_ring
+    calls = []
+
+    def attach_spy(*args):
+        calls.append((args[2:4], []))
+        return attach(*args)
+
+    def fill_spy(*args):
+        calls[-1][1].append(args[1:3])
+        return fill(*args)
+
+    monkeypatch.setattr(pointmatch, "_attach_ring", attach_spy)
+    monkeypatch.setattr(pointmatch, "_fill_ring", fill_spy)
+    scenario, radii, cluster_set, topology = build_instance(
+        sensors, size, 0, apply_config_overrides(ChannelParams(), radio))
+    plan = pointmatch.plan(scenario, cluster_set, topology, radii)
+    assert plan.meta["pacing_ring"] == expected[0][0][0]
+    assert calls == expected
 
 
 def _annulus_grid(center, r_lo, r_hi):
@@ -1018,18 +1097,21 @@ def reference_insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet,
         duty = np.insert(duty, at, -1, axis=0)
         pos[at, ref], pos[at, adj], duty[at, adj] = res.point, cp, cp_id
         prev = cp_id
-        meta["generated_waypoints"] += 1
         meta["detour_m"] += res.detour_m
     return pos, duty
 
 
-def _bench_and_stress_cells():
-    """(sensors, size, seed, radio) of every bench cell, then of the 24
-    stress cells of the acceptance battery."""
+def _bench_cells():
+    """(sensors, size, seed, radio) of every bench cell."""
     bench = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
     for w in json.loads(bench.read_text())["workloads"].values():
         for seed in w["seeds"]:
             yield w["sensors"], w["size_m"], seed, w["radio"]
+
+
+def _bench_and_stress_cells():
+    """Every bench cell, then the 24 stress cells of the acceptance battery."""
+    yield from _bench_cells()
     for (_, size, radio), seed in itertools.product(_STRESS_REGIMES, range(6)):
         yield 400, size, seed, radio
 
