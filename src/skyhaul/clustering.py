@@ -88,7 +88,9 @@ def _exact_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 class _Nearest:
-    """The nearest-centroid step of Lloyd on one point set and k centroids.
+    """The nearest-centroid step of Lloyd on one point set, for the runs of
+    one k search: the point rows are built once, the (k, n) buffers when k
+    changes.
 
     Labels equal those of `_exact_rows` bit for bit, from two float32 matrix
     products a round. In coordinates p', c' relative to the centre of the
@@ -116,7 +118,7 @@ class _Nearest:
     overflows.
     """
 
-    def __init__(self, points: np.ndarray, k: int):
+    def __init__(self, points: np.ndarray):
         n = len(points)
         self.points = points
         self.xy = np.ascontiguousarray(points.T)
@@ -129,6 +131,15 @@ class _Nearest:
         self.p3 = np.ones((3, n), dtype=np.float32)
         with np.errstate(over="ignore"):
             np.multiply(centred, -2.0, out=self.p3[1:], casting="same_kind")
+        self.k = None
+        # the centroid bytes and labels of the fixed point the last run
+        # reached, if it reached one
+        self.fixed = None
+
+    def _size(self, k: int):
+        """The per-round buffers for k centroids."""
+        n = len(self.points)
+        self.k = k
         self.c64 = np.empty((k, 3))
         self.c_sq = np.empty((k, 2))
         self.c3 = np.empty((k, 3), dtype=np.float32)
@@ -140,7 +151,30 @@ class _Nearest:
         self.ones_index[1] = np.arange(k)
         self.tally = np.empty((2, n), dtype=np.float32)
 
+    def first_round(self, centroids: np.ndarray) -> np.ndarray:
+        """Labels of the first round from `centroids`.
+
+        Where they are the last fixed point's centroids plus one more, that
+        fixed point's labels are the exact rows of all but the last, so a
+        point moves to the new centroid only where its squared distance is
+        strictly smaller than to its own: the new centroid has the highest
+        index, and argmin gives ties to the lower one. That is `_exact_rows`
+        bit for bit, in O(n).
+        """
+        fixed, self.fixed = self.fixed, None
+        if fixed is None or centroids[:-1].tobytes() != fixed[0]:
+            return self(centroids)
+        labels = fixed[1]
+        px, py = self.xy
+        own = centroids[labels].T
+        planes = np.empty((4, len(labels)))
+        nearer = (_sq_dist(px, py, *centroids[-1], planes[:2])
+                  < _sq_dist(px, py, *own, planes[2:]))
+        return np.where(nearer, len(centroids) - 1, labels)
+
     def __call__(self, centroids: np.ndarray) -> np.ndarray:
+        if len(centroids) != self.k:
+            self._size(len(centroids))
         c64, c_sq, g = self.c64, self.c_sq, self.g
         np.subtract(centroids, self.mid, out=c64[:, 1:])
         np.square(c64[:, 1:], out=c_sq)
@@ -162,7 +196,9 @@ class _Nearest:
         return labels
 
 
-def kmeans_cluster(points, k: int, init) -> tuple[np.ndarray, np.ndarray]:
+def kmeans_cluster(points, k: int, init, *,
+                   nearest: _Nearest | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations from the `init` centroids to their fixed point.
 
     A round assigns each point to its nearest centroid, ties going to the
@@ -172,19 +208,30 @@ def kmeans_cluster(points, k: int, init) -> tuple[np.ndarray, np.ndarray]:
     returned are those the centroids were computed from, so each non-empty
     cluster's centroid is the mean of its members. Returns (labels,
     centroids).
+
+    `nearest`, a `_Nearest` built on the same points, carries the point
+    rows across the runs of one k search, and with them the last fixed
+    point reached: a run from that fixed point's centroids plus one more
+    takes its first round in O(n). A run stopped by the round cap ends on
+    no fixed point, so the run after it takes the full first round.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     centroids = np.asarray(init, dtype=float).reshape(k, 2)
-    nearest = _Nearest(points, k)
+    if nearest is None:
+        nearest = _Nearest(points)
     px, py = nearest.xy
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
-        new_labels = nearest(centroids)
-        if labels is not None and (new_labels == labels).all():
-            break
+        if labels is None:
+            new_labels = nearest.first_round(centroids)
+        else:
+            new_labels = nearest(centroids)
+            if (new_labels == labels).all():
+                nearest.fixed = (centroids.tobytes(), labels.copy())
+                break
         labels = new_labels
         counts = np.bincount(labels, minlength=k)
         occupied = counts > 0
@@ -271,10 +318,12 @@ def cluster_sensors(scenario: Scenario, radii: CoverageRadii) -> ClusterSet:
         raise InfeasibleClusteringError(message)
     k = max(math.ceil(n / scenario.n_th),
             len(_packing_set(points, radii.r_g2u_m)))
+    nearest = _Nearest(points)
     init = _kmeanspp_seeds(points, k,
                            np.random.default_rng([scenario.rng_seed, k, 0]))
     while k <= n:
-        labels, centroids = kmeans_cluster(points, k, init=init)
+        labels, centroids = kmeans_cluster(points, k, init=init,
+                                           nearest=nearest)
         sizes = np.bincount(labels, minlength=k)
         dists = np.hypot(*(points - centroids[labels]).T)
         beyond = dists.max() > radii.r_g2u_m

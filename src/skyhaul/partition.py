@@ -2,8 +2,9 @@
 
 Ring 0 is the disk the BS backhaul can reach directly; every further ring is
 an annulus one relay hop (r_u2u) wide. One UAV serves each ring and the chain
-BS - UAV0 - ... - UAV(M-1) stays connected by construction. Each ring's
-visit tour is solved here, once, for every planner and bound that needs it.
+BS - UAV0 - ... - UAV(M-1) stays connected by construction. The rings' visit
+tours are solved here, all in one `solve_tours` call, once for every planner
+and bound that needs them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CoverageRadii
-from .tsp import Tour, solve_tsp
+from .tsp import Tour, solve_tours
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,12 @@ def build_topology(cps, bs, radii: CoverageRadii) -> Topology:
     association = np.array([ring_index(float(d), radii) for d in dists])
     # the farthest CP's ring is the outermost, so the chain reaches every CP
     m = int(association.max()) + 1
-    tours = []
-    for ring_idx in range(m):
-        ids = np.flatnonzero(association == ring_idx)
-        tour = solve_tsp(cps[ids])
-        tours.append(Tour(tuple(ids[list(tour.order)].tolist()), tour.length_m))
+    ids = [np.flatnonzero(association == ring_idx) for ring_idx in range(m)]
+    tours = tuple(Tour(tuple(i[list(tour.order)].tolist()), tour.length_m)
+                  for i, tour in zip(ids, solve_tours([cps[i] for i in ids])))
     return Topology(
         m_uavs=m,
         rings=build_rings(m, radii),
         association=association,
-        tours=tuple(tours),
+        tours=tours,
     )

@@ -1,11 +1,13 @@
-"""Closed-tour construction: each ring's CP tour, and ttp's global tour over
-all k CPs.
+"""Closed-tour construction: every ring's CP tour in one solve, and ttp's
+global tour over all k CPs.
 
 Nearest-neighbour tours from every start, each polished by first-improvement
-2-opt (Croes 1958); the shortest is kept. The starts run in lockstep through
-both: a 2-opt step scans a fixed window of candidate moves for every
-unfinished tour at once. The result is move for move that of the scalar
-double loop, which the tests keep as the reference.
+2-opt (Croes 1958); the shortest is kept. One solve takes several point sets
+at once: every start of every set is one row, and all rows run in lockstep
+through both, their distances taken from one matrix over all the points. A
+2-opt step scans a fixed window of candidate moves for every unfinished tour
+at once. The result is move for move that of the scalar double loop, one set
+and one start at a time, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -27,17 +29,22 @@ def _pairwise(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.hypot(*np.moveaxis(p[:, None, :] - q[None, :, :], -1, 0))
 
 
-def _nearest_neighbours(dist: np.ndarray) -> np.ndarray:
-    """(n, n) array whose row s is the nearest-neighbour tour from point s.
+def _nearest_neighbours(dist: np.ndarray, row_set: np.ndarray,
+                        width: int) -> np.ndarray:
+    """(K, width) array whose row s is the nearest-neighbour tour from point
+    s over the points of its own set, `row_set[s]`, in its first n entries.
 
-    All starts step in lockstep; `argmin` keeps the first of tied minima.
+    All starts step in lockstep; `argmin` keeps the first of tied minima,
+    which is the first in the set's own order, since each set's points are
+    one run of the matrix's indices. A row whose tour is complete takes
+    index 0 from then on, which fills its tail.
     """
-    n = len(dist)
-    starts = np.arange(n)
-    unvisited = ~np.eye(n, dtype=bool)
-    orders = np.empty((n, n), dtype=np.intp)
+    starts = np.arange(len(dist))
+    unvisited = row_set[:, None] == row_set
+    unvisited[starts, starts] = False
+    orders = np.empty((len(dist), width), dtype=np.intp)
     orders[:, 0] = cur = starts
-    for step in range(1, n):
+    for step in range(1, width):
         cur = np.argmin(np.where(unvisited, dist[cur], np.inf), axis=1)
         unvisited[starts, cur] = False
         orders[:, step] = cur
@@ -48,64 +55,74 @@ _WINDOW = 128
 
 
 @functools.lru_cache(maxsize=64)
-def _moves(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The 2-opt candidates (i, j) of an n-point tour in row-major order,
-    padded by one scan window of repeats of the last, and the window."""
+def _moves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-opt candidates (i, j) of an n-point tour in row-major order."""
     i, j = np.triu_indices(n, 2)
     keep = (i != 0) | (j != n - 1)          # (0, n-1) is the same edge
     i, j = i[keep], j[keep]
-    window = min(_WINDOW, len(i))
-    pad = np.full(window, len(i) - 1)
-    i, j = np.concatenate([i, i[pad]]), np.concatenate([j, j[pad]])
     i.flags.writeable = j.flags.writeable = False      # shared by every call
-    return i, j, window
+    return i, j
 
 
-def _two_opt(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """First-improvement 2-opt of each row of `orders`, in place.
+def _two_opt(orders: np.ndarray, sizes: np.ndarray,
+             dist: np.ndarray) -> np.ndarray:
+    """First-improvement 2-opt of each row of `orders`, in place; row r is a
+    tour over its first `sizes[r]` entries, indices into `dist`.
 
     The candidate moves (i, j), which reverse tour positions i+1..j, are
     taken in row-major order. All rows step in lockstep: each evaluates the
-    next `_WINDOW` candidates from its own scan position on its current
-    order, its distances gathered through the order from `dist`, and
-    applies the first improving one, or advances by the window. Since
-    nothing moves between a row's scan position and its first hit, that hit
-    is the first of the whole remaining pass, so these are the moves of the
-    scalar double loop over i < j, and each delta is the same sum of the
-    same four distances. Passes repeat until one starts from an order an
-    earlier pass started from: a pass with no move, or a cycle, which
-    rounding makes possible where points coincide (a move and its reverse
-    can both show a delta below -1e-12).
+    next `_WINDOW` candidates from its own scan position in its own size's
+    move table on its current order, its distances gathered through the
+    order from `dist`, and applies the first improving one, or advances by
+    the window. Since nothing moves between a row's scan position and its
+    first hit, that hit is the first of the whole remaining pass, so these
+    are the moves of the scalar double loop over i < j, and each delta is
+    the same sum of the same four distances. Passes repeat until one starts
+    from an order an earlier pass started from: a pass with no move, or a
+    cycle, which rounding makes possible where points coincide (a move and
+    its reverse can both show a delta below -1e-12).
     """
-    rows, n = orders.shape
-    if n <= 3:
-        return orders                       # no move changes a tour
-    i, j, window = _moves(n)
-    moves = len(i) - window
+    live = np.flatnonzero(sizes > 3)        # no move changes a smaller tour
+    if not live.size:
+        return orders
+    n_live = sizes[live]
+    width = int(n_live.max())
+    # the move tables of the sizes present, end to end; a scan window may
+    # run past a row's table, and the hits it finds there are dropped
+    present, table = np.unique(n_live, return_inverse=True)
+    i, j = zip(*map(_moves, present.tolist()))
+    counts = np.array([len(t) for t in i])
+    window = min(_WINDOW, int(counts.max()))
+    i = np.concatenate([*i, np.zeros(window, dtype=np.intp)])
+    j = np.concatenate([*j, np.zeros(window, dtype=np.intp)])
+    first = (np.cumsum(counts) - counts)[table]     # each row's pass start
+    end = first + counts[table]                     # and its end
     scan = np.arange(window)
-    cols = np.arange(n + 1)
+    cols = np.arange(width + 1)
+    k = len(dist)
     flat_dist = dist.ravel()
-    # Per live row: the tour with its start repeated at the end, so that
-    # position j + 1 needs no modulo, and its edge lengths in tour order,
-    # padded to n + 1 so that one flat index serves both.
-    tours = np.concatenate([orders, orders[:, :1]], axis=1)
+    # Per live row: the tour with its start repeated after its last point,
+    # so that position j + 1 needs no modulo, and its edge lengths in tour
+    # order, both padded to width + 1 so that one flat index serves both.
+    tours = np.zeros((len(live), width + 1), dtype=np.intp)
+    tours[:, :-1] = orders[live, :width]
+    tours[np.arange(len(live)), n_live] = tours[:, 0]
     edges = np.zeros(tours.shape)
-    edges[:, :-1] = flat_dist[tours[:, :-1] * n + tours[:, 1:]]
-    live = np.arange(rows)                  # the row of `orders` of each tour
+    edges[:, :-1] = flat_dist[tours[:, :-1] * k + tours[:, 1:]]
     seen = [{t.tobytes()} for t in tours]
-    pos = np.zeros(rows, dtype=np.intp)
-    base = np.arange(0, rows * (n + 1), n + 1)
+    pos = first.copy()
+    base = np.arange(0, tours.size, width + 1)
     flat, flat_edges = tours.ravel(), edges.ravel()
     while True:
         cand = pos[:, None] + scan
         at_i = base[:, None] + i[cand]
         at_j = base[:, None] + j[cand]
-        hit = (flat_dist[flat[at_i] * n + flat[at_j]]
-               + flat_dist[flat[1:][at_i] * n + flat[1:][at_j]]
+        hit = (flat_dist[flat[at_i] * k + flat[at_j]]
+               + flat_dist[flat[1:][at_i] * k + flat[1:][at_j]]
                - flat_edges[at_i] - flat_edges[at_j]) < -1e-12
         step = pos + hit.argmax(axis=1)
         pos += window
-        h = (hit.any(axis=1) & (step < moves)).nonzero()[0]
+        h = (hit.any(axis=1) & (step < end)).nonzero()[0]
         if len(h):
             step = step[h]
             pos[h] = step + 1
@@ -115,12 +132,12 @@ def _two_opt(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
                             (lo + hi)[:, None] - cols, cols)
             t = flat[base[h, None] + perm]
             tours[h] = t
-            edges[h, :-1] = flat_dist[t[:, :-1] * n + t[:, 1:]]
-        if pos.max() < moves:
+            edges[h, :-1] = flat_dist[t[:, :-1] * k + t[:, 1:]]
+        ended = (pos >= end).nonzero()[0].tolist()
+        if not ended:
             continue
         # a pass ended: the row stops if its order started an earlier pass
-        ended = (pos >= moves).nonzero()[0].tolist()
-        pos[ended] = 0
+        pos[ended] = first[ended]
         done = []
         for r in ended:
             start = tours[r].tobytes()
@@ -129,32 +146,51 @@ def _two_opt(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
             else:
                 seen[r].add(start)
         if done:
-            orders[live[done]] = tours[done, :-1]
+            orders[live[done], :width] = tours[done, :-1]
             if len(done) == len(live):
                 return orders
             stay = np.ones(len(live), dtype=bool)
             stay[done] = False
-            live, tours, edges, pos = (
-                live[stay], tours[stay], edges[stay], pos[stay])
+            live, tours, edges, pos, first, end = (
+                live[stay], tours[stay], edges[stay], pos[stay],
+                first[stay], end[stay])
             seen = [s for s, on in zip(seen, stay.tolist()) if on]
             base = base[:len(live)]
             flat, flat_edges = tours.ravel(), edges.ravel()
 
 
+def solve_tours(point_sets) -> list[Tour]:
+    """For each point set, the best 2-opt-polished nearest-neighbour tour
+    over all its starts, its order over the set's own indices; fully
+    deterministic for given points, and each set's tour is the one it gets
+    alone."""
+    sets = [np.asarray(p, dtype=float).reshape(-1, 2) for p in point_sets]
+    sizes = np.array([len(p) for p in sets], dtype=np.intp)
+    firsts = np.cumsum(sizes) - sizes
+    points = np.concatenate([np.empty((0, 2)), *sets])
+    dist = _pairwise(points, points)
+    orders = _nearest_neighbours(dist, np.repeat(np.arange(len(sets)), sizes),
+                                 int(sizes.max(initial=1)))
+    _two_opt(orders, np.repeat(sizes, sizes), dist)
+    tours = []
+    for first, n in zip(firsts.tolist(), sizes.tolist()):
+        if n == 0:
+            tours.append(Tour(order=(), length_m=0.0))
+            continue
+        rows = orders[first:first + n, :n]
+        # summed over exactly n entries: numpy's pairwise sum rounds
+        # differently at other lengths
+        lengths = dist[rows, np.roll(rows, -1, axis=1)].sum(axis=1)
+        best, best_len = None, np.inf
+        for start, length in enumerate(lengths.tolist()):
+            if length < best_len - 1e-12:
+                best, best_len = start, length
+        tours.append(Tour(order=tuple((rows[best] - first).tolist()),
+                          length_m=best_len))
+    return tours
+
+
 def solve_tsp(points) -> Tour:
     """Best 2-opt-polished nearest-neighbour tour over all starts; fully
     deterministic for given points."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(points)
-    if n == 0:
-        return Tour(order=(), length_m=0.0)
-    if n == 1:
-        return Tour(order=(0,), length_m=0.0)
-    dist = _pairwise(points, points)
-    orders = _two_opt(_nearest_neighbours(dist), dist)
-    lengths = dist[orders, np.roll(orders, -1, axis=1)].sum(axis=1)
-    best, best_len = None, np.inf
-    for start, length in enumerate(lengths.tolist()):
-        if length < best_len - 1e-12:
-            best, best_len = start, length
-    return Tour(order=tuple(orders[best].tolist()), length_m=best_len)
+    return solve_tours([points])[0]

@@ -460,3 +460,27 @@ def test_every_plan_passes_on_clump_fields(d_km):
         report = evaluate(plan, scenario, topology, radii, cluster_set)
         failed[name] = [c.detail for c in report.checks if not c.passed]
     assert not any(failed.values()), failed
+
+
+def _short_link_field():
+    """60 sensors over 8 km with r_u2u near 40 m against a d_safe of 30 m:
+    155 rings, and no clump near the BS."""
+    params = apply_config_overrides(ChannelParams(), {"snr_th_u2u_db": 59.5})
+    return build_instance(60, 8000.0, 0, params)
+
+
+def test_short_link_field_has_a_155_ring_chain():
+    scenario, radii, _, topology = _short_link_field()
+    assert topology.m_uavs == 155
+    assert scenario.d_safe_m < radii.r_u2u_m < 1.5 * scenario.d_safe_m
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: pmtp's legs bring UAVs 31/32 "
+                          "within 26.9 m of each other on the leg into step 1")
+def test_pmtp_plan_passes_on_the_short_link_field():
+    scenario, radii, cluster_set, topology = _short_link_field()
+    plan = pointmatch.plan(scenario, cluster_set, topology, radii)
+    report = evaluate(plan, scenario, topology, radii, cluster_set)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert not failed, failed

@@ -16,7 +16,7 @@ from skyhaul.model import Scenario, generate_scenario
 
 
 def _assign(points, centroids):
-    return clustering._Nearest(points, len(centroids))(centroids)
+    return clustering._Nearest(points)(centroids)
 
 
 def _assign_broadcast(points, centroids):
@@ -517,12 +517,77 @@ def test_k_search_matches_the_written_out_warm_split():
     assert any("cap" in kind for kind in kinds)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_k_search_matches_the_written_out_warm_split_under_the_round_cap(
+        monkeypatch, cap):
+    # a run stopped by the cap ends on no fixed point, so the run after it
+    # must take the full first round; the reference takes it every run
+    monkeypatch.setattr(clustering, "_LLOYD_MAX_ITER", cap)
+    fields = [(120, 6000.0, seed) for seed in range(4)]
+    fields += [(200, 8000.0, 1), (200, 8000.0, 3)]
+    scenarios = [generate_scenario(size, size, n, seed=seed)
+                 for n, size, seed in fields]
+    scenarios += [dataclasses.replace(
+        generate_scenario(2000.0, 2000.0, 150, seed=seed), n_th=8)
+        for seed in range(2)]
+    splits = 0
+    for sc in scenarios:
+        radii = coverage_radii(sc.params, sc.bs_height_m)
+        got = cluster_sensors(sc, radii)
+        kinds, labels, cps, hover = _warm_split_reference(sc, radii)
+        splits += len(kinds)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.cps.tobytes() == cps.tobytes()
+        assert got.hover_s.tobytes() == hover.tobytes()
+    assert splits > 20
+
+
+def test_a_warm_first_round_is_the_exact_rows_of_the_split(monkeypatch):
+    # after a run that reached its fixed point, a run from its centroids plus
+    # one sensor takes its first labels from the fixed point's, with no full
+    # nearest-centroid step; on lattices the new centroid ties often
+    full_steps = []
+    step = clustering._Nearest.__call__
+
+    def counted(self, centroids):
+        full_steps.append(len(centroids))
+        return step(self, centroids)
+
+    monkeypatch.setattr(clustering._Nearest, "__call__", counted)
+    rng = np.random.default_rng(32)
+    ties = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        k = int(rng.integers(1, min(n, 25)))
+        if trial % 2:
+            pts = rng.uniform(0, 10.0 ** rng.uniform(0, 4.5), size=(n, 2))
+        else:
+            pts = rng.integers(0, 5, size=(n, 2)) * 100.0
+        nearest = clustering._Nearest(pts)
+        _, cents = kmeans_cluster(pts, k, init=pts[:k], nearest=nearest)
+        fixed = nearest.fixed
+        for split in pts[rng.integers(n, size=3)]:
+            init = np.vstack([cents, split])
+            d2 = np.sum((pts[:, None, :] - init[None, :, :]) ** 2, axis=2)
+            ties += int((d2[:, -1] == d2[:, :-1].min(axis=1)).sum())
+            nearest.fixed = fixed
+            full_steps.clear()
+            got = nearest.first_round(init)
+            assert full_steps == []
+            assert np.array_equal(got, d2.argmin(axis=1))
+            # the fixed point is spent: the next first round takes the full
+            # step
+            assert np.array_equal(nearest.first_round(init), got)
+            assert full_steps == [k + 1]
+    assert ties > 100
+
+
 def _spy_kmeans(monkeypatch):
     """Records (k, init, labels, centroids) of every k-means run."""
     real, runs = clustering.kmeans_cluster, []
 
-    def spy(points, k, init):
-        labels, cents = real(points, k, init)
+    def spy(points, k, init, **kwargs):
+        labels, cents = real(points, k, init, **kwargs)
         runs.append((k, np.array(init), labels, cents))
         return labels, cents
 
@@ -566,11 +631,11 @@ def test_empty_clusters_are_dropped_and_the_labels_compacted(monkeypatch):
     real = kmeans_cluster
     far = 1e7
 
-    def with_an_empty_cluster(points, k, init):
+    def with_an_empty_cluster(points, k, init, **kwargs):
         # a centroid far outside the field takes no member
         init = np.array(init)
         init[1] = far
-        return real(points, k, init)
+        return real(points, k, init, **kwargs)
 
     monkeypatch.setattr(clustering, "kmeans_cluster", with_an_empty_cluster)
     runs = _spy_kmeans(monkeypatch)
@@ -590,7 +655,7 @@ def test_empty_clusters_are_dropped_and_the_labels_compacted(monkeypatch):
 def test_k_search_ends_at_n_with_the_infeasible_message(monkeypatch):
     runs = []
 
-    def one_cluster(points, k, init):
+    def one_cluster(points, k, init, **kwargs):
         # every sensor in cluster 0, at their mean: over the cap at every k
         runs.append((k, np.array(init)))
         centroids = np.array(init, dtype=float)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import build_instance, tour_length
-from skyhaul.tsp import _pairwise, _two_opt, solve_tsp
+from skyhaul.tsp import _pairwise, _two_opt, solve_tours, solve_tsp
 
 
 def brute_force_length(points) -> float:
@@ -134,7 +134,7 @@ def test_two_opt_improvement_threshold(edge, moves):
     # delta of exactly -edge, and a move needs a delta below -1e-12
     dist = np.zeros((5, 5))
     dist[0, 1] = dist[1, 0] = edge
-    order = _two_opt(np.arange(5)[None, :], dist)[0].tolist()
+    order = _two_opt(np.arange(5)[None, :], np.array([5]), dist)[0].tolist()
     assert order == reference_two_opt(list(range(5)), dist)
     assert (order != list(range(5))) == moves
 
@@ -165,3 +165,29 @@ def test_matches_the_scalar_reference_across_scan_windows():
         pts = np.random.default_rng(seed).uniform(0.0, 5000.0, (80, 2))
         tour = solve_tsp(pts)
         assert (tour.order, tour.length_m) == reference_solve_tsp(pts)
+
+
+def test_grouped_solve_matches_each_set_alone():
+    # the reference instances in random groups, beside empty sets, sets of
+    # one to three points, and sets drawn with repeats from another set's
+    # points, so that points repeat within a set and across sets
+    rng = np.random.default_rng(14)
+    sets = list(reference_instances(seed=13))
+    sets += [np.zeros((0, 2))] * 12
+    sets += [rng.uniform(0.0, 3000.0, (int(n), 2))
+             for n in rng.integers(1, 4, 40)]
+    sets += [s[rng.integers(0, len(s), len(s) + 2)] for s in sets[:30:3]]
+    order = rng.permutation(len(sets))
+    cuts = np.sort(rng.choice(np.arange(1, len(sets)), 60, replace=False))
+    groups = [[sets[t] for t in g] for g in np.split(order, cuts)]
+    # a group of tiny sets only, and no set at all
+    groups += [[np.zeros((0, 2)), np.array([[1.0, 2.0]]),
+                np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])], []]
+    for group in groups:
+        tours = solve_tours(group)
+        assert len(tours) == len(group)
+        for pts, tour in zip(group, tours):
+            alone = solve_tsp(pts)
+            assert tour.order == alone.order, pts.tolist()
+            assert tour.length_m == alone.length_m, pts.tolist()
+            assert type(tour.length_m) is float
