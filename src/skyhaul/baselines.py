@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import MissionPlan
+from .mission import DIST_TOL_M, MissionPlan
 from .model import InfeasibleError, Scenario
 from .partition import Topology
 from .tsp import solve_tsp
@@ -99,6 +99,12 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     bs = scenario.bs_xy
     r_u2u = radii.r_u2u_m
     pad = _CHAIN_PAD * scenario.d_safe_m
+    # every inward clamp would put adjacent UAVs a full pad apart, out of
+    # link range on the outermost ring's steps
+    if m >= 2 and pad > r_u2u + DIST_TOL_M:
+        raise InfeasiblePlanError(
+            f"chain pad {pad:.1f} m ({_CHAIN_PAD:g} x d_safe) exceeds the "
+            f"{r_u2u:.1f} m link range: adjacent UAVs cannot stay linked")
     mids = [0.5 * (r.inner_m + r.outer_m) for r in topology.rings]
 
     order = np.array(scan_order(cps, bs))

@@ -18,16 +18,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import json
 import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import pointmatch
 from .baselines import plan_cstp, plan_ttp
 from .channel import InfeasibleConfigError, coverage_radii
-from .clustering import cluster_sensors, write_clusters_csv
-from .mission import DIST_TOL_M, evaluate, write_plan_csv, write_report_json
+from .clustering import cluster_sensors
+from .mission import DIST_TOL_M, evaluate, step_times
 from .model import (ChannelParams, InfeasibleError, ScenarioError,
                     ScenarioParseError, apply_config_overrides,
                     generate_scenario, load_json_object, load_scenario,
@@ -75,6 +78,54 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _write_outputs(prefix, scenario, radii, cluster_set, topology, plan,
+                   report):
+    """Writes <prefix>.plan.csv, .report.json, .assignments.csv, .cps.csv."""
+    # Python floats throughout: numpy 2 writes a float64's repr as
+    # np.float64(...)
+    hovers, flights = step_times(plan, cluster_set.hover_s, scenario.v_max_mps)
+    with open(f"{prefix}.plan.csv", "w") as f:
+        f.write("step,uav,x_m,y_m,duty,hover_s,flight_s\n")
+        for i, (waypoints, duties, hover, flight) in enumerate(zip(
+                plan.waypoints.tolist(), plan.duties.tolist(),
+                hovers.tolist(), flights.tolist())):
+            for m, ((x, y), d) in enumerate(zip(waypoints, duties)):
+                duty = "escort" if d == -1 else f"collect:{d}"
+                f.write(f"{i},{m},{x!r},{y!r},{duty},{hover!r},{flight!r}\n")
+    report_json = {
+        "completion_s": report.completion_s,
+        "flight_s": report.flight_s,
+        "hover_s": report.hover_s,
+        "lower_bound_s": report.lower_bound_s,
+        "gap_ratio": report.gap_ratio,
+        "bound_violated": report.bound_violated,
+        "all_passed": report.all_passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                   for c in report.checks],
+        "m_uavs": topology.m_uavs,
+        "rings_m": [[r.inner_m, r.outer_m] for r in topology.rings],
+        "association": topology.association.tolist(),
+        "radii_m": {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
+                    "r_u2b": radii.r_u2b_m},
+        "k_clusters": cluster_set.k,
+        "planner": report.planner,
+    }
+    with open(f"{prefix}.report.json", "w") as f:
+        f.write(json.dumps(report_json, indent=1) + "\n")
+    with open(f"{prefix}.assignments.csv", "w") as f:
+        f.write("sensor_id,cluster_id\n")
+        for sensor_id, k in zip(scenario.sensor_ids.tolist(),
+                                cluster_set.labels.tolist()):
+            f.write(f"{sensor_id},{k}\n")
+    sizes = np.bincount(cluster_set.labels, minlength=cluster_set.k)
+    with open(f"{prefix}.cps.csv", "w") as f:
+        f.write("cluster_id,cp_x_m,cp_y_m,n_members,min_hover_s\n")
+        for k, ((x, y), n, hover) in enumerate(zip(
+                cluster_set.cps.tolist(), sizes.tolist(),
+                cluster_set.hover_s.tolist())):
+            f.write(f"{k},{x!r},{y!r},{n},{hover!r}\n")
+
+
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.config:
@@ -86,13 +137,8 @@ def cmd_plan(args) -> int:
     plan = _PLANNERS[args.algo](scenario, cluster_set, topology, radii)
     report = evaluate(plan, scenario, topology, radii, cluster_set)
     if args.output:
-        write_plan_csv(plan, f"{args.output}.plan.csv", cluster_set.hover_s,
-                       scenario.v_max_mps)
-        write_report_json(report, f"{args.output}.report.json",
-                          topology, radii, cluster_set)
-        write_clusters_csv(scenario, cluster_set,
-                           f"{args.output}.assignments.csv",
-                           f"{args.output}.cps.csv")
+        _write_outputs(args.output, scenario, radii, cluster_set, topology,
+                       plan, report)
     print(f"algo={args.algo} sensors={scenario.n_sensors} "
           f"k={cluster_set.k} m={topology.m_uavs} steps={len(plan.waypoints)}")
     print(f"completion_s={report.completion_s:.3f} "

@@ -370,20 +370,3 @@ def check_cluster_set(scenario: Scenario, cluster_set: ClusterSet,
             problems.append(f"cluster {j} CP is not the member centroid")
     return problems
 
-
-def write_clusters_csv(scenario: Scenario, cluster_set: ClusterSet,
-                       assignments_path, cps_path):
-    """Dump (sensor_id, cluster_id) rows and the collection-point table."""
-    with open(assignments_path, "w") as f:
-        f.write("sensor_id,cluster_id\n")
-        for sensor_id, k in zip(scenario.sensor_ids.tolist(),
-                                cluster_set.labels.tolist()):
-            f.write(f"{sensor_id},{k}\n")
-    sizes = np.bincount(cluster_set.labels, minlength=cluster_set.k)
-    # Python floats: numpy 2 writes a float64's repr as np.float64(...)
-    rows = zip(cluster_set.cps.tolist(), sizes.tolist(),
-               cluster_set.hover_s.tolist())
-    with open(cps_path, "w") as f:
-        f.write("cluster_id,cp_x_m,cp_y_m,n_members,min_hover_s\n")
-        for k, ((x, y), n, hover) in enumerate(rows):
-            f.write(f"{k},{x!r},{y!r},{n},{hover!r}\n")

@@ -12,9 +12,7 @@ it, so a NaN or an infinite waypoint fails every check that reads it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -238,44 +236,3 @@ def evaluate(plan: MissionPlan, scenario: Scenario, topology: Topology,
         planner=plan.meta,
     )
 
-
-def write_plan_csv(plan: MissionPlan, path, cp_hover_s: np.ndarray, v: float):
-    """One row per step and UAV, with the step's derived hover and flight."""
-    hovers, flights = step_times(plan, cp_hover_s, v)
-    # Python floats: numpy 2 writes a float64's repr as np.float64(...)
-    rows = zip(plan.waypoints.tolist(), plan.duties.tolist(),
-               hovers.tolist(), flights.tolist())
-    with open(path, "w") as f:
-        f.write("step,uav,x_m,y_m,duty,hover_s,flight_s\n")
-        for i, (waypoints, duties, hover, flight) in enumerate(rows):
-            for m, ((x, y), d) in enumerate(zip(waypoints, duties)):
-                duty = "escort" if d == -1 else f"collect:{d}"
-                f.write(f"{i},{m},{x!r},{y!r},{duty},{hover!r},{flight!r}\n")
-
-
-def report_to_dict(report: EvalReport, topology: Topology,
-                   radii: CoverageRadii, cluster_set: ClusterSet) -> dict:
-    return {
-        "completion_s": report.completion_s,
-        "flight_s": report.flight_s,
-        "hover_s": report.hover_s,
-        "lower_bound_s": report.lower_bound_s,
-        "gap_ratio": report.gap_ratio,
-        "bound_violated": report.bound_violated,
-        "all_passed": report.all_passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
-        "m_uavs": topology.m_uavs,
-        "rings_m": [[r.inner_m, r.outer_m] for r in topology.rings],
-        "association": topology.association.tolist(),
-        "radii_m": {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
-                    "r_u2b": radii.r_u2b_m},
-        "k_clusters": cluster_set.k,
-        "planner": report.planner,
-    }
-
-
-def write_report_json(report: EvalReport, path, topology: Topology,
-                      radii: CoverageRadii, cluster_set: ClusterSet):
-    out = report_to_dict(report, topology, radii, cluster_set)
-    Path(path).write_text(json.dumps(out, indent=1) + "\n")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from skyhaul.channel import CoverageRadii, coverage_radii
-from skyhaul.cli import prepare
-from skyhaul.mission import DIST_TOL_M, _check_connectivity
+from skyhaul.cli import _write_outputs, prepare
+from skyhaul.mission import DIST_TOL_M, _check_connectivity, evaluate
 from skyhaul.model import ChannelParams, generate_scenario
 
 ACCEPTANCE_LINES: list[str] = []
@@ -33,6 +33,15 @@ def build_instance(n_sensors: int, size_m: float, seed: int, params=None):
     scenario = generate_scenario(size_m, size_m, n_sensors,
                                  params=params, seed=seed)
     return (scenario, *prepare(scenario))
+
+
+def write_outputs(tmp_path, scenario, radii, cluster_set, topology, plan):
+    """Writes the plan's `plan -o` files with the prefix tmp_path/m, as the
+    CLI does; returns the plan's report."""
+    report = evaluate(plan, scenario, topology, radii, cluster_set)
+    _write_outputs(tmp_path / "m", scenario, radii, cluster_set, topology,
+                   plan, report)
+    return report
 
 
 def tour_length(points, order) -> float:

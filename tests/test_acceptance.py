@@ -20,11 +20,11 @@ from skyhaul import pointmatch
 from skyhaul.baselines import InfeasiblePlanError, plan_cstp, plan_ttp
 from skyhaul.channel import (coverage_radii, min_hover_time,
                              optimal_bandwidth_shares, upload_rate_g2u)
-from skyhaul.cli import _sweep_cell, prepare
+from skyhaul.cli import EXIT_INFEASIBLE, _sweep_cell, main, prepare
 from skyhaul.clustering import check_cluster_set, cluster_sensors
 from skyhaul.mission import evaluate, lower_bound, validate
 from skyhaul.model import (ChannelParams, apply_config_overrides,
-                           generate_scenario)
+                           generate_scenario, save_scenario)
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import InfeasibleWaypointError, p3_waypoint
 from skyhaul.tsp import Tour, solve_tsp
@@ -473,6 +473,18 @@ def test_short_link_field_has_a_155_ring_chain():
     scenario, radii, _, topology = _short_link_field()
     assert topology.m_uavs == 155
     assert scenario.d_safe_m < radii.r_u2u_m < 1.5 * scenario.d_safe_m
+
+
+def test_cstp_raises_where_its_chain_pad_exceeds_the_link_range(tmp_path,
+                                                               capsys):
+    # the 45 m pad puts adjacent UAVs out of r_u2u on every inward clamp
+    scenario, radii, cluster_set, topology = _short_link_field()
+    with pytest.raises(InfeasiblePlanError, match="chain pad 45.0 m"):
+        plan_cstp(scenario, cluster_set, topology, radii)
+    save_scenario(scenario, tmp_path / "field.json")
+    assert main(["plan", str(tmp_path / "field.json"),
+                 "--algo", "cstp"]) == EXIT_INFEASIBLE
+    assert "exceeds the 39.9 m link range" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

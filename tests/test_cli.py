@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -539,3 +541,27 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
     assert capsys.readouterr().out.split()[-1] == "True"
+
+
+_IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import skyhaul, skyhaul.cli
+for info in pkgutil.iter_modules(skyhaul.__path__):
+    importlib.import_module(f"skyhaul.{info.name}")
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+allowed = {"skyhaul", "numpy", "__mp_main__"} | sys.stdlib_module_names
+print(" ".join(sorted(added - allowed)))
+"""
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    """The package's one runtime dependency is numpy: importing every
+    module in a fresh interpreter loads no other third-party package, which
+    the test extras (scipy) would otherwise hide."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_EVERY_MODULE],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

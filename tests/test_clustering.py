@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_instance
+from conftest import build_instance, write_outputs
 from skyhaul import clustering
+from skyhaul.baselines import plan_cstp
 from skyhaul.channel import coverage_radii, min_hover_time
 from skyhaul.cli import prepare
 from skyhaul.clustering import (check_cluster_set, cluster_sensors,
-                                kmeans_cluster, write_clusters_csv)
+                                kmeans_cluster)
 from skyhaul.model import Scenario, generate_scenario
 
 
@@ -913,14 +914,13 @@ def test_check_cluster_set_flags_tampering(kind):
 
 
 def test_cluster_csv_export(tmp_path):
-    scenario, radii, cluster_set, _ = build_instance(80, 2000.0, seed=8)
-    a_path = tmp_path / "assignments.csv"
-    c_path = tmp_path / "cps.csv"
-    write_clusters_csv(scenario, cluster_set, a_path, c_path)
-    rows = a_path.read_text().strip().splitlines()
+    scenario, radii, cluster_set, topology = build_instance(80, 2000.0, seed=8)
+    write_outputs(tmp_path, scenario, radii, cluster_set, topology,
+                  plan_cstp(scenario, cluster_set, topology, radii))
+    rows = (tmp_path / "m.assignments.csv").read_text().strip().splitlines()
     assert rows[0] == "sensor_id,cluster_id"
     assert len(rows) == scenario.n_sensors + 1
-    cps = c_path.read_text().strip().splitlines()
+    cps = (tmp_path / "m.cps.csv").read_text().strip().splitlines()
     assert cps[0] == "cluster_id,cp_x_m,cp_y_m,n_members,min_hover_s"
     assert len(cps) == cluster_set.k + 1
     # CP coordinates survive the text round trip exactly
@@ -933,11 +933,12 @@ def test_cluster_csv_writes_sensor_ids(tmp_path):
     scenario = generate_scenario(2000.0, 2000.0, 80, seed=8)
     scenario = dataclasses.replace(scenario,
                                    sensor_ids=1000 + 7 * np.arange(80))
-    radii, cluster_set, _ = prepare(scenario)
-    a_path = tmp_path / "assignments.csv"
-    write_clusters_csv(scenario, cluster_set, a_path, tmp_path / "cps.csv")
+    radii, cluster_set, topology = prepare(scenario)
+    write_outputs(tmp_path, scenario, radii, cluster_set, topology,
+                  plan_cstp(scenario, cluster_set, topology, radii))
+    text = (tmp_path / "m.assignments.csv").read_text()
     rows = [tuple(map(int, r.split(",")))
-            for r in a_path.read_text().strip().splitlines()[1:]]
+            for r in text.strip().splitlines()[1:]]
     owner = cluster_set.labels.tolist()
     assert rows == [(sid, owner[i])
                     for i, sid in enumerate(scenario.sensor_ids.tolist())]

@@ -6,15 +6,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import build_instance, legs_connected
+from conftest import build_instance, legs_connected, write_outputs
 
 from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.clustering import ClusterSet
 from skyhaul.mission import (DIST_TOL_M, MissionPlan, _check_collision,
                              _check_connectivity, completion_time, evaluate,
-                             lower_bound, report_to_dict, step_times, validate,
-                             write_plan_csv, write_report_json)
+                             lower_bound, step_times, validate)
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
 
@@ -424,10 +423,9 @@ def test_evaluate_report_consistency(relay_run):
 
 
 def test_plan_csv_round_trip(relay_run, tmp_path):
-    scenario, _, cluster_set, _, plan = relay_run
-    path = tmp_path / "plan.csv"
-    write_plan_csv(plan, path, cluster_set.hover_s, scenario.v_max_mps)
-    lines = path.read_text().splitlines()
+    plan = relay_run[-1]
+    write_outputs(tmp_path, *relay_run)
+    lines = (tmp_path / "m.plan.csv").read_text().splitlines()
     assert lines[0] == "step,uav,x_m,y_m,duty,hover_s,flight_s"
     assert len(lines) == 1 + plan.duties.size
     first = lines[1].split(",")
@@ -440,29 +438,41 @@ def test_plan_csv_round_trip(relay_run, tmp_path):
 
 @pytest.mark.parametrize("run_name", ["relay_run", "paper_run"])
 def test_plan_csv_times_are_the_derived_schedule(request, run_name, tmp_path):
-    scenario, radii, cluster_set, topology, plan = request.getfixturevalue(
-        run_name)
-    path = tmp_path / "plan.csv"
-    write_plan_csv(plan, path, cluster_set.hover_s, scenario.v_max_mps)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    run = request.getfixturevalue(run_name)
+    scenario, _, cluster_set, _, plan = run
+    report = write_outputs(tmp_path, *run)
+    rows = [line.split(",")
+            for line in (tmp_path / "m.plan.csv").read_text().splitlines()[1:]]
     hover, flight = step_times(plan, cluster_set.hover_s, scenario.v_max_mps)
     m = plan.waypoints.shape[1]      # each step's times repeat on its M rows
     assert [float(r[5]) for r in rows] == np.repeat(hover, m).tolist()
     assert [float(r[6]) for r in rows] == np.repeat(flight, m).tolist()
-    report = evaluate(plan, scenario, topology, radii, cluster_set)
     # Python's sum adds the steps in order, one at a time
     assert sum(float(r[5]) for r in rows[::m]) == report.hover_s
 
 
 def test_report_json_contents(relay_run, tmp_path):
-    scenario, radii, cluster_set, topology, plan = relay_run
-    report = evaluate(plan, scenario, topology, radii, cluster_set)
-    path = tmp_path / "report.json"
-    write_report_json(report, path, topology=topology, radii=radii,
-                      cluster_set=cluster_set)
-    data = json.loads(path.read_text())
-    assert data == report_to_dict(report, topology=topology, radii=radii,
-                                  cluster_set=cluster_set)
+    _, radii, cluster_set, topology, plan = relay_run
+    report = write_outputs(tmp_path, *relay_run)
+    data = json.loads((tmp_path / "m.report.json").read_text())
+    assert data == {
+        "completion_s": report.completion_s,
+        "flight_s": report.flight_s,
+        "hover_s": report.hover_s,
+        "lower_bound_s": report.lower_bound_s,
+        "gap_ratio": report.gap_ratio,
+        "bound_violated": report.bound_violated,
+        "all_passed": report.all_passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                   for c in report.checks],
+        "m_uavs": topology.m_uavs,
+        "rings_m": [[r.inner_m, r.outer_m] for r in topology.rings],
+        "association": topology.association.tolist(),
+        "radii_m": {"r_g2u": radii.r_g2u_m, "r_u2u": radii.r_u2u_m,
+                    "r_u2b": radii.r_u2b_m},
+        "k_clusters": cluster_set.k,
+        "planner": plan.meta,
+    }
     assert data["all_passed"] is True
     assert data["m_uavs"] == 2
     assert data["k_clusters"] == cluster_set.k

@@ -469,6 +469,20 @@ def test_advance_point_restores_chain_when_budget_too_small():
     assert 30.0 - 1e-6 <= d_anchor <= 600.0 + 1e-6
 
 
+def test_disjoint_chain_annulus_and_band_is_a_typed_error():
+    # the chain annulus about (5000, 0) spans BS distances 4400-5600 m,
+    # wholly outside the 0-1000 m band: no allowed point exists, and
+    # advance_point's fallback to nearest_chain_point finds none either
+    allowed = _allowed((5000.0, 0.0), d_safe=30.0, r_link=600.0,
+                       ring=Ring(0.0, 1000.0))
+    message = "chain annulus does not meet the ring"
+    with pytest.raises(InfeasibleWaypointError, match=message):
+        nearest_chain_point((800.0, 0.0), allowed)
+    with pytest.raises(InfeasibleWaypointError, match=message):
+        advance_point((800.0, 0.0), target=(900.0, 0.0), budget_m=50.0,
+                      allowed=allowed)
+
+
 def test_fleet_allowed_keeps_radial_order_with_the_anchor():
     """The chain annulus about the anchor comes first, then a band about the
     BS: an outward ring holds d_safe beyond the anchor's BS distance, up to
