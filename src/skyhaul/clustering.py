@@ -92,17 +92,25 @@ class _Nearest:
     one k search: the point rows are built once, the (k, n) buffers when k
     changes.
 
-    Labels equal those of `_exact_rows` bit for bit, from two float32 matrix
-    products a round. In coordinates p', c' relative to the centre of the
-    points' bounding box, g = |c'|² - 2·p'·c' is each squared distance less
-    |p'|², from one (k, 3) @ (3, n) product of the float32 casts of the
-    float64 rows (|c'|², c'x, c'y) and (1, -2p'x, -2p'y). A centroid is in a
-    point's band when its g is at most least + τ, the point's least g plus
-    τ = 2⁻¹⁹·S + the smallest normal float32, with S = max|p'|² + max|c'|²
-    in float64. A (2, k) @ (k, n) product of the 0/1 band mask gives each
-    point's count and index. A point with one centroid in its band takes
-    it; every other point takes its exact row: ties, duplicate centroids, a
-    NaN g, and every point once 4·S reaches the float32 maximum.
+    Labels equal those of `_exact_rows` bit for bit. A call whose centroids
+    extend the last call's by one appended takes them in O(n): the last
+    call's labels are the exact rows of all but the new centroid, so a point
+    moves to it only where its squared distance is strictly smaller than to
+    its own, since the new centroid has the highest index and argmin gives
+    ties to the lower one. The object keeps a copy of those labels and the
+    bytes of their centroids, so the answer depends on the centroids alone.
+
+    Every other call takes two float32 matrix products. In coordinates p',
+    c' relative to the centre of the points' bounding box, g = |c'|² -
+    2·p'·c' is each squared distance less |p'|², from one (k, 3) @ (3, n)
+    product of the float32 casts of the float64 rows (|c'|², c'x, c'y) and
+    (1, -2p'x, -2p'y). A centroid is in a point's band when its g is at
+    most least + τ, the point's least g plus τ = 2⁻¹⁹·S + the smallest
+    normal float32, with S = max|p'|² + max|c'|² in float64. A (2, k) @
+    (k, n) product of the 0/1 band mask gives each point's count and index.
+    A point with one centroid in its band takes it; every other point takes
+    its exact row: ties, duplicate centroids, a NaN g, and every point once
+    4·S reaches the float32 maximum.
 
     Why one centroid in the band is the exact form's strict unique minimum
     (Higham 2002, §3.1), with u = 2⁻²⁴ and G the exact value of g: the casts
@@ -132,9 +140,8 @@ class _Nearest:
         with np.errstate(over="ignore"):
             np.multiply(centred, -2.0, out=self.p3[1:], casting="same_kind")
         self.k = None
-        # the centroid bytes and labels of the fixed point the last run
-        # reached, if it reached one
-        self.fixed = None
+        # the centroid bytes and a copy of the labels of the last call
+        self.last = (None, None)
 
     def _size(self, k: int):
         """The per-round buffers for k centroids."""
@@ -151,28 +158,22 @@ class _Nearest:
         self.ones_index[1] = np.arange(k)
         self.tally = np.empty((2, n), dtype=np.float32)
 
-    def first_round(self, centroids: np.ndarray) -> np.ndarray:
-        """Labels of the first round from `centroids`.
-
-        Where they are the last fixed point's centroids plus one more, that
-        fixed point's labels are the exact rows of all but the last, so a
-        point moves to the new centroid only where its squared distance is
-        strictly smaller than to its own: the new centroid has the highest
-        index, and argmin gives ties to the lower one. That is `_exact_rows`
-        bit for bit, in O(n).
-        """
-        fixed, self.fixed = self.fixed, None
-        if fixed is None or centroids[:-1].tobytes() != fixed[0]:
-            return self(centroids)
-        labels = fixed[1]
-        px, py = self.xy
-        own = centroids[labels].T
-        planes = np.empty((4, len(labels)))
-        nearer = (_sq_dist(px, py, *centroids[-1], planes[:2])
-                  < _sq_dist(px, py, *own, planes[2:]))
-        return np.where(nearer, len(centroids) - 1, labels)
-
     def __call__(self, centroids: np.ndarray) -> np.ndarray:
+        last_bytes, labels = self.last
+        if centroids[:-1].tobytes() == last_bytes:
+            px, py = self.xy
+            own = centroids[labels].T
+            planes = np.empty((4, len(labels)))
+            nearer = (_sq_dist(px, py, *centroids[-1], planes[:2])
+                      < _sq_dist(px, py, *own, planes[2:]))
+            labels = np.where(nearer, len(centroids) - 1, labels)
+        else:
+            labels = self._certified(centroids)
+        self.last = (centroids.tobytes(), labels.copy())
+        return labels
+
+    def _certified(self, centroids: np.ndarray) -> np.ndarray:
+        """The float32 step with its exact fallback."""
         if len(centroids) != self.k:
             self._size(len(centroids))
         c64, c_sq, g = self.c64, self.c_sq, self.g
@@ -210,10 +211,8 @@ def kmeans_cluster(points, k: int, init, *,
     centroids).
 
     `nearest`, a `_Nearest` built on the same points, carries the point
-    rows across the runs of one k search, and with them the last fixed
-    point reached: a run from that fixed point's centroids plus one more
-    takes its first round in O(n). A run stopped by the round cap ends on
-    no fixed point, so the run after it takes the full first round.
+    rows across the runs of one k search, and a run from the last run's
+    fixed point plus one centroid takes its first round in O(n).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
@@ -225,13 +224,9 @@ def kmeans_cluster(points, k: int, init, *,
     px, py = nearest.xy
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
-        if labels is None:
-            new_labels = nearest.first_round(centroids)
-        else:
-            new_labels = nearest(centroids)
-            if (new_labels == labels).all():
-                nearest.fixed = (centroids.tobytes(), labels.copy())
-                break
+        new_labels = nearest(centroids)
+        if labels is not None and (new_labels == labels).all():
+            break
         labels = new_labels
         counts = np.bincount(labels, minlength=k)
         occupied = counts > 0

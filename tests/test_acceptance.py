@@ -440,6 +440,16 @@ def _clump_field(d_km: int):
     return (scenario, *prepare(scenario))
 
 
+def _failed_checks(scenario, radii, cluster_set, topology):
+    """Each planner's failed check details on one instance."""
+    failed = {}
+    for name, planner in _PLANNERS:
+        plan = planner(scenario, cluster_set, topology, radii)
+        report = evaluate(plan, scenario, topology, radii, cluster_set)
+        failed[name] = [c.detail for c in report.checks if not c.passed]
+    return failed
+
+
 def test_clump_fields_put_one_cp_per_clump_on_the_outer_ring():
     for d_km in _CLUMP_KM:
         _, _, cluster_set, topology = _clump_field(d_km)
@@ -453,12 +463,28 @@ def test_clump_fields_put_one_cp_per_clump_on_the_outer_ring():
                           "brings the two UAVs closer than d_safe")
 @pytest.mark.parametrize("d_km", _CLUMP_KM, ids=[f"{d}km" for d in _CLUMP_KM])
 def test_every_plan_passes_on_clump_fields(d_km):
-    scenario, radii, cluster_set, topology = _clump_field(d_km)
-    failed = {}
-    for name, planner in _PLANNERS:
-        plan = planner(scenario, cluster_set, topology, radii)
-        report = evaluate(plan, scenario, topology, radii, cluster_set)
-        failed[name] = [c.detail for c in report.checks if not c.passed]
+    failed = _failed_checks(*_clump_field(d_km))
+    assert not any(failed.values()), failed
+
+
+# (size_m, sensors, seed) of the uniform fields, among sizes 8 and 16 km,
+# 100-400 sensors and seeds 0-9 with the BS at the centre, whose plans fail
+# `collision`: pmtp's on the first three (closest 27.3, 2.5 and 24.1 m),
+# ttp's on the last three; cstp passes on all 80
+_BS_CENTRED_CELLS = ((8000.0, 300, 2), (8000.0, 400, 9), (16000.0, 200, 1),
+                     (8000.0, 100, 5), (16000.0, 100, 4), (16000.0, 100, 7))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: with the BS at the field's "
+                          "centre, a leg brings two UAVs closer than d_safe")
+@pytest.mark.parametrize("size, n, seed", _BS_CENTRED_CELLS,
+                         ids=[f"{s / 1000:.0f}km-{n}-s{x}"
+                              for s, n, x in _BS_CENTRED_CELLS])
+def test_every_plan_passes_on_bs_centred_uniform_fields(size, n, seed):
+    scenario = dataclasses.replace(generate_scenario(size, size, n, seed=seed),
+                                   bs_position_m=(size / 2, size / 2))
+    failed = _failed_checks(scenario, *prepare(scenario))
     assert not any(failed.values()), failed
 
 

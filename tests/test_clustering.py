@@ -521,8 +521,9 @@ def test_k_search_matches_the_written_out_warm_split():
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_k_search_matches_the_written_out_warm_split_under_the_round_cap(
         monkeypatch, cap):
-    # a run stopped by the cap ends on no fixed point, so the run after it
-    # must take the full first round; the reference takes it every run
+    # a run stopped by the cap returns centroids its last step did not see,
+    # so the run after it takes the full first round; the reference takes it
+    # every run
     monkeypatch.setattr(clustering, "_LLOYD_MAX_ITER", cap)
     fields = [(120, 6000.0, seed) for seed in range(4)]
     fields += [(200, 8000.0, 1), (200, 8000.0, 3)]
@@ -544,17 +545,17 @@ def test_k_search_matches_the_written_out_warm_split_under_the_round_cap(
 
 
 def test_a_warm_first_round_is_the_exact_rows_of_the_split(monkeypatch):
-    # after a run that reached its fixed point, a run from its centroids plus
-    # one sensor takes its first labels from the fixed point's, with no full
-    # nearest-centroid step; on lattices the new centroid ties often
+    # a call whose centroids are the last call's plus one takes its labels
+    # from the last call's, with no full nearest-centroid step; any other
+    # call takes the full step. On lattices the new centroid ties often.
     full_steps = []
-    step = clustering._Nearest.__call__
+    step = clustering._Nearest._certified
 
     def counted(self, centroids):
         full_steps.append(len(centroids))
         return step(self, centroids)
 
-    monkeypatch.setattr(clustering._Nearest, "__call__", counted)
+    monkeypatch.setattr(clustering._Nearest, "_certified", counted)
     rng = np.random.default_rng(32)
     ties = 0
     for trial in range(40):
@@ -566,20 +567,27 @@ def test_a_warm_first_round_is_the_exact_rows_of_the_split(monkeypatch):
             pts = rng.integers(0, 5, size=(n, 2)) * 100.0
         nearest = clustering._Nearest(pts)
         _, cents = kmeans_cluster(pts, k, init=pts[:k], nearest=nearest)
-        fixed = nearest.fixed
         for split in pts[rng.integers(n, size=3)]:
             init = np.vstack([cents, split])
             d2 = np.sum((pts[:, None, :] - init[None, :, :]) ** 2, axis=2)
             ties += int((d2[:, -1] == d2[:, :-1].min(axis=1)).sum())
-            nearest.fixed = fixed
+            exact = d2.argmin(axis=1)
+            # (a) C, then C plus the split
+            nearest(cents)
             full_steps.clear()
-            got = nearest.first_round(init)
+            assert np.array_equal(nearest(init), exact)
             assert full_steps == []
-            assert np.array_equal(got, d2.argmin(axis=1))
-            # the fixed point is spent: the next first round takes the full
-            # step
-            assert np.array_equal(nearest.first_round(init), got)
+            # (b) C, other centroids of the same k, then C plus the split
+            nearest(cents)
+            nearest(pts[rng.integers(n, size=k)] + 0.25)
+            full_steps.clear()
+            assert np.array_equal(nearest(init), exact)
             assert full_steps == [k + 1]
+            # (c) C, its labels changed in place by the caller, then C plus
+            # the split
+            labels = nearest(cents)
+            labels[:] = (labels + 1) % k
+            assert np.array_equal(nearest(init), exact)
     assert ties > 100
 
 
