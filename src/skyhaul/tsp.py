@@ -72,9 +72,9 @@ def _two_opt(orders: np.ndarray, sizes: np.ndarray,
     The candidate moves (i, j), which reverse tour positions i+1..j, are
     taken in row-major order. All rows step in lockstep: each evaluates the
     next `_WINDOW` candidates from its own scan position in its own size's
-    move table on its current order, its distances gathered through the
-    order from `dist`, and applies the first improving one, or advances by
-    the window. Since nothing moves between a row's scan position and its
+    move table on its current order, all four distances of a candidate
+    read from `dist` through the order, and applies the first improving
+    one, or advances by the window. Since nothing moves between a row's scan position and its
     first hit, that hit is the first of the whole remaining pass, so these
     are the moves of the scalar double loop over i < j, and each delta is
     the same sum of the same four distances. Passes repeat until one starts
@@ -101,25 +101,24 @@ def _two_opt(orders: np.ndarray, sizes: np.ndarray,
     cols = np.arange(width + 1)
     k = len(dist)
     flat_dist = dist.ravel()
-    # Per live row: the tour with its start repeated after its last point,
-    # so that position j + 1 needs no modulo, and its edge lengths in tour
-    # order, both padded to width + 1 so that one flat index serves both.
+    # Per live row, the tour with its start repeated after its last point,
+    # so that position j + 1 needs no modulo, padded to width + 1
     tours = np.zeros((len(live), width + 1), dtype=np.intp)
     tours[:, :-1] = orders[live, :width]
     tours[np.arange(len(live)), n_live] = tours[:, 0]
-    edges = np.zeros(tours.shape)
-    edges[:, :-1] = flat_dist[tours[:, :-1] * k + tours[:, 1:]]
-    seen = [{t.tobytes()} for t in tours]
+    seen = {r: {t.tobytes()} for r, t in zip(live.tolist(), tours)}
     pos = first.copy()
-    base = np.arange(0, tours.size, width + 1)
-    flat, flat_edges = tours.ravel(), edges.ravel()
     while True:
+        flat = tours.ravel()
+        base = np.arange(0, tours.size, width + 1)[:, None]
         cand = pos[:, None] + scan
-        at_i = base[:, None] + i[cand]
-        at_j = base[:, None] + j[cand]
-        hit = (flat_dist[flat[at_i] * k + flat[at_j]]
-               + flat_dist[flat[1:][at_i] * k + flat[1:][at_j]]
-               - flat_edges[at_i] - flat_edges[at_j]) < -1e-12
+        at_i = base + i[cand]
+        at_j = base + j[cand]
+        # each candidate's four points, a as its row's offset into dist
+        a, b = flat[at_i] * k, flat[1:][at_i]
+        c, d = flat[at_j], flat[1:][at_j]
+        hit = (flat_dist[a + c] + flat_dist[b * k + d]
+               - flat_dist[a + b] - flat_dist[c * k + d]) < -1e-12
         step = pos + hit.argmax(axis=1)
         pos += window
         h = (hit.any(axis=1) & (step < end)).nonzero()[0]
@@ -130,33 +129,27 @@ def _two_opt(orders: np.ndarray, sizes: np.ndarray,
             # every moved row reversed at once by one index permutation
             perm = np.where((cols >= lo[:, None]) & (cols <= hi[:, None]),
                             (lo + hi)[:, None] - cols, cols)
-            t = flat[base[h, None] + perm]
-            tours[h] = t
-            edges[h, :-1] = flat_dist[t[:, :-1] * k + t[:, 1:]]
+            tours[h] = flat[base[h] + perm]
         ended = (pos >= end).nonzero()[0].tolist()
         if not ended:
             continue
         # a pass ended: the row stops if its order started an earlier pass
         pos[ended] = first[ended]
         done = []
-        for r in ended:
+        for r, row in zip(ended, live[ended].tolist()):
             start = tours[r].tobytes()
-            if start in seen[r]:
+            if start in seen[row]:
                 done.append(r)
             else:
-                seen[r].add(start)
+                seen[row].add(start)
         if done:
             orders[live[done], :width] = tours[done, :-1]
             if len(done) == len(live):
                 return orders
             stay = np.ones(len(live), dtype=bool)
             stay[done] = False
-            live, tours, edges, pos, first, end = (
-                live[stay], tours[stay], edges[stay], pos[stay],
-                first[stay], end[stay])
-            seen = [s for s, on in zip(seen, stay.tolist()) if on]
-            base = base[:len(live)]
-            flat, flat_edges = tours.ravel(), edges.ravel()
+            live, tours, pos, first, end = (
+                live[stay], tours[stay], pos[stay], first[stay], end[stay])
 
 
 def solve_tours(point_sets) -> list[Tour]:

@@ -147,11 +147,14 @@ def test_matches_the_scalar_reference_on_a_wide_cell():
     assert (tour.order, tour.length_m) == reference_solve_tsp(cps)
 
 
+# rounding makes a move and its reverse both improving here, so the 2-opt
+# passes used to alternate between two orders forever
+_COINCIDENT = np.array([[13946.0, 114.0], [781.0, 2981.0], [4273.0, 4064.0],
+                        [13946.0, 114.0]])
+
+
 def test_coincident_points_end():
-    # rounding made a move and its reverse both improving here, so the
-    # 2-opt passes used to alternate between two orders forever
-    pts = np.array([[13946.0, 114.0], [781.0, 2981.0], [4273.0, 4064.0],
-                    [13946.0, 114.0]])
+    pts = _COINCIDENT
     tour = solve_tsp(pts)
     assert sorted(tour.order) == [0, 1, 2, 3]
     assert tour.length_m == pytest.approx(brute_force_length(pts), rel=1e-12)
@@ -164,6 +167,21 @@ def test_matches_the_scalar_reference_across_scan_windows():
     for seed in (3, 4):
         pts = np.random.default_rng(seed).uniform(0.0, 5000.0, (80, 2))
         tour = solve_tsp(pts)
+        assert (tour.order, tour.length_m) == reference_solve_tsp(pts)
+
+
+def test_cycle_guard_holds_while_rows_drop_out():
+    # rows leave the lockstep at different times: some 5-point rows finish
+    # while the coincident rows are inside their first pass, the coincident
+    # rows then cycle between two orders, and the 80-point rows run for many
+    # windows. A cycling row stops on the same order only if it checks its
+    # own passes' starts after rows ahead of it dropped out
+    sets = [np.random.default_rng(6).uniform(0.0, 5000.0, (5, 2)),
+            _COINCIDENT,
+            np.random.default_rng(3).uniform(0.0, 5000.0, (80, 2))]
+    for pts, tour in zip(sets, solve_tours(sets)):
+        alone = solve_tsp(pts)
+        assert (tour.order, tour.length_m) == (alone.order, alone.length_m)
         assert (tour.order, tour.length_m) == reference_solve_tsp(pts)
 
 
