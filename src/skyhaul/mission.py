@@ -138,10 +138,10 @@ def _check_connectivity(w: np.ndarray, bs: np.ndarray, radii: CoverageRadii) -> 
                         f"({d_bs[bad[0]]:.1f} m)")
     # per-segment relay condition between adjacent UAVs: the gap is convex
     # in time, so the endpoints decide, and every waypoint ends some leg.
-    # (S, m - 1) gaps at each leg's start and end, pair i - 1/i in column i - 1
-    prev = np.roll(w, 1, axis=0)
-    s = np.hypot(*np.moveaxis(prev[:, 1:] - prev[:, :-1], 2, 0))
+    # (S, m - 1) gaps at each leg's end and start, pair i - 1/i in column
+    # i - 1; a leg starts where the one before it ended
     e = np.hypot(*np.moveaxis(w[:, 1:] - w[:, :-1], 2, 0))
+    s = np.roll(e, 1, axis=0)
     bad = ~(np.maximum(s, e) <= radii.r_u2u_m + DIST_TOL_M)
     # max() names the start gap where only the end one is NaN
     problems += [f"UAVs {p}/{p + 1} out of range on the leg into step {t} "

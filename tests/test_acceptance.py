@@ -522,3 +522,14 @@ def test_pmtp_plan_passes_on_the_short_link_field():
     report = evaluate(plan, scenario, topology, radii, cluster_set)
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert not failed, failed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: on a wide sparse field with the "
+                          "BS in its corner, pmtp's legs bring UAVs 11/12 "
+                          "within 26.6 m of each other on the leg into step 56")
+def test_every_plan_passes_on_a_wide_sparse_field():
+    # 200 sensors over 50 km: k = 121 CPs on a 16-ring chain, the BS at the
+    # origin; ttp and cstp pass, pmtp fails `collision` only
+    failed = _failed_checks(*build_instance(200, 50000.0, 1))
+    assert not any(failed.values()), failed

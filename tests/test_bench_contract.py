@@ -5,10 +5,14 @@ example `apply_config_overrides` with the workload's radio keys and the
 planner signatures). Running one small cell here makes a rename that
 breaks one of those calls fail the test suite rather than the benchmark.
 bench/spans.py also counts calls made through some of those names, so the
-package must keep making them. One such site is stale: spans.py wraps
-`clustering.min_hover_time`, but the k search takes every cluster's hover
-from one `channel.upload_times` pass, so `channel.min_hover_time.calls` and
-`.s` read 0 until a benchmark change renames the site (ROADMAP item 5).
+package must keep making them. Three such sites are stale, and
+`installed()` skips each: spans.py wraps `pointmatch.solve_tsp` and
+`mission.solve_tsp`, but the ring tours come from `partition.build_topology`
+and neither module imports the solver, so `tsp.solve_tsp` counts ttp's
+global tour alone; and it wraps `clustering.min_hover_time`, but the k
+search takes every cluster's hover from one `channel.upload_times` pass, so
+`channel.min_hover_time.calls` and `.s` read 0. A benchmark change renames
+them (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -59,8 +59,6 @@ def _plain(value):
     """`value` as JSON-able Python data, the same under numpy 1 and 2."""
     if isinstance(value, np.ndarray):
         return [list(value.shape), value.tolist()]
-    if isinstance(value, np.generic):
-        return value.item()
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
