@@ -74,13 +74,14 @@ def _two_opt(orders: np.ndarray, sizes: np.ndarray,
     next `_WINDOW` candidates from its own scan position in its own size's
     move table on its current order, all four distances of a candidate
     read from `dist` through the order, and applies the first improving
-    one, or advances by the window. Since nothing moves between a row's scan position and its
-    first hit, that hit is the first of the whole remaining pass, so these
-    are the moves of the scalar double loop over i < j, and each delta is
-    the same sum of the same four distances. Passes repeat until one starts
-    from an order an earlier pass started from: a pass with no move, or a
-    cycle, which rounding makes possible where points coincide (a move and
-    its reverse can both show a delta below -1e-12).
+    one, or advances by the window. Since nothing moves between a row's
+    scan position and its first hit, that hit is the first of the whole
+    remaining pass, so these are the moves of the scalar double loop over
+    i < j, and each delta is the same sum of the same four distances.
+    Passes repeat until one starts from an order an earlier pass of the
+    same row started from: a pass with no move, or a cycle, which rounding
+    makes possible where points coincide (a move and its reverse can both
+    show a delta below -1e-12).
     """
     live = np.flatnonzero(sizes > 3)        # no move changes a smaller tour
     if not live.size:

@@ -123,7 +123,9 @@ def _first_moved(expected: dict, actual: dict, fields) -> str | None:
             if set(digests) != set(got):
                 return f"{cell} / {planner} / outcome ({sorted(got)})"
             for field, digest in digests.items():
-                if (fields is None or field in fields) and got[field] != digest:
+                if fields is not None and field not in fields:
+                    continue
+                if got[field] != digest:
                     return f"{cell} / {planner} / {field}"
     return None
 
