@@ -5,7 +5,8 @@ clustering (labels, CPs, hovers), the ring topology (association, ring tour
 orders and lengths) under "prepare", and each planner's waypoints, duties,
 `meta` and `EvalReport`, or the error it raised. The cells are the
 benchmark's (seeds read from bench/workloads.json), the acceptance battery's
-stress regimes, and N=3000 over 8 km. A mismatch names the first cell,
+stress regimes, N=3000 over 8 km, and 200 sensors over 50 and 100 km, whose
+16 and 32 rings give pmtp many rings to fill. A mismatch names the first cell,
 planner and field that moved.
 
 Regenerate the file with `PYTHONPATH=src python3 tests/test_golden.py` only
@@ -53,6 +54,9 @@ def _cells():
         yield f"stress {label} s{seed}", size, 400, seed, radio
     for seed in range(3):
         yield f"N=3000 8 km s{seed}", 8000.0, 3000, seed, {}
+    # wide sparse fields: 16 and 32 rings, so pmtp fills holes across many
+    for km in (50, 100):
+        yield f"N=200 {km} km s1", km * 1000.0, 200, 1, {}
 
 
 def _plain(value):
