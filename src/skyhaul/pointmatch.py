@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import DIST_TOL_M, MissionPlan, _longest_legs, ring_serial_s
+from .mission import DIST_TOL_M, MissionPlan, ring_serial_s
 from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
@@ -101,12 +101,6 @@ def match_pairs(cps_out, cps_in, hover_out, hover_in, path_m, r_u2u: float,
 
 
 @dataclass(frozen=True)
-class P3Result:
-    point: tuple[float, float]
-    detour_m: float
-
-
-@dataclass(frozen=True)
 class _Fleet:
     """The geometry every waypoint rule reads: each ring's annulus about the
     BS, the U2U link range and the safety distance."""
@@ -127,7 +121,7 @@ class _Fleet:
         order keeps every UAV pair separated while freeing the UAV from
         annulus slivers when the anchor dives inward.
         """
-        bsd, outer = _dist(anchor, self.bs), self.rings[g].outer_m
+        bsd, outer = math.dist(anchor, self.bs), self.rings[g].outer_m
         if g > anchor_ring:
             lo = bsd + self.d_safe
             band = (self.bs, lo, max(outer, lo))
@@ -136,10 +130,6 @@ class _Fleet:
         # chain annulus first: `_minimise` keeps the first least-cost
         # candidate, and the order of its circles orders the candidates
         return [(anchor, self.d_safe, self.r_u2u), band]
-
-
-def _dist(p, q) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
 def _at_angle(c, r: float, theta: float) -> tuple[float, float]:
@@ -290,17 +280,17 @@ def _edge_through_point(e1, e2, annuli) -> tuple[float, float] | None:
     return x1 + t * (x2 - x1), y1 + t * (y2 - y1)
 
 
-def p3_waypoint(e1, e2, allowed) -> P3Result | None:
+def p3_waypoint(e1, e2, allowed) -> tuple[tuple[float, float], float] | None:
     """Cheapest-detour waypoint on the edge e1 -> e2 inside the `allowed`
     annuli, the minimiser of |q - e1| + |q - e2| over them (`_minimise`),
-    with its detour. None when they do not meet."""
+    as (point, detour_m). None when they do not meet."""
     q = _minimise((e1, e2), allowed)
     if q is None:
         return None
     (x1, y1), (x2, y2), (qx, qy) = e1, e2, q
     detour = (math.hypot(qx - x1, qy - y1) + math.hypot(qx - x2, qy - y2)
               - math.hypot(x2 - x1, y2 - y1))
-    return P3Result(point=(float(qx), float(qy)), detour_m=max(detour, 0.0))
+    return (float(qx), float(qy)), max(detour, 0.0)
 
 
 def nearest_chain_point(prev, allowed) -> tuple[float, float]:
@@ -384,7 +374,7 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
         # legs[i]: the fixed ring's leg from path[i] to path[i + 1], cyclically
         legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
         pts = path.tolist() + path[:1].tolist()
-        jump_in, jump_out = _dist(p_in, cp), _dist(cp, p_out)
+        jump_in, jump_out = math.dist(p_in, cp), math.dist(cp, p_out)
         allowed = fleet.allowed(ref, adj, cp)
         best = None
         for i in range(span):
@@ -399,59 +389,65 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
             res = p3_waypoint(pts[i], pts[i + 1], allowed)
             if res is None:
                 continue
-            cost = res.detour_m + pen_in + pen_out
+            cost = res[1] + pen_in + pen_out
             if best is None or cost < best[0] - 1e-9:
-                best = (cost, i, res)
+                best = (cost, i, *res)
         if best is None:
             raise InfeasibleWaypointError(
                 f"no feasible detour for CP {cp_id} on the fixed path")
-        _, i, res = best
+        _, i, q, detour = best
         at = (lo + i) % len(pos) + 1
         pos = np.insert(pos, at, np.nan, axis=0)
         duty = np.insert(duty, at, -1, axis=0)
-        pos[at, ref], pos[at, adj], duty[at, adj] = res.point, cp, cp_id
+        pos[at, ref], pos[at, adj], duty[at, adj] = q, cp, cp_id
         prev = cp_id
-        meta["detour_m"] += res.detour_m
+        meta["detour_m"] += detour
     return pos, duty
 
 
 def _fill_ring(pos, g, anchor_ring, fleet, done_rings):
-    """Assign ring `g` a position at every step that still lacks one.
+    """Give ring `g` a position at each hole, a step where it has none yet.
 
-    Sweeps the cyclic step list from the ring's first duty. Each hole becomes
-    an advance toward the ring's next duty, budgeted by the longest leg any
-    completed ring flies into that step, and chained to the neighbor toward
-    the pair being processed (at the neighbor's collect steps that chain
-    annulus is exactly the escort constraint around the served CP).
+    Sweeps the holes in cyclic step order from the ring's first placed step.
+    Each hole becomes an advance toward the ring's next placed step (a duty,
+    or an escort an earlier fill placed), budgeted by the longest leg any
+    done ring flies into that step, and chained to the neighbor toward the
+    pair being processed (at the neighbor's collect steps that chain annulus
+    is exactly the escort constraint around the served CP). A ring with no
+    placed step starts at step 0 beside its anchor and advances toward it.
 
     Idle positions need not sit inside the ring's own annulus, only duty
     waypoints do; they keep the `_Fleet.allowed` radial order instead.
     """
-    s_count = len(pos)
-    hard = np.flatnonzero(~np.isnan(pos[:, g, 0]))
-    # both rings' positions as float pairs; the ring's holes are NaN
-    col, anchors = pos[:, g].tolist(), pos[:, anchor_ring].tolist()
+    placed = ~np.isnan(pos[:, g, 0])
+    holes = np.flatnonzero(~placed)
+    if not holes.size:
+        return
+    hard = np.flatnonzero(placed)
     if hard.size:
-        # next duty step strictly after each step, cyclically
-        nxt = hard[np.searchsorted(hard, np.arange(s_count), side="right")
-                   % len(hard)].tolist()
-        start = int(hard[0])
+        holes = np.roll(holes, -int(np.searchsorted(holes, hard[0])))
+        # the next placed step strictly after each hole, cyclically
+        nxt = hard[np.searchsorted(hard, holes, side="right") % len(hard)]
     else:
-        (ax, ay), (bx, by), ring = anchors[0], fleet.bs, fleet.rings[g]
+        (ax, ay), (bx, by) = pos[0, anchor_ring].tolist(), fleet.bs
+        ring = fleet.rings[g]
         nv = math.hypot(ax - bx, ay - by)
         ux, uy = ((ax - bx) / nv, (ay - by) / nv) if nv > 0 else (1.0, 0.0)
         mid = 0.5 * (ring.inner_m + ring.outer_m)
-        col[0] = nearest_chain_point((bx + ux * mid, by + uy * mid),
-                                     fleet.allowed(g, anchor_ring, anchors[0]))
-        start = 0
-    budget = _longest_legs(pos[:, done_rings]).tolist()
-    for i in [*range(start, s_count), *range(start)]:
-        if not math.isnan(col[i][0]):
-            continue
-        target = col[nxt[i]] if hard.size else anchors[i]
-        col[i] = advance_point(col[i - 1], target, budget[i],
-                               fleet.allowed(g, anchor_ring, anchors[i]))
-    pos[:, g] = col
+        pos[0, g] = nearest_chain_point((bx + ux * mid, by + uy * mid),
+                                        fleet.allowed(g, anchor_ring,
+                                                      (ax, ay)))
+        holes = holes[1:]
+    anchors = pos[holes, anchor_ring].tolist()
+    targets = pos[nxt, g].tolist() if hard.size else anchors
+    # each hole's budget, the floats `mission._longest_legs` gives that step
+    at = holes[:, None]
+    legs = pos[at, done_rings] - pos[at - 1, done_rings]
+    budgets = np.hypot(*np.moveaxis(legs, 2, 0)).max(axis=1).tolist()
+    for i, target, budget_m, anchor in zip(holes.tolist(), targets, budgets,
+                                           anchors):
+        pos[i, g] = advance_point(pos[i - 1, g].tolist(), target, budget_m,
+                                  fleet.allowed(g, anchor_ring, anchor))
 
 
 def _attach_ring(pos, duty, ref, adj, cps, hovers, orders, fleet, meta):

@@ -298,9 +298,9 @@ def test_insertion_waypoint_optimality():
                           ring.inner_m, ring.outer_m)
             edge.append(rad * np.array([np.cos(ang), np.sin(ang)]))
         e1, e2 = edge
-        res = p3_waypoint(e1, e2, [(p_k, d_safe, r_u2u),
-                                   ((0.0, 0.0), ring.inner_m, ring.outer_m)])
-        q = np.array(res.point)
+        point, detour = p3_waypoint(e1, e2, [
+            (p_k, d_safe, r_u2u), ((0.0, 0.0), ring.inner_m, ring.outer_m)])
+        q = np.array(point)
         d_cp = float(np.hypot(*(q - p_k)))
         d_bs = float(np.hypot(*q))
         if not (d_safe - 1e-6 <= d_cp <= r_u2u + 1e-6
@@ -318,7 +318,7 @@ def test_insertion_waypoint_optimality():
             samples.extend(pts[:1000 - len(samples)])
         pts = np.array(samples)
         detours = (np.hypot(*(pts - e1).T) + np.hypot(*(pts - e2).T)) - direct
-        if res.detour_m > float(detours.min()) + 1e-9:
+        if detour > float(detours.min()) + 1e-9:
             beaten += 1
     ok = beaten == 0 and out_of_set == 0
     record_acceptance(

@@ -265,23 +265,23 @@ def test_match_pairs_contract_on_random_instances():
 
 
 def test_p3_zero_detour_when_edge_crosses_annulus():
-    res = p3_waypoint((-1000.0, 50.0), (1000.0, 50.0),
-                      _allowed((0.0, 0.0), d_safe=30.0, r_link=500.0))
-    assert res.detour_m == 0.0
-    x, y = res.point
+    (x, y), detour = p3_waypoint((-1000.0, 50.0), (1000.0, 50.0),
+                                 _allowed((0.0, 0.0), d_safe=30.0,
+                                          r_link=500.0))
+    assert detour == 0.0
     assert y == pytest.approx(50.0, abs=1e-9)          # on the segment
     assert -1000.0 <= x <= 1000.0
     assert 30.0 <= np.hypot(x, y) <= 500.0 + 1e-9
 
 
 def test_p3_far_point_sits_on_range_circle():
-    res = p3_waypoint((-100.0, 0.0), (100.0, 0.0),
-                      _allowed((0.0, 5000.0), d_safe=0.0, r_link=500.0))
-    d = float(np.hypot(res.point[0], res.point[1] - 5000.0))
+    (x, y), _ = p3_waypoint((-100.0, 0.0), (100.0, 0.0),
+                            _allowed((0.0, 5000.0), d_safe=0.0, r_link=500.0))
+    d = float(np.hypot(x, y - 5000.0))
     assert d == pytest.approx(500.0, rel=1e-6)
     # best insertion heads toward the segment, so roughly (0, 4500)
-    assert abs(res.point[0]) < 15.0
-    assert res.point[1] == pytest.approx(4500.0, abs=15.0)
+    assert abs(x) < 15.0
+    assert y == pytest.approx(4500.0, abs=15.0)
 
 
 def test_p3_random_postconditions():
@@ -296,16 +296,16 @@ def test_p3_random_postconditions():
         rad = np.hypot(*path.T)
         path = path * (np.clip(rad, 2100.0, 5900.0) / rad)[:, None]
         for e1, e2 in zip(path[:-1], path[1:]):
-            res = p3_waypoint(e1, e2, _allowed(p_k, d_safe=30.0,
-                                               r_link=3000.0, ring=ring))
-            q = np.array(res.point)
-            assert res.detour_m >= 0.0
+            point, detour = p3_waypoint(e1, e2, _allowed(
+                p_k, d_safe=30.0, r_link=3000.0, ring=ring))
+            q = np.array(point)
+            assert detour >= 0.0
             assert 30.0 - 1e-6 <= float(np.hypot(*(q - p_k))) <= 3000.0 + 1e-6
             assert (ring.inner_m - 1e-6 <= float(np.hypot(*q))
                     <= ring.outer_m + 1e-6)
             direct = float(np.hypot(*(e2 - e1)))
             det = float(np.hypot(*(q - e1)) + np.hypot(*(q - e2))) - direct
-            assert det == pytest.approx(res.detour_m, abs=1e-9)
+            assert det == pytest.approx(detour, abs=1e-9)
 
 
 def _floor_cases(rng):
@@ -354,13 +354,13 @@ def test_detour_floor_never_exceeds_the_detour():
         res = p3_waypoint(e1, e2, _allowed(p_k, d_safe, r_u2u, ring, bs))
         if res is None:
             continue
+        _, detour = res
         floor = _detour_floor(p_k, e1, e2, r_u2u)
-        assert 0.0 <= floor <= res.detour_m, (p_k, e1, e2, r_u2u, d_safe,
-                                              ring, bs)
+        assert 0.0 <= floor <= detour, (p_k, e1, e2, r_u2u, d_safe, ring, bs)
         if tight:
             # the optimum sits on the ellipse's co-vertex: only the margins
             # separate the floor from the detour
-            assert res.detour_m - floor < 1e-4
+            assert detour - floor < 1e-4
         solved += 1
         positive += floor > 0.0
     assert solved > 700 and positive > 300
@@ -545,9 +545,9 @@ def test_plan_two_rings_pacing_invariant(field, appends):
         fleet = pointmatch._Fleet(topology.rings,
                                   tuple(scenario.bs_xy.tolist()),
                                   radii.r_u2u_m, scenario.d_safe_m)
-        res = p3_waypoint(path[-1], path[0],
-                          fleet.allowed(pacing, attach, cp))
-        assert tuple(w[-1, pacing].tolist()) == res.point
+        point, _ = p3_waypoint(path[-1], path[0],
+                               fleet.allowed(pacing, attach, cp))
+        assert tuple(w[-1, pacing].tolist()) == point
 
 
 def test_plan_three_rings_valid():
@@ -727,12 +727,13 @@ def test_waypoint_solvers_never_lose_to_the_grid():
         if len(grid):
             assert float(_dist(q_chain, prev)) <= _dist(grid, prev).min() + tol
 
-        res = p3_waypoint(e1, e2, _allowed(anchor, d_safe, r_link, ring))
-        q = np.array(res.point)
+        point, detour = p3_waypoint(e1, e2,
+                                    _allowed(anchor, d_safe, r_link, ring))
+        q = np.array(point)
         assert feasible(q)
         if len(grid):
-            detour = _dist(grid, e1) + _dist(grid, e2) - float(_dist(e2, e1))
-            assert res.detour_m <= detour.min() + tol
+            detours = _dist(grid, e1) + _dist(grid, e2) - float(_dist(e2, e1))
+            assert detour <= detours.min() + tol
 
         q = advance_point(prev, target, budget,
                           _allowed(anchor, d_safe, r_link, ring))
@@ -893,11 +894,11 @@ def test_p3_degenerate_geometry_matches_the_sampled_solver(case, monkeypatch):
     if oracle is None:
         assert res is None
         return
-    q = np.array(res.point)
+    q = np.array(res[0])
     annuli = [(np.array(p_k), 30.0, 500.0), (np.zeros(2), ring.inner_m,
                                               ring.outer_m)]
     assert _feasible(q, annuli, 1e-6)
-    assert res.detour_m == pytest.approx(oracle.detour_m, abs=1e-6)
+    assert res[1] == pytest.approx(oracle[1], abs=1e-6)
 
 
 # The waypoint solver as numpy array code, before it moved to Python floats,
@@ -1089,29 +1090,28 @@ def reference_insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet,
         path = np.roll(pos[:, ref], -lo, axis=0)
         legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
         pts = path.tolist() + path[:1].tolist()
-        jump_in = pointmatch._dist(p_in, cp)
-        jump_out = pointmatch._dist(cp, p_out)
+        jump_in, jump_out = math.dist(p_in, cp), math.dist(cp, p_out)
         allowed = fleet.allowed(ref, adj, cp)
         best = None
         for i in range(span):
             res = pointmatch.p3_waypoint(pts[i], pts[i + 1], allowed)
             if res is None:
                 continue
-            cost = (res.detour_m
+            cost = (res[1]
                     + max(0.0, jump_in - float(legs[:i].sum()))
                     + max(0.0, jump_out - float(legs[i:span].sum())))
             if best is None or cost < best[0] - 1e-9:
-                best = (cost, i, res)
+                best = (cost, i, *res)
         if best is None:
             raise InfeasibleWaypointError(
                 f"no feasible detour for CP {cp_id} on the fixed path")
-        _, i, res = best
+        _, i, q, detour = best
         at = (lo + i) % len(pos) + 1
         pos = np.insert(pos, at, np.nan, axis=0)
         duty = np.insert(duty, at, -1, axis=0)
-        pos[at, ref], pos[at, adj], duty[at, adj] = res.point, cp, cp_id
+        pos[at, ref], pos[at, adj], duty[at, adj] = q, cp, cp_id
         prev = cp_id
-        meta["detour_m"] += res.detour_m
+        meta["detour_m"] += detour
     return pos, duty
 
 
