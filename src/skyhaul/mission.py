@@ -92,8 +92,11 @@ def completion_time(plan: MissionPlan, cp_hover_s: np.ndarray,
     # the legs are summed before the division, which rounds differently
     # from summing each step's seconds
     flight = float(_longest_legs(plan.waypoints).sum()) / v
-    # a sequential sum: numpy's pairwise sum rounds differently past 8 steps
-    hover = float(sum(hovers.tolist()))
+    # left to right, one step at a time: numpy's pairwise sum rounds
+    # differently past 8 steps, and so does Python's sum() from 3.12 on
+    hover = 0.0
+    for h in hovers.tolist():
+        hover += h
     return Timing(flight + hover, flight, hover)
 
 

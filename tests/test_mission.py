@@ -36,6 +36,15 @@ def test_completion_time_triangle_by_hand():
     assert timing.completion_s == pytest.approx(18.0, abs=1e-12)
 
 
+def test_completion_time_adds_the_hovers_left_to_right():
+    # ten 0.1 s hovers added one at a time; a compensated sum, as Python's
+    # sum() of floats is from 3.12 on, gives 1.0
+    plan = hand_plan([[(0.0, 0.0)]] * 10, [(cp,) for cp in range(10)])
+    timing = completion_time(plan, np.full(10, 0.1), 10.0)
+    assert timing.hover_s == 0.9999999999999999
+    assert timing.completion_s == 0.9999999999999999
+
+
 def test_completion_time_slowest_uav_sets_leg_pace():
     # UAV 0 flies 30 m legs, UAV 1 flies 40 m legs; each leg costs 4 s at v=10
     plan = hand_plan([[(0.0, 0.0), (100.0, 0.0)], [(30.0, 0.0), (100.0, 40.0)]],
@@ -447,8 +456,11 @@ def test_plan_csv_times_are_the_derived_schedule(request, run_name, tmp_path):
     m = plan.waypoints.shape[1]      # each step's times repeat on its M rows
     assert [float(r[5]) for r in rows] == np.repeat(hover, m).tolist()
     assert [float(r[6]) for r in rows] == np.repeat(flight, m).tolist()
-    # Python's sum adds the steps in order, one at a time
-    assert sum(float(r[5]) for r in rows[::m]) == report.hover_s
+    # the report adds the steps left to right, one at a time
+    hover_s = 0.0
+    for r in rows[::m]:
+        hover_s += float(r[5])
+    assert hover_s == report.hover_s
 
 
 def test_report_json_contents(relay_run, tmp_path):
