@@ -7,7 +7,8 @@ Commands:
 
 Exit codes: 0 success, 1 a mission validity check failed, 2 usage error,
 3 infeasible input (any model.InfeasibleError: radio ranges, clustering or
-chain geometry).
+chain geometry). A sweep writes the rows of every feasible (cell, planner)
+and exits 1 if some plan failed a check, else 3 if some were infeasible.
 Outputs are deterministic given the flags; the SKYHAUL_WORKERS environment
 variable caps the sweep worker pool, whose workers run BLAS on one thread each
 unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS says otherwise.
@@ -179,8 +180,10 @@ def _parse_values(tokens, axis: str) -> list[float]:
 def _sweep_cell(cell):
     """One (axis value, seed) evaluation of all planners; pure and picklable.
 
-    Returns the CSV rows and, per planner whose plan failed a check, its
-    name and the names of the checks it failed."""
+    Returns the CSV rows; per planner whose plan failed a check, its name
+    and the names of the checks it failed; and per planner that raised an
+    `InfeasibleError`, its name and the error's message. When `prepare`
+    raises one, the cell has no rows and every planner is infeasible."""
     axis, value, seed, n_sensors, size, overrides = cell
     params = ChannelParams()
     if overrides:
@@ -190,17 +193,24 @@ def _sweep_cell(cell):
     else:
         n_sensors = int(value)
     scenario = generate_scenario(size, size, n_sensors, params=params, seed=seed)
-    radii, cluster_set, topology = prepare(scenario)
-    rows, failed = [], []
+    rows, failed, infeasible = [], [], []
+    try:
+        radii, cluster_set, topology = prepare(scenario)
+    except InfeasibleError as e:
+        return rows, failed, [(algo, str(e)) for algo in _PLANNERS]
     for algo, planner in _PLANNERS.items():
-        plan = planner(scenario, cluster_set, topology, radii)
-        report = evaluate(plan, scenario, topology, radii, cluster_set)
+        try:
+            plan = planner(scenario, cluster_set, topology, radii)
+            report = evaluate(plan, scenario, topology, radii, cluster_set)
+        except InfeasibleError as e:
+            infeasible.append((algo, str(e)))
+            continue
         if not report.all_passed:
             failed.append((algo, [c.name for c in report.checks
                                   if not c.passed]))
         rows.append((value, seed, algo, report.completion_s,
                      report.lower_bound_s, report.flight_s, report.hover_s))
-    return rows, failed
+    return rows, failed, infeasible
 
 
 def _sensor_count(text: str) -> int:
@@ -260,20 +270,27 @@ def cmd_sweep(args) -> int:
     n_rows = 0
     with open(args.output, "w") as f:
         f.write(_SWEEP_HEADER)
-        for rows, _ in results:
+        for rows, _, _ in results:
             for value, seed, algo, completion, bound, flight, hover in rows:
                 f.write(f"{fmt(value)},{seed},{algo},{completion!r},"
                         f"{bound!r},{flight!r},{hover!r}\n")
                 n_rows += 1
     print(f"wrote {n_rows} rows to {args.output}")
-    if not any(failed for _, failed in results):
-        return EXIT_OK
-    print("some sweep cells failed validation", file=sys.stderr)
-    for (_, value, seed, *_), (_, failed) in zip(cells, results):
-        for algo, checks in failed:
-            print(f"  {args.axis}={fmt(value)} seed={seed} {algo}: "
-                  f"{', '.join(checks)}", file=sys.stderr)
-    return EXIT_VALIDATION
+    cell_results = [(f"{args.axis}={fmt(value)} seed={seed}", *outcome)
+                    for (_, value, seed, *_), (_, *outcome)
+                    in zip(cells, results)]
+    for cell, _, infeasible in cell_results:
+        for algo, message in infeasible:
+            print(f"{cell} {algo}: infeasible: {message}", file=sys.stderr)
+    if any(failed for _, failed, _ in cell_results):
+        print("some sweep cells failed validation", file=sys.stderr)
+        for cell, failed, _ in cell_results:
+            for algo, checks in failed:
+                print(f"  {cell} {algo}: {', '.join(checks)}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if any(infeasible for _, _, infeasible in cell_results):
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -340,6 +340,53 @@ def _detour_floor(p_k, e1, e2, r_u2u: float) -> float:
                0.0)
 
 
+def _cheapest_edge(bounds, solve):
+    """The pick of a scan over every edge of a window in order: the first
+    feasible edge, then any later edge cheaper by more than 1e-9.
+    `bounds[i]` is a lower bound on edge i's cost and `solve(i)` returns
+    its (cost, result), or None when the edge is infeasible; costs are
+    finite and at least 0. Returns (i, result), or None when no edge is
+    feasible.
+
+    Edges are solved best first, in ascending order of bound (ties by
+    index; a NaN bound sorts first, so it is never pruned), until the next
+    bound is at least least + margin, least being the cheapest cost so far.
+    The scan's rule is then replayed over the solved edges in window order.
+    Every unsolved edge costs at least least + margin, which is span + 2
+    slots of width 1e-9 + 2 ulp(2 least + 1). A window has far fewer than
+    10^8 edges, so the margin is at most least + 1 and floats in those
+    slots lie at most ulp(2 least + 1) apart. Slot 0 holds least and at
+    most span - 1 other costs were solved, so one of slots 1..span holds
+    none, and it holds a float g with no cost in [g, g + 1e-9]. Each edge
+    then costs below g ("lower", least among them) or at least g + 1e-9
+    ("upper", every unsolved edge among them). Under the 1e-9 rule an upper
+    edge never replaces a lower one, u > a >= fl(a - 1e-9), and never keeps
+    one from replacing it, fl(u - 1e-9) >= g > a. So a scan takes the first
+    lower edge it meets and from then on moves only between lower edges: it
+    picks what a scan of the lower edges alone picks, whichever upper edges
+    it sees, and the replay picks what solving every edge would."""
+    order = sorted(range(len(bounds)),
+                   key=lambda i: (-math.inf if math.isnan(bounds[i])
+                                  else bounds[i], i))
+    solved, least, stop = {}, None, None
+    for i in order:
+        if stop is not None and bounds[i] >= stop:
+            break
+        res = solve(i)
+        if res is None:
+            continue
+        solved[i] = res
+        if least is None or res[0] < least:
+            least = res[0]
+            stop = least + (len(bounds) + 2) * (
+                1e-9 + 2.0 * math.ulp(2.0 * least + 1.0))
+    best = None
+    for i in sorted(solved):
+        if best is None or solved[i][0] < solved[best][0] - 1e-9:
+            best = i
+    return None if best is None else (best, solved[best][1])
+
+
 def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
     """Give every attach-ring CP of `ids` (in attach order) not in `shared`
     its own step on the fixed ring's path, read as a cycle: edge s runs from
@@ -349,12 +396,15 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
     shared CP) to the step of the next anchor, wrapping to the first; it is
     the whole cycle when those coincide or nothing is shared. Each edge
     costs its detour plus however much of the attach UAV's jumps in and out
-    the legs either side cannot absorb; an edge is solved only if those
-    penalties plus `_detour_floor` could still beat the best edge so far, so
-    the pick is that of solving every edge. The fixed UAV collects nothing
-    there, so it only keeps radial order with the CP (`_Fleet.allowed`). A
-    step is found by the CP it collects, which stays right as steps are
-    inserted. Returns the grown `pos` and `duty`."""
+    the legs either side cannot absorb, and the pick is the first feasible
+    edge in window order, then any later edge cheaper by more than 1e-9.
+    The edges are solved cheapest bound first, the bound being those
+    penalties plus `_detour_floor`, and only until no unsolved edge could
+    change the pick (`_cheapest_edge`), so the pick is that of solving every
+    edge in window order. The fixed UAV collects nothing there, so it only
+    keeps radial order with the CP (`_Fleet.allowed`). A step is found by
+    the CP it collects, which stays right as steps are inserted. Returns the
+    grown `pos` and `duty`."""
     prev = next((c for c in reversed(ids) if c in shared), None)
     for t, cp_id in enumerate(ids):
         if cp_id in shared:
@@ -376,26 +426,27 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
         pts = path.tolist() + path[:1].tolist()
         jump_in, jump_out = math.dist(p_in, cp), math.dist(cp, p_out)
         allowed = fleet.allowed(ref, adj, cp)
-        best = None
-        for i in range(span):
-            pen_in = max(0.0, jump_in - float(legs[:i].sum()))
-            pen_out = max(0.0, jump_out - float(legs[i:span].sum()))
-            # float addition is monotone, so an edge whose floor already
-            # costs too much cannot cost less than best[0] - 1e-9 either
-            if best is not None and (
-                    _detour_floor(cp, pts[i], pts[i + 1], fleet.r_u2u)
-                    + pen_in + pen_out >= best[0] - 1e-9):
-                continue
+        pens = [(max(0.0, jump_in - float(legs[:i].sum())),
+                 max(0.0, jump_out - float(legs[i:span].sum())))
+                for i in range(span)]
+        # float addition is monotone, so each edge's cost, summed in the
+        # same order, is at least its bound
+        bounds = [_detour_floor(cp, pts[i], pts[i + 1], fleet.r_u2u)
+                  + pen_in + pen_out
+                  for i, (pen_in, pen_out) in enumerate(pens)]
+
+        def solve(i):
             res = p3_waypoint(pts[i], pts[i + 1], allowed)
             if res is None:
-                continue
-            cost = res[1] + pen_in + pen_out
-            if best is None or cost < best[0] - 1e-9:
-                best = (cost, i, *res)
+                return None
+            pen_in, pen_out = pens[i]
+            return res[1] + pen_in + pen_out, res
+
+        best = _cheapest_edge(bounds, solve)
         if best is None:
             raise InfeasibleWaypointError(
                 f"no feasible detour for CP {cp_id} on the fixed path")
-        _, i, q, detour = best
+        i, (q, detour) = best
         at = (lo + i) % len(pos) + 1
         pos = np.insert(pos, at, np.nan, axis=0)
         duty = np.insert(duty, at, -1, axis=0)

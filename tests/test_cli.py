@@ -352,6 +352,65 @@ def test_sweep_names_each_failing_cell(tmp_path, capsys, monkeypatch):
                    "  sensors=60 seed=1 ttp: coverage\n")
 
 
+def test_sweep_survives_infeasible_cells(tmp_path, capsys, monkeypatch):
+    # at 26 dB the U2U link (1889 m) is too short for ttp's evenly spaced
+    # relay hops on every cell, while pmtp and cstp still plan
+    monkeypatch.setenv("SKYHAUL_WORKERS", "1")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--axis", "sensors", "--values", "400", "--seeds",
+                 "3", "--size", "8000", "--config",
+                 _write_config(tmp_path, {"snr_th_u2u_db": 26}),
+                 "-o", str(out)]) == EXIT_INFEASIBLE
+    stdout, err = capsys.readouterr()
+    assert stdout == f"wrote 6 rows to {out}\n"
+    rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["400", str(seed), algo] for seed in range(3)
+                    for algo in ("pmtp", "cstp")]
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for seed, line in enumerate(lines):
+        assert re.fullmatch(
+            rf"sensors=400 seed={seed} ttp: infeasible: farthest CP at \d+ m "
+            r"needs chain hops of \d+ m, above the 1889 m link range", line)
+
+
+def test_sweep_names_infeasible_cells_and_prefers_a_failed_check(
+        tmp_path, capsys, monkeypatch):
+    # the cell (40, seed 1) is infeasible as a whole, and ttp's plan on
+    # (60, seed 0) fails a check: the CSV keeps the other rows, and the
+    # failed check decides the exit code
+    real_prepare, real_ttp = cli.prepare, cli._PLANNERS["ttp"]
+
+    def prepare(scenario):
+        if (scenario.n_sensors, scenario.rng_seed) == (40, 1):
+            raise InfeasibleConfigError("no chain reaches the field")
+        return real_prepare(scenario)
+
+    def forgetful(scenario, *rest):
+        plan = real_ttp(scenario, *rest)
+        if (scenario.n_sensors, scenario.rng_seed) == (60, 0):
+            plan.duties[0] = -1
+        return plan
+
+    monkeypatch.setattr(cli, "prepare", prepare)
+    monkeypatch.setitem(cli._PLANNERS, "ttp", forgetful)
+    monkeypatch.setenv("SKYHAUL_WORKERS", "1")
+    out = tmp_path / "x.csv"
+    flags = ["sweep", "--axis", "sensors", "--values", "40,60", "--seeds", "2",
+             "--size", "2000", "-o", str(out)]
+    assert main(flags) == EXIT_VALIDATION
+    _, err = capsys.readouterr()
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["40", "0"]] * 3 + [["60", "0"]] * 3 + [["60", "1"]] * 3
+    assert err == "".join(
+        f"sensors=40 seed=1 {algo}: infeasible: no chain reaches the field\n"
+        for algo in ("pmtp", "ttp", "cstp")) + (
+        "some sweep cells failed validation\n"
+        "  sensors=60 seed=0 ttp: coverage\n")
+    monkeypatch.setitem(cli._PLANNERS, "ttp", real_ttp)
+    assert main(flags) == EXIT_INFEASIBLE
+
+
 def test_sweep_config_reaches_every_cell(tmp_path, monkeypatch):
     # a narrower band doubles every upload time, so a dropped config shows
     cfg = {"bandwidth_hz": 1e6}
