@@ -420,14 +420,15 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
         hi, p_out = ((int(np.flatnonzero(col == nxt)[0]), cps[nxt].tolist())
                      if nxt is not None else (lo, cp))
         span = (hi - lo - 1) % len(pos) + 1
-        path = np.roll(pos[:, ref], -lo, axis=0)
-        # legs[i]: the fixed ring's leg from path[i] to path[i + 1], cyclically
-        legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
-        pts = path.tolist() + path[:1].tolist()
+        # the window's points; run[i] sums its legs before edge i in order
+        pts = pos[(lo + np.arange(span + 1)) % len(pos), ref]
+        run = list(itertools.accumulate(
+            np.hypot(*np.diff(pts, axis=0).T).tolist(), initial=0.0))
+        pts = pts.tolist()
         jump_in, jump_out = math.dist(p_in, cp), math.dist(cp, p_out)
         allowed = fleet.allowed(ref, adj, cp)
-        pens = [(max(0.0, jump_in - float(legs[:i].sum())),
-                 max(0.0, jump_out - float(legs[i:span].sum())))
+        pens = [(max(0.0, jump_in - run[i]),
+                 max(0.0, jump_out - (run[span] - run[i])))
                 for i in range(span)]
         # float addition is monotone, so each edge's cost, summed in the
         # same order, is at least its bound
@@ -472,8 +473,6 @@ def _fill_ring(pos, g, anchor_ring, fleet, done_rings):
     """
     placed = ~np.isnan(pos[:, g, 0])
     holes = np.flatnonzero(~placed)
-    if not holes.size:
-        return
     hard = np.flatnonzero(placed)
     if hard.size:
         holes = np.roll(holes, -int(np.searchsorted(holes, hard[0])))
@@ -570,14 +569,15 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     # rings[:k], those placed once rings[k - 1] attaches, are contiguous
     rings = sorted(range(m), key=lambda r: (abs(r - pacing), r))
     for k, adj in enumerate(rings[1:], 2):
-        ref = adj + 1 if adj < pacing else adj - 1
+        ref, steps = adj + 1 if adj < pacing else adj - 1, len(pos)
         pos, duty = _attach_ring(pos, duty, ref, adj, cps, hovers, orders,
                                  fleet, meta)
-        # close every hole outward from the fixed ring, each ring anchored
-        # to its neighbour toward it
+        # close the holes outward from the fixed ring, each ring anchored to
+        # its neighbour toward it; with no step inserted, only adj has any
         done = [ref]
         for g in sorted(rings[:k], key=lambda r: (abs(r - ref), r))[1:]:
-            _fill_ring(pos, g, g - 1 if g > ref else g + 1, fleet, done)
+            if len(pos) > steps or g == adj:
+                _fill_ring(pos, g, g - 1 if g > ref else g + 1, fleet, done)
             done.append(g)
 
     # one step per insertion; every other idle waypoint is an escort

@@ -640,19 +640,20 @@ def test_escorts_count_the_waypoints_the_fill_pass_places(monkeypatch):
         ((3, 2), [(2, 3)]),
         ((3, 4), [(2, 3), (4, 3)]),
         ((2, 1), [(1, 2), (3, 2), (4, 3)]),
-        ((4, 5), [(3, 4), (5, 4), (2, 3), (1, 2)]),
+        ((4, 5), [(5, 4)]),
         ((1, 0), [(0, 1), (2, 1), (3, 2), (4, 3), (5, 4)])]),
     # `tight-link` seed 0: four rings, paced by ring 2
     (400, 8000.0, {"snr_th_u2u_db": 23.0}, [
         ((2, 1), [(1, 2)]),
-        ((2, 3), [(1, 2), (3, 2)]),
+        ((2, 3), [(3, 2)]),
         ((1, 0), [(0, 1), (2, 1), (3, 2)])]),
 ], ids=["wide", "tight-link"])
 def test_rings_attach_and_fill_outward_from_the_pacing_ring(
         monkeypatch, sensors, size, radio, expected):
     """Each (fixed ring, attach ring) pair, inward first at each distance
     from the pacing ring, then every placed ring but the fixed one as
-    (ring, anchor ring), outward from the fixed ring."""
+    (ring, anchor ring), outward from the fixed ring; the attach ring alone
+    when the attach inserted no step."""
     attach, fill = pointmatch._attach_ring, pointmatch._fill_ring
     calls = []
 
@@ -671,6 +672,25 @@ def test_rings_attach_and_fill_outward_from_the_pacing_ring(
     plan = pointmatch.plan(scenario, cluster_set, topology, radii)
     assert plan.meta["pacing_ring"] == expected[0][0][0]
     assert calls == expected
+
+
+def test_fill_pass_visits_only_rings_with_holes(monkeypatch):
+    """Every `_fill_ring` call finds a hole in its ring, on `wide` seed 0
+    and on the pinned 32-ring sparse field (200 sensors over 100 km)."""
+    fill, calls = pointmatch._fill_ring, []
+
+    def fill_spy(pos, g, *args):
+        calls.append((g, bool(np.isnan(pos[:, g, 0]).any())))
+        return fill(pos, g, *args)
+
+    monkeypatch.setattr(pointmatch, "_fill_ring", fill_spy)
+    for n, size, seed in ((400, 16000.0, 0), (200, 100000.0, 1)):
+        scenario, radii, cluster_set, topology = build_instance(
+            n, size, seed, ChannelParams())
+        calls.clear()
+        pointmatch.plan(scenario, cluster_set, topology, radii)
+        assert len(calls) >= topology.m_uavs - 1, (n, size, seed)
+        assert all(hole for _, hole in calls), (n, size, seed, calls)
 
 
 def _annulus_grid(center, r_lo, r_hi):
@@ -1073,6 +1093,8 @@ def test_float_solver_parts_match_the_array_reference():
 
 # The insertion before its edges were pruned: every window edge is solved
 # with `p3_waypoint`, kept as the reference the pruned loop must reproduce.
+# Its penalties come from a running sum of the window's legs, as the
+# insertion's do, so the comparison checks the pruning alone.
 # With `skip_hopeless`, an edge is skipped when its floor already costs at
 # least best - 1e-9, so that it could not replace the best edge so far: the
 # window-order pruning that came before best-first search, exact by that
@@ -1095,12 +1117,13 @@ def reference_insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet,
         path = np.roll(pos[:, ref], -lo, axis=0)
         legs = np.hypot(*np.diff(path, axis=0, append=path[:1]).T)
         pts = path.tolist() + path[:1].tolist()
+        run = np.cumsum(np.concatenate([[0.0], legs[:span]])).tolist()
         jump_in, jump_out = math.dist(p_in, cp), math.dist(cp, p_out)
         allowed = fleet.allowed(ref, adj, cp)
         best = None
         for i in range(span):
-            pen_in = max(0.0, jump_in - float(legs[:i].sum()))
-            pen_out = max(0.0, jump_out - float(legs[i:span].sum()))
+            pen_in = max(0.0, jump_in - run[i])
+            pen_out = max(0.0, jump_out - (run[span] - run[i]))
             if skip_hopeless and best is not None and (
                     _detour_floor(cp, pts[i], pts[i + 1], fleet.r_u2u)
                     + pen_in + pen_out >= best[0] - 1e-9):
