@@ -224,7 +224,8 @@ def _sensor_count(text: str) -> int:
 def _worker_count() -> int:
     raw = os.environ.get(_WORKERS_ENV, "")
     if not raw:
-        return os.cpu_count() or 1
+        usable = getattr(os, "sched_getaffinity", None)
+        return len(usable(0)) if usable else os.cpu_count() or 1
     try:
         n = int(raw)
     except ValueError:

@@ -61,10 +61,11 @@ class Timing(NamedTuple):
     hover_s: float
 
 
-def _longest_legs(w: np.ndarray) -> np.ndarray:
-    """(S,) the longest leg into each step, the closing leg at step 0."""
-    prev = np.roll(w, 1, axis=0)
-    return np.hypot(*np.moveaxis(w - prev, 2, 0)).max(axis=1)
+def _longest_legs(w: np.ndarray, steps=slice(None)) -> np.ndarray:
+    """The longest leg into each of `steps`, the closing leg at step 0."""
+    at = np.arange(len(w))[steps]
+    d = w[at] - w[at - 1]
+    return np.hypot(d[..., 0], d[..., 1]).max(axis=1)
 
 
 def _step_hovers(plan: MissionPlan, cp_hover_s: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import CoverageRadii
 from .clustering import ClusterSet
-from .mission import DIST_TOL_M, MissionPlan, ring_serial_s
+from .mission import DIST_TOL_M, MissionPlan, _longest_legs, ring_serial_s
 from .model import InfeasibleError, Scenario
 from .partition import Ring, Topology
 from .tsp import _pairwise
@@ -457,13 +457,13 @@ def _insert_unmatched(pos, duty, ref, adj, ids, shared, cps, fleet, meta):
     return pos, duty
 
 
-def _fill_ring(pos, g, anchor_ring, fleet, done_rings):
+def _fill_ring(pos, g, anchor_ring, fleet, done):
     """Give ring `g` a position at each hole, a step where it has none yet.
 
     Sweeps the holes in cyclic step order from the ring's first placed step.
     Each hole becomes an advance toward the ring's next placed step (a duty,
     or an escort an earlier fill placed), budgeted by the longest leg any
-    done ring flies into that step, and chained to the neighbor toward the
+    `done` ring flies into that step, and chained to the neighbor toward the
     pair being processed (at the neighbor's collect steps that chain annulus
     is exactly the escort constraint around the served CP). A ring with no
     placed step starts at step 0 beside its anchor and advances toward it.
@@ -490,10 +490,7 @@ def _fill_ring(pos, g, anchor_ring, fleet, done_rings):
         holes = holes[1:]
     anchors = pos[holes, anchor_ring].tolist()
     targets = pos[nxt, g].tolist() if hard.size else anchors
-    # each hole's budget, the floats `mission._longest_legs` gives that step
-    at = holes[:, None]
-    legs = pos[at, done_rings] - pos[at - 1, done_rings]
-    budgets = np.hypot(*np.moveaxis(legs, 2, 0)).max(axis=1).tolist()
+    budgets = _longest_legs(pos[:, done], holes).tolist()
     for i, target, budget_m, anchor in zip(holes.tolist(), targets, budgets,
                                            anchors):
         pos[i, g] = advance_point(pos[i - 1, g].tolist(), target, budget_m,
@@ -573,12 +570,13 @@ def plan(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
         pos, duty = _attach_ring(pos, duty, ref, adj, cps, hovers, orders,
                                  fleet, meta)
         # close the holes outward from the fixed ring, each ring anchored to
-        # its neighbour toward it; with no step inserted, only adj has any
-        done = [ref]
+        # its neighbour toward it and budgeted by the band of rings done; with
+        # no step inserted, only adj has any
+        done = slice(ref, ref + 1)
         for g in sorted(rings[:k], key=lambda r: (abs(r - ref), r))[1:]:
             if len(pos) > steps or g == adj:
                 _fill_ring(pos, g, g - 1 if g > ref else g + 1, fleet, done)
-            done.append(g)
+            done = slice(min(done.start, g), max(done.stop, g + 1))
 
     # one step per insertion; every other idle waypoint is an escort
     meta["generated_waypoints"] = len(pos) - len(orders[pacing])

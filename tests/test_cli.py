@@ -493,8 +493,25 @@ def test_bad_worker_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def test_worker_count_defaults_to_the_cpu_count(monkeypatch):
+    # the CPUs this process may run on, where the platform can tell
     monkeypatch.delenv("SKYHAUL_WORKERS", raising=False)
-    assert cli._worker_count() == (os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert cli._worker_count() == usable
+
+
+def test_worker_count_follows_the_cpu_mask(monkeypatch):
+    """A one-CPU affinity mask on an 8-CPU host gives one worker; without
+    `sched_getaffinity` the default falls back to the CPU count."""
+    monkeypatch.delenv("SKYHAUL_WORKERS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    assert cli._worker_count() == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._worker_count() == 8
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count() == 1
 
 
 def test_generate_writes_config_thresholds_as_given(tmp_path):

@@ -12,8 +12,9 @@ from skyhaul import pointmatch
 from skyhaul.baselines import plan_cstp, plan_ttp
 from skyhaul.clustering import ClusterSet
 from skyhaul.mission import (DIST_TOL_M, MissionPlan, _check_collision,
-                             _check_connectivity, completion_time, evaluate,
-                             lower_bound, step_times, validate)
+                             _check_connectivity, _longest_legs,
+                             completion_time, evaluate, lower_bound,
+                             step_times, validate)
 from skyhaul.partition import build_topology
 from skyhaul.tsp import solve_tsp
 
@@ -57,6 +58,29 @@ def _cluster_set(cps, hovers):
     """One sensor per CP."""
     return ClusterSet(np.arange(len(cps)), np.array(cps, dtype=float),
                       np.array(hovers, dtype=float))
+
+
+@pytest.mark.parametrize("steps", [
+    slice(0, 3), slice(2, 7), [0], [5, 0, 3, 1], [4, 4, 0, 4, 2],
+    np.arange(7)[::-1]], ids=["band-0", "band", "closing", "unsorted",
+                              "repeated", "reversed"])
+def test_longest_legs_of_some_steps_are_those_of_the_whole_plan(steps):
+    """The leg rule read over some steps gives, bit for bit, those steps of
+    the rule read over every step, on random plans of 1 to 5 UAVs."""
+    rng = np.random.default_rng(11)
+    for m in range(1, 6):
+        w = rng.uniform(-5000.0, 5000.0, (7, m, 2))
+        part, whole = _longest_legs(w, steps), _longest_legs(w)[steps]
+        assert part.tobytes() == whole.tobytes(), (m, part, whole)
+    # a NaN waypoint makes both legs that touch it, and so their steps, NaN
+    w[3, 2, 1] = np.nan
+    part, whole = _longest_legs(w, steps), _longest_legs(w)[steps]
+    assert part.tobytes() == whole.tobytes(), (part, whole)
+    assert (np.isnan(_longest_legs(w)) == np.isin(np.arange(7), [3, 4])).all()
+    # one step: its closing leg goes nowhere
+    w = rng.uniform(-5000.0, 5000.0, (1, 3, 2))
+    assert _longest_legs(w, [0, 0]).tolist() == [0.0, 0.0]
+    assert _longest_legs(w).tolist() == [0.0]
 
 
 def test_lower_bound_single_ring_formula(default_radii):

@@ -693,6 +693,41 @@ def test_fill_pass_visits_only_rings_with_holes(monkeypatch):
         assert all(hole for _, hole in calls), (n, size, seed, calls)
 
 
+@pytest.mark.parametrize("sensors, size, seed, radio", [
+    (400, 16000.0, 0, {}),
+    (400, 8000.0, 0, {"snr_th_u2u_db": 23.0}),
+    (200, 100000.0, 1, {}),
+], ids=["wide", "tight-link", "32-rings"])
+def test_fill_budgets_read_one_band_of_done_rings(monkeypatch, sensors, size,
+                                                  seed, radio):
+    """Every fill reads its budgets over one band of rings, a step-1 slice
+    holding the attach's fixed ring; the filled ring sits just past one end
+    of the band and is anchored to that end."""
+    attach, fill, calls = pointmatch._attach_ring, pointmatch._fill_ring, []
+
+    def attach_spy(*args):
+        calls.append((args[2], []))
+        return attach(*args)
+
+    def fill_spy(pos, g, anchor_ring, fleet, done):
+        calls[-1][1].append((g, anchor_ring, done))
+        return fill(pos, g, anchor_ring, fleet, done)
+
+    monkeypatch.setattr(pointmatch, "_attach_ring", attach_spy)
+    monkeypatch.setattr(pointmatch, "_fill_ring", fill_spy)
+    scenario, radii, cluster_set, topology = build_instance(
+        sensors, size, seed, apply_config_overrides(ChannelParams(), radio))
+    pointmatch.plan(scenario, cluster_set, topology, radii)
+    assert len(calls) == topology.m_uavs - 1
+    for ref, fills in calls:
+        for g, anchor_ring, band in fills:
+            assert isinstance(band, slice) and band.step in (None, 1), band
+            assert band.start <= ref < band.stop, (ref, band)
+            assert g in (band.stop, band.start - 1), (ref, g, band)
+            end = band.stop - 1 if g == band.stop else band.start
+            assert anchor_ring == end, (ref, g, anchor_ring, band)
+
+
 def _annulus_grid(center, r_lo, r_hi):
     """Oracle: a 1 degree by (r_hi - r_lo) / 199 polar grid over an annulus."""
     ang = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
