@@ -34,7 +34,7 @@ def plan_ttp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     """
     cps = cluster_set.cps
     m = topology.m_uavs
-    bs = scenario.bs_xy
+    bs = scenario.bs_position_m
     d_safe = scenario.d_safe_m
 
     d_bs = np.hypot(*(cps - bs).T)
@@ -96,7 +96,7 @@ def plan_cstp(scenario: Scenario, cluster_set: ClusterSet, topology: Topology,
     """
     cps = cluster_set.cps
     m = topology.m_uavs
-    bs = scenario.bs_xy
+    bs = scenario.bs_position_m
     r_u2u = radii.r_u2u_m
     pad = _CHAIN_PAD * scenario.d_safe_m
     # every inward clamp would put adjacent UAVs a full pad apart, out of

@@ -66,13 +66,18 @@ def prepare(scenario):
     return radii, cluster_set, topology
 
 
-def cmd_generate(args) -> int:
+def _radio(args) -> ChannelParams:
+    """The default radio model with the --config file's overrides, if any."""
     params = ChannelParams()
     if args.config:
         params = apply_config_overrides(params,
                                         load_json_object(args.config, "config"))
+    return params
+
+
+def cmd_generate(args) -> int:
     scenario = generate_scenario(args.size, args.size, args.sensors,
-                                 params=params, seed=args.seed)
+                                 params=_radio(args), seed=args.seed)
     save_scenario(scenario, args.output)
     print(f"wrote {args.output}: {scenario.n_sensors} sensors over "
           f"{args.size:g} m x {args.size:g} m, seed {args.seed}")
@@ -178,39 +183,27 @@ def _parse_values(tokens, axis: str) -> list[float]:
 
 
 def _sweep_cell(cell):
-    """One (axis value, seed) evaluation of all planners; pure and picklable.
+    """One sweep cell, `(params, n_sensors, size, seed)`, through every
+    planner; pure and picklable.
 
-    Returns the CSV rows; per planner whose plan failed a check, its name
-    and the names of the checks it failed; and per planner that raised an
-    `InfeasibleError`, its name and the error's message. When `prepare`
-    raises one, the cell has no rows and every planner is infeasible."""
-    axis, value, seed, n_sensors, size, overrides = cell
-    params = ChannelParams()
-    if overrides:
-        params = apply_config_overrides(params, overrides)
-    if axis == "snr-g2u-db":
-        params = apply_config_overrides(params, {"snr_th_g2u_db": value})
-    else:
-        n_sensors = int(value)
+    Returns `(algo, outcome)` per planner in `_PLANNERS` order, the outcome
+    being the planner's `EvalReport` or the `InfeasibleError` it raised.
+    When `prepare` raises one, every planner's outcome is that error."""
+    params, n_sensors, size, seed = cell
     scenario = generate_scenario(size, size, n_sensors, params=params, seed=seed)
-    rows, failed, infeasible = [], [], []
     try:
         radii, cluster_set, topology = prepare(scenario)
     except InfeasibleError as e:
-        return rows, failed, [(algo, str(e)) for algo in _PLANNERS]
+        return [(algo, e) for algo in _PLANNERS]
+    outcomes = []
     for algo, planner in _PLANNERS.items():
         try:
             plan = planner(scenario, cluster_set, topology, radii)
-            report = evaluate(plan, scenario, topology, radii, cluster_set)
+            outcomes.append(
+                (algo, evaluate(plan, scenario, topology, radii, cluster_set)))
         except InfeasibleError as e:
-            infeasible.append((algo, str(e)))
-            continue
-        if not report.all_passed:
-            failed.append((algo, [c.name for c in report.checks
-                                  if not c.passed]))
-        rows.append((value, seed, algo, report.completion_s,
-                     report.lower_bound_s, report.flight_s, report.hover_s))
-    return rows, failed, infeasible
+            outcomes.append((algo, e))
+    return outcomes
 
 
 def _sensor_count(text: str) -> int:
@@ -253,9 +246,15 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ScenarioParseError("--seeds must be at least 1")
     values = _parse_values(args.values, args.axis)
-    overrides = load_json_object(args.config, "config") if args.config else None
-    cells = [(args.axis, value, seed, args.sensors, args.size, overrides)
-             for value in values for seed in range(args.seeds)]
+    # every cell's inputs are checked here, before any worker starts
+    params = _radio(args)
+    if args.axis == "sensors":
+        points = [(params, int(v)) for v in values]
+    else:
+        points = [(apply_config_overrides(params, {"snr_th_g2u_db": v}),
+                   args.sensors) for v in values]
+    cells = [(p, n, args.size, seed) for p, n in points
+             for seed in range(args.seeds)]
     workers = min(_worker_count(), len(cells))
     if workers > 1:
         # The workers already share the cores, so each runs BLAS on one
@@ -267,31 +266,30 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(cell) for cell in cells]
-    fmt = (lambda v: str(int(v))) if args.axis == "sensors" else (lambda v: repr(v))
-    n_rows = 0
+    fmt = (lambda v: str(int(v))) if args.axis == "sensors" else repr
+    keys = [(fmt(value), seed) for value in values for seed in range(args.seeds)]
+    outcomes = [(*key, algo, outcome) for key, cell in zip(keys, results)
+                for algo, outcome in cell]
+    reports = [o for o in outcomes if not isinstance(o[-1], InfeasibleError)]
     with open(args.output, "w") as f:
         f.write(_SWEEP_HEADER)
-        for rows, _, _ in results:
-            for value, seed, algo, completion, bound, flight, hover in rows:
-                f.write(f"{fmt(value)},{seed},{algo},{completion!r},"
-                        f"{bound!r},{flight!r},{hover!r}\n")
-                n_rows += 1
-    print(f"wrote {n_rows} rows to {args.output}")
-    cell_results = [(f"{args.axis}={fmt(value)} seed={seed}", *outcome)
-                    for (_, value, seed, *_), (_, *outcome)
-                    in zip(cells, results)]
-    for cell, _, infeasible in cell_results:
-        for algo, message in infeasible:
-            print(f"{cell} {algo}: infeasible: {message}", file=sys.stderr)
-    if any(failed for _, failed, _ in cell_results):
+        for value, seed, algo, r in reports:
+            f.write(f"{value},{seed},{algo},{r.completion_s!r},"
+                    f"{r.lower_bound_s!r},{r.flight_s!r},{r.hover_s!r}\n")
+    print(f"wrote {len(reports)} rows to {args.output}")
+    for value, seed, algo, e in outcomes:
+        if isinstance(e, InfeasibleError):
+            print(f"{args.axis}={value} seed={seed} {algo}: infeasible: {e}",
+                  file=sys.stderr)
+    failed = [o for o in reports if not o[-1].all_passed]
+    if failed:
         print("some sweep cells failed validation", file=sys.stderr)
-        for cell, failed, _ in cell_results:
-            for algo, checks in failed:
-                print(f"  {cell} {algo}: {', '.join(checks)}", file=sys.stderr)
+        for value, seed, algo, r in failed:
+            checks = ", ".join(c.name for c in r.checks if not c.passed)
+            print(f"  {args.axis}={value} seed={seed} {algo}: {checks}",
+                  file=sys.stderr)
         return EXIT_VALIDATION
-    if any(infeasible for _, _, infeasible in cell_results):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_INFEASIBLE if len(reports) < len(outcomes) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

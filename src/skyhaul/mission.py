@@ -218,7 +218,7 @@ def validate(plan: MissionPlan, scenario: Scenario, topology: Topology,
     # an infinite waypoint turns distances into NaN, which fails its checks
     with np.errstate(invalid="ignore"):
         return [
-            _check_connectivity(plan.waypoints, scenario.bs_xy, radii),
+            _check_connectivity(plan.waypoints, scenario.bs_position_m, radii),
             _check_collision(plan.waypoints, scenario.d_safe_m),
             _check_coverage(plan, cluster_set),
         ]

@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -141,10 +140,6 @@ class Scenario:
     @property
     def n_sensors(self) -> int:
         return len(self.sensor_ids)
-
-    @cached_property
-    def bs_xy(self) -> np.ndarray:
-        return np.array(self.bs_position_m, dtype=float)
 
 
 def generate_scenario(width_m: float, height_m: float, n_sensors: int,

@@ -475,7 +475,9 @@ def _fill_ring(pos, g, anchor_ring, fleet, done):
     holes = np.flatnonzero(~placed)
     hard = np.flatnonzero(placed)
     if hard.size:
-        holes = np.roll(holes, -int(np.searchsorted(holes, hard[0])))
+        # exactly hard[0] holes precede the first placed step
+        cut = int(hard[0])
+        holes = np.concatenate((holes[cut:], holes[:cut]))
         # the next placed step strictly after each hole, cyclically
         nxt = hard[np.searchsorted(hard, holes, side="right") % len(hard)]
     else:

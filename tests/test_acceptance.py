@@ -23,8 +23,9 @@ from skyhaul.channel import (coverage_radii, min_hover_time,
 from skyhaul.cli import EXIT_INFEASIBLE, _sweep_cell, main, prepare
 from skyhaul.clustering import check_cluster_set, cluster_sensors
 from skyhaul.mission import evaluate, lower_bound, validate
-from skyhaul.model import (ChannelParams, apply_config_overrides,
-                           generate_scenario, save_scenario)
+from skyhaul.model import (ChannelParams, InfeasibleError,
+                           apply_config_overrides, generate_scenario,
+                           save_scenario)
 from skyhaul.partition import Ring
 from skyhaul.pointmatch import InfeasibleWaypointError, p3_waypoint
 from skyhaul.tsp import Tour, solve_tsp
@@ -107,11 +108,17 @@ def trend_grid():
     for axis, values in (("sensors", (600.0, 800.0, 1000.0, 1200.0)),
                          ("snr-g2u-db", (14.0, 17.0, 20.0, 23.0))):
         for value, seed in itertools.product(values, _BENCH_SEEDS):
-            rows, failed, infeasible = _sweep_cell(
-                (axis, value, seed, 1000, 8000.0, None))
-            all_ok = all_ok and not failed and not infeasible
-            for _, _, algo, completion, *_ in rows:
-                cells.setdefault((axis, value, algo), []).append(completion)
+            params, n_sensors = ChannelParams(), int(value)
+            if axis == "snr-g2u-db":
+                params = apply_config_overrides(params, {"snr_th_g2u_db": value})
+                n_sensors = 1000
+            for algo, outcome in _sweep_cell((params, n_sensors, 8000.0, seed)):
+                if isinstance(outcome, InfeasibleError):
+                    all_ok = False
+                    continue
+                all_ok = all_ok and outcome.all_passed
+                cells.setdefault((axis, value, algo), []).append(
+                    outcome.completion_s)
     means = {key: float(np.mean(v)) for key, v in cells.items()}
     return means, all_ok
 

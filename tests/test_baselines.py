@@ -40,7 +40,7 @@ def test_ttp_collector_walks_the_global_tour(two_ring_instance):
 def test_ttp_relays_hold_the_chain_midpoints(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_ttp(scenario, cluster_set, topology, radii)
-    bs = scenario.bs_xy
+    bs = scenario.bs_position_m
     for relay, c in plan.waypoints:
         d = float(np.hypot(*(c - bs)))
         if d / topology.m_uavs >= 1.5 * scenario.d_safe_m:
@@ -74,7 +74,7 @@ def concentrated_far_corner():
 
 def test_ttp_rejects_hops_beyond_link_range(concentrated_far_corner):
     scenario, radii, cluster_set, topology = concentrated_far_corner
-    d = float(np.hypot(*(cluster_set.cps[0] - scenario.bs_xy)))
+    d = float(np.hypot(*(cluster_set.cps[0] - scenario.bs_position_m)))
     assert d / topology.m_uavs > radii.r_u2u_m      # the hop really is too long
     with pytest.raises(InfeasiblePlanError, match="link range"):
         plan_ttp(scenario, cluster_set, topology, radii)
@@ -140,7 +140,7 @@ def test_cstp_serving_uav_sits_on_the_cp(two_ring_instance):
 def test_cstp_steps_follow_the_angular_sweep(two_ring_instance):
     scenario, radii, cluster_set, topology = two_ring_instance
     plan = plan_cstp(scenario, cluster_set, topology, radii)
-    order = scan_order(cluster_set.cps, scenario.bs_xy)
+    order = scan_order(cluster_set.cps, scenario.bs_position_m)
     served = [int(duties[duties != -1][0]) for duties in plan.duties]
     assert served == order
 
@@ -163,7 +163,7 @@ def _bearing_reference(c, bs):
 def _ttp_reference(scenario, cluster_set, topology, radii):
     """plan_ttp written out per CP and per relay; returns its waypoints and
     duties, or the InfeasiblePlanError text."""
-    cps, m, bs = cluster_set.cps, topology.m_uavs, scenario.bs_xy
+    cps, m, bs = cluster_set.cps, topology.m_uavs, scenario.bs_position_m
     d_safe = scenario.d_safe_m
     d_bs = np.hypot(*(cps - bs).T)
     link = radii.r_u2b_m if m == 1 else min(radii.r_u2u_m, radii.r_u2b_m)
@@ -191,7 +191,7 @@ def _ttp_reference(scenario, cluster_set, topology, radii):
 def _cstp_reference(scenario, cluster_set, topology, radii):
     """plan_cstp written out per CP and per ring, scanning in a sorted()
     order; returns its waypoints and duties, or the InfeasiblePlanError text."""
-    cps, m, bs = cluster_set.cps, topology.m_uavs, scenario.bs_xy
+    cps, m, bs = cluster_set.cps, topology.m_uavs, scenario.bs_position_m
     pad, r_u2u = 1.5 * scenario.d_safe_m, radii.r_u2u_m
     mids = [0.5 * (r.inner_m + r.outer_m) for r in topology.rings]
     vec = cps - bs
@@ -240,7 +240,7 @@ def _cp_field(rng, scenario, radii):
     """CPs from the BS out to about five rings: one on the BS, a few close
     enough that ttp fans its relays out, some on shared rays (angle ties)
     and some repeated (angle and distance ties)."""
-    bs = scenario.bs_xy
+    bs = scenario.bs_position_m
     far = rng.uniform(0.0, radii.r_u2b_m + 4.5 * radii.r_u2u_m,
                       int(rng.integers(1, 25)))
     near = rng.uniform(0.0, 3.0 * scenario.d_safe_m * 5, int(rng.integers(0, 6)))
@@ -282,7 +282,7 @@ def test_baselines_match_the_per_cp_reference():
         want = _cstp_reference(*instance)
         _assert_same(_planned(plan_cstp, *instance), want)
         errors.add(("cstp", isinstance(want, str)))
-        d = np.hypot(*(cluster_set.cps - scenario.bs_xy).T)
+        d = np.hypot(*(cluster_set.cps - scenario.bs_position_m).T)
         on_bs += bool((d == 0).any())
         fanned += bool((d / topology.m_uavs < 1.5 * scenario.d_safe_m).any()
                        and topology.m_uavs >= 3)
@@ -301,7 +301,7 @@ def test_cstp_names_the_first_forcing_cp_in_scan_order():
     want = _cstp_reference(scenario, cluster_set, topology, cut)
     assert isinstance(want, str)
     named = int(want.split()[1])
-    assert named != scan_order(cluster_set.cps, scenario.bs_xy)[0]
+    assert named != scan_order(cluster_set.cps, scenario.bs_position_m)[0]
     with pytest.raises(InfeasiblePlanError) as err:
         plan_cstp(scenario, cluster_set, topology, cut)
     assert str(err.value) == want

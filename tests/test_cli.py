@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from skyhaul.channel import (CoverageError, InfeasibleConfigError,
 from skyhaul.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                          EXIT_VALIDATION, main)
 from skyhaul.clustering import InfeasibleClusteringError
-from skyhaul.mission import evaluate
+from skyhaul.mission import EvalReport, evaluate
 from skyhaul.model import (ChannelParams, apply_config_overrides,
                            generate_scenario, load_scenario)
 from skyhaul.pointmatch import InfeasibleWaypointError
@@ -465,6 +466,48 @@ def test_sweep_workers_start_spawned_with_one_blas_thread(tmp_path, monkeypatch)
     assert (env["OMP_NUM_THREADS"], env["OPENBLAS_NUM_THREADS"],
             env["MKL_NUM_THREADS"]) == ("1", "3", "1")
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("flags", [
+    ["--axis", "sensors", "--values", "40", "--config", {"alpha": "loud"}],
+    ["--axis", "snr-g2u-db", "--values", "nan"],
+], ids=["config", "nan-threshold"])
+def test_sweep_checks_its_inputs_before_any_worker_starts(tmp_path, capsys,
+                                                          monkeypatch, flags):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setenv("SKYHAUL_WORKERS", "2")
+    pools = len(_InlinePool.started)
+    out = tmp_path / "x.csv"
+    flags = [_write_config(tmp_path, f) if isinstance(f, dict) else f
+             for f in flags]
+    assert main(["sweep", *flags, "--seeds", "2", "--size", "2000",
+                 "-o", str(out)]) == EXIT_USAGE
+    assert len(_InlinePool.started) == pools
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_cell_returns_each_planners_report_or_error(monkeypatch):
+    # at 26 dB the U2U link is too short for ttp's evenly spaced relay hops,
+    # while pmtp and cstp still plan
+    cell = (apply_config_overrides(ChannelParams(), {"snr_th_u2u_db": 26}),
+            400, 8000.0, 0)
+    outcomes = cli._sweep_cell(cell)
+    kinds = [EvalReport, InfeasiblePlanError, EvalReport]
+    assert [algo for algo, _ in outcomes] == ["pmtp", "ttp", "cstp"]
+    assert [type(outcome) for _, outcome in outcomes] == kinds
+    # a pooled sweep receives the outcomes pickled, each of its own type
+    copied = pickle.loads(pickle.dumps(outcomes))
+    assert [type(outcome) for _, outcome in copied] == kinds
+    assert str(copied[1][1]) == str(outcomes[1][1])
+    error = InfeasibleConfigError("no chain reaches the field")
+
+    def prepare(scenario):
+        raise error
+
+    monkeypatch.setattr(cli, "prepare", prepare)
+    assert cli._sweep_cell(cell) == [("pmtp", error), ("ttp", error),
+                                     ("cstp", error)]
 
 
 @pytest.mark.parametrize("flags", [

@@ -229,7 +229,7 @@ def _off_cp(plan, run):
     scenario, radii, cluster_set, topology, _ = run
     for step, uav in np.argwhere(plan.duties != -1):
         w = plan.waypoints.copy()
-        inward = scenario.bs_xy - w[step, uav]
+        inward = scenario.bs_position_m - w[step, uav]
         w[step, uav] += 200.0 * inward / np.hypot(*inward)
         bad = dataclasses.replace(plan, waypoints=w)
         checks = validate(bad, scenario, topology, radii, cluster_set)

@@ -544,7 +544,7 @@ def test_plan_two_rings_pacing_invariant(field, appends):
         cp = cluster_set.cps[plan.duties[-1, attach]].tolist()
         path = w[:-1, pacing].tolist()
         fleet = pointmatch._Fleet(topology.rings,
-                                  tuple(scenario.bs_xy.tolist()),
+                                  tuple(scenario.bs_position_m),
                                   radii.r_u2u_m, scenario.d_safe_m)
         point, _ = p3_waypoint(path[-1], path[0],
                                fleet.allowed(pacing, attach, cp))
